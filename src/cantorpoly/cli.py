@@ -59,7 +59,6 @@ class RunConfig:
     c: str | None = None
     out: str = "."
     tol_stab: float = 1e-10
-    tol_eigen: float = 1e-13
     tol_zero: float | None = None
     seed: int = 20240601
     trials: int = 200
@@ -75,9 +74,8 @@ class RunConfig:
                 f"degree-max {self.degree_max} violates the safety margin "
                 f"degree-max <= 2^(depth-2) = {2 ** (self.depth - 2)}"
             )
-        for name in ("tol_stab", "tol_eigen"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        if self.tol_stab <= 0:
+            raise DomainError("tol_stab must be positive")
         if self.tol_zero is not None and self.tol_zero <= 0:
             raise DomainError("tol_zero must be positive")
         if self.precision not in _PRECISION_ALIASES:
@@ -118,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c", help="declared lower bound for the gamma values")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--tol-stab", type=float, dest="tol_stab")
-    parser.add_argument("--tol-eigen", type=float, dest="tol_eigen")
     parser.add_argument("--tol-zero", type=float, dest="tol_zero")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
@@ -133,7 +130,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         with open(args.config) as fh:
             settings.update(json.load(fh))
     for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out",
-                "tol_stab", "tol_eigen", "tol_zero", "seed", "trials", "jacobi_file"):
+                "tol_stab", "tol_zero", "seed", "trials", "jacobi_file"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value

@@ -8,10 +8,10 @@ with P_{-1} = 0 and P_0 = 1. Coefficients are recovered from discrete
 refinement measures by a discretized Stieltjes procedure, implemented in
 its orthonormal (Lanczos) formulation with full reorthogonalization; the
 raw monic norms would underflow long before degree 256 on these
-measures. Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation,
-computed by Sturm-count bisection so heavily clustered spectra pose no
-robustness problem, with an automatic double-double re-run once spacings
-approach the double-precision resolution limit.
+measures. Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation.
+The fast path is one LAPACK symmetric eigensolve; only when neighbouring
+eigenvalues approach the double-precision resolution limit is the solve
+escalated to a double-double Sturm-count bisection.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .serialize import csv_text
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LANCZOS_BREAKDOWN = 256.0 * _EPS
-_BISECT_REL_TOL = 1e-13
-_BISECT_MAX_ITER = 128
 _DD_ESCALATION_FACTOR = 1e3
 
 
@@ -284,7 +282,7 @@ def opoly_eval(J: JacobiMatrix, n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal eigensolve: Sturm-count bisection
+# tridiagonal eigensolve: LAPACK fast path, double-double Sturm escalation
 # ---------------------------------------------------------------------------
 
 def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
@@ -295,44 +293,17 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     return float(np.min(d - rad)), float(np.max(d + rad))
 
 
-def _eigvals_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, by bisection.
+def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    Runs every eigenvalue's bracket in lockstep; the Sturm count (the
-    number of negative LDL^T pivots, with the LAPACK-style pivmin guard
-    applied before each sign is read) is vectorized across midpoints.
-    Accuracy: 1e-13 times the spectral width.
+    One LAPACK symmetric eigensolve (``numpy.linalg.eigvalsh``) of the
+    assembled matrix; backward stable, so each eigenvalue is accurate to a
+    few eps times the spectral norm.
     """
     n = d.size
     if n == 1:
         return d.copy()
-    glo, ghi = _gershgorin(d, e)
-    width = ghi - glo
-    if width == 0.0:
-        return np.full(n, d[0])
-    esq = e * e
-    pivmin = _TINY * max(1.0, float(esq.max()))
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
-    idx = np.arange(n)
-    target = _BISECT_REL_TOL * width
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        q = d[0] - mid
-        np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
-        cnt = (q < 0).astype(np.intp)
-        for k in range(1, n):
-            q = (d[k] - mid) - esq[k - 1] / q
-            np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
-            cnt += q < 0
-        below = cnt > idx
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if float(np.max(hi - lo)) <= target:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisection brackets failed to shrink to {target} in {_BISECT_MAX_ITER} iterations"
-    )
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
 def _sturm_count_dd(d: list, esq: list, x: DoubleDouble, pivmin: float) -> int:
@@ -350,7 +321,7 @@ def _sturm_count_dd(d: list, esq: list, x: DoubleDouble, pivmin: float) -> int:
 
 
 def _eigvals_bisect_dd(d_f: np.ndarray, e_f: np.ndarray) -> list:
-    """Double-double re-run of the bisection, one eigenvalue at a time.
+    """All eigenvalues by double-double Sturm-count bisection, one at a time.
 
     The coefficients are promoted exactly; the extra 53 bits let brackets
     resolve spacings far below the double-precision resolution of the
@@ -383,16 +354,16 @@ def _eigvals_bisect_dd(d_f: np.ndarray, e_f: np.ndarray) -> list:
 def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     """Zeros of P_n as eigenvalues of the n-by-n Jacobi truncation.
 
-    If consecutive eigenvalues come out closer than 1e3 * eps * spectral
-    width, the solve is repeated in double-double arithmetic and the
-    result is flagged as escalated.
+    The eigenvalues come from one LAPACK eigensolve, ascending. If
+    consecutive ones come out closer than 1e3 * eps * Gershgorin width,
+    the solve is repeated by double-double Sturm-count bisection and the
+    result is flagged as escalated, with the dd values in points_dd.
     """
     if not 1 <= n <= J.valid_length:
         raise DomainError(f"degree {n} exceeds certified length {J.valid_length}")
     d = J.b[:n]
     e = J.a[: n - 1]
-    vals = _eigvals_bisect(d, e)
-    escalated = False
+    vals = _eigvals_lapack(d, e)
     if n >= 2:
         glo, ghi = _gershgorin(d, e)
         if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (ghi - glo):
@@ -400,7 +371,7 @@ def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
             return ZeroSet(degree=n, points=np.asarray([float(v) for v in dd_vals]),
                            provenance="eigensolve", escalated=True,
                            points_dd=tuple(dd_vals))
-    return ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=escalated)
+    return ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False)
 
 
 def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:

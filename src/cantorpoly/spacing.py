@@ -19,6 +19,7 @@ no rounding slack of their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -412,22 +413,26 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
         c_frac = c if isinstance(c, Fraction) else Fraction(c)
         if c_frac <= 0 or c_frac > gamma.infimum():
             raise DomainError(f"declared c = {c} exceeds the materialized infimum")
+        c_sq = c_frac * c_frac
+    # delta products depend only on s, which changes once per octave
+    delta = functools.cache(gamma.delta_fraction)
+
     rows = []
     for n in sorted(set(int(d) for d in degrees)):
         if not 1 < n <= J.valid_length:
             raise DomainError(f"degree {n} outside (1, valid_length]")
         s = n.bit_length()
         m_n, pair, source, escalated = spacing_for_degree(fam, J, n, cache, mode)
-        d_lo = gamma.delta_fraction(s + 2)
-        d_hi = gamma.delta_fraction(s - 2)
+        d_lo = delta(s + 2)
+        d_hi = delta(s - 2)
         lower1 = float(d_lo)
         upper1 = _PI_SQ_4 * float(d_hi)
         pass1 = (Fraction(m_n) >= d_lo) and (m_n <= upper1)
         if c_frac is not None:
-            d_s = gamma.delta_fraction(s)
-            lo2_frac = c_frac * c_frac * d_s
+            d_s = delta(s)
+            lo2_frac = c_sq * d_s
             lower2 = float(lo2_frac)
-            upper2 = _PI_SQ_4 / float(c_frac * c_frac) * float(d_s)
+            upper2 = _PI_SQ_4 / float(c_sq) * float(d_s)
             pass2 = (Fraction(m_n) >= lo2_frac) and (m_n <= upper2)
         else:
             lower2 = upper2 = pass2 = None

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import cantorpoly as cp
 from cantorpoly.ddouble import DoubleDouble
@@ -64,12 +64,16 @@ class TestUMap:
         assert float(v) == pytest.approx(0.5 - math.sqrt(2.0) / 4.0, abs=1e-16)
 
     @given(st.floats(0.0, 0.25), st.floats(0.0, 0.25))
+    @example(0.25, math.nextafter(0.25, 0.0))
     def test_monotone_and_convex(self, t1, t2):
         lo, hi = min(t1, t2), max(t1, t2)
         if lo < hi:
             assert cp.u_map(lo) < cp.u_map(hi)
+            # the float midpoint can round onto an endpoint, so take the
+            # chord at the computed mid; w is exactly 1/2 when mid is exact
             mid = 0.5 * (lo + hi)
-            chord = 0.5 * (cp.u_map(lo) + cp.u_map(hi))
+            w = (mid - lo) / (hi - lo)
+            chord = (1.0 - w) * cp.u_map(lo) + w * cp.u_map(hi)
             assert cp.u_map(mid) < chord + 1e-15
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 0.25))

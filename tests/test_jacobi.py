@@ -156,6 +156,12 @@ class TestOpolyEval:
             cp.opoly_eval(jacobi_sixth_small, 17, 0.3)
 
 
+@pytest.fixture(scope="module", params=["fam_sixth", "fam_periodic"])
+def fam_jacobi_256(request):
+    fam = request.getfixturevalue(request.param)
+    return fam, cp.jacobi_for_gamma(fam, 256)
+
+
 class TestEigenZeros:
     def test_single_degree(self, jacobi_sixth_small):
         zs = cp.eigen_zeros(jacobi_sixth_small, 1)
@@ -208,6 +214,18 @@ class TestEigenZeros:
 
     def test_provenance(self, jacobi_sixth_small):
         assert cp.eigen_zeros(jacobi_sixth_small, 4).provenance == "eigensolve"
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_matches_exact_dyadic_zeros(self, fam_jacobi_256, m):
+        fam, J = fam_jacobi_256
+        zs = cp.eigen_zeros(J, 2 ** m)
+        assert not zs.escalated
+        assert np.max(np.abs(zs.points - cp.exact_zeros(fam, m).points)) <= 1e-14
+
+    def test_strictly_ascending(self, fam_jacobi_256):
+        _, J = fam_jacobi_256
+        for n in range(2, 65):
+            assert np.all(np.diff(cp.eigen_zeros(J, n).points) > 0), n
 
 
 class TestGaussMeasure:
