@@ -61,7 +61,6 @@ class RunConfig:
     tol_stab: float = 1e-10
     tol_zero: float | None = None
     seed: int = 20240601
-    trials: int = 200
     jacobi_file: str | None = None
 
     def validate(self):
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-stab", type=float, dest="tol_stab")
     parser.add_argument("--tol-zero", type=float, dest="tol_zero")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
     parser.add_argument("--jacobi-file", dest="jacobi_file",
                         help="verify a precomputed jacobi.csv instead of recovering one")
     return parser
@@ -130,7 +128,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         with open(args.config) as fh:
             settings.update(json.load(fh))
     for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out",
-                "tol_stab", "tol_zero", "seed", "trials", "jacobi_file"):
+                "tol_stab", "tol_zero", "seed", "jacobi_file"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -233,7 +231,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
         [DoubleDouble(0.5)]
     for m in range(1, top_m):
         crit.extend(_zero_values(fam, m, cfg.mode))
-    crit.sort(key=float)
+    crit.sort()
     write_csv(out / f"critical_l{top_m}.csv", ["index", "value"],
               list(enumerate(crit, start=1)))
     write_json(out / "run.json", _run_meta(cfg))
@@ -262,8 +260,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                                    diagnostics={"last": J})
     c = cfg.c if cfg.c is None else _parse_c(cfg.c)
     result = full_verification(
-        fam, J, n_max=cfg.degree_max, c=c, seed=cfg.seed,
-        roro_trials=cfg.trials, metadata=_run_meta(cfg),
+        fam, J, n_max=cfg.degree_max, c=c, seed=cfg.seed, metadata=_run_meta(cfg),
     )
     atomic_write_text(out / "spacing_report.csv", result.spacing.to_csv())
     write_json(out / "spacing_report.json", result.as_json())

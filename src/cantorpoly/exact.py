@@ -179,7 +179,7 @@ def exact_zero_scalars(fam: MapFamily, m: int, mode: str = "double") -> list:
     rounding to double.
     """
     vals = all_branch_values(fam.gamma, m, 0.0, mode)
-    return sorted(vals, key=float)
+    return sorted(vals)
 
 
 def critical_set(fam: MapFamily, n: int, mode: str = "double") -> CriticalSet:

@@ -293,6 +293,10 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     return float(np.min(d - rad)), float(np.max(d + rad))
 
 
+def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
 def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
@@ -303,7 +307,7 @@ def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     n = d.size
     if n == 1:
         return d.copy()
-    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    return np.linalg.eigvalsh(_tridiagonal(d, e))
 
 
 def _sturm_count_dd(d: list, esq: list, x: DoubleDouble, pivmin: float) -> int:
@@ -389,62 +393,13 @@ def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:
 # Gauss quadrature measures
 # ---------------------------------------------------------------------------
 
-def _solve_shifted_tridiag(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
-                           rhs: np.ndarray, pivot_floor: float) -> np.ndarray:
-    """Solve (T - lam_j I) x_j = rhs_j for every shift at once.
-
-    Gaussian elimination with partial pivoting, vectorized over the shift
-    columns; the second superdiagonal fill-in is carried explicitly. Near
-    singular pivots are floored so inverse iteration amplifies along the
-    eigenvector instead of overflowing.
-    """
-    r, m = rhs.shape
-    d = b[:, None] - lam[None, :]
-    x = rhs.copy()
-    if r == 1:
-        return x / _floored(d[0], pivot_floor)
-    dl = np.broadcast_to(a[:, None], (r - 1, m)).copy()
-    du = np.broadcast_to(a[:, None], (r - 1, m)).copy()
-    du2 = np.zeros((max(r - 2, 0), m))
-    for k in range(r - 1):
-        # views into d/du/x alias the assignments below, so compute every
-        # new value before storing any of them
-        dk, dlk, duk, dk1 = d[k], dl[k], du[k], d[k + 1]
-        swap = np.abs(dlk) > np.abs(dk)
-        piv = _floored(np.where(swap, dlk, dk), pivot_floor)
-        fact = np.where(swap, dk, dlk) / piv
-        new_duk = np.where(swap, dk1, duk)
-        new_dk1 = np.where(swap, duk, dk1) - fact * new_duk
-        d[k] = piv
-        du[k] = new_duk
-        d[k + 1] = new_dk1
-        if k < r - 2:
-            duk1 = du[k + 1].copy()
-            du2[k] = np.where(swap, duk1, 0.0)
-            du[k + 1] = np.where(swap, -fact * duk1, duk1)
-        xk, xk1 = x[k], x[k + 1]
-        new_xk = np.where(swap, xk1, xk)
-        new_xk1 = np.where(swap, xk, xk1) - fact * new_xk
-        x[k] = new_xk
-        x[k + 1] = new_xk1
-    x[r - 1] = x[r - 1] / _floored(d[r - 1], pivot_floor)
-    x[r - 2] = (x[r - 2] - du[r - 2] * x[r - 1]) / _floored(d[r - 2], pivot_floor)
-    for k in range(r - 3, -1, -1):
-        x[k] = (x[k] - du[k] * x[k + 1] - du2[k] * x[k + 2]) / _floored(d[k], pivot_floor)
-    return x
-
-
-def _floored(v: np.ndarray, floor: float) -> np.ndarray:
-    small = np.abs(v) < floor
-    return np.where(small, np.where(v < 0, -floor, floor), v)
-
-
 def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
     """The r-point Gauss rule of the measure represented by J.
 
-    Nodes are the zeros of P_r; each weight is the squared first component
-    of the corresponding normalized eigenvector, obtained by two passes of
-    inverse iteration at the converged eigenvalue. The rule integrates any
+    Nodes are the zeros of P_r; the weights follow Golub and Welsch
+    (Math. Comp. 23, 1969): each is the squared first component of the
+    corresponding normalized eigenvector of the r-by-r Jacobi truncation,
+    taken from one LAPACK symmetric eigensolve. The rule integrates any
     polynomial of degree <= 2r - 1 exactly against the moment functional
     of J.
     """
@@ -452,23 +407,14 @@ def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
         raise DomainError(f"rule size {r} exceeds certified length {J.valid_length}")
     if r == 1:
         return DiscreteMeasure(np.array([J.b[0]]), np.array([1.0]))
-    zs = eigen_zeros(J, r)
-    lam = zs.points
-    b = J.b[:r]
-    a = J.a[: r - 1]
-    scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(a))))
-    pivot_floor = _EPS * scale
-    v = np.full((r, r), 1.0 / math.sqrt(r))
-    for _ in range(2):
-        v = _solve_shifted_tridiag(b, a, lam, v, pivot_floor)
-        v /= np.linalg.norm(v, axis=0)
-    w = v[0] ** 2
+    _, vecs = np.linalg.eigh(_tridiagonal(J.b[:r], J.a[: r - 1]))
+    w = vecs[0] ** 2
     total = float(w.sum())
     if not np.all(w > 0) or abs(total - 1.0) > 1e-8:
         raise ConvergenceError(
-            f"inverse iteration produced unusable weights (sum {total})"
+            f"eigenvector first components give unusable weights (sum {total})"
         )
-    return DiscreteMeasure(lam, w / total)
+    return DiscreteMeasure(eigen_zeros(J, r).points, w / total)
 
 
 def moments(J: JacobiMatrix, max_degree: int) -> np.ndarray:

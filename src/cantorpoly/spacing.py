@@ -31,6 +31,7 @@ from .errors import DomainError
 from .exact import CriticalSet, MapFamily, ZeroSet, critical_set, exact_zero_scalars, exact_zeros
 from .geometry import (
     BranchWord,
+    all_branch_values,
     branch_composition,
     largest_gap,
     leftmost_length,
@@ -310,36 +311,34 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     }
 
 
-def verify_branch_lemma(fam: MapFamily, n: int, trials: int,
-                        rng: np.random.Generator | None = None) -> ReportEntry:
-    """Random-word check of the separation chain at level n.
+def verify_branch_lemma(fam: MapFamily, n: int) -> ReportEntry:
+    """Exhaustive check of the separation chain at level n.
 
-    For each trial word the branch endpoint separations must dominate the
-    all-L chain value, which in turn dominates l_{1,n+1} and delta_{n+1}.
-    Additionally d(Z, Y) at degree 2^n must dominate the minimum
-    separation over all words and endpoints.
+    For every one of the 2^n words and both inner endpoints the branch
+    separation must dominate the all-L chain value, which in turn
+    dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
+    2^n must dominate the minimum separation over all words and
+    endpoints. The anchors (t = 0) and endpoints (t = +-1) come from three
+    doubling passes of all_branch_values, so the whole level costs
+    O(2^n) double-double operations; the word-independent terms are
+    computed once.
     """
     if n < 1:
         raise DomainError("level must be >= 1")
-    rng = rng or np.random.default_rng(0)
     gamma = fam.gamma
-    gn = float(gamma.value(n))
-    failures = 0
-    min_margin = math.inf
-    for _ in range(trials):
-        word = "".join(rng.choice(["L", "R"], size=n))
-        for t_tilde in (0.0, gn):
-            res = branch_separation_chain(fam, word, t_tilde)
-            if not res["ok"]:
-                failures += 1
-            if float(res["chain"]) > 0:
-                min_margin = min(min_margin, float(res["separation"]) / float(res["chain"]))
-    # exhaustive version of the same minimum bounds d(Z, Y) from below
-    min_sep = math.inf
-    for word in BranchWord.all_words(n):
-        for t_tilde in (0.0, gn):
-            res = branch_separation_chain(fam, word, t_tilde)
-            min_sep = min(min_sep, float(res["separation"]))
+    anchors = all_branch_values(gamma, n, 0.0, "dd")
+    seps = [abs(value - anchor)
+            for t in (1.0, -1.0)
+            for value, anchor in zip(all_branch_values(gamma, n, t, "dd"), anchors)]
+    chain = anchors[0]
+    l_next = leftmost_length(gamma, n + 1, "dd")
+    d_next = gamma.delta(n + 1, "dd")
+    scales_ok = chain >= l_next and l_next >= d_next
+    # same absolute tie cushion as branch_separation_chain
+    cushion = DoubleDouble(1e-29)
+    failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= cushion))
+    min_sep = min(float(sep) for sep in seps)
+    min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
     dzy = set_distance(exact_zeros(fam, n), critical_set(fam, n))
     chain_ok = failures == 0
     dzy_ok = dzy >= min_sep
@@ -348,7 +347,7 @@ def verify_branch_lemma(fam: MapFamily, n: int, trials: int,
         passed=chain_ok and dzy_ok,
         lhs=dzy,
         rhs=min_sep,
-        detail={"n": n, "trials": trials, "chain_failures": failures,
+        detail={"n": n, "words": 2 ** n, "chain_failures": failures,
                 "min_margin": min_margin, "critical_distance_ok": dzy_ok},
     )
 
@@ -479,7 +478,7 @@ class VerificationResult:
 
 def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                       c=None, seed: int = 20240601, teo1_samples: int = 50,
-                      roro_trials: int = 200, roro_max_level: int = 8,
+                      roro_max_level: int = 8,
                       tm_max_k: int = 5, interlacing_max: int = 64,
                       metadata: dict | None = None) -> VerificationResult:
     """Run every verified inequality up to degree n_max plus the
@@ -511,7 +510,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
         entries.append(verify_second_neighbor_bound(J, r, n, cache))
 
     for n in range(1, roro_max_level + 1):
-        entries.append(verify_branch_lemma(fam, n, roro_trials, rng))
+        entries.append(verify_branch_lemma(fam, n))
 
     violations = []
     top = min(interlacing_max, n_max)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ class TestZerosCommand:
         _, crit = _read_csv(tmp_path / "critical_l4.csv")
         assert len(crit) == 15
 
+    def test_dd_outputs_strictly_increasing(self, tmp_path):
+        # at gamma = 0.02 the deep zeros need dd; their double roundings
+        # collide near the interval ends, so only an exact sort keeps order
+        rc = main(["zeros", "--gamma", "constant:0.02", "--degree-max", "2048",
+                   "--depth", "13", "--precision", "auto", "--out", str(tmp_path)])
+        assert rc == 0
+        for name in ("zeros_d2048.csv", "critical_l11.csv"):
+            _, rows = _read_csv(tmp_path / name)
+            values = [Decimal(r[1]) for r in rows]
+            assert all(x < y for x, y in zip(values, values[1:])), name
+
     def test_17_digit_roundtrip(self, tmp_path, fam_sixth):
         main(["zeros", "--gamma", "constant:1/6", "--degree-max", "4",
               "--depth", "5", "--out", str(tmp_path)])
@@ -119,7 +131,7 @@ class TestZerosCommand:
 class TestVerifyCommand:
     def test_small_sweep_passes(self, tmp_path):
         rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
-                   "--depth", "7", "--c", "1/6", "--trials", "25",
+                   "--depth", "7", "--c", "1/6",
                    "--out", str(tmp_path)])
         assert rc == 0
         header, rows = _read_csv(tmp_path / "spacing_report.csv")
@@ -147,7 +159,7 @@ class TestVerifyCommand:
         path = tmp_path / "jacobi.csv"
         path.write_text(J.to_csv())
         rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
-                   "--depth", "6", "--jacobi-file", str(path), "--trials", "10",
+                   "--depth", "6", "--jacobi-file", str(path),
                    "--out", str(tmp_path)])
         assert rc == 0
 
@@ -155,7 +167,7 @@ class TestVerifyCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["verify", "--gamma", "periodic:1/6,1/5",
-                         "--degree-max", "8", "--depth", "6", "--trials", "10",
+                         "--degree-max", "8", "--depth", "6",
                          "--out", str(out)]) == 0
         assert (a / "spacing_report.csv").read_bytes() == (b / "spacing_report.csv").read_bytes()
 
@@ -189,6 +201,16 @@ class TestConfigHandling:
     def test_bad_tolerance_exits_2(self, tmp_path):
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
                      "--depth", "6", "--tol-stab", "-1", "--out", str(tmp_path)]) == 2
+
+    def test_removed_trials_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "gamma": {"kind": "constant", "values": ["1/6"]},
+            "degree_max": 8,
+            "depth": 6,
+            "trials": 10,
+        }))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_safety_margin_enforced(self, tmp_path):
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "20",

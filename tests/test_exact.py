@@ -164,6 +164,14 @@ class TestExactZeros:
         floats = cp.exact_zeros(fam_sixth, 3).points
         assert np.allclose([float(p) for p in pts], floats, atol=1e-15)
 
+    def test_dd_scalars_sorted_exactly(self):
+        # at gamma = 0.02, m = 11 neighbouring dd zeros share a double
+        # rounding, so ordering them by float leaves pairs reversed
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        pts = exact_zero_scalars(fam, 11, "dd")
+        assert len(pts) == 2 ** 11
+        assert all(x < y for x, y in zip(pts, pts[1:]))
+
     def test_zero_set_validation(self):
         with pytest.raises(DomainError):
             ZeroSet(degree=2, points=np.array([0.5, 0.2]), provenance="exact-branch")

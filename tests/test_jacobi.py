@@ -11,7 +11,6 @@ from cantorpoly.errors import ConvergenceError, DomainError
 from cantorpoly.geometry import level_intervals
 from cantorpoly.jacobi import (
     AccuracyControl,
-    _solve_shifted_tridiag,
     moments,
     sign_alternation_ok,
 )
@@ -255,6 +254,14 @@ class TestGaussMeasure:
             assert np.all(rule.weights > 0)
             assert np.all(np.diff(rule.nodes) > 0)
 
+    def test_dyadic_rules_have_equal_weights(self, fam_jacobi_256):
+        # at dyadic sizes the Gauss rule of mu_gamma puts mass 2^-m on the
+        # one zero inside each level-m basic interval
+        _, J = fam_jacobi_256
+        for m in range(1, 9):
+            rule = cp.gauss_measure(J, 2 ** m)
+            assert np.max(np.abs(rule.weights - 2.0 ** -m)) <= 1e-12, m
+
     def test_relanczos_self_consistency(self, jacobi_sixth_small):
         rule = cp.gauss_measure(jacobi_sixth_small, 4)
         back = cp.stieltjes_lanczos(rule, 4)
@@ -274,17 +281,3 @@ class TestMoments:
         with pytest.raises(DomainError):
             moments(jacobi_sixth_small, 2 * jacobi_sixth_small.valid_length)
 
-
-class TestShiftedSolver:
-    def test_against_dense_solver(self):
-        rng = np.random.default_rng(3)
-        r = 7
-        b = rng.uniform(0.2, 0.8, r)
-        a = rng.uniform(0.05, 0.3, r - 1)
-        lam = rng.uniform(-0.5, 1.5, 5)
-        rhs = rng.standard_normal((r, 5))
-        got = _solve_shifted_tridiag(b, a, lam, rhs.copy(), 1e-300)
-        T = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
-        for j, s in enumerate(lam):
-            want = np.linalg.solve(T - s * np.eye(r), rhs[:, j])
-            assert np.allclose(got[:, j], want, rtol=1e-9, atol=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cantorpoly as cp
+from cantorpoly import spacing
 from cantorpoly.errors import DomainError
 from cantorpoly.spacing import (
     SpacingRow,
@@ -119,14 +120,35 @@ class TestVerifyOps:
         assert res["ok"]
         assert float(res["separation"]) == float(res["chain"])
 
-    def test_branch_lemma_levels(self, fam_quarter, fam_periodic):
-        rng = np.random.default_rng(31)
-        for fam in (fam_quarter, fam_periodic):
-            for n in (1, 3):
-                entry = cp.verify_branch_lemma(fam, n, 100, rng)
-                assert entry.passed
+    def test_branch_lemma_levels(self):
+        # the doubling pass must agree with the per-word reference on
+        # every word and both inner endpoints
+        for desc in ("constant:1/6", "periodic:1/6,1/5", "constant:1/4", "constant:0.02"):
+            fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+            for n in range(1, 7):
+                entry = cp.verify_branch_lemma(fam, n)
+                assert entry.passed, (desc, n)
+                assert entry.detail["words"] == 2 ** n
                 assert entry.detail["chain_failures"] == 0
                 assert entry.detail["min_margin"] >= 1.0
+                gn = fam.gamma.gamma(n, "dd")
+                want = min(float(branch_separation_chain(fam, w, t)["separation"])
+                           for w in cp.BranchWord.all_words(n) for t in (0.0, gn))
+                assert entry.rhs == want, (desc, n)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_branch_lemma_checks_both_endpoints(self, fam_sixth, monkeypatch, side):
+        # collapse one endpoint family onto the zeros: each of its words
+        # then has separation 0 < chain and must be counted as a failure
+        real = spacing.all_branch_values
+
+        def collapsed(gamma, n, t, mode):
+            return real(gamma, n, 0.0 if t == side else t, mode)
+
+        monkeypatch.setattr(spacing, "all_branch_values", collapsed)
+        entry = cp.verify_branch_lemma(fam_sixth, 3)
+        assert not entry.passed
+        assert entry.detail["chain_failures"] == 8
 
 
 class TestSpacingReport:
@@ -202,7 +224,7 @@ class TestFullVerification:
     def test_small_run_passes(self, fam_sixth, jacobi_sixth_small):
         result = full_verification(fam_sixth, jacobi_sixth_small, n_max=16,
                                    c=Fraction(1, 6), teo1_samples=10,
-                                   roro_trials=25, roro_max_level=4)
+                                   roro_max_level=4)
         assert result.passed
         checks = {e.check for e in result.entries}
         assert "interlacing_distance_bound" in checks
@@ -217,7 +239,7 @@ class TestFullVerification:
     def test_informational_entries_present(self, fam_periodic):
         J = cp.jacobi_for_gamma(fam_periodic, 16)
         result = full_verification(fam_periodic, J, n_max=16, teo1_samples=5,
-                                   roro_trials=10, roro_max_level=3)
+                                   roro_max_level=3)
         severities = {e.check: e.severity for e in result.entries}
         assert severities["max_gap_sanity"] == "info"
         assert severities["dyadic_spacing_collapse"] == "info"
