@@ -3,7 +3,7 @@
 Four commands over a shared configuration:
 
     geometry   write intervals.csv and scales.csv for the pre-Cantor levels
-    jacobi     recover recurrence coefficients with depth stabilization
+    jacobi     write the recurrence coefficients of mu_gamma
     zeros      write exact zero/critical sets at dyadic degrees
     verify     run the full spacing verification suite
 
@@ -30,13 +30,7 @@ from .ddouble import DoubleDouble
 from .errors import ConvergenceError, DomainError, RangeOverflowError
 from .exact import MapFamily, exact_zero_scalars, exact_zeros, monic_opoly_exact
 from .geometry import GammaSequence, level_intervals, scale_rows
-from .jacobi import (
-    AccuracyControl,
-    JacobiMatrix,
-    jacobi_for_gamma,
-    refinement_measure,
-    stieltjes_lanczos,
-)
+from .jacobi import JacobiMatrix, jacobi_for_gamma
 from .serialize import atomic_write_text, write_csv, write_json
 from .spacing import full_verification
 
@@ -58,7 +52,6 @@ class RunConfig:
     precision: str = "double"
     c: str | None = None
     out: str = "."
-    tol_stab: float = 1e-10
     tol_zero: float | None = None
     seed: int = 20240601
     jacobi_file: str | None = None
@@ -73,8 +66,6 @@ class RunConfig:
                 f"degree-max {self.degree_max} violates the safety margin "
                 f"degree-max <= 2^(depth-2) = {2 ** (self.depth - 2)}"
             )
-        if self.tol_stab <= 0:
-            raise DomainError("tol_stab must be positive")
         if self.tol_zero is not None and self.tol_zero <= 0:
             raise DomainError("tol_zero must be positive")
         if self.precision not in _PRECISION_ALIASES:
@@ -110,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", help="descriptor string (kind:v1,v2,...) or JSON file")
     parser.add_argument("--levels", type=int, help="maximum pre-Cantor level")
     parser.add_argument("--degree-max", type=int, dest="degree_max")
-    parser.add_argument("--depth", type=int, help="refinement depth budget N")
+    parser.add_argument("--depth", type=int,
+                        help="depth bound N: degree-max must not exceed 2^(N-2)")
     parser.add_argument("--precision", choices=sorted(_PRECISION_ALIASES))
     parser.add_argument("--c", help="declared lower bound for the gamma values")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--tol-stab", type=float, dest="tol_stab")
     parser.add_argument("--tol-zero", type=float, dest="tol_zero")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--jacobi-file", dest="jacobi_file",
@@ -128,7 +119,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         with open(args.config) as fh:
             settings.update(json.load(fh))
     for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out",
-                "tol_stab", "tol_zero", "seed", "jacobi_file"):
+                "tol_zero", "seed", "jacobi_file"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -173,30 +164,8 @@ def cmd_geometry(cfg: RunConfig) -> int:
 def cmd_jacobi(cfg: RunConfig) -> int:
     fam = MapFamily(cfg.gamma_sequence())
     out = Path(cfg.out)
-    control = AccuracyControl(tol=cfg.tol_stab, max_depth=cfg.depth)
-    try:
-        J, info = jacobi_for_gamma(fam, cfg.degree_max, control, with_convergence=True)
-    except ConvergenceError as exc:
-        last = exc.diagnostics.get("last") if exc.diagnostics else None
-        payload = {"error": str(exc), **_run_meta(cfg)}
-        if last is not None:
-            payload["last_iterate"] = {"a": list(last.a), "b": list(last.b)}
-        write_json(out / "jacobi_diagnostics.json", payload)
-        print(f"cantorpoly: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    atomic_write_text(out / "jacobi.csv", J.to_csv())
-    conv_rows = [(k + 1,
-                  info.delta_a[k] if k < info.delta_a.size else None,
-                  info.delta_b[k])
-                 for k in range(info.delta_b.size)]
-    write_csv(out / "convergence.csv", ["k", "delta_a_k", "delta_b_k"], conv_rows)
-    changes = [c for _, c in info.history]
-    write_json(out / "run.json", {
-        **_run_meta(cfg),
-        "depths": list(info.depths),
-        "stabilization_history": [[n, c] for n, c in info.history],
-        "stabilization_monotone": all(b <= a for a, b in zip(changes, changes[1:])),
-    })
+    atomic_write_text(out / "jacobi.csv", jacobi_for_gamma(fam, cfg.degree_max).to_csv())
+    write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 
 
@@ -254,10 +223,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 f"jacobi file certifies {J.valid_length} < degree-max {cfg.degree_max}"
             )
     else:
-        J = stieltjes_lanczos(refinement_measure(fam, cfg.depth, 0.0), cfg.degree_max)
-        if J.valid_length < cfg.degree_max:
-            raise ConvergenceError("coefficient recovery truncated early",
-                                   diagnostics={"last": J})
+        J = jacobi_for_gamma(fam, cfg.degree_max)
     c = cfg.c if cfg.c is None else _parse_c(cfg.c)
     result = full_verification(
         fam, J, n_max=cfg.degree_max, c=c, seed=cfg.seed, metadata=_run_meta(cfg),

@@ -12,10 +12,6 @@ class RangeOverflowError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """An iterative procedure exhausted its budget without converging.
 
-    Carries whatever diagnostic payload the failing routine attached,
-    e.g. the last two coefficient iterates of a stabilization loop.
+    Raised by the double-double bisection and by Gauss weights that do
+    not come out positive.
     """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics

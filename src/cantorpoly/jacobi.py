@@ -4,12 +4,15 @@ The three-term recurrence used throughout is the monic one,
 
     x P_n(x) = P_{n+1}(x) + b_{n+1} P_n(x) + a_n^2 P_{n-1}(x),
 
-with P_{-1} = 0 and P_0 = 1. Coefficients are recovered from discrete
-refinement measures by a discretized Stieltjes procedure, implemented in
-its orthonormal (Lanczos) formulation with full reorthogonalization; the
-raw monic norms would underflow long before degree 256 on these
-measures. Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation.
-The fast path is one LAPACK symmetric eigensolve; only when neighbouring
+with P_{-1} = 0 and P_0 = 1. The coefficients of mu_gamma come directly
+from the polynomial-mapping structure of the generating maps, by a
+level-by-level unfolding with no nodes and no iteration
+(``jacobi_for_gamma``). Coefficients of discrete measures are recovered
+by a discretized Stieltjes procedure in its orthonormal (Lanczos)
+formulation with full reorthogonalization; applied to the refinement
+measures it serves as an independent cross-check of the unfolding.
+Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation. The fast
+path is one LAPACK symmetric eigensolve; only when neighbouring
 eigenvalues approach the double-precision resolution limit is the solve
 escalated to a double-double Sturm-count bisection.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,9 +106,9 @@ class JacobiMatrix:
             raise DomainError("need exactly one fewer off-diagonal than diagonal entries")
         if not 1 <= self.valid_length <= b.size:
             raise DomainError("valid_length out of range")
-        if np.any(a <= 0) or np.any(a >= 1):
+        if not np.all((a > 0) & (a < 1)):
             raise DomainError("off-diagonal coefficients must lie in (0, 1)")
-        if np.any(b <= 0) or np.any(b >= 1):
+        if not np.all((b > 0) & (b < 1)):
             raise DomainError("diagonal coefficients must lie in (0, 1)")
 
     def to_csv(self) -> str:
@@ -183,84 +187,49 @@ def stieltjes_lanczos(measure: DiscreteMeasure, K: int) -> JacobiMatrix:
     return JacobiMatrix(a[: max(kept - 1, 0)], b[:kept], valid_length=kept)
 
 
-@dataclass(frozen=True)
-class AccuracyControl:
-    """Stabilization policy for coefficient recovery across depths."""
+def jacobi_for_gamma(fam: MapFamily, K: int) -> JacobiMatrix:
+    """Recurrence coefficients b_1..b_K and a_1..a_{K-1} of mu_gamma.
 
-    tol: float = 1e-10
-    max_depth: int = 14
-    start_depth: int | None = None
+    f_n (n >= 2) is an even quadratic and f_1 is even about 1/2, so
+    mu_gamma is a balanced pullback and its coefficients unfold level by
+    level through the symmetric-square relations (Chihara, Sec. I.8;
+    Geronimo and Van Assche, Trans. AMS 308, 1988). Level k holds the
+    squared off-diagonals c of the zero-diagonal Jacobi matrix of the
+    level-k pullback; with those of level k + 1 as q,
 
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("stabilization tolerance must be positive")
+        c_1 = bp_k,  c_{2n} = s_k q_n / c_{2n-1},  c_{2n+1} = bp_k - c_{2n},
 
+    where bp_k = 1 - 2 gamma_k, s_k = 4 gamma_k^2 for k >= 2 and
+    bp_1 = 1/4 - gamma_1/2, s_1 = gamma_1^2/4. Level 1 needs K - 1
+    entries and each deeper level half as many, so the recursion starts
+    at the first level that needs only c_1 and no seed measure is
+    involved. Then a_k = sqrt(c_k) and b_k = 1/2 exactly. The result is a
+    bit-identical prefix of the result for any larger K.
 
-@dataclass(frozen=True)
-class ConvergenceInfo:
-    """Per-coefficient change between the last two refinement depths.
-
-    history records (depth, max coefficient change against the previous
-    depth) for every step taken, so a failure of the changes to shrink is
-    visible in the diagnostics.
-    """
-
-    depths: tuple[int, ...]
-    delta_a: np.ndarray
-    delta_b: np.ndarray
-    history: tuple[tuple[int, float], ...] = ()
-
-    @property
-    def max_change(self) -> float:
-        return max(
-            float(self.delta_a.max(initial=0.0)),
-            float(self.delta_b.max(initial=0.0)),
-        )
-
-
-def _coefficient_change(j1: JacobiMatrix, j2: JacobiMatrix, K: int) -> ConvergenceInfo:
-    ka = min(K - 1, j1.a.size, j2.a.size)
-    kb = min(K, j1.b.size, j2.b.size)
-    return ConvergenceInfo(
-        depths=(0, 0),
-        delta_a=np.abs(j1.a[:ka] - j2.a[:ka]),
-        delta_b=np.abs(j1.b[:kb] - j2.b[:kb]),
-    )
-
-
-def jacobi_for_gamma(fam: MapFamily, K: int, control: AccuracyControl = AccuracyControl(),
-                     with_convergence: bool = False):
-    """Recurrence coefficients of the limit measure, certified by depth
-    stabilization.
-
-    Runs the Stieltjes recovery on refinement measures of increasing depth
-    N (starting where K <= 2^(N-2) holds) until coefficients 1..K agree
-    between consecutive depths to control.tol. Raises ConvergenceError,
-    carrying the last two iterates, if the budget is exhausted.
+    Raises ArithmeticError if rounding drives some c_k to a non-positive
+    or non-finite value (cancellation in bp_k - c_{2n}).
     """
     if K < 1:
         raise DomainError("coefficient count must be >= 1")
-    start = control.start_depth or max(math.ceil(math.log2(K)) + 2, 3)
-    if K > 2 ** (start - 2):
-        raise DomainError(f"start depth {start} violates K <= 2^(N-2)")
-    if start + 1 > control.max_depth:
-        raise DomainError(f"depth budget {control.max_depth} cannot fit K={K}")
-    prev = stieltjes_lanczos(refinement_measure(fam, start, 0.0), K)
-    history: list[tuple[int, float]] = []
-    for N in range(start + 1, control.max_depth + 1):
-        cur = stieltjes_lanczos(refinement_measure(fam, N, 0.0), K)
-        step = _coefficient_change(prev, cur, K)
-        history.append((N, step.max_change))
-        if prev.valid_length >= K and cur.valid_length >= K and step.max_change <= control.tol:
-            info = ConvergenceInfo((N - 1, N), step.delta_a, step.delta_b,
-                                   history=tuple(history))
-            out = JacobiMatrix(cur.a[: K - 1], cur.b[:K], valid_length=K)
-            return (out, info) if with_convergence else out
-        prev = cur
-    raise ConvergenceError(
-        f"coefficients not stable to {control.tol} within depth {control.max_depth}",
-        diagnostics={"last": prev, "history": history},
-    )
+    needs = [K - 1]
+    while needs[-1] > 1:
+        needs.append(needs[-1] // 2)
+    q: list[float] = []
+    for k in range(len(needs), 0, -1):
+        g = fam.gamma.value(k)
+        if k == 1:
+            bp, s = float(Fraction(1, 4) - g / 2), float(g * g / 4)
+        else:
+            bp, s = float(1 - 2 * g), float(4 * g * g)
+        c = [bp]
+        for i in range(1, needs[k - 1]):
+            c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
+            if not 0.0 < c[-1] < math.inf:
+                raise ArithmeticError(
+                    f"squared coefficient c_{i + 1} = {c[-1]} at level {k} lost all precision"
+                )
+        q = c
+    return JacobiMatrix(np.sqrt(np.asarray(q[: K - 1])), np.full(K, 0.5))
 
 
 # ---------------------------------------------------------------------------

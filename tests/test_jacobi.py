@@ -1,19 +1,19 @@
 """Coefficient recovery, eigensolves, and Gauss measures."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import cantorpoly as cp
-from cantorpoly.errors import ConvergenceError, DomainError
+from cantorpoly.errors import DomainError
+from cantorpoly.exact import exact_zero_scalars
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import (
-    AccuracyControl,
-    moments,
-    sign_alternation_ok,
-)
+from cantorpoly.jacobi import moments, sign_alternation_ok
 
 from conftest import chebyshev_zeros_unit
 
@@ -105,21 +105,67 @@ class TestJacobiForGamma:
         want = cp.exact_zeros(fam_sixth, 2).points
         assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_convergence_info(self, fam_sixth):
-        J, info = cp.jacobi_for_gamma(fam_sixth, 8, with_convergence=True)
-        assert J.valid_length == 8
-        assert info.max_change <= 1e-10
-        assert info.delta_b.size == 8
+    def test_chebyshev_bit_exact(self, fam_quarter):
+        # at gamma = 1/4 every level constant is a power of two, so the
+        # unfolding reproduces the affine Chebyshev recurrence exactly
+        J = cp.jacobi_for_gamma(fam_quarter, 1024)
+        assert J.valid_length == 1024
+        assert J.a[0] == math.sqrt(1.0 / 8.0)
+        assert np.all(J.a[1:] == 0.25)
+        assert np.all(J.b == 0.5)
 
-    def test_budget_exhaustion_carries_diagnostics(self, fam_sixth):
-        control = AccuracyControl(tol=1e-30, max_depth=7)
-        with pytest.raises(ConvergenceError) as err:
-            cp.jacobi_for_gamma(fam_sixth, 8, control)
-        assert err.value.diagnostics["last"].valid_length == 8
+    @pytest.mark.parametrize("desc", ["constant:1/6", "periodic:1/6,1/5", "periodic:2/9,1/4",
+                                      "constant:0.05", "constant:0.02"])
+    def test_eigenvalues_match_exact_zeros(self, desc):
+        # the dd branch values, rounded once, are the oracle: at gamma = 0.02
+        # the double-mode exact_zeros cannot represent the top zero at m = 10
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        J = cp.jacobi_for_gamma(fam, 1024)
+        for m in range(1, 11):
+            n = 2 ** m
+            got = np.linalg.eigvalsh(np.diag(J.b[:n]) + np.diag(J.a[: n - 1], 1)
+                                     + np.diag(J.a[: n - 1], -1))
+            want = np.array([float(v) for v in exact_zero_scalars(fam, m, "dd")])
+            assert np.max(np.abs(got - want)) <= 1e-14, m
 
-    def test_infeasible_start_depth_rejected(self, fam_sixth):
-        with pytest.raises(DomainError):
-            cp.jacobi_for_gamma(fam_sixth, 32, AccuracyControl(start_depth=5))
+    @pytest.mark.parametrize("N", [6, 8, 10])
+    def test_agrees_with_lanczos_on_refinement_measure(self, fam_sixth, fam_periodic, N):
+        K = 2 ** (N - 2)
+        for fam in (fam_sixth, fam_periodic):
+            lanczos = cp.stieltjes_lanczos(cp.refinement_measure(fam, N, 0.0), K)
+            J = cp.jacobi_for_gamma(fam, K)
+            assert np.max(np.abs(J.a - lanczos.a)) <= 1e-12
+            assert np.max(np.abs(J.b - lanczos.b)) <= 1e-12
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 7, 64, 100, 512])
+    def test_prefix_stable(self, fam_periodic, K):
+        short, long = cp.jacobi_for_gamma(fam_periodic, K), cp.jacobi_for_gamma(fam_periodic, 2 * K)
+        assert np.array_equal(short.a, long.a[: K - 1])
+        assert np.array_equal(short.b, long.b[:K])
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["list", "periodic"]),
+           values=st.lists(st.one_of(
+               st.sampled_from([Fraction(1, 4), Fraction(1, 4) - Fraction(1, 10 ** 12),
+                                Fraction(1, 10 ** 3), Fraction(1, 10 ** 6),
+                                Fraction(1, 10 ** 12)]),
+               st.fractions(Fraction(1, 100), Fraction(1, 4), max_denominator=10 ** 6)),
+               min_size=1, max_size=6))
+    def test_valid_gamma_gives_coefficients_or_arithmetic_error(self, kind, values):
+        # gamma_k = 1/4 right above a tiny gamma_{k+1} cancels bp_k - c_{2n}
+        # to nothing in double; that must surface as ArithmeticError
+        fam = cp.MapFamily(cp.GammaSequence(kind, tuple(values)))
+        try:
+            J = cp.jacobi_for_gamma(fam, 1024)
+        except ArithmeticError:
+            return
+        assert np.all(np.isfinite(J.a)) and np.all((J.a > 0) & (J.a < 1))
+        assert np.all(J.b == 0.5)
+
+    def test_cancellation_raises_arithmetic_error(self):
+        fam = cp.MapFamily(cp.GammaSequence.periodic([Fraction(1, 10 ** 6), Fraction(1, 4)]))
+        with pytest.raises(ArithmeticError):
+            cp.jacobi_for_gamma(fam, 1024)
 
     def test_jacobi_csv_roundtrip(self, jacobi_sixth_small):
         back = cp.JacobiMatrix.from_csv(jacobi_sixth_small.to_csv())
@@ -133,6 +179,10 @@ class TestJacobiForGamma:
             cp.JacobiMatrix(np.array([0.1]), np.array([0.5, 1.5]))
         with pytest.raises(DomainError):
             cp.JacobiMatrix(np.array([0.1, 0.2]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError):
+            cp.JacobiMatrix(np.array([np.nan]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError):
+            cp.JacobiMatrix(np.array([0.1]), np.array([0.5, np.nan]))
 
 
 class TestOpolyEval:
