@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ddouble import DoubleDouble
 from .errors import ConvergenceError, DomainError, RangeOverflowError
-from .exact import MapFamily, exact_zero_scalars, exact_zeros, monic_opoly_exact
-from .geometry import GammaSequence, level_intervals, scale_rows
+from .exact import CriticalSet, MapFamily, exact_zeros, monic_opoly_exact
+from .geometry import GammaSequence, _as_fraction, level_intervals, scale_rows
 from .jacobi import JacobiMatrix, jacobi_for_gamma
 from .serialize import atomic_write_text, write_csv, write_json
 from .spacing import full_verification
@@ -169,13 +168,6 @@ def cmd_jacobi(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _zero_values(fam: MapFamily, m: int, mode: str) -> list:
-    """Zeros in the active scalar type, so dd runs serialize at 34 digits."""
-    if fam.gamma.resolve_mode(m, mode) == "dd":
-        return exact_zero_scalars(fam, m, "dd")
-    return list(exact_zeros(fam, m).points)
-
-
 def cmd_zeros(cfg: RunConfig) -> int:
     fam = MapFamily(cfg.gamma_sequence())
     out = Path(cfg.out)
@@ -185,9 +177,10 @@ def cmd_zeros(cfg: RunConfig) -> int:
     if top_m < 1:
         raise DomainError("degree-max must be at least 2 for the zeros command")
     eps = sys.float_info.epsilon
+    zero_sets = []
     for m in range(1, top_m + 1):
-        values = _zero_values(fam, m, cfg.mode)
-        residuals = abs(monic_opoly_exact(fam, m, np.asarray([float(v) for v in values])))
+        zs = exact_zeros(fam, m, cfg.mode)
+        residuals = abs(monic_opoly_exact(fam, m, zs.points))
         tol = cfg.tol_zero if cfg.tol_zero is not None else \
             2 ** m * eps * max(1.0, float(abs(monic_opoly_exact(fam, m, _sample_grid(m))).max()))
         if float(residuals.max()) > tol:
@@ -195,14 +188,11 @@ def cmd_zeros(cfg: RunConfig) -> int:
                   file=sys.stderr)
             return EXIT_NUMERICAL
         write_csv(out / f"zeros_d{2 ** m}.csv", ["index", "value"],
-                  list(enumerate(values, start=1)))
-    crit = [0.5] if fam.gamma.resolve_mode(top_m, cfg.mode) == "double" else \
-        [DoubleDouble(0.5)]
-    for m in range(1, top_m):
-        crit.extend(_zero_values(fam, m, cfg.mode))
-    crit.sort()
+                  list(enumerate(zs.values, start=1)))
+        zero_sets.append(zs)
+    crit = CriticalSet.from_zero_sets(zero_sets[:-1])
     write_csv(out / f"critical_l{top_m}.csv", ["index", "value"],
-              list(enumerate(crit, start=1)))
+              list(enumerate(crit.values, start=1)))
     write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 
@@ -224,7 +214,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
     else:
         J = jacobi_for_gamma(fam, cfg.degree_max)
-    c = cfg.c if cfg.c is None else _parse_c(cfg.c)
+    c = cfg.c if cfg.c is None else _as_fraction(cfg.c)
     result = full_verification(
         fam, J, n_max=cfg.degree_max, c=c, seed=cfg.seed, metadata=_run_meta(cfg),
     )
@@ -234,11 +224,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"verify: {'PASS' if result.passed else 'FAIL'} "
           f"({len(result.spacing.rows)} spacing rows, {n_checks} checks)")
     return EXIT_OK if result.passed else EXIT_NUMERICAL
-
-
-def _parse_c(text: str):
-    from fractions import Fraction
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

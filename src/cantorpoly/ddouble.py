@@ -15,6 +15,8 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from .errors import DomainError
+
 _SPLITTER = 134217729.0  # 2**27 + 1, exact in double
 
 
@@ -210,7 +212,8 @@ def _coerce(x) -> "DoubleDouble | None":
 
 
 def _parse_rational(s: str) -> Fraction:
+    """Exact rational from "p/q" or decimal text; DomainError if it names none."""
     try:
         return Fraction(s)
-    except ValueError:
-        return Fraction(Decimal(s))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{s!r} is not a finite rational number") from None

@@ -9,7 +9,10 @@ and F_n = f_n o ... o f_1. The monic orthogonal polynomial of degree 2^m
 for the equilibrium measure of the limit set is F_m / tau_m, where tau_m
 is the leading coefficient of F_m. Zeros and critical points at dyadic
 degrees come from closed-form inverse-branch compositions; no root
-finding is involved.
+finding is involved. Dyadic zero sets come only from exact_zeros and
+critical sets only from CriticalSet.from_zero_sets; in double-double mode
+both keep their exactly sorted double-double values in points_dd next to
+the double view in points.
 """
 
 from __future__ import annotations
@@ -65,14 +68,34 @@ class MapFamily:
         return t
 
 
-@dataclass(frozen=True)
-class ZeroSet:
-    """Sorted zeros of one orthogonal polynomial.
+class _PointSet:
+    """Sorted points, checked in their working precision.
 
-    points_dd carries the double-double values when an escalated
-    eigensolve produced them; neighbouring zeros may then round to equal
-    doubles, so the float points are only required to be non-decreasing
-    in that case.
+    A set computed in dd carries its values in points_dd; points is then
+    only their double view, where neighbours may tie and extreme points
+    may round to 0 or 1.
+    """
+
+    @property
+    def values(self) -> np.ndarray:
+        """The points in the working precision (an object array in dd)."""
+        return self.points if self.points_dd is None else np.asarray(self.points_dd)
+
+    def _validate(self, count: int, what: str) -> np.ndarray:
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        vals = self.values
+        if count < 1 or self.points.size != count or vals.size != count:
+            raise DomainError(f"expected {count} {what}, got {self.points.size}")
+        if not np.all(vals[1:] > vals[:-1]):
+            raise DomainError(f"{what} must be strictly increasing")
+        return vals
+
+
+@dataclass(frozen=True)
+class ZeroSet(_PointSet):
+    """Sorted zeros of one orthogonal polynomial, strictly inside (0, 1).
+
+    Dd-mode branch zeros and escalated eigensolves carry points_dd.
     """
 
     degree: int
@@ -82,17 +105,8 @@ class ZeroSet:
     points_dd: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if self.degree < 1 or pts.size != self.degree:
-            raise DomainError(f"expected {self.degree} zeros, got {pts.size}")
-        if pts.size > 1:
-            diffs = np.diff(pts)
-            if self.points_dd is None and not np.all(diffs > 0):
-                raise DomainError("zeros must be strictly increasing")
-            if self.points_dd is not None and not np.all(diffs >= 0):
-                raise DomainError("zeros must be sorted")
-        if pts[0] <= 0.0 or pts[-1] >= 1.0:
+        vals = self._validate(self.degree, "zeros")
+        if vals[0] <= 0.0 or vals[-1] >= 1.0:
             raise DomainError("zeros must lie strictly inside (0, 1)")
         if self.provenance not in _ZERO_PROVENANCES:
             raise DomainError(f"unknown provenance {self.provenance!r}")
@@ -102,21 +116,34 @@ class ZeroSet:
 
 
 @dataclass(frozen=True)
-class CriticalSet:
-    """Sorted critical points of F_n: the 2^n - 1 zeros of its derivative."""
+class CriticalSet(_PointSet):
+    """Sorted critical points of F_n: the 2^n - 1 zeros of its derivative.
+
+    Carries points_dd when any of its levels was computed in dd.
+    """
 
     level: int
     points: np.ndarray
+    points_dd: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.size != 2 ** self.level - 1:
-            raise DomainError(
-                f"level {self.level} critical set needs {2 ** self.level - 1} points"
-            )
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
-            raise DomainError("critical points must be strictly increasing")
+        self._validate(2 ** self.level - 1, "critical points")
+
+    @classmethod
+    def from_zero_sets(cls, zero_sets) -> "CriticalSet":
+        """{1/2} together with the zero sets of levels 1..n-1.
+
+        If any level is dd, the double levels are promoted exactly.
+        """
+        zero_sets = list(zero_sets)
+        level = len(zero_sets) + 1
+        if all(zs.points_dd is None for zs in zero_sets):
+            return cls(level, np.sort(np.concatenate([[0.5]] + [zs.points for zs in zero_sets])))
+        vals = [DoubleDouble(0.5)]
+        for zs in zero_sets:
+            vals.extend(zs.points_dd or map(DoubleDouble, zs.points))
+        vals.sort()
+        return cls(level, np.asarray([float(v) for v in vals]), tuple(vals))
 
 
 def evaluate_F(fam: MapFamily, n: int, z):
@@ -163,23 +190,17 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "double") -> ZeroSet:
     They are the preimages of 0 under F_m, i.e. the branch values at t = 0
     over all words of length m; equivalently the pullbacks of the two
     roots of f_m through the level-(m-1) branches. One zero lies in each
-    level-m basic interval.
+    level-m basic interval. In dd mode the values are sorted exactly and
+    kept in points_dd.
     """
     if m < 1:
         raise DomainError("degree exponent must be >= 1")
     vals = all_branch_values(fam.gamma, m, 0.0, mode)
-    pts = np.sort(np.asarray([float(v) for v in vals]))
-    return ZeroSet(degree=2 ** m, points=pts, provenance="exact-branch")
-
-
-def exact_zero_scalars(fam: MapFamily, m: int, mode: str = "double") -> list:
-    """Sorted zeros in the working scalar type (DoubleDouble in dd mode).
-
-    Lets callers form differences of neighbouring zeros without first
-    rounding to double.
-    """
-    vals = all_branch_values(fam.gamma, m, 0.0, mode)
-    return sorted(vals)
+    if isinstance(vals, np.ndarray):  # double mode; dd mode gives a list
+        return ZeroSet(degree=2 ** m, points=np.sort(vals), provenance="exact-branch")
+    vals = sorted(vals)
+    return ZeroSet(degree=2 ** m, points=np.asarray([float(v) for v in vals]),
+                   provenance="exact-branch", points_dd=tuple(vals))
 
 
 def critical_set(fam: MapFamily, n: int, mode: str = "double") -> CriticalSet:
@@ -191,8 +212,4 @@ def critical_set(fam: MapFamily, n: int, mode: str = "double") -> CriticalSet:
     """
     if n < 1:
         raise DomainError("level must be >= 1")
-    pieces = [np.array([0.5])]
-    for k in range(1, n):
-        pieces.append(exact_zeros(fam, k, mode).points)
-    pts = np.sort(np.concatenate(pieces))
-    return CriticalSet(level=n, points=pts)
+    return CriticalSet.from_zero_sets(exact_zeros(fam, k, mode) for k in range(1, n))

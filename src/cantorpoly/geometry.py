@@ -186,9 +186,9 @@ def _as_fraction(v) -> Fraction:
         return _parse_rational(v)
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, float):
+    if isinstance(v, float) and math.isfinite(v):
         return Fraction(v)
-    raise DomainError(f"cannot interpret {v!r} as a gamma value")
+    raise DomainError(f"cannot interpret {v!r} as a finite rational")
 
 
 def _fraction_str(v: Fraction) -> str:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ddouble import DoubleDouble
 from .errors import DomainError
-from .exact import CriticalSet, MapFamily, ZeroSet, critical_set, exact_zero_scalars, exact_zeros
+from .exact import CriticalSet, MapFamily, ZeroSet, critical_set, exact_zeros
 from .geometry import (
     BranchWord,
     all_branch_values,
@@ -44,8 +44,10 @@ _EXACT_VS_EIGEN_TOL = 1e-9
 
 
 def _points(obj) -> np.ndarray:
+    # a dd set gives an object array: numpy's diff, argmin, searchsorted,
+    # abs and min all work on it
     if isinstance(obj, (ZeroSet, CriticalSet)):
-        return obj.points
+        return obj.values
     return np.asarray(obj, dtype=float)
 
 
@@ -54,19 +56,14 @@ def _points(obj) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def min_spacing(zero_set) -> float:
-    """Minimum gap between consecutive zeros; needs at least two of them."""
-    if isinstance(zero_set, ZeroSet) and zero_set.points_dd is not None:
-        pts = zero_set.points_dd
-        if len(pts) < 2:
-            raise DomainError("minimum spacing needs at least two zeros")
-        return min(float(pts[i + 1] - pts[i]) for i in range(len(pts) - 1))
+    """Minimum gap between consecutive zeros, in the set's working precision."""
+    return _min_gap_with_index(zero_set)[0]
+
+
+def _min_gap_with_index(zero_set) -> tuple[float, int]:
     pts = _points(zero_set)
     if pts.size < 2:
         raise DomainError("minimum spacing needs at least two zeros")
-    return float(np.min(np.diff(pts)))
-
-
-def _min_gap_with_index(pts: np.ndarray) -> tuple[float, int]:
     gaps = np.diff(pts)
     i = int(np.argmin(gaps))
     return float(gaps[i]), i
@@ -228,7 +225,7 @@ def verify_interlacing_bound(J: JacobiMatrix, l: int, m: int, n: int,
 
 
 def verify_critical_bound(fam: MapFamily, k: int, k_prime: int,
-                          mode: str = "double") -> ReportEntry:
+                          mode: str = "auto") -> ReportEntry:
     """d(Z, Y) <= d(Z, Z') on the exact dyadic sets.
 
     Z and Y are the zero and critical sets at level 1 + k, Z' the zero set
@@ -263,7 +260,7 @@ def verify_second_neighbor_bound(J: JacobiMatrix, r: int, n: int,
         raise DomainError(f"degree {r} exceeds certified length {J.valid_length}")
     zr = _cached_zeros(J, r, cache)
     zn = _cached_zeros(J, n, cache)
-    aug = np.concatenate([[0.0], zn.points, [1.0]])
+    aug = np.concatenate([[0.0], _points(zn), [1.0]])
     rhs = float(np.min(aug[2:] - aug[:-2]))
     lhs = min_spacing(zr)
     return ReportEntry(
@@ -339,7 +336,7 @@ def verify_branch_lemma(fam: MapFamily, n: int) -> ReportEntry:
     failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= cushion))
     min_sep = min(float(sep) for sep in seps)
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
-    dzy = set_distance(exact_zeros(fam, n), critical_set(fam, n))
+    dzy = set_distance(exact_zeros(fam, n, "auto"), critical_set(fam, n, "auto"))
     chain_ok = failures == 0
     dzy_ok = dzy >= min_sep
     return ReportEntry(
@@ -378,16 +375,11 @@ def spacing_for_degree(fam: MapFamily, J: JacobiMatrix, n: int,
     the exact value is used.
     """
     zs = _cached_zeros(J, n, cache)
-    m_eig, pair = _min_gap_with_index(zs.points)
-    if zs.points_dd is not None:
-        m_eig = min_spacing(zs)
+    m_eig, pair = _min_gap_with_index(zs)
     m = _dyadic_exponent(n)
     if m is None:
         return m_eig, pair, "eigensolve", zs.escalated
-    pts = exact_zero_scalars(fam, m, mode)
-    gaps = [float(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)]
-    m_exact = min(gaps)
-    pair_exact = int(np.argmin(gaps))
+    m_exact, pair_exact = _min_gap_with_index(exact_zeros(fam, m, mode))
     if abs(m_exact - m_eig) > _EXACT_VS_EIGEN_TOL:
         raise DomainError(
             f"exact and eigensolve spacing disagree at degree {n}: "
@@ -553,7 +545,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     dyadic = []
     m = 1
     while 2 ** m <= n_max:
-        dyadic.append(min_spacing(exact_zeros(fam, m)))
+        dyadic.append(min_spacing(exact_zeros(fam, m, "auto")))
         m += 1
     collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
     entries.append(ReportEntry(

@@ -2,7 +2,7 @@
 
 import json
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -118,6 +118,31 @@ class TestZerosCommand:
             values = [Decimal(r[1]) for r in rows]
             assert all(x < y for x, y in zip(values, values[1:])), name
 
+    def test_one_branch_pass_per_level(self, tmp_path, monkeypatch):
+        # each level's zeros are computed once and reused for the critical file
+        calls = []
+        real = cp.exact.all_branch_values
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cp.exact, "all_branch_values", counting)
+        rc = main(["zeros", "--gamma", "constant:0.02", "--degree-max", "2048",
+                   "--depth", "13", "--precision", "auto", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sorted(calls) == list(range(1, 12))
+        # levels 1..7 are written in double, 8..10 in dd; the critical file
+        # holds the double levels promoted exactly, so at 34 digits
+        want = [Decimal("0.5")]
+        for m in range(1, 11):
+            _, rows = _read_csv(tmp_path / f"zeros_d{2 ** m}.csv")
+            with localcontext() as ctx:
+                ctx.prec = 34
+                want.extend(+Decimal(float(r[1])) if m <= 7 else Decimal(r[1]) for r in rows)
+        _, rows = _read_csv(tmp_path / "critical_l11.csv")
+        assert [Decimal(r[1]) for r in rows] == sorted(want)
+
     def test_17_digit_roundtrip(self, tmp_path, fam_sixth):
         main(["zeros", "--gamma", "constant:1/6", "--degree-max", "4",
               "--depth", "5", "--out", str(tmp_path)])
@@ -193,6 +218,26 @@ class TestConfigHandling:
         rc = main(["geometry", "--gamma", str(desc), "--levels", "2",
                    "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "constant:abc"], ["--gamma", "constant:1/0"],
+        ["--gamma", "constant:inf"], ["--gamma", "constant:nan"],
+        ["--gamma", "constant:1/6", "--c", "abc"], ["--gamma", "constant:1/6", "--c", "nan"],
+        ["--gamma", "constant:1/6", "--c", "1/0"],
+    ])
+    def test_malformed_number_exits_2(self, tmp_path, flags):
+        assert main(["verify", *flags, "--degree-max", "4", "--depth", "4",
+                     "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_json_number_exits_2(self, tmp_path):
+        # JSON admits NaN and Infinity as bare numbers
+        gamma = tmp_path / "gamma.json"
+        gamma.write_text('{"kind": "constant", "values": [NaN]}')
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"gamma": "constant:1/6", "degree_max": 4, "depth": 4, "c": Infinity}')
+        assert main(["verify", "--gamma", str(gamma), "--degree-max", "4", "--depth", "4",
+                     "--out", str(tmp_path)]) == 2
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_missing_gamma_exits_2(self, tmp_path):
         assert main(["geometry", "--out", str(tmp_path)]) == 2

@@ -7,8 +7,9 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 import cantorpoly as cp
+from cantorpoly.ddouble import DoubleDouble
 from cantorpoly.errors import DomainError, RangeOverflowError
-from cantorpoly.exact import ZeroSet, exact_zero_scalars
+from cantorpoly.exact import CriticalSet, ZeroSet
 from cantorpoly.geometry import level_intervals
 
 from conftest import chebyshev_zeros_unit
@@ -159,7 +160,7 @@ class TestExactZeros:
             assert float(res.max()) <= 2 ** m * EPS * scale
 
     def test_dd_mode_scalars(self, fam_sixth):
-        pts = exact_zero_scalars(fam_sixth, 3, "dd")
+        pts = cp.exact_zeros(fam_sixth, 3, "dd").points_dd
         assert len(pts) == 8
         floats = cp.exact_zeros(fam_sixth, 3).points
         assert np.allclose([float(p) for p in pts], floats, atol=1e-15)
@@ -168,9 +169,18 @@ class TestExactZeros:
         # at gamma = 0.02, m = 11 neighbouring dd zeros share a double
         # rounding, so ordering them by float leaves pairs reversed
         fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
-        pts = exact_zero_scalars(fam, 11, "dd")
+        pts = cp.exact_zeros(fam, 11, "dd").points_dd
         assert len(pts) == 2 ** 11
         assert all(x < y for x, y in zip(pts, pts[1:]))
+        # in auto mode the set keeps its dd values from m = 10 on, where the
+        # top zero (1 - 5.2e-18) rounds to 1.0 and neighbours tie in double
+        for m in (10, 11, 12):
+            pts = cp.exact_zeros(fam, m, "auto").points_dd
+            assert len(pts) == 2 ** m
+            assert all(x < y for x, y in zip(pts, pts[1:]))
+            assert pts[0] > 0.0 and pts[-1] < 1.0
+            worst = max(abs(x + y - 1.0) for x, y in zip(pts, reversed(pts)))
+            assert worst <= DoubleDouble(1e-30), m
 
     def test_zero_set_validation(self):
         with pytest.raises(DomainError):
@@ -179,6 +189,18 @@ class TestExactZeros:
             ZeroSet(degree=2, points=np.array([0.2, 1.5]), provenance="exact-branch")
         with pytest.raises(DomainError):
             ZeroSet(degree=2, points=np.array([0.2, 0.5]), provenance="guess")
+        # with dd values present, order and range are checked on them
+        lo, hi = DoubleDouble(0.2), DoubleDouble(0.5)
+        with pytest.raises(DomainError):
+            ZeroSet(degree=2, points=np.array([0.2, 0.5]), provenance="exact-branch",
+                    points_dd=(hi, lo))
+        with pytest.raises(DomainError):
+            ZeroSet(degree=2, points=np.array([0.2, 1.0]), provenance="exact-branch",
+                    points_dd=(lo, DoubleDouble(1.0)))
+        # a double view that ties or touches 1 is fine when the dd values are not
+        top = DoubleDouble(1.0, -2.0 ** -60)
+        ZeroSet(degree=2, points=np.array([1.0, 1.0]), provenance="exact-branch",
+                points_dd=(top - 2.0 ** -80, top))
 
 
 class TestCriticalSet:
@@ -201,6 +223,22 @@ class TestCriticalSet:
             for k in range(1, n):
                 zk = cp.exact_zeros(fam_sixth, k)
                 assert cp.set_distance(zk, ys) == 0.0
+
+    def test_dd_levels_promote_the_double_levels(self):
+        # at gamma = 0.02 levels 1..7 are double and 8..10 dd in auto mode;
+        # the union keeps every level exactly, sorted in dd
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        zero_sets = [cp.exact_zeros(fam, k, "auto") for k in range(1, 11)]
+        assert [zs.points_dd is not None for zs in zero_sets] == [False] * 7 + [True] * 3
+        ys = cp.critical_set(fam, 11, "auto")
+        assert ys.points_dd == CriticalSet.from_zero_sets(zero_sets).points_dd
+        want = [DoubleDouble(0.5)]
+        for zs in zero_sets:
+            want.extend(zs.points_dd or [DoubleDouble(x) for x in zs.points])
+        assert list(ys.points_dd) == sorted(want)
+        assert np.array_equal(ys.points, [float(v) for v in sorted(want)])
+        with pytest.raises(DomainError):
+            CriticalSet.from_zero_sets(zero_sets[1:])
 
     def test_critical_points_avoid_level_set(self, fam_sixth):
         for n in range(1, 6):

@@ -11,7 +11,6 @@ from scipy.linalg import eigh_tridiagonal
 
 import cantorpoly as cp
 from cantorpoly.errors import DomainError
-from cantorpoly.exact import exact_zero_scalars
 from cantorpoly.geometry import level_intervals
 from cantorpoly.jacobi import moments, sign_alternation_ok
 
@@ -125,7 +124,7 @@ class TestJacobiForGamma:
             n = 2 ** m
             got = np.linalg.eigvalsh(np.diag(J.b[:n]) + np.diag(J.a[: n - 1], 1)
                                      + np.diag(J.a[: n - 1], -1))
-            want = np.array([float(v) for v in exact_zero_scalars(fam, m, "dd")])
+            want = cp.exact_zeros(fam, m, "dd").points
             assert np.max(np.abs(got - want)) <= 1e-14, m
 
     @pytest.mark.parametrize("N", [6, 8, 10])

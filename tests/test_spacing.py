@@ -135,6 +135,12 @@ class TestVerifyOps:
                 want = min(float(branch_separation_chain(fam, w, t)["separation"])
                            for w in cp.BranchWord.all_words(n) for t in (0.0, gn))
                 assert entry.rhs == want, (desc, n)
+        # at tiny gamma d(Z, Y) needs the dd zero and critical sets: their
+        # extreme points round to 0 and 1 in double
+        for desc in ("constant:0.01", "constant:0.005"):
+            entry = cp.verify_branch_lemma(cp.MapFamily(cp.GammaSequence.from_descriptor(desc)), 8)
+            assert entry.passed and entry.detail["critical_distance_ok"], desc
+            assert entry.detail["chain_failures"] == 0
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_branch_lemma_checks_both_endpoints(self, fam_sixth, monkeypatch, side):
