@@ -4,9 +4,13 @@ A value is stored as an unevaluated sum ``hi + lo`` of two IEEE doubles
 with ``|lo| <= ulp(hi)/2``, giving roughly 31 significant decimal digits.
 The building blocks are the classic error-free transforms (Knuth two-sum,
 Dekker split/product); the composite operations follow the usual
-double-double recipes. Only the operations the rest of the package needs
-are implemented: field arithmetic, square root, comparisons, and exact
-conversion from/to rationals and decimal strings.
+double-double recipes: field arithmetic, square root, comparisons, and
+exact conversion from/to rationals and decimal strings.
+
+No other module of the package uses this one: extended precision runs on
+stdlib ``decimal`` (see geometry). It is kept only while the benchmark's
+tracer counts DoubleDouble constructions, and goes together with that
+counter.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import DomainError
+from .geometry import _as_fraction
 
 _SPLITTER = 134217729.0  # 2**27 + 1, exact in double
 
@@ -68,7 +72,7 @@ class DoubleDouble:
 
     @classmethod
     def from_str(cls, s: str) -> "DoubleDouble":
-        return cls.from_fraction(_parse_rational(s))
+        return cls.from_fraction(_as_fraction(s))
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.hi) + Fraction(self.lo)
@@ -210,10 +214,3 @@ def _coerce(x) -> "DoubleDouble | None":
         return DoubleDouble(float(x))
     return None
 
-
-def _parse_rational(s: str) -> Fraction:
-    """Exact rational from "p/q" or decimal text; DomainError if it names none."""
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"{s!r} is not a finite rational number") from None

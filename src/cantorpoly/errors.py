@@ -12,6 +12,6 @@ class RangeOverflowError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """An iterative procedure exhausted its budget without converging.
 
-    Raised by the double-double bisection and by Gauss weights that do
+    Raised by the decimal bisection and by Gauss weights that do
     not come out positive.
     """

@@ -10,9 +10,9 @@ for the equilibrium measure of the limit set is F_m / tau_m, where tau_m
 is the leading coefficient of F_m. Zeros and critical points at dyadic
 degrees come from closed-form inverse-branch compositions; no root
 finding is involved. Dyadic zero sets come only from exact_zeros and
-critical sets only from CriticalSet.from_zero_sets; in double-double mode
-both keep their exactly sorted double-double values in points_dd next to
-the double view in points.
+critical sets only from CriticalSet.from_zero_sets; in extended precision
+both keep their exactly sorted Decimal values in points_dd next to the
+double view in points.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ddouble import DoubleDouble
 from .errors import DomainError, RangeOverflowError
-from .geometry import GammaSequence, all_branch_values
+from .geometry import GammaSequence, all_branch_values, extended_context
 
 _ZERO_PROVENANCES = ("exact-branch", "eigensolve")
 
@@ -71,14 +70,14 @@ class MapFamily:
 class _PointSet:
     """Sorted points, checked in their working precision.
 
-    A set computed in dd carries its values in points_dd; points is then
-    only their double view, where neighbours may tie and extreme points
-    may round to 0 or 1.
+    A set computed in extended precision carries its Decimal values in
+    points_dd; points is then only their double view, where neighbours
+    may tie and extreme points may round to 0 or 1.
     """
 
     @property
     def values(self) -> np.ndarray:
-        """The points in the working precision (an object array in dd)."""
+        """The points in the working precision (Decimal objects if extended)."""
         return self.points if self.points_dd is None else np.asarray(self.points_dd)
 
     def _validate(self, count: int, what: str) -> np.ndarray:
@@ -95,7 +94,8 @@ class _PointSet:
 class ZeroSet(_PointSet):
     """Sorted zeros of one orthogonal polynomial, strictly inside (0, 1).
 
-    Dd-mode branch zeros and escalated eigensolves carry points_dd.
+    Extended-precision branch zeros and escalated eigensolves carry
+    points_dd.
     """
 
     degree: int
@@ -119,7 +119,8 @@ class ZeroSet(_PointSet):
 class CriticalSet(_PointSet):
     """Sorted critical points of F_n: the 2^n - 1 zeros of its derivative.
 
-    Carries points_dd when any of its levels was computed in dd.
+    Carries points_dd when any of its levels was computed in extended
+    precision.
     """
 
     level: int
@@ -133,15 +134,17 @@ class CriticalSet(_PointSet):
     def from_zero_sets(cls, zero_sets) -> "CriticalSet":
         """{1/2} together with the zero sets of levels 1..n-1.
 
-        If any level is dd, the double levels are promoted exactly.
+        If any level is extended, the double levels are promoted, rounded
+        to 34 digits (their exact binary values would print 50 or more).
         """
         zero_sets = list(zero_sets)
         level = len(zero_sets) + 1
         if all(zs.points_dd is None for zs in zero_sets):
             return cls(level, np.sort(np.concatenate([[0.5]] + [zs.points for zs in zero_sets])))
-        vals = [DoubleDouble(0.5)]
+        promote = extended_context().create_decimal
+        vals = [promote(0.5)]
         for zs in zero_sets:
-            vals.extend(zs.points_dd or map(DoubleDouble, zs.points))
+            vals.extend(zs.points_dd or map(promote, zs.points))
         vals.sort()
         return cls(level, np.asarray([float(v) for v in vals]), tuple(vals))
 
@@ -190,13 +193,13 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "double") -> ZeroSet:
     They are the preimages of 0 under F_m, i.e. the branch values at t = 0
     over all words of length m; equivalently the pullbacks of the two
     roots of f_m through the level-(m-1) branches. One zero lies in each
-    level-m basic interval. In dd mode the values are sorted exactly and
-    kept in points_dd.
+    level-m basic interval. In extended precision the Decimal values are
+    sorted exactly and kept in points_dd.
     """
     if m < 1:
         raise DomainError("degree exponent must be >= 1")
     vals = all_branch_values(fam.gamma, m, 0.0, mode)
-    if isinstance(vals, np.ndarray):  # double mode; dd mode gives a list
+    if isinstance(vals, np.ndarray):  # double mode; extended precision gives a list
         return ZeroSet(degree=2 ** m, points=np.sort(vals), provenance="exact-branch")
     vals = sorted(vals)
     return ZeroSet(degree=2 ** m, points=np.asarray([float(v) for v in vals]),

@@ -9,38 +9,44 @@ values factor through the elementary kernel
 composed from the inside out with per-level scale factors gamma_k. The
 fundamental scale of level s is delta_s = gamma_1 * ... * gamma_s.
 
-Every function here is pure and works on plain floats, numpy arrays, or
-:class:`~cantorpoly.ddouble.DoubleDouble` scalars; the ``mode`` argument
-of the higher-level operations selects which representation the gamma
-constants are materialized in ("double", "dd", or "auto", which switches
-to double-double once delta at the requested depth drops below 1e-12).
+Every function here is pure and works on floats, numpy arrays or
+Decimals; the ``mode`` argument of the higher-level operations selects
+"double", "dd" (extended precision, on stdlib ``decimal``, in the
+private context ``GammaSequence.context(depth)``), or "auto", which
+switches to "dd" once delta at the requested depth drops below 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import product as _alphabet_product
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .ddouble import DoubleDouble, _parse_rational
 from .errors import DomainError
 
-Scalar = Union[float, DoubleDouble]
+Scalar = Union[float, Decimal]
 
 _QUARTER = Fraction(1, 4)
-_AUTO_DD_THRESHOLD = 1e-12
+_AUTO_EXTENDED_THRESHOLD = 1e-12
+_MIN_DIGITS = 34  # the decimal128 width
+_GUARD_DIGITS = 10
 
 
-def _sqrt(x):
-    if isinstance(x, DoubleDouble):
-        return x.sqrt()
-    if isinstance(x, float):
-        return math.sqrt(x)
-    return np.sqrt(x)
+def extended_context(digits: int = _MIN_DIGITS) -> Context:
+    """A fresh decimal context of the given precision, rounding half-even."""
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN)
+
+
+def as_decimal(x) -> Decimal:
+    """x exactly, or a rational rounded once in the active decimal context."""
+    if isinstance(x, Fraction):
+        return Decimal(x.numerator) / x.denominator
+    return Decimal(x)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +131,8 @@ class GammaSequence:
         return self.values[(k - 1) % len(self.values)]
 
     def gamma(self, k: int, mode: str = "double") -> Scalar:
-        v = self.value(k)
-        if mode == "dd":
-            return DoubleDouble.from_fraction(v)
-        return float(v)
+        with localcontext(self.context(k)):
+            return _scalar(self.value(k), mode)
 
     def delta_fraction(self, s: int) -> Fraction:
         if s < 0:
@@ -139,10 +143,8 @@ class GammaSequence:
         return out
 
     def delta(self, s: int, mode: str = "double") -> Scalar:
-        fr = self.delta_fraction(s)
-        if mode == "dd":
-            return DoubleDouble.from_fraction(fr)
-        return float(fr)
+        with localcontext(self.context(s)):
+            return _scalar(self.delta_fraction(s), mode)
 
     def infimum(self) -> Fraction:
         """inf over k of gamma_k; exact because the descriptor is finite."""
@@ -150,10 +152,18 @@ class GammaSequence:
 
     def resolve_mode(self, depth: int, mode: str) -> str:
         if mode == "auto":
-            return "dd" if float(self.delta_fraction(depth)) < _AUTO_DD_THRESHOLD else "double"
+            return "dd" if float(self.delta_fraction(depth)) < _AUTO_EXTENDED_THRESHOLD else "double"
         if mode not in ("double", "dd"):
             raise DomainError(f"unknown precision mode {mode!r}")
         return mode
+
+    def context(self, depth: int) -> Context:
+        """The decimal context of extended work down to level depth: the one
+        precision rule. Its digits resolve delta_{depth+2}, the lower bound
+        on the zero spacing at degree 2^depth, with a guard; at least 34."""
+        d = self.delta_fraction(depth + 2)
+        decades = math.ceil(math.log10(d.denominator) - math.log10(d.numerator))
+        return extended_context(max(_MIN_DIGITS, decades + _GUARD_DIGITS))
 
     # -- informational diagnostics ----------------------------------------
 
@@ -183,12 +193,19 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
-        return _parse_rational(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{v!r} is not a finite rational number") from None
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float) and math.isfinite(v):
         return Fraction(v)
     raise DomainError(f"cannot interpret {v!r} as a finite rational")
+
+
+def _scalar(x, mode: str) -> Scalar:
+    return as_decimal(x) if mode == "dd" else float(x)
 
 
 def _fraction_str(v: Fraction) -> str:
@@ -197,9 +214,9 @@ def _fraction_str(v: Fraction) -> str:
     for p in (2, 5):
         while den % p == 0:
             den //= p
-    if den == 1:
-        from decimal import Decimal
-        return str(Decimal(v.numerator) / Decimal(v.denominator))
+    if den == 1:  # enough digits for the exact quotient
+        with localcontext(extended_context(len(str(v.numerator)) + v.denominator.bit_length())):
+            return str(Decimal(v.numerator) / v.denominator)
     return f"{v.numerator}/{v.denominator}"
 
 
@@ -281,13 +298,14 @@ def u_map(t):
 
     Evaluated as 2t / (1 + sqrt(1 - 4t)), which is algebraically identical
     to 1/2 - sqrt(1 - 4t)/2 but free of cancellation near t = 1/4.
+    Decimals (np.sqrt calls Decimal.sqrt) run in the active context.
     """
     _check_unit_quarter(t)
-    return 2.0 * t / (1.0 + _sqrt(1.0 - 4.0 * t))
+    return 2 * t / (1 + np.sqrt(1 - 4 * t))
 
 
 def _check_unit_quarter(t):
-    if isinstance(t, (float, int, DoubleDouble)):
+    if isinstance(t, (float, int, Decimal)):
         if t < 0.0 or t > 0.25:
             raise DomainError(f"u argument {t} outside [0, 1/4]")
     else:
@@ -296,9 +314,19 @@ def _check_unit_quarter(t):
             raise DomainError("u argument outside [0, 1/4]")
 
 
-def _apply_letter(letter: str, t):
-    v = u_map(t)
-    return v if letter == "L" else 1.0 - v
+def _pull(g: Fraction, v, reflected: bool, mode: str):
+    """u(g y) for y = v (letter L) or y = 1 - v (letter R), elementwise.
+
+    In extended precision the reflected root argument 1 - 4g(1 - v) is
+    formed as (1 - 4g) + 4g v, a sum of non-negative terms: the plain form
+    cancels half the digits where g y nears 1/4.
+    """
+    if mode == "double":
+        return u_map(float(g) * (1 - v if reflected else v))
+    two_g, four_g = as_decimal(2 * g), as_decimal(4 * g)
+    if reflected:
+        return two_g * (1 - v) / (1 + np.sqrt(as_decimal(1 - 4 * g) + four_g * v))
+    return two_g * v / (1 + np.sqrt(1 - four_g * v))
 
 
 def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "double"):
@@ -311,25 +339,23 @@ def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "double"
     w = _as_word(word)
     n = len(w)
     mode = gamma.resolve_mode(n, mode)
-    g = _apply_letter(w.letters[n - 1], t_inner)
-    for k in range(n - 1, 0, -1):
-        g = _apply_letter(w.letters[k - 1], gamma.gamma(k, mode) * g)
-    return g
+    with localcontext(gamma.context(n)):
+        v = u_map(_scalar(t_inner, mode))
+        for k in range(n - 1, 0, -1):
+            v = _pull(gamma.value(k), v, w.letters[k] == "R", mode)
+        return 1 - v if w.letters[0] == "R" else v
 
 
 def branch_value(gamma: GammaSequence, word, t, mode: str = "double"):
     """Value of the composed inverse branch addressed by ``word`` at t.
 
     t ranges over [-1, 1]; the innermost substitution is
-    t_inner = gamma_n * (1 - t) / 2.
+    t_inner = gamma_n * (1 - t) / 2, formed exactly.
     """
     w = _as_word(word)
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"branch parameter {t} outside [-1, 1]")
-    n = len(w)
-    mode = gamma.resolve_mode(n, mode)
-    gn = gamma.gamma(n, mode)
-    t_inner = gn * (1.0 - t) * 0.5 if mode == "double" else gn * (1.0 - DoubleDouble(t)) * 0.5
+    t_inner = gamma.value(len(w)) * (1 - _as_fraction(t)) / 2
     return branch_composition(gamma, w, t_inner, mode)
 
 
@@ -340,38 +366,28 @@ def basic_interval(gamma: GammaSequence, word, mode: str = "double") -> Interval
     return Interval(a, b) if a < b else Interval(b, a)
 
 
-def _all_compositions_float(gamma: GammaSequence, n: int, t_inner: float) -> np.ndarray:
+def _all_compositions(gamma: GammaSequence, n: int, t_inner, mode: str) -> np.ndarray:
     """Values of all 2^n letter choices at a common inner argument.
 
     Index bits read level-1 letter first (0 = L); the doubling shares the
     inner suffixes so the total work is O(2^n).
     """
     v = u_map(np.array([t_inner]))
-    x = np.concatenate([v, 1.0 - v])
     for k in range(n - 1, 0, -1):
-        v = u_map(float(gamma.value(k)) * x)
-        x = np.concatenate([v, 1.0 - v])
-    return x
-
-def _all_compositions_dd(gamma: GammaSequence, n: int, t_inner) -> list:
-    v = [u_map(t_inner)]
-    x = v + [1.0 - y for y in v]
-    for k in range(n - 1, 0, -1):
-        gk = gamma.gamma(k, "dd")
-        v = [u_map(gk * y) for y in x]
-        x = v + [1.0 - y for y in v]
-    return x
+        g = gamma.value(k)
+        v = np.concatenate([_pull(g, v, False, mode), _pull(g, v, True, mode)])
+    return np.concatenate([v, 1 - v])
 
 
 def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "double"):
-    """branch_value over every word of length n, in word-bit order."""
+    """branch_value over every word of length n, in word-bit order (a list if extended)."""
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"branch parameter {t} outside [-1, 1]")
     mode = gamma.resolve_mode(n, mode)
-    if mode == "dd":
-        gn = gamma.gamma(n, "dd")
-        return _all_compositions_dd(gamma, n, gn * (1.0 - DoubleDouble(t)) * 0.5)
-    return _all_compositions_float(gamma, n, float(gamma.value(n)) * (1.0 - t) * 0.5)
+    with localcontext(gamma.context(n)):
+        t_inner = _scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode)
+        x = _all_compositions(gamma, n, t_inner, mode)
+    return x if mode == "double" else x.tolist()
 
 
 def level_intervals(gamma: GammaSequence, n: int, mode: str = "double") -> list[Interval]:
@@ -381,7 +397,7 @@ def level_intervals(gamma: GammaSequence, n: int, mode: str = "double") -> list[
     left = all_branch_values(gamma, n, 1.0, mode)
     right = all_branch_values(gamma, n, -1.0, mode)
     ivs = [Interval(a, b) if a < b else Interval(b, a) for a, b in zip(left, right)]
-    ivs.sort(key=lambda iv: float(iv.lo))
+    ivs.sort(key=lambda iv: iv.lo)
     return ivs
 
 
@@ -398,7 +414,7 @@ def level_gaps(gamma: GammaSequence, n: int, mode: str = "double") -> list[tuple
 
 def largest_gap(gamma: GammaSequence, n: int) -> float:
     """Length of the widest gap of the level-n set."""
-    ivs = level_intervals(gamma, n)
+    ivs = level_intervals(gamma, n, "auto")
     if len(ivs) == 1:
         return 0.0
     return max(float(ivs[i + 1].lo) - float(ivs[i].hi) for i in range(len(ivs) - 1))
@@ -421,10 +437,9 @@ def leftmost_length(gamma: GammaSequence, s: int, mode: str = "double") -> Scala
     """
     if s < 0:
         raise DomainError("level must be >= 0")
-    mode = gamma.resolve_mode(s, mode)
     if s == 0:
-        return DoubleDouble(1.0) if mode == "dd" else 1.0
-    return branch_composition(gamma, BranchWord.leftmost(s), gamma.gamma(s, mode), mode)
+        return Decimal(1) if gamma.resolve_mode(s, mode) == "dd" else 1.0
+    return branch_composition(gamma, BranchWord.leftmost(s), gamma.value(s), mode)
 
 
 def scale_rows(gamma: GammaSequence, s_max: int, mode: str = "double") -> list[tuple]:

@@ -14,27 +14,27 @@ measures it serves as an independent cross-check of the unfolding.
 Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation. The fast
 path is one LAPACK symmetric eigensolve; only when neighbouring
 eigenvalues approach the double-precision resolution limit is the solve
-escalated to a double-double Sturm-count bisection.
+escalated to a Sturm-count bisection in 34-digit ``decimal`` arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from .ddouble import DoubleDouble
 from .errors import ConvergenceError, DomainError
 from .exact import MapFamily, ZeroSet
-from .geometry import all_branch_values
+from .geometry import all_branch_values, as_decimal, extended_context
 from .serialize import csv_text
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LANCZOS_BREAKDOWN = 256.0 * _EPS
 _DD_ESCALATION_FACTOR = 1e3
+_UNFOLD_DIGITS = 50  # and twice as many, to check the first run
 
 
 # ---------------------------------------------------------------------------
@@ -206,30 +206,38 @@ def jacobi_for_gamma(fam: MapFamily, K: int) -> JacobiMatrix:
     involved. Then a_k = sqrt(c_k) and b_k = 1/2 exactly. The result is a
     bit-identical prefix of the result for any larger K.
 
-    Raises ArithmeticError if rounding drives some c_k to a non-positive
-    or non-finite value (cancellation in bp_k - c_{2n}).
+    bp_k - c_{2n} cancels where a gamma_k near 1/4 sits above a tiny
+    gamma_{k+1}, so the unfolding runs in decimal at 50 and at 100 digits.
+    Raises ArithmeticError naming the level where some c_k is not positive,
+    or where the two runs, rounded to double, differ beyond 4 eps relative.
     """
     if K < 1:
         raise DomainError("coefficient count must be >= 1")
     needs = [K - 1]
     while needs[-1] > 1:
         needs.append(needs[-1] // 2)
-    q: list[float] = []
-    for k in range(len(needs), 0, -1):
-        g = fam.gamma.value(k)
-        if k == 1:
-            bp, s = float(Fraction(1, 4) - g / 2), float(g * g / 4)
-        else:
-            bp, s = float(1 - 2 * g), float(4 * g * g)
-        c = [bp]
-        for i in range(1, needs[k - 1]):
-            c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
-            if not 0.0 < c[-1] < math.inf:
-                raise ArithmeticError(
-                    f"squared coefficient c_{i + 1} = {c[-1]} at level {k} lost all precision"
-                )
-        q = c
-    return JacobiMatrix(np.sqrt(np.asarray(q[: K - 1])), np.full(K, 0.5))
+    runs = []
+    for digits in (_UNFOLD_DIGITS, 2 * _UNFOLD_DIGITS):
+        levels, q = [], []
+        with localcontext(extended_context(digits)):
+            for k in range(len(needs), 0, -1):
+                g = fam.gamma.value(k)
+                bp, s = (Fraction(1, 4) - g / 2, g * g / 4) if k == 1 else (1 - 2 * g, 4 * g * g)
+                bp, s = as_decimal(bp), as_decimal(s)
+                c = [bp]
+                for i in range(1, needs[k - 1]):
+                    c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
+                    if not c[-1] > 0:
+                        raise ArithmeticError(f"squared coefficient c_{i + 1} = {c[-1]:.3e} "
+                                              f"at level {k} lost all precision")
+                levels.append(np.asarray(c, dtype=float))
+                q = c
+        runs.append(levels)
+    for k, x, y in zip(range(len(needs), 0, -1), *runs):
+        if not np.all((y > 0) & (np.abs(x - y) <= 4 * _EPS * y)):
+            raise ArithmeticError(f"squared coefficients at level {k} differ beyond 4 eps "
+                                  f"between {_UNFOLD_DIGITS} and {2 * _UNFOLD_DIGITS} digits")
+    return JacobiMatrix(np.sqrt(runs[1][-1][: K - 1]), np.full(K, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def opoly_eval(J: JacobiMatrix, n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal eigensolve: LAPACK fast path, double-double Sturm escalation
+# tridiagonal eigensolve: LAPACK fast path, decimal Sturm escalation
 # ---------------------------------------------------------------------------
 
 def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
@@ -279,48 +287,49 @@ def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_tridiagonal(d, e))
 
 
-def _sturm_count_dd(d: list, esq: list, x: DoubleDouble, pivmin: float) -> int:
+def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
     q = d[0] - x
-    if abs(q) < DoubleDouble(pivmin):
-        q = DoubleDouble(-pivmin)
-    cnt = 1 if q < 0.0 else 0
+    if abs(q) < pivmin:
+        q = -pivmin
+    cnt = 1 if q < 0 else 0
     for k in range(1, len(d)):
         q = (d[k] - x) - esq[k - 1] / q
-        if abs(q) < DoubleDouble(pivmin):
-            q = DoubleDouble(-pivmin)
-        if q < 0.0:
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0:
             cnt += 1
     return cnt
 
 
-def _eigvals_bisect_dd(d_f: np.ndarray, e_f: np.ndarray) -> list:
-    """All eigenvalues by double-double Sturm-count bisection, one at a time.
+def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray) -> list:
+    """All eigenvalues by Sturm-count bisection in 34-digit decimal, one at a time.
 
-    The coefficients are promoted exactly; the extra 53 bits let brackets
-    resolve spacings far below the double-precision resolution of the
-    spectral width.
+    The coefficients are taken exactly; the digits beyond double let the
+    brackets resolve spacings far below the double-precision resolution
+    of the spectral width, down to 1e-29 times that width.
     """
     n = d_f.size
-    d = [DoubleDouble(v) for v in d_f]
-    esq = [DoubleDouble(v) * DoubleDouble(v) for v in e_f]
     glo, ghi = _gershgorin(d_f, e_f)
-    width = ghi - glo
-    target = DoubleDouble(1e-29) * width
     out = []
-    for i in range(n):
-        lo = DoubleDouble(glo)
-        hi = DoubleDouble(ghi)
-        for _ in range(220):
-            mid = (lo + hi) * 0.5
-            if _sturm_count_dd(d, esq, mid, _TINY) > i:
-                hi = mid
+    with localcontext(extended_context()):
+        d = [Decimal(v) for v in d_f]
+        esq = [Decimal(v) * Decimal(v) for v in e_f]
+        pivmin = Decimal(_TINY)
+        target = Decimal("1e-29") * Decimal(ghi - glo)
+        for i in range(n):
+            lo = Decimal(glo)
+            hi = Decimal(ghi)
+            for _ in range(220):
+                mid = (lo + hi) / 2
+                if _sturm_count(d, esq, mid, pivmin) > i:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= target:
+                    break
             else:
-                lo = mid
-            if hi - lo <= target:
-                break
-        else:
-            raise ConvergenceError("double-double bisection exhausted its iteration budget")
-        out.append((lo + hi) * 0.5)
+                raise ConvergenceError("decimal bisection exhausted its iteration budget")
+            out.append((lo + hi) / 2)
     return out
 
 
@@ -329,8 +338,8 @@ def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
 
     The eigenvalues come from one LAPACK eigensolve, ascending. If
     consecutive ones come out closer than 1e3 * eps * Gershgorin width,
-    the solve is repeated by double-double Sturm-count bisection and the
-    result is flagged as escalated, with the dd values in points_dd.
+    the solve is repeated by decimal Sturm-count bisection and the result
+    is flagged as escalated, with the Decimal values in points_dd.
     """
     if not 1 <= n <= J.valid_length:
         raise DomainError(f"degree {n} exceeds certified length {J.valid_length}")
@@ -340,10 +349,9 @@ def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     if n >= 2:
         glo, ghi = _gershgorin(d, e)
         if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (ghi - glo):
-            dd_vals = _eigvals_bisect_dd(d, e)
-            return ZeroSet(degree=n, points=np.asarray([float(v) for v in dd_vals]),
-                           provenance="eigensolve", escalated=True,
-                           points_dd=tuple(dd_vals))
+            ext = _eigvals_bisect_decimal(d, e)
+            return ZeroSet(degree=n, points=np.asarray(ext, dtype=float),
+                           provenance="eigensolve", escalated=True, points_dd=tuple(ext))
     return ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False)
 
 

@@ -1,9 +1,10 @@
 """CSV/JSON rendering helpers shared by the file formats.
 
 Numbers are rendered at full precision for the active arithmetic: 17
-significant digits for doubles, 34 for double-double values, so every
-file round-trips losslessly. Writes go through a temp file plus rename
-so readers never observe partial output.
+significant digits for doubles, and every digit an extended-precision
+Decimal carries (34 or more: it is already rounded to its working
+precision), so every file round-trips losslessly. Writes go through a
+temp file plus rename so readers never observe partial output.
 """
 
 from __future__ import annotations
@@ -13,13 +14,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from .ddouble import DoubleDouble
-
 
 def fmt(x) -> str:
     """Full-precision decimal rendering of a scalar."""
-    if isinstance(x, DoubleDouble):
-        return x.to_decimal_str(34)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):

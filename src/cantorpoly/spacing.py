@@ -14,7 +14,8 @@ The checks in this module compute each side independently (exact branch
 compositions at dyadic degrees, eigensolves elsewhere) and report the
 comparison outcome with scale-free ratio margins. Lower bounds against
 delta products are compared through exact rationals so the verdicts carry
-no rounding slack of their own.
+no rounding slack of their own. Gaps and distances between Decimal
+points are formed exactly and rounded once, to double.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from .ddouble import DoubleDouble
 from .errors import DomainError
 from .exact import CriticalSet, MapFamily, ZeroSet, critical_set, exact_zeros
 from .geometry import (
@@ -41,11 +42,25 @@ from .serialize import csv_text
 
 _PI_SQ_4 = math.pi ** 2 / 4.0
 _EXACT_VS_EIGEN_TOL = 1e-9
+# Decimal subtraction is exact here; entered only around differences
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
+# branch values carry rounding at the ~1e-34 scale of their O(1) size and
+# a separation keeps it as an absolute error, so the tie cushion is
+# absolute; 1e-29 sits far below every genuine scale in range
+_TIE_CUSHION = Decimal("1e-29")
+
+
+def _scales_ok(chain, l_next, d_next) -> bool:
+    # chain = l_{1,n+1} when gamma_{n+1} = 1/4, but the two round apart
+    # (decimal halving is inexact), so that tie gets a relative cushion
+    with localcontext(_EXACT):
+        return chain >= l_next * (1 - _TIE_CUSHION) and l_next >= d_next
 
 
 def _points(obj) -> np.ndarray:
-    # a dd set gives an object array: numpy's diff, argmin, searchsorted,
-    # abs and min all work on it
+    # an extended set gives an object array of Decimals: numpy's diff,
+    # argmin, searchsorted, abs and min all work on it
     if isinstance(obj, (ZeroSet, CriticalSet)):
         return obj.values
     return np.asarray(obj, dtype=float)
@@ -64,25 +79,28 @@ def _min_gap_with_index(zero_set) -> tuple[float, int]:
     pts = _points(zero_set)
     if pts.size < 2:
         raise DomainError("minimum spacing needs at least two zeros")
-    gaps = np.diff(pts)
+    with localcontext(_EXACT):
+        gaps = np.diff(pts)
     i = int(np.argmin(gaps))
     return float(gaps[i]), i
 
 
 def set_distance(A, B) -> float:
     """min |a - b| over the two point sets, via a sorted merge."""
-    a = _points(A)
-    b = _points(B)
+    a, b = _points(A), _points(B)
+    if a.dtype != b.dtype:  # a double set against an extended one
+        a, b = _TO_DECIMAL(a), _TO_DECIMAL(b)
     if a.size == 0 or b.size == 0:
         raise DomainError("set distance needs nonempty sets")
     pos = np.searchsorted(b, a)
     best = np.inf
     right = pos < b.size
-    if np.any(right):
-        best = min(best, float(np.min(np.abs(b[pos[right]] - a[right]))))
     left = pos > 0
-    if np.any(left):
-        best = min(best, float(np.min(np.abs(b[pos[left] - 1] - a[left]))))
+    with localcontext(_EXACT):
+        if np.any(right):
+            best = min(best, float(np.min(np.abs(b[pos[right]] - a[right]))))
+        if np.any(left):
+            best = min(best, float(np.min(np.abs(b[pos[left] - 1] - a[left]))))
     return best
 
 
@@ -260,8 +278,9 @@ def verify_second_neighbor_bound(J: JacobiMatrix, r: int, n: int,
         raise DomainError(f"degree {r} exceeds certified length {J.valid_length}")
     zr = _cached_zeros(J, r, cache)
     zn = _cached_zeros(J, n, cache)
-    aug = np.concatenate([[0.0], _points(zn), [1.0]])
-    rhs = float(np.min(aug[2:] - aug[:-2]))
+    aug = np.concatenate([[0], _points(zn), [1]])
+    with localcontext(_EXACT):
+        rhs = float(np.min(aug[2:] - aug[:-2]))
     lhs = min_spacing(zr)
     return ReportEntry(
         check="second_neighbor_bound",
@@ -277,34 +296,30 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
 
     Returns the separation |G(t_tilde) - G(gamma_n/2)| together with the
     nested all-L value at gamma_n/2, the leftmost length l_{1,n+1} and
-    delta_{n+1}; everything is evaluated in double-double so equality
+    delta_{n+1}; everything is evaluated in extended precision so equality
     cases do not flip from rounding.
     """
     gamma = fam.gamma
     w = word if isinstance(word, BranchWord) else BranchWord(word)
     n = len(w)
-    gn = gamma.gamma(n, "dd")
-    if not isinstance(t_tilde, DoubleDouble):
-        t_tilde = DoubleDouble(float(t_tilde))
-    anchor = branch_composition(gamma, w, gn * 0.5, "dd")
+    half = gamma.value(n) / 2
+    anchor = branch_composition(gamma, w, half, "dd")
     value = branch_composition(gamma, w, t_tilde, "dd")
-    sep = abs(value - anchor)
-    chain = branch_composition(gamma, BranchWord.leftmost(n), gn * 0.5, "dd")
+    chain = branch_composition(gamma, BranchWord.leftmost(n), half, "dd")
     l_next = leftmost_length(gamma, n + 1, "dd")
     d_next = gamma.delta(n + 1, "dd")
     # words whose inner letters are all L attain sep == chain exactly at
-    # t_tilde = 0, and the reflected branches compute the tied sides through
-    # different expressions. The branch values carry dd rounding at the
-    # ~1e-32 scale of their O(1) magnitude, and the subtraction forming the
-    # separation preserves it as an absolute error, so the tie cushion must
-    # be absolute; 1e-29 sits far below every genuine scale in range.
-    sep_ok = chain - sep <= DoubleDouble(1e-29)
+    # t_tilde = 0, and the reflected branches compute the tied sides
+    # through different expressions: see _TIE_CUSHION
+    with localcontext(_EXACT):
+        sep = abs(value - anchor)
+        sep_ok = chain - sep <= _TIE_CUSHION
     return {
         "separation": sep,
         "chain": chain,
         "leftmost_next": l_next,
         "delta_next": d_next,
-        "ok": sep_ok and chain >= l_next and l_next >= d_next,
+        "ok": sep_ok and _scales_ok(chain, l_next, d_next),
     }
 
 
@@ -316,25 +331,24 @@ def verify_branch_lemma(fam: MapFamily, n: int) -> ReportEntry:
     dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
     2^n must dominate the minimum separation over all words and
     endpoints. The anchors (t = 0) and endpoints (t = +-1) come from three
-    doubling passes of all_branch_values, so the whole level costs
-    O(2^n) double-double operations; the word-independent terms are
-    computed once.
+    doubling passes of all_branch_values in extended precision, so the
+    whole level costs O(2^n) decimal operations; the word-independent
+    terms are computed once.
     """
     if n < 1:
         raise DomainError("level must be >= 1")
     gamma = fam.gamma
     anchors = all_branch_values(gamma, n, 0.0, "dd")
-    seps = [abs(value - anchor)
-            for t in (1.0, -1.0)
-            for value, anchor in zip(all_branch_values(gamma, n, t, "dd"), anchors)]
+    ends = [all_branch_values(gamma, n, t, "dd") for t in (1.0, -1.0)]
     chain = anchors[0]
     l_next = leftmost_length(gamma, n + 1, "dd")
     d_next = gamma.delta(n + 1, "dd")
-    scales_ok = chain >= l_next and l_next >= d_next
+    scales_ok = _scales_ok(chain, l_next, d_next)
     # same absolute tie cushion as branch_separation_chain
-    cushion = DoubleDouble(1e-29)
-    failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= cushion))
-    min_sep = min(float(sep) for sep in seps)
+    with localcontext(_EXACT):
+        seps = [abs(value - anchor) for values in ends for value, anchor in zip(values, anchors)]
+        failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= _TIE_CUSHION))
+    min_sep = float(min(seps))
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
     dzy = set_distance(exact_zeros(fam, n, "auto"), critical_set(fam, n, "auto"))
     chain_ok = failures == 0

@@ -148,7 +148,7 @@ def test_criterion_09_leftmost_length_bounds(gamma_sixth, gamma_periodic):
             d = gamma.delta_fraction(s)
             l = cp.leftmost_length(gamma, s, mode)
             if mode == "dd":
-                assert l.to_fraction() >= d
+                assert Fraction(l) >= d
                 assert float(l) <= PI_SQ_4 * float(d)
             else:
                 assert Fraction(l) >= d

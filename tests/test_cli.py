@@ -94,6 +94,18 @@ class TestJacobiCommand:
         assert J.b.size == int(degree)
 
 
+    @pytest.mark.parametrize("gamma", ["list:1/4,1/1000", "periodic:1/1000000,1/4"])
+    def test_cancelling_gamma_succeeds(self, tmp_path, gamma):
+        # in double the first wrote a_1023 = 7.45e-9 (true value 2.55e-13)
+        # and the second raised ArithmeticError
+        rc = main(["jacobi", "--gamma", gamma, "--degree-max", "1024",
+                   "--depth", "12", "--out", str(tmp_path)])
+        assert rc == 0
+        J = cp.JacobiMatrix.from_csv((tmp_path / "jacobi.csv").read_text())
+        if gamma.startswith("list"):
+            assert J.a[-1] == pytest.approx(math.sqrt(6.50e-26), rel=1e-2)
+
+
 class TestZerosCommand:
     def test_writes_dyadic_zero_files(self, tmp_path, fam_sixth):
         rc = main(["zeros", "--gamma", "constant:1/6", "--degree-max", "16",
@@ -117,6 +129,21 @@ class TestZerosCommand:
             _, rows = _read_csv(tmp_path / name)
             values = [Decimal(r[1]) for r in rows]
             assert all(x < y for x, y in zip(values, values[1:])), name
+
+    def test_tiny_gamma_zeros_need_more_than_34_digits(self, tmp_path):
+        # at gamma = 0.001 the zeros of degree 4096 lie within 1e-36 of 0 and
+        # 1; they are written at the 52 digits the precision rule gives m = 12
+        rc = main(["zeros", "--gamma", "constant:0.001", "--degree-max", "4096",
+                   "--depth", "14", "--precision", "auto", "--out", str(tmp_path)])
+        assert rc == 0
+        names = [f"zeros_d{2 ** m}.csv" for m in range(1, 13)] + ["critical_l12.csv"]
+        for name in names:
+            _, rows = _read_csv(tmp_path / name)
+            values = [Decimal(r[1]) for r in rows]
+            assert all(x < y for x, y in zip(values, values[1:])), name
+            assert 0 < values[0] and values[-1] < 1, name
+        _, rows = _read_csv(tmp_path / "zeros_d4096.csv")
+        assert max(len(Decimal(r[1]).as_tuple().digits) for r in rows) == 52
 
     def test_one_branch_pass_per_level(self, tmp_path, monkeypatch):
         # each level's zeros are computed once and reused for the critical file

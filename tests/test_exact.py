@@ -1,13 +1,13 @@
 """Map family, monic polynomials, exact zeros, and critical sets."""
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 import cantorpoly as cp
-from cantorpoly.ddouble import DoubleDouble
 from cantorpoly.errors import DomainError, RangeOverflowError
 from cantorpoly.exact import CriticalSet, ZeroSet
 from cantorpoly.geometry import level_intervals
@@ -179,8 +179,22 @@ class TestExactZeros:
             assert len(pts) == 2 ** m
             assert all(x < y for x, y in zip(pts, pts[1:]))
             assert pts[0] > 0.0 and pts[-1] < 1.0
-            worst = max(abs(x + y - 1.0) for x, y in zip(pts, reversed(pts)))
-            assert worst <= DoubleDouble(1e-30), m
+            with localcontext(Context(prec=100)):  # exact sums
+                worst = max(abs(x + y - 1) for x, y in zip(pts, reversed(pts)))
+            assert worst <= Decimal("1e-30"), m
+
+    def test_tiny_gamma_needs_more_than_34_digits(self):
+        # at gamma = 0.001, m = 12 neighbouring zeros lie 1e-33 apart within
+        # 1e-36 of 0 and 1; the precision rule gives 52 digits there
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.001"))
+        assert fam.gamma.context(12).prec == 52
+        zs = cp.exact_zeros(fam, 12, "auto")
+        pts = zs.points_dd
+        assert len(pts) == 2 ** 12
+        assert all(x < y for x, y in zip(pts, pts[1:]))
+        with localcontext(Context(prec=100)):  # exact differences
+            assert 0 < pts[0] < Decimal("1e-36") and 0 < 1 - pts[-1] < Decimal("1e-36")
+            assert min(y - x for x, y in zip(pts, pts[1:])) > Decimal("1e-33")
 
     def test_zero_set_validation(self):
         with pytest.raises(DomainError):
@@ -190,17 +204,16 @@ class TestExactZeros:
         with pytest.raises(DomainError):
             ZeroSet(degree=2, points=np.array([0.2, 0.5]), provenance="guess")
         # with dd values present, order and range are checked on them
-        lo, hi = DoubleDouble(0.2), DoubleDouble(0.5)
+        lo, hi = Decimal("0.2"), Decimal("0.5")
         with pytest.raises(DomainError):
             ZeroSet(degree=2, points=np.array([0.2, 0.5]), provenance="exact-branch",
                     points_dd=(hi, lo))
         with pytest.raises(DomainError):
             ZeroSet(degree=2, points=np.array([0.2, 1.0]), provenance="exact-branch",
-                    points_dd=(lo, DoubleDouble(1.0)))
+                    points_dd=(lo, Decimal(1)))
         # a double view that ties or touches 1 is fine when the dd values are not
-        top = DoubleDouble(1.0, -2.0 ** -60)
         ZeroSet(degree=2, points=np.array([1.0, 1.0]), provenance="exact-branch",
-                points_dd=(top - 2.0 ** -80, top))
+                points_dd=(Decimal("0.99999999999999999998"), Decimal("0.99999999999999999999")))
 
 
 class TestCriticalSet:
@@ -232,9 +245,9 @@ class TestCriticalSet:
         assert [zs.points_dd is not None for zs in zero_sets] == [False] * 7 + [True] * 3
         ys = cp.critical_set(fam, 11, "auto")
         assert ys.points_dd == CriticalSet.from_zero_sets(zero_sets).points_dd
-        want = [DoubleDouble(0.5)]
+        want = [Decimal("0.5")]
         for zs in zero_sets:
-            want.extend(zs.points_dd or [DoubleDouble(x) for x in zs.points])
+            want.extend(zs.points_dd or [Context(prec=34).create_decimal(x) for x in zs.points])
         assert list(ys.points_dd) == sorted(want)
         assert np.array_equal(ys.points, [float(v) for v in sorted(want)])
         with pytest.raises(DomainError):

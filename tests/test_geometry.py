@@ -1,6 +1,7 @@
 """Kernel, branch-word, interval, and scale-quantity behaviour."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import cantorpoly as cp
-from cantorpoly.ddouble import DoubleDouble
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import (
     BranchWord,
@@ -58,9 +58,9 @@ class TestUMap:
             cp.u_map(np.array([0.1, 0.3]))
 
     def test_double_double_input(self):
-        x = DoubleDouble.from_str("1/8")
+        x = Decimal("0.125")
         v = cp.u_map(x)
-        assert isinstance(v, DoubleDouble)
+        assert isinstance(v, Decimal)
         assert float(v) == pytest.approx(0.5 - math.sqrt(2.0) / 4.0, abs=1e-16)
 
     @given(st.floats(0.0, 0.25), st.floats(0.0, 0.25))
@@ -128,11 +128,24 @@ class TestGammaSequence:
         assert flags["summability_partial"] > 0
         assert flags["prefix_all_le_one_sixth"] is False
 
+    def test_descriptor_keeps_every_digit(self):
+        g = GammaSequence.constant("0.1234567890123456789012345678901")
+        assert g.descriptor()["values"] == ["0.1234567890123456789012345678901"]
+        assert GammaSequence.constant("0.25").descriptor()["values"] == ["0.25"]
+
     def test_dd_materialization(self):
         g = GammaSequence.constant("1/6")
         v = g.gamma(1, "dd")
-        assert isinstance(v, DoubleDouble)
-        assert abs(v.to_fraction() - Fraction(1, 6)) < Fraction(1, 6) / 2 ** 100
+        assert isinstance(v, Decimal)
+        assert abs(Fraction(v) - Fraction(1, 6)) < Fraction(1, 6) / 2 ** 100
+
+    @pytest.mark.parametrize("desc,depth,digits", [
+        ("constant:1/6", 8, 34), ("constant:0.02", 12, 34), ("constant:0.05", 12, 34),
+        ("constant:0.1", 13, 34), ("periodic:1/6,1/5", 14, 34),
+        ("constant:0.001", 12, 52), ("constant:0.001", 8, 40)])
+    def test_precision_rule(self, desc, depth, digits):
+        # ceil(-log10 delta_{depth+2}) + 10 digits, never fewer than 34
+        assert GammaSequence.from_descriptor(desc).context(depth).prec == digits
 
     def test_auto_mode_resolution(self):
         g = GammaSequence.constant("1/6")
@@ -241,6 +254,14 @@ class TestBasicInterval:
         assert largest_gap(gamma_sixth, 1) == pytest.approx(
             float(ivs[1].lo) - float(ivs[0].hi))
 
+    def test_tiny_gamma_intervals_in_auto_precision(self):
+        # at gamma = 0.001 the level-6 intervals next to 1 tie in double;
+        # in auto precision they stay distinct and ordered
+        g = GammaSequence.constant("0.001")
+        ivs = level_intervals(g, 6, "auto")
+        assert all(a.lo < a.hi < b.lo for a, b in zip(ivs, ivs[1:]))
+        assert largest_gap(g, 6) == pytest.approx(1 - 2 * cp.u_map(0.001), rel=1e-14)
+
     def test_interval_validation(self):
         with pytest.raises(DomainError):
             Interval(0.5, 0.5)
@@ -279,12 +300,12 @@ class TestScaleQuantities:
         for s in (16, 20, 24):
             d = gamma_sixth.delta_fraction(s)
             l = cp.leftmost_length(gamma_sixth, s, "dd")
-            assert isinstance(l, DoubleDouble)
-            assert l.to_fraction() >= d
+            assert isinstance(l, Decimal)
+            assert Fraction(l) >= d
             assert float(l) <= PI_SQ_4 * float(d)
 
     def test_auto_mode_escalates(self, gamma_sixth):
-        assert isinstance(cp.leftmost_length(gamma_sixth, 20, "auto"), DoubleDouble)
+        assert isinstance(cp.leftmost_length(gamma_sixth, 20, "auto"), Decimal)
         assert isinstance(cp.leftmost_length(gamma_sixth, 5, "auto"), float)
 
     def test_scale_rows(self, gamma_quarter):
@@ -303,6 +324,43 @@ class TestAllBranchValues:
             cp.branch_value(gamma_periodic, w, 0.0) for w in BranchWord.all_words(n)
         )
         assert np.allclose(vals, scalars, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("desc", ["constant:0.02", "constant:0.001",
+                                      "periodic:1/1000000,1/4", "list:1/4,1/1000"])
+    def test_extended_values_match_mpmath(self, desc):
+        # 300-bit mpmath runs the same doubling; every extended value must
+        # lie within m units of the last of the digits the rule gives level m
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.prec = 300
+        gamma = GammaSequence.from_descriptor(desc)
+
+        def g(k):
+            return mp.mpf(gamma.value(k).numerator) / gamma.value(k).denominator
+
+        def u(t):
+            return 2 * t / (1 + mp.sqrt(1 - 4 * t))
+
+        for m in (1, 2, 5, 8, 10):
+            bound = m * mp.mpf(10) ** -gamma.context(m).prec
+            for t in (0, 1, -1):
+                v = [u(g(m) * (1 - t) / 2)]
+                for k in range(m - 1, 0, -1):
+                    x = v + [1 - y for y in v]
+                    v = [u(g(k) * y) for y in x]
+                want = v + [1 - y for y in v]
+                got = all_branch_values(gamma, m, float(t), "dd")
+                err = max(abs(mp.mpf(str(a)) - b) for a, b in zip(got, want))
+                assert err <= bound, (m, t, err)
+
+    @pytest.mark.parametrize("prec", [28, 100])
+    def test_extended_values_ignore_the_callers_context(self, prec):
+        gamma = GammaSequence.from_descriptor("constant:0.001")
+        want = all_branch_values(gamma, 9, 0.0, "dd")
+        with localcontext() as ctx:
+            ctx.prec = prec
+            assert all_branch_values(gamma, 9, 0.0, "dd") == want
+            assert cp.exact_zeros(cp.MapFamily(gamma), 9, "dd").points_dd == tuple(sorted(want))
 
     def test_dd_mode_agrees_with_double(self, gamma_sixth):
         vals_d = sorted(all_branch_values(gamma_sixth, 5, -1.0))

@@ -114,7 +114,8 @@ class TestJacobiForGamma:
         assert np.all(J.b == 0.5)
 
     @pytest.mark.parametrize("desc", ["constant:1/6", "periodic:1/6,1/5", "periodic:2/9,1/4",
-                                      "constant:0.05", "constant:0.02"])
+                                      "constant:0.05", "constant:0.02",
+                                      "list:1/4,1/1000", "list:1/4,1/4,1/1000"])
     def test_eigenvalues_match_exact_zeros(self, desc):
         # the dd branch values, rounded once, are the oracle: at gamma = 0.02
         # the double-mode exact_zeros cannot represent the top zero at m = 10
@@ -151,8 +152,8 @@ class TestJacobiForGamma:
                st.fractions(Fraction(1, 100), Fraction(1, 4), max_denominator=10 ** 6)),
                min_size=1, max_size=6))
     def test_valid_gamma_gives_coefficients_or_arithmetic_error(self, kind, values):
-        # gamma_k = 1/4 right above a tiny gamma_{k+1} cancels bp_k - c_{2n}
-        # to nothing in double; that must surface as ArithmeticError
+        # gamma_k = 1/4 right above a tiny gamma_{k+1} cancels bp_k - c_{2n};
+        # where 50 digits do not cover it, that must surface as ArithmeticError
         fam = cp.MapFamily(cp.GammaSequence(kind, tuple(values)))
         try:
             J = cp.jacobi_for_gamma(fam, 1024)
@@ -161,9 +162,37 @@ class TestJacobiForGamma:
         assert np.all(np.isfinite(J.a)) and np.all((J.a > 0) & (J.a < 1))
         assert np.all(J.b == 0.5)
 
+    @pytest.mark.parametrize("desc", ["periodic:1/1000000,1/4", "list:1/4,1/1000",
+                                      "periodic:1/4,1/6", "constant:1/6"])
+    def test_matches_mpmath_unfolding(self, desc):
+        # the same recursion at 300 bits: every a_k within 2 eps relative
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.prec = 300
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        K = 1024
+        needs = [K - 1]
+        while needs[-1] > 1:
+            needs.append(needs[-1] // 2)
+        q = []
+        for k in range(len(needs), 0, -1):
+            g = fam.gamma.value(k)
+            g = mp.mpf(g.numerator) / g.denominator
+            bp, s = (mp.mpf(1) / 4 - g / 2, g * g / 4) if k == 1 else (1 - 2 * g, 4 * g * g)
+            c = [bp]
+            for i in range(1, needs[k - 1]):
+                c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
+            q = c
+        want = np.array([float(mp.sqrt(x)) for x in q])
+        J = cp.jacobi_for_gamma(fam, K)
+        assert np.all(J.a > 0)
+        assert np.max(np.abs(J.a - want) / want) <= 2 * np.finfo(float).eps
+
     def test_cancellation_raises_arithmetic_error(self):
-        fam = cp.MapFamily(cp.GammaSequence.periodic([Fraction(1, 10 ** 6), Fraction(1, 4)]))
-        with pytest.raises(ArithmeticError):
+        # gamma = 1e-12 under 1/4 cancels more than 50 digits: the runs at
+        # 50 and 100 digits disagree at level 2
+        fam = cp.MapFamily(cp.GammaSequence.periodic([Fraction(1, 10 ** 12), Fraction(1, 4)]))
+        with pytest.raises(ArithmeticError, match="level 2"):
             cp.jacobi_for_gamma(fam, 1024)
 
     def test_jacobi_csv_roundtrip(self, jacobi_sixth_small):

@@ -142,6 +142,15 @@ class TestVerifyOps:
             assert entry.passed and entry.detail["critical_distance_ok"], desc
             assert entry.detail["chain_failures"] == 0
 
+    def test_branch_lemma_tie_at_quarter(self):
+        # with gamma_8 = 1/4 the chain value equals l_{1,8}; in decimal the
+        # two round apart, which must not count as 2^8 chain failures
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor("periodic:1/1000000,1/4"))
+        entry = cp.verify_branch_lemma(fam, 7)
+        assert entry.passed and entry.detail["chain_failures"] == 0
+        gn = fam.gamma.gamma(7, "dd")
+        assert branch_separation_chain(fam, "L" * 7, gn)["ok"]
+
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_branch_lemma_checks_both_endpoints(self, fam_sixth, monkeypatch, side):
         # collapse one endpoint family onto the zeros: each of its words
