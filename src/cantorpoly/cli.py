@@ -149,13 +149,13 @@ def _run_meta(cfg: RunConfig) -> dict:
 def cmd_geometry(cfg: RunConfig) -> int:
     gamma = cfg.gamma_sequence()
     out = Path(cfg.out)
-    rows = []
-    for level in range(cfg.levels + 1):
-        for index, iv in enumerate(level_intervals(gamma, level, cfg.mode), start=1):
-            rows.append((level, index, iv.lo, iv.hi))
-    write_csv(out / "intervals.csv", ["level", "index", "lo", "hi"], rows)
+    rows = [(level, index, iv.lo, iv.hi)
+            for level in range(cfg.levels + 1)
+            for index, iv in enumerate(level_intervals(gamma, level, cfg.mode), start=1)]
+    # level 0 always has its one interval, so the transpose has four columns
+    write_csv(out / "intervals.csv", ["level", "index", "lo", "hi"], list(zip(*rows)))
     write_csv(out / "scales.csv", ["s", "delta_s", "l_1s", "ratio"],
-              scale_rows(gamma, cfg.levels, cfg.mode))
+              list(zip(*scale_rows(gamma, cfg.levels, cfg.mode))))
     write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 
@@ -188,11 +188,11 @@ def cmd_zeros(cfg: RunConfig) -> int:
                   file=sys.stderr)
             return EXIT_NUMERICAL
         write_csv(out / f"zeros_d{2 ** m}.csv", ["index", "value"],
-                  list(enumerate(zs.values, start=1)))
+                  [range(1, zs.degree + 1), zs.values])
         zero_sets.append(zs)
     crit = CriticalSet.from_zero_sets(zero_sets[:-1])
     write_csv(out / f"critical_l{top_m}.csv", ["index", "value"],
-              list(enumerate(crit.values, start=1)))
+              [range(1, crit.points.size + 1), crit.values])
     write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 

@@ -70,7 +70,7 @@ class DiscreteMeasure:
         return self.nodes.size
 
     def to_csv(self) -> str:
-        return csv_text(["node", "weight"], list(zip(self.nodes, self.weights)))
+        return csv_text(["node", "weight"], [self.nodes, self.weights])
 
     @classmethod
     def from_csv(cls, text: str) -> "DiscreteMeasure":
@@ -112,20 +112,33 @@ class JacobiMatrix:
             raise DomainError("diagonal coefficients must lie in (0, 1)")
 
     def to_csv(self) -> str:
-        rows = []
-        for k in range(self.b.size):
-            ak = self.a[k] if k < self.a.size else None
-            rows.append((k + 1, ak, self.b[k]))
-        return csv_text(["k", "a_k", "b_k"], rows)
+        """One row per k; a_K does not exist, so the last a_k is empty."""
+        K = self.b.size
+        return csv_text(["k", "a_k", "b_k"], [range(1, K + 1), self.a.tolist() + [None], self.b])
 
     @classmethod
     def from_csv(cls, text: str) -> "JacobiMatrix":
-        a, b = [], []
-        for line in text.strip().splitlines()[1:]:
-            _, ak, bk = line.split(",")
-            if ak:
-                a.append(float(ak))
-            b.append(float(bk))
+        """Parse the to_csv layout; any other layout raises DomainError.
+
+        The header is k,a_k,b_k, k runs 1..K in order, and a_k is empty on
+        the last row and on no other.
+        """
+        lines = text.strip().splitlines()
+        if not lines or lines[0] != "k,a_k,b_k":
+            raise DomainError("jacobi file must start with the header k,a_k,b_k")
+        rows = [line.split(",") for line in lines[1:]]
+        if not rows or any(len(row) != 3 for row in rows):
+            raise DomainError("jacobi file needs at least one row of three fields")
+        K = len(rows)
+        if [row[0] for row in rows] != [str(k) for k in range(1, K + 1)]:
+            raise DomainError(f"jacobi file rows must run k = 1..{K} in order")
+        if [k for k, row in enumerate(rows, start=1) if not row[1]] != [K]:
+            raise DomainError("a_k must be empty on the last row and on no other")
+        try:
+            a = [float(row[1]) for row in rows[:-1]]
+            b = [float(row[2]) for row in rows]
+        except ValueError as exc:
+            raise DomainError(f"malformed number in jacobi file: {exc}") from None
         return cls(np.array(a), np.array(b))
 
 

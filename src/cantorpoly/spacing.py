@@ -191,12 +191,9 @@ class SpacingReport:
         return tuple(r.n for r in self.rows if r.escalated)
 
     def to_csv(self) -> str:
-        rows = [
-            (r.n, r.s, r.m_n, r.lower_eq1, r.upper_eq1, r.lower_eq2,
-             r.upper_eq2, r.pass_eq1, r.pass_eq2, r.margin_lo, r.margin_hi)
-            for r in self.rows
-        ]
-        return csv_text(_CSV_COLUMNS, rows)
+        # each header name is its SpacingRow field in lower case (M_n is m_n)
+        return csv_text(_CSV_COLUMNS,
+                        [[getattr(r, name.lower()) for r in self.rows] for name in _CSV_COLUMNS])
 
     def as_json(self) -> dict:
         return {

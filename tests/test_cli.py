@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour and file contracts."""
 
+import hashlib
 import json
 import math
 from decimal import Decimal, localcontext
@@ -193,14 +194,33 @@ class TestVerifyCommand:
         assert payload["spacing"]["metadata"]["config"]["degree_max"] == 16
 
     def test_corrupted_jacobi_file_exits_2(self, tmp_path, fam_sixth):
-        # one a_3 with its sign flipped, and one a_3 that is nan
         J = cp.jacobi_for_gamma(fam_sixth, 8)
-        for name, corrupt in (("sign", lambda a: str(-float(a))), ("nan", lambda a: "nan")):
-            lines = J.to_csv().strip().splitlines()
-            k, a, b = lines[3].split(",")
-            lines[3] = ",".join([k, corrupt(a), b])
+        good = J.to_csv().strip().splitlines()
+
+        def set_a(lines, i, value):
+            k, _, b = lines[i].split(",")
+            lines[i] = ",".join([k, value, b])
+            return lines
+
+        def misplace_blank(lines):
+            # the empty a_8 moved to row 4, and a_4 to the last row
+            a4 = lines[4].split(",")[1]
+            return set_a(set_a(lines, 4, ""), 8, a4)
+
+        cases = {
+            "sign": lambda lines: set_a(lines, 3, str(-float(lines[3].split(",")[1]))),
+            "nan": lambda lines: set_a(lines, 3, "nan"),
+            "shuffled": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+            "misplaced_blank": misplace_blank,
+            "no_blank": lambda lines: set_a(lines, 8, "0.25"),
+            "header": lambda lines: ["n,a,b"] + lines[1:],
+            "text": lambda lines: set_a(lines, 2, "abc"),
+        }
+        for name, corrupt in cases.items():
             bad = tmp_path / f"jacobi_{name}.csv"
-            bad.write_text("\n".join(lines) + "\n")
+            bad.write_text("\n".join(corrupt(list(good))) + "\n")
+            with pytest.raises(cp.DomainError):
+                cp.JacobiMatrix.from_csv(bad.read_text())
             rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
                        "--depth", "6", "--jacobi-file", str(bad), "--out", str(tmp_path)])
             assert rc == 2, name
@@ -221,6 +241,56 @@ class TestVerifyCommand:
                          "--degree-max", "8", "--depth", "6",
                          "--out", str(out)]) == 0
         assert (a / "spacing_report.csv").read_bytes() == (b / "spacing_report.csv").read_bytes()
+
+
+# sha256 of every CSV a small run writes, taken before the CSV writer became
+# columnar; run.json is left out because it embeds --out
+PINNED_OUTPUTS = {
+    "zeros": (
+        ["zeros", "--gamma", "constant:0.05", "--degree-max", "2048", "--depth", "13",
+         "--precision", "auto"],
+        {
+            "critical_l11.csv": "eb7b758d8cf6afdc9639534e5bf3d6f41e0d9d58b5594e5b886c7b5294eef687",
+            "zeros_d2.csv": "0366c459900564e550cde2c8e79498942cb3cc848c03d0eb4192c810f5569240",
+            "zeros_d4.csv": "17273050371638296c8b5dc96ad60e6aebbbb811d22c1597f1a918308856e2a3",
+            "zeros_d8.csv": "98053a99726f25bea34395c051d1a4a45c748459cd5ba3cdd70329ba2396e268",
+            "zeros_d16.csv": "6b7b1eb5a54b2b216052f00d9755244e0c4c8ceab99844a50580d2f232b4620e",
+            "zeros_d32.csv": "260cbb9b2ed103d26685a9f042b1f64e845f0bbac536493eddc7871e50030f88",
+            "zeros_d64.csv": "a6877c2f0611ddbd50336e601a69c893495d440cc68bb1fcfef527412e8de63f",
+            "zeros_d128.csv": "9cd91b40bea00cf9a385e002651359647da4986f7073a6fe79cab3528cc09448",
+            "zeros_d256.csv": "1f0f2ca79488350e5220883d7810f058cfe7633832a5e0a28359bcfbaca2366c",
+            "zeros_d512.csv": "c44776a3d09118c5d72f9238f57ffda582c0c99fe189862c86d90d1ad073e63b",
+            "zeros_d1024.csv": "5ec3805e98015c6d437318c185ca4691b68320ab3262b59fe98e234bd097d95f",
+            "zeros_d2048.csv": "874b9e5b82fc2ffefafde76ee5b53350d2ec0761aa11bb380b6d21aab7cec8ad",
+        },
+    ),
+    "jacobi": (
+        ["jacobi", "--gamma", "constant:1/6", "--degree-max", "64", "--depth", "8"],
+        {"jacobi.csv": "acc60fa39114d4644868bce1e6c5f506bea62442d07006ab9fd2ae94e5b7a8c5"},
+    ),
+    "geometry": (
+        ["geometry", "--gamma", "constant:0.02", "--levels", "8", "--precision", "auto"],
+        {
+            "intervals.csv": "2f7ffb18f113850d812e4d545cb2214fe8c29e2577cebb69fbbe1ebe0d334514",
+            "scales.csv": "94c720d2ad4193b54b009a66d85b9f98f07190ffa80fddcd71ffdb979bf08b9a",
+        },
+    ),
+    # M_n at non-dyadic n comes from LAPACK eigenvalues
+    "verify": (
+        ["verify", "--gamma", "constant:1/6", "--degree-max", "16"],
+        {"spacing_report.csv": "9fbb71c4b2533217bc15c0b792b8f0425a621cec09355d5d901ffbc09be6c15a"},
+    ),
+}
+
+
+class TestPinnedOutputBytes:
+    @pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
+    def test_csv_sha256(self, tmp_path, command):
+        argv, expected = PINNED_OUTPUTS[command]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob("*.csv")}
+        assert written == expected
 
 
 class TestConfigHandling:
