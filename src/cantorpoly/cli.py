@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except (DomainError, json.JSONDecodeError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (DomainError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
         print(f"cantorpoly: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ConvergenceError as exc:

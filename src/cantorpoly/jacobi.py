@@ -12,9 +12,14 @@ by a discretized Stieltjes procedure in its orthonormal (Lanczos)
 formulation with full reorthogonalization; applied to the refinement
 measures it serves as an independent cross-check of the unfolding.
 Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation. The fast
-path is one LAPACK symmetric eigensolve; only when neighbouring
-eigenvalues approach the double-precision resolution limit is the solve
-escalated to a Sturm-count bisection in 34-digit ``decimal`` arithmetic.
+path is one LAPACK solve. Where the diagonal is constant, as it is
+(b_k = 1/2) for every mu_gamma, the shifted truncation has a zero
+diagonal and its eigenvalues are plus and minus the singular values of
+a bidiagonal with floor(n/2) columns, so only that half-size problem is
+solved; any other diagonal gets one symmetric eigensolve at full size.
+Only when neighbouring eigenvalues approach the double-precision
+resolution limit is the solve escalated to a Sturm-count bisection of
+the full matrix in 34-digit ``decimal`` arithmetic.
 """
 
 from __future__ import annotations
@@ -284,20 +289,47 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
 
 
 def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    n = d.size
+    T = np.zeros((n, n))
+    flat = T.reshape(-1)
+    flat[:: n + 1] = d
+    flat[1 :: n + 1] = e
+    flat[n :: n + 1] = e
+    return T
 
 
 def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    One LAPACK symmetric eigensolve (``numpy.linalg.eigvalsh``) of the
-    assembled matrix; backward stable, so each eigenvalue is accurate to a
+    One backward-stable LAPACK solve, so each eigenvalue is accurate to a
     few eps times the spectral norm.
+
+    A diagonal that is not constant gets one symmetric eigensolve
+    (``numpy.linalg.eigvalsh``) of the assembled n-by-n matrix. With a
+    constant diagonal d_0, T = J - d_0 I has a zero diagonal, and its odd
+    rows against its even columns form a bidiagonal B with floor(n/2)
+    columns: e_1, e_3, ... on the diagonal and e_2, e_4, ... below it. The
+    eigenvalues of T are plus and minus the singular values sigma of B,
+    and 0 for odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), so
+    only the singular values are computed (``numpy.linalg.svd``) and the
+    eigenvalues are d_0 - sigma, d_0 + sigma and, for odd n, d_0 exactly.
+    sigma carries the same absolute error as a direct solve, also near
+    d_0, where the eigenvalues sigma^2 of the half-size block B^T B of T^2
+    would leave an error of about eps / (2 sigma).
     """
     n = d.size
     if n == 1:
         return d.copy()
-    return np.linalg.eigvalsh(_tridiagonal(d, e))
+    if not np.all(d == d[0]):
+        return np.linalg.eigvalsh(_tridiagonal(d, e))
+    m = n // 2
+    B = np.zeros((n - m, m))
+    flat = B.reshape(-1)
+    flat[:: m + 1] = e[0::2]
+    flat[m :: m + 1] = e[1::2]
+    sigma = np.linalg.svd(B, compute_uv=False)
+    mid = d[:1] if n % 2 else d[:0]
+    return np.concatenate([d[0] - sigma, mid, d[0] + sigma[::-1]])
 
 
 def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:

@@ -54,6 +54,13 @@ class TestGeometryCommand:
         assert main(["geometry", "--gamma", "constant:0.2500001",
                      "--out", str(tmp_path)]) == 2
 
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["geometry", "--gamma", "constant:0.2", "--levels", "2",
+                     "--out", str(blocker / "x")]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -225,6 +232,12 @@ class TestVerifyCommand:
                        "--depth", "6", "--jacobi-file", str(bad), "--out", str(tmp_path)])
             assert rc == 2, name
 
+    def test_jacobi_file_is_a_directory_exits_2(self, tmp_path, capsys):
+        rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
+                   "--depth", "6", "--jacobi-file", str(tmp_path), "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert "invalid input" in capsys.readouterr().err
+
     def test_valid_jacobi_file_accepted(self, tmp_path, fam_sixth):
         J = cp.jacobi_for_gamma(fam_sixth, 8)
         path = tmp_path / "jacobi.csv"
@@ -275,10 +288,11 @@ PINNED_OUTPUTS = {
             "scales.csv": "94c720d2ad4193b54b009a66d85b9f98f07190ffa80fddcd71ffdb979bf08b9a",
         },
     ),
-    # M_n at non-dyadic n comes from LAPACK eigenvalues
+    # M_n at non-dyadic n comes from LAPACK singular values of the
+    # half-size bidiagonal, so its last ~2 digits follow that solve
     "verify": (
         ["verify", "--gamma", "constant:1/6", "--degree-max", "16"],
-        {"spacing_report.csv": "9fbb71c4b2533217bc15c0b792b8f0425a621cec09355d5d901ffbc09be6c15a"},
+        {"spacing_report.csv": "da6d42528dc25040d1d82a2f9898b4623f32c052535b364522330e548e78b44d"},
     ),
 }
 

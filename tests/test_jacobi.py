@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 import cantorpoly as cp
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import moments, sign_alternation_ok
+from cantorpoly.jacobi import _eigvals_lapack, moments, sign_alternation_ok
 
 from conftest import chebyshev_zeros_unit
 
@@ -303,6 +303,47 @@ class TestEigenZeros:
         _, J = fam_jacobi_256
         for n in range(2, 65):
             assert np.all(np.diff(cp.eigen_zeros(J, n).points) > 0), n
+
+
+class TestHalfSizeSplit:
+    """A constant diagonal is solved from a bidiagonal with floor(n/2) columns."""
+
+    SIZES = [2, 3, 4, 5, 6, 7, 15, 16, 63, 64, 100, 127, 128, 129, 254, 255]
+
+    @pytest.fixture(scope="class", params=["constant:1/6", "constant:1/4", "constant:0.05",
+                                           "periodic:1/5,2/9"])
+    def jacobi_255(self, request):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(request.param))
+        return cp.jacobi_for_gamma(fam, 255)
+
+    def test_matches_independent_lapack_driver(self, jacobi_255):
+        J = jacobi_255
+        for n in self.SIZES:
+            zs = cp.eigen_zeros(J, n)
+            assert not zs.escalated, n
+            want = eigh_tridiagonal(J.b[:n], J.a[: n - 1], eigvals_only=True)
+            assert np.max(np.abs(zs.points - np.sort(want))) <= 4e-15, n
+
+    def test_odd_degree_middle_zero_is_the_diagonal(self, jacobi_255):
+        J = jacobi_255
+        for n in (n for n in self.SIZES if n % 2):
+            assert cp.eigen_zeros(J, n).points[n // 2] == J.b[0], n
+
+    def test_near_degenerate_pair_escalates(self):
+        # two 2x2 blocks with eigenvalues 0.5 +- 0.3, coupled by 1e-16
+        J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
+        zs = cp.eigen_zeros(J, 4)
+        assert zs.escalated
+        assert zs.points_dd is not None
+        assert np.allclose(zs.points, [0.2, 0.2, 0.8, 0.8], atol=1e-15)
+
+    def test_non_constant_diagonal_is_the_direct_solve(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 8, 33):
+            d = rng.uniform(0.2, 0.8, n)
+            e = rng.uniform(0.05, 0.3, n - 1)
+            direct = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            assert np.array_equal(_eigvals_lapack(d, e), direct), n
 
 
 class TestGaussMeasure:
