@@ -16,6 +16,12 @@ comparison outcome with scale-free ratio margins. Lower bounds against
 delta products are compared through exact rationals so the verdicts carry
 no rounding slack of their own. Gaps and distances between Decimal
 points are formed exactly and rounded once, to double.
+
+A full verification run keeps one run-local cache: each eigensolve, each
+dyadic zero set and each critical set is computed once per run and read
+by every check, and the cache dies with the run. The at-most-one
+interlacing test is decided one larger degree r at a time, with one
+binning of all smaller-degree zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .exact import CriticalSet, MapFamily, ZeroSet, critical_set, exact_zeros
+from .exact import CriticalSet, MapFamily, ZeroSet, exact_zeros
 from .geometry import (
     BranchWord,
     all_branch_values,
@@ -240,7 +246,7 @@ def verify_interlacing_bound(J: JacobiMatrix, l: int, m: int, n: int,
 
 
 def verify_critical_bound(fam: MapFamily, k: int, k_prime: int,
-                          mode: str = "auto") -> ReportEntry:
+                          mode: str = "auto", cache: dict | None = None) -> ReportEntry:
     """d(Z, Y) <= d(Z, Z') on the exact dyadic sets.
 
     Z and Y are the zero and critical sets at level 1 + k, Z' the zero set
@@ -248,9 +254,9 @@ def verify_critical_bound(fam: MapFamily, k: int, k_prime: int,
     """
     if not k > k_prime >= 0:
         raise DomainError(f"need k > k' >= 0, got {(k, k_prime)}")
-    z = exact_zeros(fam, 1 + k, mode)
-    y = critical_set(fam, 1 + k, mode)
-    zp = exact_zeros(fam, 1 + k_prime, mode)
+    z = _cached_exact_zeros(fam, 1 + k, mode, cache)
+    y = _cached_critical_set(fam, 1 + k, mode, cache)
+    zp = _cached_exact_zeros(fam, 1 + k_prime, mode, cache)
     lhs = set_distance(z, y)
     rhs = set_distance(z, zp)
     return ReportEntry(
@@ -320,7 +326,7 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     }
 
 
-def verify_branch_lemma(fam: MapFamily, n: int) -> ReportEntry:
+def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> ReportEntry:
     """Exhaustive check of the separation chain at level n.
 
     For every one of the 2^n words and both inner endpoints the branch
@@ -347,7 +353,8 @@ def verify_branch_lemma(fam: MapFamily, n: int) -> ReportEntry:
         failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= _TIE_CUSHION))
     min_sep = float(min(seps))
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
-    dzy = set_distance(exact_zeros(fam, n, "auto"), critical_set(fam, n, "auto"))
+    dzy = set_distance(_cached_exact_zeros(fam, n, "auto", cache),
+                       _cached_critical_set(fam, n, "auto", cache))
     chain_ok = failures == 0
     dzy_ok = dzy >= min_sep
     return ReportEntry(
@@ -364,12 +371,29 @@ def verify_branch_lemma(fam: MapFamily, n: int) -> ReportEntry:
 # the spacing report
 # ---------------------------------------------------------------------------
 
-def _cached_zeros(J: JacobiMatrix, n: int, cache: dict | None) -> ZeroSet:
+def _memo(cache: dict | None, key, compute):
+    # cache is one run's dict; without one every call computes afresh
     if cache is None:
-        return eigen_zeros(J, n)
-    if n not in cache:
-        cache[n] = eigen_zeros(J, n)
-    return cache[n]
+        return compute()
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
+def _cached_zeros(J: JacobiMatrix, n: int, cache: dict | None) -> ZeroSet:
+    return _memo(cache, n, lambda: eigen_zeros(J, n))
+
+
+def _cached_exact_zeros(fam: MapFamily, m: int, mode: str, cache: dict | None) -> ZeroSet:
+    return _memo(cache, ("exact", m, mode), lambda: exact_zeros(fam, m, mode))
+
+
+def _cached_critical_set(fam: MapFamily, n: int, mode: str, cache: dict | None) -> CriticalSet:
+    """{1/2} together with the (cached) zero sets of levels 1..n-1."""
+    if n < 1:
+        raise DomainError("level must be >= 1")
+    return _memo(cache, ("critical", n, mode), lambda: CriticalSet.from_zero_sets(
+        _cached_exact_zeros(fam, k, mode, cache) for k in range(1, n)))
 
 
 def _dyadic_exponent(n: int) -> int | None:
@@ -390,7 +414,7 @@ def spacing_for_degree(fam: MapFamily, J: JacobiMatrix, n: int,
     m = _dyadic_exponent(n)
     if m is None:
         return m_eig, pair, "eigensolve", zs.escalated
-    m_exact, pair_exact = _min_gap_with_index(exact_zeros(fam, m, mode))
+    m_exact, pair_exact = _min_gap_with_index(_cached_exact_zeros(fam, m, mode, cache))
     if abs(m_exact - m_eig) > _EXACT_VS_EIGEN_TOL:
         raise DomainError(
             f"exact and eigensolve spacing disagree at degree {n}: "
@@ -479,13 +503,48 @@ class VerificationResult:
         }
 
 
+def _interlacing_violations(sets: dict) -> list[tuple[int, int]]:
+    """Every (s, r), s < r, for which interlacing_at_most_one(sets[s], sets[r])
+    is False, ordered by r and then s.
+
+    One pass per r: the points of all smaller keys are concatenated and
+    binned into sets[r] by one searchsorted, then both requirements are
+    decided per segment. Comparisons between double and Decimal points
+    are exact, so double, extended and mixed sets get the per-pair verdicts.
+    """
+    keys = sorted(sets)
+    points = [_points(sets[k]) for k in keys]
+    sizes = np.array([p.size for p in points])
+    violations = []
+    for j in range(1, len(keys)):
+        big = points[j]
+        small = np.concatenate(points[:j])
+        ends = np.cumsum(sizes[:j])
+        starts = ends - sizes[:j]
+        bins = np.searchsorted(big, small)
+        # a point crowds its predecessor in the same segment when both
+        # fall in one closed interval of consecutive big points
+        crowds = np.zeros(small.size, dtype=bool)
+        crowds[1:] = bins[1:] <= bins[:-1]
+        crowds[starts] = False
+        crowded = np.logical_or.reduceat(crowds, starts)
+        outside = (small[starts] <= big[0]) | (small[ends - 1] >= big[-1])
+        violations += [(keys[i], keys[j]) for i in np.flatnonzero(crowded | outside)]
+    return violations
+
+
 def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                       c=None, seed: int = 20240601, teo1_samples: int = 50,
                       roro_max_level: int = 8,
                       tm_max_k: int = 5, interlacing_max: int = 64,
                       metadata: dict | None = None) -> VerificationResult:
     """Run every verified inequality up to degree n_max plus the
-    informational checks, sharing one eigensolve cache."""
+    informational checks.
+
+    One run-local cache holds the eigensolves and the dyadic zero and
+    critical sets, so each is computed once per call; interlacing is
+    checked one degree r at a time.
+    """
     if not 2 <= n_max <= J.valid_length:
         raise DomainError(f"n_max {n_max} outside [2, valid_length]")
     rng = np.random.default_rng(seed)
@@ -504,7 +563,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
 
     for k in range(1, tm_max_k + 1):
         for k_prime in range(k):
-            entries.append(verify_critical_bound(fam, k, k_prime))
+            entries.append(verify_critical_bound(fam, k, k_prime, cache=cache))
 
     uuu_pairs = sorted({(n_max, max(2, n_max // 2)), (n_max, 2),
                         (max(2, n_max // 2), max(2, n_max // 4)),
@@ -513,15 +572,10 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
         entries.append(verify_second_neighbor_bound(J, r, n, cache))
 
     for n in range(1, roro_max_level + 1):
-        entries.append(verify_branch_lemma(fam, n))
+        entries.append(verify_branch_lemma(fam, n, cache))
 
-    violations = []
     top = min(interlacing_max, n_max)
-    for r in range(3, top + 1):
-        zr = _cached_zeros(J, r, cache)
-        for s in range(2, r):
-            if not interlacing_at_most_one(_cached_zeros(J, s, cache), zr):
-                violations.append((s, r))
+    violations = _interlacing_violations({r: _cached_zeros(J, r, cache) for r in range(2, top + 1)})
     entries.append(ReportEntry(
         check="interlacing_at_most_one",
         passed=not violations,
@@ -533,9 +587,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     # informational: max consecutive-zero gap versus half the largest gap
     # of the matching pre-Cantor level
     gap_checks = []
-    for n in sorted({4, n_max // 2, n_max}):
-        if n < 2:
-            continue
+    for n in sorted(n for n in {4, n_max // 2, n_max} if 2 <= n <= n_max):
         zs = _cached_zeros(J, n, cache)
         level = math.ceil(math.log2(n))
         half_gap = 0.5 * largest_gap(fam.gamma, level)
@@ -556,7 +608,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     dyadic = []
     m = 1
     while 2 ** m <= n_max:
-        dyadic.append(min_spacing(exact_zeros(fam, m, "auto")))
+        dyadic.append(min_spacing(_cached_exact_zeros(fam, m, "auto", cache)))
         m += 1
     collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
     entries.append(ReportEntry(

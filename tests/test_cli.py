@@ -255,6 +255,12 @@ class TestVerifyCommand:
                          "--out", str(out)]) == 0
         assert (a / "spacing_report.csv").read_bytes() == (b / "spacing_report.csv").read_bytes()
 
+    @pytest.mark.parametrize("degree_max, depth", [("2", "3"), ("3", "4")])
+    def test_degree_max_below_four_passes(self, tmp_path, degree_max, depth):
+        # the informational max-gap check must stay within degree-max
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", degree_max,
+                     "--depth", depth, "--out", str(tmp_path)]) == 0
+
 
 # sha256 of every CSV a small run writes, taken before the CSV writer became
 # columnar; run.json is left out because it embeds --out
@@ -297,6 +303,9 @@ PINNED_OUTPUTS = {
 }
 
 
+VERIFY_JSON_SHA256 = "0755ea5f775530d83d9dd2a0c5ad33da837e606dfd05c5fa688e03f46645663b"
+
+
 class TestPinnedOutputBytes:
     @pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
     def test_csv_sha256(self, tmp_path, command):
@@ -305,6 +314,16 @@ class TestPinnedOutputBytes:
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.glob("*.csv")}
         assert written == expected
+
+    def test_verify_json_sha256(self, tmp_path):
+        # every check entry of a small run, taken before the dyadic zero and
+        # critical sets were cached per run; config.out is normalised
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
+                     "--out", str(tmp_path)]) == 0
+        raw = (tmp_path / "spacing_report.json").read_bytes()
+        normalised = raw.replace(json.dumps(str(tmp_path)).encode(), b'"OUT"')
+        assert normalised != raw
+        assert hashlib.sha256(normalised).hexdigest() == VERIFY_JSON_SHA256
 
 
 class TestConfigHandling:

@@ -1,13 +1,17 @@
 """Spacing quantities, bound verification, and report assembly."""
 
 import math
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantorpoly as cp
-from cantorpoly import spacing
+from cantorpoly import exact, spacing
 from cantorpoly.errors import DomainError
 from cantorpoly.spacing import (
     SpacingRow,
@@ -78,6 +82,111 @@ class TestInterlacing:
             for s in range(2, r):
                 zs = cp.eigen_zeros(jacobi_sixth_small, s)
                 assert cp.interlacing_at_most_one(zs, zr)
+
+
+def _per_pair_violations(sets):
+    """The reference: interlacing_at_most_one on every (s, r), r then s."""
+    keys = sorted(sets)
+    return [(s, r) for r in keys for s in keys
+            if s < r and not cp.interlacing_at_most_one(sets[s], sets[r])]
+
+
+def _extended(values):
+    # a ZeroSet whose working values are the given Decimals
+    dd = tuple(Decimal(v) for v in values)
+    return cp.ZeroSet(degree=len(dd), points=np.array([float(v) for v in dd]),
+                      provenance="eigensolve", points_dd=dd)
+
+
+# a coarse grid forces ties and shared endpoints between the sets; the
+# values outside [0, 1] put small points beyond the extreme big ones
+_GRID = [i / 8 for i in range(-2, 11)]
+_SORTED_SETS = st.lists(st.lists(st.sampled_from(_GRID), min_size=1, max_size=8, unique=True)
+                        .map(sorted).map(np.array), min_size=2, max_size=6)
+
+
+class TestBatchedInterlacing:
+    @settings(max_examples=300, deadline=None)
+    @given(_SORTED_SETS)
+    def test_matches_per_pair_reference(self, arrays):
+        sets = {k: a for k, a in enumerate(arrays)}
+        assert spacing._interlacing_violations(sets) == _per_pair_violations(sets)
+
+    def test_mixed_double_and_decimal_sets(self):
+        # the Decimal points straddle 1/2 by 1e-40: in their double views
+        # they tie, so (2, 3) and (3, 4) pass only when compared exactly
+        with localcontext() as ctx:
+            ctx.prec = 50
+            eps = Decimal("1e-40")
+            half = Decimal("0.5")
+            sets = {
+                2: _extended([half - eps, half + eps]),
+                3: np.array([0.25, 0.5, 0.75]),
+                4: _extended([Decimal("0.2"), half - 2 * eps, half + 2 * eps, Decimal("0.8")]),
+            }
+        want = _per_pair_violations(sets)
+        assert want == [(2, 4)]
+        assert spacing._interlacing_violations(sets) == want
+
+    @pytest.mark.parametrize("desc", ["list:1/4,1/1000", "constant:0.01"])
+    def test_full_verification_lists_every_violation(self, desc):
+        # both inputs have known false violations at degree 64, and
+        # list:1/4,1/1000 escalates degrees 55, 63 and 64 to Decimal
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        J = cp.jacobi_for_gamma(fam, 64)
+        result = full_verification(fam, J, n_max=64, teo1_samples=0, roro_max_level=1)
+        entry = next(e for e in result.entries if e.check == "interlacing_at_most_one")
+        sets = {r: cp.eigen_zeros(J, r) for r in range(2, 65)}
+        want = _per_pair_violations(sets)
+        assert want
+        assert entry.lhs == len(want)
+        assert spacing._interlacing_violations(sets) == want
+        assert entry.detail["violations"] == want[:20]
+
+
+class TestRunLocalCache:
+    @staticmethod
+    def _count_branch_passes(monkeypatch):
+        # every binding that reaches all_branch_values: exact_zeros, the
+        # branch lemma and largest_gap's level intervals
+        calls = Counter()
+        for module in (exact, spacing, cp.geometry):
+            real = module.all_branch_values
+
+            def counted(gamma, n, t, mode="double", _real=real, _where=module.__name__):
+                calls[(_where, n, t, mode)] += 1
+                return _real(gamma, n, t, mode)
+
+            monkeypatch.setattr(module, "all_branch_values", counted)
+        return calls
+
+    def test_each_dyadic_level_built_once_per_run(self, monkeypatch, fam_sixth):
+        J = cp.jacobi_for_gamma(fam_sixth, 64)
+        calls = self._count_branch_passes(monkeypatch)
+        totals = []
+        # nothing survives the call: a second run repeats the same work
+        for _ in range(2):
+            calls.clear()
+            full_verification(fam_sixth, J, n_max=64, c=Fraction(1, 6))
+            # exact_zeros passes t = 0 once per (level, mode)
+            zero_levels = Counter()
+            for (where, n, _, mode), k in calls.items():
+                if where == "cantorpoly.exact":
+                    zero_levels[(n, mode)] += k
+            assert zero_levels == {(n, "auto"): 1 for n in range(1, 9)}
+            totals.append(sum(calls.values()))
+        assert totals[0] == totals[1]
+
+    def test_uncached_checks_unchanged(self, fam_periodic):
+        cache = {}
+        for k in range(1, 5):
+            for k_prime in range(k):
+                assert (cp.verify_critical_bound(fam_periodic, k, k_prime, cache=cache)
+                        == cp.verify_critical_bound(fam_periodic, k, k_prime))
+        for n in range(1, 6):
+            assert (cp.verify_branch_lemma(fam_periodic, n, cache)
+                    == cp.verify_branch_lemma(fam_periodic, n))
+        assert ("critical", 5, "auto") in cache and ("exact", 5, "auto") in cache
 
 
 class TestVerifyOps:
