@@ -72,17 +72,19 @@ class _PointSet:
 
     A set computed in extended precision carries its Decimal values in
     points_dd; points is then only their double view, where neighbours
-    may tie and extreme points may round to 0 or 1.
+    may tie and extreme points may round to 0 or 1. values holds the
+    points in the working precision: points itself, or a read-only object
+    array of the Decimals, built once here.
     """
-
-    @property
-    def values(self) -> np.ndarray:
-        """The points in the working precision (Decimal objects if extended)."""
-        return self.points if self.points_dd is None else np.asarray(self.points_dd)
 
     def _validate(self, count: int, what: str) -> np.ndarray:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        vals = self.values
+        if self.points_dd is None:
+            vals = self.points
+        else:
+            vals = np.array(self.points_dd, dtype=object)
+            vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
         if count < 1 or self.points.size != count or vals.size != count:
             raise DomainError(f"expected {count} {what}, got {self.points.size}")
         if not np.all(vals[1:] > vals[:-1]):
@@ -103,6 +105,7 @@ class ZeroSet(_PointSet):
     provenance: str
     escalated: bool = field(default=False, compare=False)
     points_dd: tuple | None = field(default=None, compare=False)
+    values: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vals = self._validate(self.degree, "zeros")
@@ -126,6 +129,7 @@ class CriticalSet(_PointSet):
     level: int
     points: np.ndarray
     points_dd: tuple | None = field(default=None, compare=False)
+    values: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._validate(2 ** self.level - 1, "critical points")
@@ -146,7 +150,7 @@ class CriticalSet(_PointSet):
         for zs in zero_sets:
             vals.extend(zs.points_dd or map(promote, zs.points))
         vals.sort()
-        return cls(level, np.asarray([float(v) for v in vals]), tuple(vals))
+        return cls(level, np.asarray(vals, dtype=float), tuple(vals))
 
 
 def evaluate_F(fam: MapFamily, n: int, z):
@@ -202,7 +206,7 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "double") -> ZeroSet:
     if isinstance(vals, np.ndarray):  # double mode; extended precision gives a list
         return ZeroSet(degree=2 ** m, points=np.sort(vals), provenance="exact-branch")
     vals = sorted(vals)
-    return ZeroSet(degree=2 ** m, points=np.asarray([float(v) for v in vals]),
+    return ZeroSet(degree=2 ** m, points=np.asarray(vals, dtype=float),
                    provenance="exact-branch", points_dd=tuple(vals))
 
 

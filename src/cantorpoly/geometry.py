@@ -366,28 +366,42 @@ def basic_interval(gamma: GammaSequence, word, mode: str = "double") -> Interval
     return Interval(a, b) if a < b else Interval(b, a)
 
 
-def _all_compositions(gamma: GammaSequence, n: int, t_inner, mode: str) -> np.ndarray:
-    """Values of all 2^n letter choices at a common inner argument.
+def _all_compositions(gamma: GammaSequence, n: int, t_inner: np.ndarray, mode: str) -> np.ndarray:
+    """Values of all 2^n letter choices at each of the inner arguments t_inner.
 
-    Index bits read level-1 letter first (0 = L); the doubling shares the
-    inner suffixes so the total work is O(2^n).
+    Index bits read level-1 letter first (0 = L), and the inner argument
+    varies fastest: entry w * t_inner.size + j is word w at t_inner[j]. The
+    doubling shares the inner suffixes so the total work is O(2^n) per
+    inner argument.
     """
-    v = u_map(np.array([t_inner]))
+    v = u_map(t_inner)
     for k in range(n - 1, 0, -1):
         g = gamma.value(k)
         v = np.concatenate([_pull(g, v, False, mode), _pull(g, v, True, mode)])
     return np.concatenate([v, 1 - v])
 
 
-def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "double"):
-    """branch_value over every word of length n, in word-bit order (a list if extended)."""
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"branch parameter {t} outside [-1, 1]")
+def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "double") -> np.ndarray:
+    """branch_value over every word of length n and every t in ts.
+
+    One row per word in word-bit order and one column per t, from one
+    doubling pass over all the parameters; an object array of Decimals if
+    extended.
+    """
+    ts = tuple(ts)
+    for t in ts:
+        if not -1.0 <= t <= 1.0:
+            raise DomainError(f"branch parameter {t} outside [-1, 1]")
     mode = gamma.resolve_mode(n, mode)
     with localcontext(gamma.context(n)):
-        t_inner = _scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode)
-        x = _all_compositions(gamma, n, t_inner, mode)
-    return x if mode == "double" else x.tolist()
+        t_inner = np.array([_scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode) for t in ts])
+        return _all_compositions(gamma, n, t_inner, mode).reshape(-1, len(ts))
+
+
+def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "double"):
+    """branch_value over every word of length n, in word-bit order (a list if extended)."""
+    x = branch_value_table(gamma, n, (t,), mode)[:, 0]
+    return x.tolist() if x.dtype == object else x
 
 
 def level_intervals(gamma: GammaSequence, n: int, mode: str = "double") -> list[Interval]:

@@ -11,15 +11,19 @@ level-by-level unfolding with no nodes and no iteration
 by a discretized Stieltjes procedure in its orthonormal (Lanczos)
 formulation with full reorthogonalization; applied to the refinement
 measures it serves as an independent cross-check of the unfolding.
-Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation. The fast
-path is one LAPACK solve. Where the diagonal is constant, as it is
+Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation, and the
+truncations of one matrix are leading blocks of the largest, so several
+degrees share one set-up (``eigen_zero_sets``). The fast path is one
+LAPACK solve per degree. Where the diagonal is constant, as it is
 (b_k = 1/2) for every mu_gamma, the shifted truncation has a zero
 diagonal and its eigenvalues are plus and minus the singular values of
-a bidiagonal with floor(n/2) columns, so only that half-size problem is
-solved; any other diagonal gets one symmetric eigensolve at full size.
-Only when neighbouring eigenvalues approach the double-precision
-resolution limit is the solve escalated to a Sturm-count bisection of
-the full matrix in 34-digit ``decimal`` arithmetic.
+a bidiagonal with floor(n/2) columns; that bidiagonal is built once for
+the largest degree, and each degree solves its leading block, a
+half-size problem. Any other diagonal gets one symmetric eigensolve at
+full size. Only when neighbouring eigenvalues approach the
+double-precision resolution limit is the solve escalated to a
+Sturm-count bisection of the full matrix in 34-digit ``decimal``
+arithmetic.
 """
 
 from __future__ import annotations
@@ -280,12 +284,19 @@ def opoly_eval(J: JacobiMatrix, n: int, x):
 # tridiagonal eigensolve: LAPACK fast path, decimal Sturm escalation
 # ---------------------------------------------------------------------------
 
-def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+def _gershgorin_prefix(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gershgorin bounds of every leading truncation J_n, n >= 2, at index n - 2.
+
+    Rows 0..n-2 of J_n have the radii of the full matrix; its last row
+    has only |e_{n-2}|. Radii are summed in the same order for every n,
+    so each bound is the one of J_n assembled on its own.
+    """
     rad = np.zeros_like(d)
-    if e.size:
-        rad[:-1] += np.abs(e)
-        rad[1:] += np.abs(e)
-    return float(np.min(d - rad)), float(np.max(d + rad))
+    rad[:-1] += np.abs(e)
+    rad[1:] += np.abs(e)
+    lo = np.minimum(np.minimum.accumulate(d - rad)[:-1], d[1:] - np.abs(e))
+    hi = np.maximum(np.maximum.accumulate(d + rad)[:-1], d[1:] + np.abs(e))
+    return lo, hi
 
 
 def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -298,20 +309,36 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return T
 
 
-def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _half_bidiagonal(e: np.ndarray) -> np.ndarray:
+    """B of the zero-diagonal tridiagonal with off-diagonal e, size n = e.size + 1.
+
+    The odd rows against the even columns: floor(n/2) columns, e_1, e_3,
+    ... on the diagonal and e_2, e_4, ... below it. Its leading
+    (k - k//2)-by-(k//2) block is the B of the leading k-by-k truncation.
+    """
+    n = e.size + 1
+    m = n // 2
+    B = np.zeros((n - m, m))
+    flat = B.reshape(-1)
+    flat[:: m + 1] = e[0::2]
+    flat[m :: m + 1] = e[1::2]
+    return B
+
+
+def _eigvals_lapack(d: np.ndarray, e: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     One backward-stable LAPACK solve, so each eigenvalue is accurate to a
     few eps times the spectral norm.
 
-    A diagonal that is not constant gets one symmetric eigensolve
-    (``numpy.linalg.eigvalsh``) of the assembled n-by-n matrix. With a
-    constant diagonal d_0, T = J - d_0 I has a zero diagonal, and its odd
-    rows against its even columns form a bidiagonal B with floor(n/2)
-    columns: e_1, e_3, ... on the diagonal and e_2, e_4, ... below it. The
-    eigenvalues of T are plus and minus the singular values sigma of B,
-    and 0 for odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), so
-    only the singular values are computed (``numpy.linalg.svd``) and the
+    Without B the assembled n-by-n matrix gets one symmetric eigensolve
+    (``numpy.linalg.eigvalsh``). B asserts a constant diagonal d_0: it is
+    the half-size bidiagonal (``_half_bidiagonal``) of this matrix or of
+    any larger one with the same leading entries. T = J - d_0 I then has a
+    zero diagonal, and its eigenvalues are plus and minus the singular
+    values sigma of the leading (n - n//2)-by-(n//2) block of B, and 0 for
+    odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), so only the
+    singular values are computed (``numpy.linalg.svd``) and the
     eigenvalues are d_0 - sigma, d_0 + sigma and, for odd n, d_0 exactly.
     sigma carries the same absolute error as a direct solve, also near
     d_0, where the eigenvalues sigma^2 of the half-size block B^T B of T^2
@@ -320,14 +347,10 @@ def _eigvals_lapack(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     n = d.size
     if n == 1:
         return d.copy()
-    if not np.all(d == d[0]):
+    if B is None:
         return np.linalg.eigvalsh(_tridiagonal(d, e))
     m = n // 2
-    B = np.zeros((n - m, m))
-    flat = B.reshape(-1)
-    flat[:: m + 1] = e[0::2]
-    flat[m :: m + 1] = e[1::2]
-    sigma = np.linalg.svd(B, compute_uv=False)
+    sigma = np.linalg.svd(B[: n - m, :m], compute_uv=False)
     mid = d[:1] if n % 2 else d[:0]
     return np.concatenate([d[0] - sigma, mid, d[0] + sigma[::-1]])
 
@@ -346,15 +369,15 @@ def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
     return cnt
 
 
-def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray) -> list:
+def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray, glo: float, ghi: float) -> list:
     """All eigenvalues by Sturm-count bisection in 34-digit decimal, one at a time.
 
-    The coefficients are taken exactly; the digits beyond double let the
-    brackets resolve spacings far below the double-precision resolution
-    of the spectral width, down to 1e-29 times that width.
+    [glo, ghi] is the Gershgorin hull of the matrix. The coefficients are
+    taken exactly; the digits beyond double let the brackets resolve
+    spacings far below the double-precision resolution of the spectral
+    width, down to 1e-29 times that width.
     """
     n = d_f.size
-    glo, ghi = _gershgorin(d_f, e_f)
     out = []
     with localcontext(extended_context()):
         d = [Decimal(v) for v in d_f]
@@ -378,26 +401,56 @@ def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray) -> list:
     return out
 
 
+def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
+    """Zeros of P_n for each requested degree n, keyed by n in ascending order.
+
+    The truncations J_n are leading blocks of the largest one, J_N, so the
+    set-up is done once for all degrees: the constant-diagonal test
+    (leading blocks inside the constant run of the diagonal share its
+    half-size bidiagonal, and each solves a slice of it; every other
+    degree gets one symmetric eigensolve) and the Gershgorin bounds of
+    every J_n, from one prefix pass. Each degree then costs one LAPACK
+    solve. If consecutive eigenvalues come out closer than 1e3 * eps *
+    Gershgorin width, that degree is solved again by decimal Sturm-count
+    bisection and flagged as escalated, with the Decimal values in
+    points_dd. Every set is bit for bit the one its degree would get alone.
+    """
+    ns = sorted({int(n) for n in degrees})
+    for n in ns:
+        if not 1 <= n <= J.valid_length:
+            raise DomainError(f"degree {n} exceeds certified length {J.valid_length}")
+    if not ns:
+        return {}
+    N = ns[-1]
+    d = J.b[:N]
+    e = J.a[: N - 1]
+    run = int(np.argmax(d != d[0])) or N  # length of the constant leading run
+    B = _half_bidiagonal(e[: run - 1]) if run > 1 else None
+    glo, ghi = _gershgorin_prefix(d, e)
+    out = {}
+    for n in ns:
+        d_n, e_n = d[:n], e[: n - 1]
+        vals = _eigvals_lapack(d_n, e_n, B if n <= run else None)
+        if n >= 2:
+            lo, hi = float(glo[n - 2]), float(ghi[n - 2])
+            if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):
+                ext = _eigvals_bisect_decimal(d_n, e_n, lo, hi)
+                out[n] = ZeroSet(degree=n, points=np.asarray(ext, dtype=float),
+                                 provenance="eigensolve", escalated=True, points_dd=tuple(ext))
+                continue
+        out[n] = ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False)
+    return out
+
+
 def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     """Zeros of P_n as eigenvalues of the n-by-n Jacobi truncation.
 
-    The eigenvalues come from one LAPACK eigensolve, ascending. If
-    consecutive ones come out closer than 1e3 * eps * Gershgorin width,
-    the solve is repeated by decimal Sturm-count bisection and the result
-    is flagged as escalated, with the Decimal values in points_dd.
+    The one-degree call of ``eigen_zero_sets``: one LAPACK eigensolve,
+    ascending, escalated to decimal Sturm-count bisection where
+    consecutive eigenvalues come out closer than 1e3 * eps * Gershgorin
+    width.
     """
-    if not 1 <= n <= J.valid_length:
-        raise DomainError(f"degree {n} exceeds certified length {J.valid_length}")
-    d = J.b[:n]
-    e = J.a[: n - 1]
-    vals = _eigvals_lapack(d, e)
-    if n >= 2:
-        glo, ghi = _gershgorin(d, e)
-        if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (ghi - glo):
-            ext = _eigvals_bisect_decimal(d, e)
-            return ZeroSet(degree=n, points=np.asarray(ext, dtype=float),
-                           provenance="eigensolve", escalated=True, points_dd=tuple(ext))
-    return ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False)
+    return eigen_zero_sets(J, (n,))[n]
 
 
 def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:

@@ -12,9 +12,12 @@ and, when inf gamma_k = c > 0 is declared,
 
 The checks in this module compute each side independently (exact branch
 compositions at dyadic degrees, eigensolves elsewhere) and report the
-comparison outcome with scale-free ratio margins. Lower bounds against
-delta products are compared through exact rationals so the verdicts carry
-no rounding slack of their own. Gaps and distances between Decimal
+comparison outcome with scale-free ratio margins. The bounds change only
+once per octave s, so a report decides them once per octave, and it
+solves all its degrees in one batched eigensolve. Each rational lower
+bound q (a delta product) is decided through the least double t >= q:
+for a double M_n, M_n >= t holds exactly when M_n >= q, so the verdicts
+carry no rounding slack of their own. Gaps and distances between Decimal
 points are formed exactly and rounded once, to double.
 
 A full verification run keeps one run-local cache: each eigensolve, each
@@ -26,6 +29,7 @@ binning of all smaller-degree zeros.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -38,12 +42,12 @@ from .errors import DomainError
 from .exact import CriticalSet, MapFamily, ZeroSet, exact_zeros
 from .geometry import (
     BranchWord,
-    all_branch_values,
     branch_composition,
+    branch_value_table,
     largest_gap,
     leftmost_length,
 )
-from .jacobi import JacobiMatrix, eigen_zeros
+from .jacobi import JacobiMatrix, eigen_zero_sets
 from .serialize import csv_text
 
 _PI_SQ_4 = math.pi ** 2 / 4.0
@@ -85,7 +89,7 @@ def _min_gap_with_index(zero_set) -> tuple[float, int]:
     pts = _points(zero_set)
     if pts.size < 2:
         raise DomainError("minimum spacing needs at least two zeros")
-    with localcontext(_EXACT):
+    with localcontext(_EXACT) if pts.dtype == object else contextlib.nullcontext():
         gaps = np.diff(pts)
     i = int(np.argmin(gaps))
     return float(gaps[i]), i
@@ -333,23 +337,24 @@ def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> Re
     separation must dominate the all-L chain value, which in turn
     dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
     2^n must dominate the minimum separation over all words and
-    endpoints. The anchors (t = 0) and endpoints (t = +-1) come from three
-    doubling passes of all_branch_values in extended precision, so the
-    whole level costs O(2^n) decimal operations; the word-independent
-    terms are computed once.
+    endpoints. The anchors (t = 0) and endpoints (t = +-1) come from one
+    doubling pass of branch_value_table over the three parameters in
+    extended precision, so the whole level costs O(2^n) decimal
+    operations; the word-independent terms are computed once.
     """
     if n < 1:
         raise DomainError("level must be >= 1")
     gamma = fam.gamma
-    anchors = all_branch_values(gamma, n, 0.0, "dd")
-    ends = [all_branch_values(gamma, n, t, "dd") for t in (1.0, -1.0)]
+    table = branch_value_table(gamma, n, (0.0, 1.0, -1.0), "dd")
+    anchors = table[:, 0]
     chain = anchors[0]
     l_next = leftmost_length(gamma, n + 1, "dd")
     d_next = gamma.delta(n + 1, "dd")
     scales_ok = _scales_ok(chain, l_next, d_next)
     # same absolute tie cushion as branch_separation_chain
     with localcontext(_EXACT):
-        seps = [abs(value - anchor) for values in ends for value, anchor in zip(values, anchors)]
+        seps = [abs(value - anchor)
+                for col in (1, 2) for value, anchor in zip(table[:, col], anchors)]
         failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= _TIE_CUSHION))
     min_sep = float(min(seps))
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
@@ -380,8 +385,18 @@ def _memo(cache: dict | None, key, compute):
     return cache[key]
 
 
+def _cached_zero_sets(J: JacobiMatrix, degrees, cache: dict | None) -> dict[int, ZeroSet]:
+    # one batched eigensolve of the degrees the cache does not hold yet
+    if cache is None:
+        return eigen_zero_sets(J, degrees)
+    missing = [n for n in degrees if n not in cache]
+    if missing:
+        cache.update(eigen_zero_sets(J, missing))
+    return {n: cache[n] for n in degrees}
+
+
 def _cached_zeros(J: JacobiMatrix, n: int, cache: dict | None) -> ZeroSet:
-    return _memo(cache, n, lambda: eigen_zeros(J, n))
+    return _cached_zero_sets(J, (n,), cache)[n]
 
 
 def _cached_exact_zeros(fam: MapFamily, m: int, mode: str, cache: dict | None) -> ZeroSet:
@@ -409,7 +424,11 @@ def spacing_for_degree(fam: MapFamily, J: JacobiMatrix, n: int,
     At dyadic degrees both routes are computed and cross-checked before
     the exact value is used.
     """
-    zs = _cached_zeros(J, n, cache)
+    return _spacing(fam, _cached_zeros(J, n, cache), cache, mode)
+
+
+def _spacing(fam: MapFamily, zs: ZeroSet, cache: dict | None, mode: str):
+    n = zs.degree
     m_eig, pair = _min_gap_with_index(zs)
     m = _dyadic_exponent(n)
     if m is None:
@@ -423,15 +442,24 @@ def spacing_for_degree(fam: MapFamily, J: JacobiMatrix, n: int,
     return m_exact, pair_exact, "both", zs.escalated
 
 
+def _least_double_at_least(q: Fraction) -> float:
+    """The least double t >= q: for every double x, x >= t exactly when x >= q."""
+    t = float(q)  # correctly rounded, also into the subnormals and to 0
+    return math.nextafter(t, math.inf) if Fraction(t) < q else t
+
+
 def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
                    cache: dict | None = None, mode: str = "auto",
                    metadata: dict | None = None) -> SpacingReport:
     """Spacing rows for the requested degrees, with bound verdicts.
 
-    Lower-bound comparisons are exact: the delta products are rationals
-    and M_n is compared against them without rounding. The pi^2-scaled
-    upper bounds are evaluated in double, where their margins are many
-    orders of magnitude wide.
+    All degrees come from one batched eigensolve (with a cache, of the
+    degrees it does not hold yet). Lower-bound comparisons are exact: the
+    delta products are rationals, and M_n is compared against the least
+    double at or above each, which decides M_n >= q without rounding. The
+    pi^2-scaled upper bounds are evaluated in double, where their margins
+    are many orders of magnitude wide. Both depend only on s, so each
+    octave's bounds are formed once.
     """
     gamma = fam.gamma
     c_frac = None
@@ -440,28 +468,36 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
         if c_frac <= 0 or c_frac > gamma.infimum():
             raise DomainError(f"declared c = {c} exceeds the materialized infimum")
         c_sq = c_frac * c_frac
-    # delta products depend only on s, which changes once per octave
-    delta = functools.cache(gamma.delta_fraction)
 
-    rows = []
-    for n in sorted(set(int(d) for d in degrees)):
+    @functools.cache
+    def bounds(s: int):
+        # (lower, upper, least double >= the rational lower bound) of
+        # each inequality; None for the second when no c is declared
+        d_lo = gamma.delta_fraction(s + 2)
+        eq1 = (float(d_lo), _PI_SQ_4 * float(gamma.delta_fraction(s - 2)),
+               _least_double_at_least(d_lo))
+        if c_frac is None:
+            return eq1, None
+        d_s = gamma.delta_fraction(s)
+        lo2 = c_sq * d_s
+        return eq1, (float(lo2), _PI_SQ_4 / float(c_sq) * float(d_s), _least_double_at_least(lo2))
+
+    ns = sorted({int(d) for d in degrees})
+    for n in ns:
         if not 1 < n <= J.valid_length:
             raise DomainError(f"degree {n} outside (1, valid_length]")
+    zero_sets = _cached_zero_sets(J, ns, cache)
+    rows = []
+    for n in ns:
         s = n.bit_length()
-        m_n, pair, source, escalated = spacing_for_degree(fam, J, n, cache, mode)
-        d_lo = delta(s + 2)
-        d_hi = delta(s - 2)
-        lower1 = float(d_lo)
-        upper1 = _PI_SQ_4 * float(d_hi)
-        pass1 = (Fraction(m_n) >= d_lo) and (m_n <= upper1)
-        if c_frac is not None:
-            d_s = delta(s)
-            lo2_frac = c_sq * d_s
-            lower2 = float(lo2_frac)
-            upper2 = _PI_SQ_4 / float(c_sq) * float(d_s)
-            pass2 = (Fraction(m_n) >= lo2_frac) and (m_n <= upper2)
-        else:
+        m_n, pair, source, escalated = _spacing(fam, zero_sets[n], cache, mode)
+        (lower1, upper1, least1), eq2 = bounds(s)
+        pass1 = m_n >= least1 and m_n <= upper1
+        if eq2 is None:
             lower2 = upper2 = pass2 = None
+        else:
+            lower2, upper2, least2 = eq2
+            pass2 = m_n >= least2 and m_n <= upper2
         rows.append(SpacingRow(
             n=n, s=s, m_n=m_n,
             lower_eq1=lower1, upper_eq1=upper1,
@@ -542,8 +578,9 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     informational checks.
 
     One run-local cache holds the eigensolves and the dyadic zero and
-    critical sets, so each is computed once per call; interlacing is
-    checked one degree r at a time.
+    critical sets, so each is computed once per call; the spacing report
+    fills it with one batched eigensolve of degrees 2..n_max, and
+    interlacing is checked one degree r at a time.
     """
     if not 2 <= n_max <= J.valid_length:
         raise DomainError(f"n_max {n_max} outside [2, valid_length]")

@@ -253,6 +253,19 @@ class TestCriticalSet:
         with pytest.raises(DomainError):
             CriticalSet.from_zero_sets(zero_sets[1:])
 
+    def test_working_view_built_once(self):
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        zs = cp.exact_zeros(fam, 9, "auto")
+        ys = cp.critical_set(fam, 9, "auto")
+        for s in (zs, ys):
+            assert s.values is s.values
+            assert s.values.dtype == object and not s.values.flags.writeable
+            assert list(s.values) == list(s.points_dd)
+            assert np.array_equal(s.points, [float(v) for v in s.points_dd])
+            assert "values" not in repr(s)
+        double = cp.exact_zeros(fam, 3)
+        assert double.values is double.points
+
     def test_critical_points_avoid_level_set(self, fam_sixth):
         for n in range(1, 6):
             ys = cp.critical_set(fam_sixth, n)

@@ -15,6 +15,7 @@ from cantorpoly.geometry import (
     GammaSequence,
     Interval,
     all_branch_values,
+    branch_value_table,
     largest_gap,
     level_gaps,
     level_intervals,
@@ -361,6 +362,18 @@ class TestAllBranchValues:
             ctx.prec = prec
             assert all_branch_values(gamma, 9, 0.0, "dd") == want
             assert cp.exact_zeros(cp.MapFamily(gamma), 9, "dd").points_dd == tuple(sorted(want))
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_table_columns_are_the_single_passes(self, gamma_periodic, mode):
+        # one doubling over several parameters, in (word, parameter) order
+        ts = (0.0, 1.0, -1.0, 0.25)
+        for n in (1, 2, 5, 8):
+            table = branch_value_table(gamma_periodic, n, ts, mode)
+            assert table.shape == (2 ** n, len(ts))
+            for j, t in enumerate(ts):
+                assert list(table[:, j]) == list(all_branch_values(gamma_periodic, n, t, mode))
+        with pytest.raises(DomainError):
+            branch_value_table(gamma_periodic, 3, (0.0, 1.5))
 
     def test_dd_mode_agrees_with_double(self, gamma_sixth):
         vals_d = sorted(all_branch_values(gamma_sixth, 5, -1.0))

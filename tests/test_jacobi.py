@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 import cantorpoly as cp
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import _eigvals_lapack, moments, sign_alternation_ok
+from cantorpoly.jacobi import _eigvals_lapack, _gershgorin_prefix, moments, sign_alternation_ok
 
 from conftest import chebyshev_zeros_unit
 
@@ -344,6 +344,70 @@ class TestHalfSizeSplit:
             e = rng.uniform(0.05, 0.3, n - 1)
             direct = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
             assert np.array_equal(_eigvals_lapack(d, e), direct), n
+
+
+def _same_zero_set(a, b) -> bool:
+    return (a.degree == b.degree and a.provenance == b.provenance
+            and a.escalated == b.escalated and a.points_dd == b.points_dd
+            and a.points.dtype == b.points.dtype and a.points.tobytes() == b.points.tobytes())
+
+
+class TestEigenZeroSets:
+    """The batched eigensolve gives every degree the set it gets on its own."""
+
+    DEGREES = [64, 3, 2, 255, 17, 64, 128, 1, 3, 200]
+
+    @staticmethod
+    def _check(J, degrees):
+        got = cp.eigen_zero_sets(J, degrees)
+        assert list(got) == sorted(set(degrees))
+        for n, zs in got.items():
+            assert _same_zero_set(zs, cp.eigen_zeros(J, n)), n
+        return got
+
+    @pytest.mark.parametrize("desc", ["constant:1/6", "constant:1/4", "periodic:1/5,1/6",
+                                      "constant:0.05"])
+    def test_jacobi_for_gamma(self, desc):
+        J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.from_descriptor(desc)), 255)
+        self._check(J, self.DEGREES)
+        self._check(J, range(2, 256))
+
+    def test_non_constant_diagonal(self):
+        # spectrum of 0.5 + 0.95 (J - 0.5) moved by at most 0.01: inside (0, 1)
+        J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 255)
+        b = 0.5 + 0.01 * np.sin(np.arange(255.0) + 1.0)
+        self._check(cp.JacobiMatrix(0.95 * J.a, b), self.DEGREES)
+
+    def test_constant_run_then_varying_diagonal(self):
+        # degrees inside the constant leading run take the half-size path
+        # also when a larger degree in the same call does not
+        J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 255)
+        b = np.full(255, 0.5)
+        b[40:] += 0.01 * np.sin(np.arange(215.0) + 1.0)
+        got = self._check(cp.JacobiMatrix(0.95 * J.a, b), self.DEGREES + [40, 41])
+        assert got[17].points[8] == 0.5
+
+    def test_escalated_degree_in_a_batch(self):
+        J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
+        got = self._check(J, [4, 2, 3, 4])
+        assert got[4].escalated and not got[3].escalated
+
+    def test_gershgorin_prefix_is_each_truncation_alone(self):
+        rng = np.random.default_rng(11)
+        d = rng.uniform(0.2, 0.8, 40)
+        e = rng.uniform(-0.3, 0.3, 39)
+        lo, hi = _gershgorin_prefix(d, e)
+        for n in range(2, 41):
+            rad = np.zeros(n)
+            rad[:-1] += np.abs(e[: n - 1])
+            rad[1:] += np.abs(e[: n - 1])
+            assert lo[n - 2] == np.min(d[:n] - rad) and hi[n - 2] == np.max(d[:n] + rad), n
+
+    def test_degree_range(self, jacobi_sixth_small):
+        assert cp.eigen_zero_sets(jacobi_sixth_small, []) == {}
+        for bad in ([0, 4], [4, 17]):
+            with pytest.raises(DomainError):
+                cp.eigen_zero_sets(jacobi_sixth_small, bad)
 
 
 class TestGaussMeasure:

@@ -147,17 +147,19 @@ class TestBatchedInterlacing:
 class TestRunLocalCache:
     @staticmethod
     def _count_branch_passes(monkeypatch):
-        # every binding that reaches all_branch_values: exact_zeros, the
-        # branch lemma and largest_gap's level intervals
+        # every binding that reaches a branch doubling pass: exact_zeros and
+        # largest_gap's level intervals (all_branch_values), and the branch
+        # lemma (branch_value_table, t is then a tuple of parameters)
         calls = Counter()
-        for module in (exact, spacing, cp.geometry):
-            real = module.all_branch_values
+        for module, name in ((exact, "all_branch_values"), (cp.geometry, "all_branch_values"),
+                             (spacing, "branch_value_table")):
+            real = getattr(module, name)
 
             def counted(gamma, n, t, mode="double", _real=real, _where=module.__name__):
                 calls[(_where, n, t, mode)] += 1
                 return _real(gamma, n, t, mode)
 
-            monkeypatch.setattr(module, "all_branch_values", counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_each_dyadic_level_built_once_per_run(self, monkeypatch, fam_sixth):
@@ -264,12 +266,12 @@ class TestVerifyOps:
     def test_branch_lemma_checks_both_endpoints(self, fam_sixth, monkeypatch, side):
         # collapse one endpoint family onto the zeros: each of its words
         # then has separation 0 < chain and must be counted as a failure
-        real = spacing.all_branch_values
+        real = spacing.branch_value_table
 
-        def collapsed(gamma, n, t, mode):
-            return real(gamma, n, 0.0 if t == side else t, mode)
+        def collapsed(gamma, n, ts, mode):
+            return real(gamma, n, [0.0 if t == side else t for t in ts], mode)
 
-        monkeypatch.setattr(spacing, "all_branch_values", collapsed)
+        monkeypatch.setattr(spacing, "branch_value_table", collapsed)
         entry = cp.verify_branch_lemma(fam_sixth, 3)
         assert not entry.passed
         assert entry.detail["chain_failures"] == 8
@@ -342,6 +344,109 @@ class TestSpacingReport:
         assert row.margin_lo == pytest.approx(row.m_n / row.lower_eq1)
         assert row.margin_hi == pytest.approx(row.upper_eq1 / row.m_n)
         assert row.margin_lo >= 1.0 and row.margin_hi >= 1.0
+
+
+def _reference_rows(fam, J, degrees, c):
+    """Rows built one degree at a time, with exact rational lower-bound verdicts."""
+    gamma = fam.gamma
+    rows = []
+    for n in degrees:
+        zs = cp.eigen_zeros(J, n)
+        m_n, pair = spacing._min_gap_with_index(zs)
+        source = "eigensolve"
+        if n & (n - 1) == 0:
+            m_exact, pair_exact = spacing._min_gap_with_index(
+                cp.exact_zeros(fam, n.bit_length() - 1, "auto"))
+            assert abs(m_exact - m_n) <= 1e-9
+            m_n, pair, source = m_exact, pair_exact, "both"
+        s = n.bit_length()
+        d_lo, d_hi = gamma.delta_fraction(s + 2), gamma.delta_fraction(s - 2)
+        lower1, upper1 = float(d_lo), PI_SQ_4 * float(d_hi)
+        lower2 = upper2 = pass2 = None
+        if c is not None:
+            lo2 = c * c * gamma.delta_fraction(s)
+            lower2 = float(lo2)
+            upper2 = PI_SQ_4 / float(c * c) * float(gamma.delta_fraction(s))
+            pass2 = Fraction(m_n) >= lo2 and m_n <= upper2
+        rows.append(SpacingRow(
+            n=n, s=s, m_n=m_n, lower_eq1=lower1, upper_eq1=upper1,
+            lower_eq2=lower2, upper_eq2=upper2,
+            pass_eq1=Fraction(m_n) >= d_lo and m_n <= upper1, pass_eq2=pass2,
+            margin_lo=m_n / lower1, margin_hi=upper1 / m_n,
+            source=source, min_pair=(pair, pair + 1), escalated=zs.escalated))
+    return tuple(rows)
+
+
+class TestBatchedReport:
+    """spacing_report solves all degrees at once and decides bounds per octave."""
+
+    @pytest.mark.parametrize("desc, c, degrees", [
+        ("constant:1/6", Fraction(1, 6), range(2, 257)),
+        ("constant:1/4", Fraction(1, 4), range(2, 257)),
+        ("periodic:1/5,1/6", Fraction(1, 6), range(2, 257)),
+        ("list:1/4,1/1000", None, range(54, 57)),
+    ])
+    def test_rows_match_per_degree_reference(self, desc, c, degrees):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        J = cp.jacobi_for_gamma(fam, degrees[-1])
+        report = cp.spacing_report(fam, J, degrees, c=c)
+        want = _reference_rows(fam, J, degrees, c)
+        assert report.rows == want
+        assert [r.m_n.hex() for r in report.rows] == [r.m_n.hex() for r in want]
+        assert report.escalated_degrees == ((55,) if desc.startswith("list") else ())
+
+    def test_cache_solves_only_missing_degrees(self, monkeypatch, fam_sixth, jacobi_sixth_small):
+        J = jacobi_sixth_small
+        requested = []
+        real = spacing.eigen_zero_sets
+
+        def counted(J, degrees):
+            requested.append(sorted(degrees))
+            return real(J, degrees)
+
+        monkeypatch.setattr(spacing, "eigen_zero_sets", counted)
+        cache = {n: cp.eigen_zeros(J, n) for n in (3, 8, 13)}
+        held = dict(cache)
+        report = cp.spacing_report(fam_sixth, J, [16, 2, 3, 8, 9, 13, 2], c=Fraction(1, 6),
+                                   cache=cache)
+        assert requested == [[2, 9, 16]]
+        assert all(cache[n] is zs for n, zs in held.items())
+        assert sorted(k for k in cache if isinstance(k, int)) == [2, 3, 8, 9, 13, 16]
+        uncached = cp.spacing_report(fam_sixth, J, [2, 3, 8, 9, 13, 16], c=Fraction(1, 6))
+        assert report.rows == uncached.rows
+        # a second report over held degrees solves nothing
+        requested.clear()
+        cp.spacing_report(fam_sixth, J, [3, 9], cache=cache)
+        assert requested == []
+
+
+@st.composite
+def _tiny_to_moderate_fractions(draw):
+    # q = (a / b) * 2^-e reaches from ~2^60 down past the smallest
+    # subnormal, 2^-1074, where float(q) rounds to 0
+    a = draw(st.integers(1, 2 ** 60))
+    b = draw(st.integers(1, 2 ** 60))
+    return Fraction(a, b) / 2 ** draw(st.integers(0, 1200))
+
+
+class TestLeastDoubleAtLeast:
+    @given(q=_tiny_to_moderate_fractions(), steps=st.integers(-2, 2))
+    @settings(max_examples=400, deadline=None)
+    def test_decides_like_the_rational(self, q, steps):
+        t = spacing._least_double_at_least(q)
+        assert Fraction(t) >= q
+        m = float(q)
+        for _ in range(abs(steps)):
+            m = math.nextafter(m, math.copysign(math.inf, steps))
+        assert (m >= t) == (Fraction(m) >= q)
+
+    def test_edge_cases(self):
+        smallest = math.ulp(0.0)
+        assert spacing._least_double_at_least(Fraction(1, 2 ** 1100)) == smallest
+        assert spacing._least_double_at_least(Fraction(1, 2 ** 1074)) == smallest
+        assert spacing._least_double_at_least(Fraction(3, 8)) == 0.375
+        third = spacing._least_double_at_least(Fraction(1, 3))
+        assert Fraction(third) > Fraction(1, 3) > Fraction(math.nextafter(third, 0.0))
 
 
 class TestFullVerification:
