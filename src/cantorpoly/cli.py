@@ -38,8 +38,6 @@ EXIT_NUMERICAL = 1
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
-_PRECISION_ALIASES = {"double": "double", "double-double": "dd", "dd": "dd", "auto": "auto"}
-
 
 @dataclass
 class RunConfig:
@@ -48,7 +46,7 @@ class RunConfig:
     levels: int = 6
     degree_max: int = 64
     depth: int = 10
-    precision: str = "double"
+    precision: str = "auto"
     c: str | None = None
     out: str = "."
     tol_zero: float | None = None
@@ -67,12 +65,8 @@ class RunConfig:
             )
         if self.tol_zero is not None and self.tol_zero <= 0:
             raise DomainError("tol_zero must be positive")
-        if self.precision not in _PRECISION_ALIASES:
-            raise DomainError(f"unknown precision mode {self.precision!r}")
-
-    @property
-    def mode(self) -> str:
-        return _PRECISION_ALIASES[self.precision]
+        if self.precision != "auto":
+            raise DomainError(f"unknown precision mode {self.precision!r} (only 'auto')")
 
     def gamma_sequence(self) -> GammaSequence:
         return GammaSequence.from_descriptor(self.gamma)
@@ -102,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree-max", type=int, dest="degree_max")
     parser.add_argument("--depth", type=int,
                         help="depth bound N: degree-max must not exceed 2^(N-2)")
-    parser.add_argument("--precision", choices=sorted(_PRECISION_ALIASES))
+    parser.add_argument("--precision", help="only 'auto' (decimal once delta_n < 1e-12)")
     parser.add_argument("--c", help="declared lower bound for the gamma values")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--tol-zero", type=float, dest="tol_zero")
@@ -151,11 +145,11 @@ def cmd_geometry(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     rows = [(level, index, iv.lo, iv.hi)
             for level in range(cfg.levels + 1)
-            for index, iv in enumerate(level_intervals(gamma, level, cfg.mode), start=1)]
+            for index, iv in enumerate(level_intervals(gamma, level), start=1)]
     # level 0 always has its one interval, so the transpose has four columns
     write_csv(out / "intervals.csv", ["level", "index", "lo", "hi"], list(zip(*rows)))
     write_csv(out / "scales.csv", ["s", "delta_s", "l_1s", "ratio"],
-              list(zip(*scale_rows(gamma, cfg.levels, cfg.mode))))
+              list(zip(*scale_rows(gamma, cfg.levels))))
     write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 
@@ -179,7 +173,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     eps = sys.float_info.epsilon
     zero_sets = []
     for m in range(1, top_m + 1):
-        zs = exact_zeros(fam, m, cfg.mode)
+        zs = exact_zeros(fam, m)
         residuals = abs(monic_opoly_exact(fam, m, zs.points))
         tol = cfg.tol_zero if cfg.tol_zero is not None else \
             2 ** m * eps * max(1.0, float(abs(monic_opoly_exact(fam, m, _sample_grid(m))).max()))
@@ -208,10 +202,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.jacobi_file:
         with open(cfg.jacobi_file) as fh:
             J = JacobiMatrix.from_csv(fh.read())
-        if J.valid_length < cfg.degree_max:
-            raise DomainError(
-                f"jacobi file certifies {J.valid_length} < degree-max {cfg.degree_max}"
-            )
+        if J.b.size < cfg.degree_max:
+            raise DomainError(f"jacobi file holds {J.b.size} < degree-max {cfg.degree_max}")
     else:
         J = jacobi_for_gamma(fam, cfg.degree_max)
     c = cfg.c if cfg.c is None else _as_fraction(cfg.c)

@@ -74,8 +74,16 @@ class _PointSet:
     points_dd; points is then only their double view, where neighbours
     may tie and extreme points may round to 0 or 1. values holds the
     points in the working precision: points itself, or a read-only object
-    array of the Decimals, built once here.
+    array of the Decimals, built once here. Two sets are equal when they
+    are of one type and their values are equal point for point.
     """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)  # False on a size mismatch
 
     def _validate(self, count: int, what: str) -> np.ndarray:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -92,7 +100,7 @@ class _PointSet:
         return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroSet(_PointSet):
     """Sorted zeros of one orthogonal polynomial, strictly inside (0, 1).
 
@@ -103,9 +111,9 @@ class ZeroSet(_PointSet):
     degree: int
     points: np.ndarray
     provenance: str
-    escalated: bool = field(default=False, compare=False)
-    points_dd: tuple | None = field(default=None, compare=False)
-    values: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    escalated: bool = False
+    points_dd: tuple | None = None
+    values: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vals = self._validate(self.degree, "zeros")
@@ -118,7 +126,7 @@ class ZeroSet(_PointSet):
         return self.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSet(_PointSet):
     """Sorted critical points of F_n: the 2^n - 1 zeros of its derivative.
 
@@ -128,8 +136,8 @@ class CriticalSet(_PointSet):
 
     level: int
     points: np.ndarray
-    points_dd: tuple | None = field(default=None, compare=False)
-    values: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    points_dd: tuple | None = None
+    values: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._validate(2 ** self.level - 1, "critical points")
@@ -191,7 +199,7 @@ def monic_opoly_exact(fam: MapFamily, m: int, z):
     return p
 
 
-def exact_zeros(fam: MapFamily, m: int, mode: str = "double") -> ZeroSet:
+def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
     """The 2^m zeros of the degree-2^m orthogonal polynomial.
 
     They are the preimages of 0 under F_m, i.e. the branch values at t = 0
@@ -210,7 +218,7 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "double") -> ZeroSet:
                    provenance="exact-branch", points_dd=tuple(vals))
 
 
-def critical_set(fam: MapFamily, n: int, mode: str = "double") -> CriticalSet:
+def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
     """Critical points of F_n: {1/2} together with all shallower zero sets.
 
     The chain rule factors F_n' over f_1' (vanishing at 1/2) and

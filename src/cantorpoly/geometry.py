@@ -10,10 +10,11 @@ composed from the inside out with per-level scale factors gamma_k. The
 fundamental scale of level s is delta_s = gamma_1 * ... * gamma_s.
 
 Every function here is pure and works on floats, numpy arrays or
-Decimals; the ``mode`` argument of the higher-level operations selects
-"double", "dd" (extended precision, on stdlib ``decimal``, in the
-private context ``GammaSequence.context(depth)``), or "auto", which
-switches to "dd" once delta at the requested depth drops below 1e-12.
+Decimals. The ``mode`` argument of the higher-level operations is
+"auto" (the default): double while delta at the requested depth is at
+least 1e-12, below it extended precision (stdlib ``decimal``, in the
+private context ``GammaSequence.context(depth)``); or "dd", always
+extended. No mode forces double: the zero spacing falls with delta.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class GammaSequence:
             return self.values[min(k, len(self.values)) - 1]
         return self.values[(k - 1) % len(self.values)]
 
-    def gamma(self, k: int, mode: str = "double") -> Scalar:
+    def gamma(self, k: int, mode: str = "auto") -> Scalar:
         with localcontext(self.context(k)):
-            return _scalar(self.value(k), mode)
+            return _scalar(self.value(k), self.resolve_mode(k, mode))
 
     def delta_fraction(self, s: int) -> Fraction:
         if s < 0:
@@ -142,19 +143,21 @@ class GammaSequence:
             out *= self.value(k)
         return out
 
-    def delta(self, s: int, mode: str = "double") -> Scalar:
+    def delta(self, s: int, mode: str = "auto") -> Scalar:
         with localcontext(self.context(s)):
-            return _scalar(self.delta_fraction(s), mode)
+            return _scalar(self.delta_fraction(s), self.resolve_mode(s, mode))
 
     def infimum(self) -> Fraction:
         """inf over k of gamma_k; exact because the descriptor is finite."""
         return min(self.values)
 
     def resolve_mode(self, depth: int, mode: str) -> str:
+        """The working precision, "double" or "dd": "auto" is "dd" once
+        delta_depth < 1e-12; any mode but "auto" and "dd" raises."""
         if mode == "auto":
             return "dd" if float(self.delta_fraction(depth)) < _AUTO_EXTENDED_THRESHOLD else "double"
-        if mode not in ("double", "dd"):
-            raise DomainError(f"unknown precision mode {mode!r}")
+        if mode != "dd":
+            raise DomainError(f"unknown precision mode {mode!r} (use 'auto' or 'dd')")
         return mode
 
     def context(self, depth: int) -> Context:
@@ -329,7 +332,7 @@ def _pull(g: Fraction, v, reflected: bool, mode: str):
     return two_g * v / (1 + np.sqrt(1 - four_g * v))
 
 
-def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "double"):
+def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "auto"):
     """Evaluate g_1(gamma_1 * g_2(... gamma_{n-1} * g_n(t_inner))).
 
     Each g_k is u (letter L) or 1 - u (letter R); t_inner must lie in
@@ -346,7 +349,7 @@ def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "double"
         return 1 - v if w.letters[0] == "R" else v
 
 
-def branch_value(gamma: GammaSequence, word, t, mode: str = "double"):
+def branch_value(gamma: GammaSequence, word, t, mode: str = "auto"):
     """Value of the composed inverse branch addressed by ``word`` at t.
 
     t ranges over [-1, 1]; the innermost substitution is
@@ -359,7 +362,7 @@ def branch_value(gamma: GammaSequence, word, t, mode: str = "double"):
     return branch_composition(gamma, w, t_inner, mode)
 
 
-def basic_interval(gamma: GammaSequence, word, mode: str = "double") -> Interval:
+def basic_interval(gamma: GammaSequence, word, mode: str = "auto") -> Interval:
     """The level-n basic interval addressed by a word of length n."""
     a = branch_value(gamma, word, 1.0, mode)
     b = branch_value(gamma, word, -1.0, mode)
@@ -381,7 +384,7 @@ def _all_compositions(gamma: GammaSequence, n: int, t_inner: np.ndarray, mode: s
     return np.concatenate([v, 1 - v])
 
 
-def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "double") -> np.ndarray:
+def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "auto") -> np.ndarray:
     """branch_value over every word of length n and every t in ts.
 
     One row per word in word-bit order and one column per t, from one
@@ -398,24 +401,23 @@ def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "double") -
         return _all_compositions(gamma, n, t_inner, mode).reshape(-1, len(ts))
 
 
-def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "double"):
+def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"):
     """branch_value over every word of length n, in word-bit order (a list if extended)."""
     x = branch_value_table(gamma, n, (t,), mode)[:, 0]
     return x.tolist() if x.dtype == object else x
 
 
-def level_intervals(gamma: GammaSequence, n: int, mode: str = "double") -> list[Interval]:
+def level_intervals(gamma: GammaSequence, n: int, mode: str = "auto") -> list[Interval]:
     """All 2^n level-n basic intervals, sorted left to right."""
     if n == 0:
         return [Interval(0.0, 1.0)]
-    left = all_branch_values(gamma, n, 1.0, mode)
-    right = all_branch_values(gamma, n, -1.0, mode)
-    ivs = [Interval(a, b) if a < b else Interval(b, a) for a, b in zip(left, right)]
+    ends = branch_value_table(gamma, n, (1.0, -1.0), mode)
+    ivs = [Interval(a, b) if a < b else Interval(b, a) for a, b in ends]
     ivs.sort(key=lambda iv: iv.lo)
     return ivs
 
 
-def level_gaps(gamma: GammaSequence, n: int, mode: str = "double") -> list[tuple]:
+def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
     """The 2^n open gaps removed inside the level-n parents.
 
     Derived from the level-(n+1) intervals rather than stored; entries are
@@ -428,7 +430,7 @@ def level_gaps(gamma: GammaSequence, n: int, mode: str = "double") -> list[tuple
 
 def largest_gap(gamma: GammaSequence, n: int) -> float:
     """Length of the widest gap of the level-n set."""
-    ivs = level_intervals(gamma, n, "auto")
+    ivs = level_intervals(gamma, n)
     if len(ivs) == 1:
         return 0.0
     return max(float(ivs[i + 1].lo) - float(ivs[i].hi) for i in range(len(ivs) - 1))
@@ -438,12 +440,12 @@ def largest_gap(gamma: GammaSequence, n: int) -> float:
 # scale quantities
 # ---------------------------------------------------------------------------
 
-def delta(gamma: GammaSequence, s: int, mode: str = "double") -> Scalar:
+def delta(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
     """The level-s scale delta_s = gamma_1 * ... * gamma_s (delta_0 = 1)."""
     return gamma.delta(s, mode)
 
 
-def leftmost_length(gamma: GammaSequence, s: int, mode: str = "double") -> Scalar:
+def leftmost_length(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
     """Length of the leftmost level-s basic interval (1 for s = 0).
 
     Equals the fully nested kernel value u(gamma_1 * u(... * u(gamma_s)))
@@ -456,11 +458,11 @@ def leftmost_length(gamma: GammaSequence, s: int, mode: str = "double") -> Scala
     return branch_composition(gamma, BranchWord.leftmost(s), gamma.value(s), mode)
 
 
-def scale_rows(gamma: GammaSequence, s_max: int, mode: str = "double") -> list[tuple]:
+def scale_rows(gamma: GammaSequence, s_max: int, mode: str = "auto") -> list[tuple]:
     """(s, delta_s, l_{1,s}, ratio) rows for s = 0 .. s_max."""
     rows = []
     for s in range(s_max + 1):
-        d = gamma.delta(s, gamma.resolve_mode(s, mode))
+        d = gamma.delta(s, mode)
         l = leftmost_length(gamma, s, mode)
         rows.append((s, d, l, float(l) / float(d)))
     return rows

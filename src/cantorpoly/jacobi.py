@@ -28,7 +28,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -95,26 +95,21 @@ class DiscreteMeasure:
 class JacobiMatrix:
     """Recurrence coefficients b_1..b_K (diagonal) and a_1..a_{K-1}.
 
-    valid_length is the number of certified coefficients: P_n can be
-    evaluated and eigensolved for n <= valid_length. a_K does not exist
-    at the truncation limit K = node count, hence the one-shorter array.
+    Every coefficient held is certified, so P_n can be evaluated and
+    eigensolved for n <= K = b.size. a_K does not exist at the truncation
+    limit K = node count, hence the one-shorter array.
     """
 
     a: np.ndarray
     b: np.ndarray
-    valid_length: int = field(default=-1)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if self.valid_length == -1:
-            object.__setattr__(self, "valid_length", b.size)
         if a.size != b.size - 1:
             raise DomainError("need exactly one fewer off-diagonal than diagonal entries")
-        if not 1 <= self.valid_length <= b.size:
-            raise DomainError("valid_length out of range")
         if not np.all((a > 0) & (a < 1)):
             raise DomainError("off-diagonal coefficients must lie in (0, 1)")
         if not np.all((b > 0) & (b < 1)):
@@ -175,8 +170,8 @@ def stieltjes_lanczos(measure: DiscreteMeasure, K: int) -> JacobiMatrix:
     Lanczos on diag(nodes) started from sqrt(weights), with two-pass full
     reorthogonalization. With K equal to the node count the recovered
     matrix reproduces the measure's own Gauss rule. A collapsed norm
-    (orthogonality exhausted) truncates the output, with valid_length set
-    to the last safe index.
+    (orthogonality exhausted) truncates the output after the last safe
+    index, so it may hold fewer than K coefficients.
     """
     x = measure.nodes
     w = measure.weights
@@ -206,7 +201,7 @@ def stieltjes_lanczos(measure: DiscreteMeasure, K: int) -> JacobiMatrix:
         a[k] = beta
         Q[k + 1] = v / beta
         beta_prev = beta
-    return JacobiMatrix(a[: max(kept - 1, 0)], b[:kept], valid_length=kept)
+    return JacobiMatrix(a[: max(kept - 1, 0)], b[:kept])
 
 
 def jacobi_for_gamma(fam: MapFamily, K: int) -> JacobiMatrix:
@@ -268,8 +263,8 @@ def jacobi_for_gamma(fam: MapFamily, K: int) -> JacobiMatrix:
 
 def opoly_eval(J: JacobiMatrix, n: int, x):
     """Monic P_n(x) by the three-term recurrence; accepts scalars or arrays."""
-    if not 0 <= n <= J.valid_length:
-        raise DomainError(f"degree {n} exceeds certified length {J.valid_length}")
+    if not 0 <= n <= J.b.size:
+        raise DomainError(f"degree {n} exceeds the {J.b.size} coefficients")
     p_prev = np.zeros_like(np.asarray(x, dtype=float))
     p = np.ones_like(p_prev)
     for k in range(n):
@@ -417,8 +412,8 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     """
     ns = sorted({int(n) for n in degrees})
     for n in ns:
-        if not 1 <= n <= J.valid_length:
-            raise DomainError(f"degree {n} exceeds certified length {J.valid_length}")
+        if not 1 <= n <= J.b.size:
+            raise DomainError(f"degree {n} exceeds the {J.b.size} coefficients")
     if not ns:
         return {}
     N = ns[-1]
@@ -478,8 +473,8 @@ def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
     polynomial of degree <= 2r - 1 exactly against the moment functional
     of J.
     """
-    if not 1 <= r <= J.valid_length:
-        raise DomainError(f"rule size {r} exceeds certified length {J.valid_length}")
+    if not 1 <= r <= J.b.size:
+        raise DomainError(f"rule size {r} exceeds the {J.b.size} coefficients")
     if r == 1:
         return DiscreteMeasure(np.array([J.b[0]]), np.array([1.0]))
     _, vecs = np.linalg.eigh(_tridiagonal(J.b[:r], J.a[: r - 1]))
@@ -496,22 +491,18 @@ def moments(J: JacobiMatrix, max_degree: int) -> np.ndarray:
     """Power moments of the measure represented by J, degrees 0..max_degree.
 
     Computed as the top-left entries of powers of the Jacobi truncation;
-    exact (up to rounding) while max_degree <= 2 * valid_length - 1.
+    exact (up to rounding) while max_degree <= 2 K - 1, K = b.size.
     """
-    if max_degree > 2 * J.valid_length - 1:
+    if max_degree > 2 * J.b.size - 1:
         raise DomainError("moment degree exceeds what the truncation determines")
-    size = J.valid_length
-    b = J.b[:size]
-    asq = J.a[: size - 1] ** 2
-    v = np.zeros(size)
+    v = np.zeros(J.b.size)
     v[0] = 1.0
     out = np.empty(max_degree + 1)
     out[0] = 1.0
     for j in range(1, max_degree + 1):
-        nxt = b * v
-        if size > 1:
-            nxt[:-1] += J.a[: size - 1] * v[1:]
-            nxt[1:] += J.a[: size - 1] * v[:-1]
+        nxt = J.b * v
+        nxt[:-1] += J.a * v[1:]
+        nxt[1:] += J.a * v[:-1]
         v = nxt
         out[j] = v[0]
     return out

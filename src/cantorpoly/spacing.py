@@ -59,6 +59,13 @@ _TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 # a separation keeps it as an absolute error, so the tie cushion is
 # absolute; 1e-29 sits far below every genuine scale in range
 _TIE_CUSHION = Decimal("1e-29")
+# the sizes of a full verification: seeded (l, m, n) samples of the
+# interlacing distance bound, the critical-set bound for k' < k <= 5,
+# the branch lemma at levels 1..8, at-most-one interlacing to degree 64
+_TEO1_SAMPLES = 50
+_TM_MAX_K = 5
+_RORO_MAX_LEVEL = 8
+_INTERLACING_MAX = 64
 
 
 def _scales_ok(chain, l_next, d_next) -> bool:
@@ -233,8 +240,8 @@ def verify_interlacing_bound(J: JacobiMatrix, l: int, m: int, n: int,
     """d(Z_l, Z_m) <= M_n for degrees l > m > n > 1."""
     if not l > m > n > 1:
         raise DomainError(f"need l > m > n > 1, got {(l, m, n)}")
-    if l > J.valid_length:
-        raise DomainError(f"degree {l} exceeds certified length {J.valid_length}")
+    if l > J.b.size:
+        raise DomainError(f"degree {l} exceeds the {J.b.size} coefficients")
     zl = _cached_zeros(J, l, cache)
     zm = _cached_zeros(J, m, cache)
     zn = _cached_zeros(J, n, cache)
@@ -250,7 +257,7 @@ def verify_interlacing_bound(J: JacobiMatrix, l: int, m: int, n: int,
 
 
 def verify_critical_bound(fam: MapFamily, k: int, k_prime: int,
-                          mode: str = "auto", cache: dict | None = None) -> ReportEntry:
+                          cache: dict | None = None) -> ReportEntry:
     """d(Z, Y) <= d(Z, Z') on the exact dyadic sets.
 
     Z and Y are the zero and critical sets at level 1 + k, Z' the zero set
@@ -258,9 +265,9 @@ def verify_critical_bound(fam: MapFamily, k: int, k_prime: int,
     """
     if not k > k_prime >= 0:
         raise DomainError(f"need k > k' >= 0, got {(k, k_prime)}")
-    z = _cached_exact_zeros(fam, 1 + k, mode, cache)
-    y = _cached_critical_set(fam, 1 + k, mode, cache)
-    zp = _cached_exact_zeros(fam, 1 + k_prime, mode, cache)
+    z = _cached_exact_zeros(fam, 1 + k, cache)
+    y = _cached_critical_set(fam, 1 + k, cache)
+    zp = _cached_exact_zeros(fam, 1 + k_prime, cache)
     lhs = set_distance(z, y)
     rhs = set_distance(z, zp)
     return ReportEntry(
@@ -281,8 +288,8 @@ def verify_second_neighbor_bound(J: JacobiMatrix, r: int, n: int,
     """
     if not (r > 1 and r >= n >= 1):
         raise DomainError(f"need r > 1 and r >= n >= 1, got {(r, n)}")
-    if r > J.valid_length:
-        raise DomainError(f"degree {r} exceeds certified length {J.valid_length}")
+    if r > J.b.size:
+        raise DomainError(f"degree {r} exceeds the {J.b.size} coefficients")
     zr = _cached_zeros(J, r, cache)
     zn = _cached_zeros(J, n, cache)
     aug = np.concatenate([[0], _points(zn), [1]])
@@ -358,8 +365,7 @@ def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> Re
         failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= _TIE_CUSHION))
     min_sep = float(min(seps))
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
-    dzy = set_distance(_cached_exact_zeros(fam, n, "auto", cache),
-                       _cached_critical_set(fam, n, "auto", cache))
+    dzy = set_distance(_cached_exact_zeros(fam, n, cache), _cached_critical_set(fam, n, cache))
     chain_ok = failures == 0
     dzy_ok = dzy >= min_sep
     return ReportEntry(
@@ -399,16 +405,16 @@ def _cached_zeros(J: JacobiMatrix, n: int, cache: dict | None) -> ZeroSet:
     return _cached_zero_sets(J, (n,), cache)[n]
 
 
-def _cached_exact_zeros(fam: MapFamily, m: int, mode: str, cache: dict | None) -> ZeroSet:
-    return _memo(cache, ("exact", m, mode), lambda: exact_zeros(fam, m, mode))
+def _cached_exact_zeros(fam: MapFamily, m: int, cache: dict | None) -> ZeroSet:
+    return _memo(cache, ("exact", m), lambda: exact_zeros(fam, m))
 
 
-def _cached_critical_set(fam: MapFamily, n: int, mode: str, cache: dict | None) -> CriticalSet:
+def _cached_critical_set(fam: MapFamily, n: int, cache: dict | None) -> CriticalSet:
     """{1/2} together with the (cached) zero sets of levels 1..n-1."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    return _memo(cache, ("critical", n, mode), lambda: CriticalSet.from_zero_sets(
-        _cached_exact_zeros(fam, k, mode, cache) for k in range(1, n)))
+    return _memo(cache, ("critical", n), lambda: CriticalSet.from_zero_sets(
+        _cached_exact_zeros(fam, k, cache) for k in range(1, n)))
 
 
 def _dyadic_exponent(n: int) -> int | None:
@@ -417,23 +423,18 @@ def _dyadic_exponent(n: int) -> int | None:
     return None
 
 
-def spacing_for_degree(fam: MapFamily, J: JacobiMatrix, n: int,
-                       cache: dict | None = None, mode: str = "auto"):
+def _spacing(fam: MapFamily, zs: ZeroSet, cache: dict | None):
     """M_n with provenance: exact at dyadic degrees, eigensolve elsewhere.
 
     At dyadic degrees both routes are computed and cross-checked before
     the exact value is used.
     """
-    return _spacing(fam, _cached_zeros(J, n, cache), cache, mode)
-
-
-def _spacing(fam: MapFamily, zs: ZeroSet, cache: dict | None, mode: str):
     n = zs.degree
     m_eig, pair = _min_gap_with_index(zs)
     m = _dyadic_exponent(n)
     if m is None:
         return m_eig, pair, "eigensolve", zs.escalated
-    m_exact, pair_exact = _min_gap_with_index(_cached_exact_zeros(fam, m, mode, cache))
+    m_exact, pair_exact = _min_gap_with_index(_cached_exact_zeros(fam, m, cache))
     if abs(m_exact - m_eig) > _EXACT_VS_EIGEN_TOL:
         raise DomainError(
             f"exact and eigensolve spacing disagree at degree {n}: "
@@ -449,8 +450,7 @@ def _least_double_at_least(q: Fraction) -> float:
 
 
 def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
-                   cache: dict | None = None, mode: str = "auto",
-                   metadata: dict | None = None) -> SpacingReport:
+                   cache: dict | None = None, metadata: dict | None = None) -> SpacingReport:
     """Spacing rows for the requested degrees, with bound verdicts.
 
     All degrees come from one batched eigensolve (with a cache, of the
@@ -484,13 +484,13 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
 
     ns = sorted({int(d) for d in degrees})
     for n in ns:
-        if not 1 < n <= J.valid_length:
-            raise DomainError(f"degree {n} outside (1, valid_length]")
+        if not 1 < n <= J.b.size:
+            raise DomainError(f"degree {n} outside (1, {J.b.size}]")
     zero_sets = _cached_zero_sets(J, ns, cache)
     rows = []
     for n in ns:
         s = n.bit_length()
-        m_n, pair, source, escalated = _spacing(fam, zero_sets[n], cache, mode)
+        m_n, pair, source, escalated = _spacing(fam, zero_sets[n], cache)
         (lower1, upper1, least1), eq2 = bounds(s)
         pass1 = m_n >= least1 and m_n <= upper1
         if eq2 is None:
@@ -509,8 +509,7 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     meta = {
         "gamma": gamma.descriptor(),
         "c": None if c_frac is None else str(c_frac),
-        "valid_length": J.valid_length,
-        "precision_mode": mode,
+        "valid_length": J.b.size,
     }
     if metadata:
         meta.update(metadata)
@@ -570,20 +569,18 @@ def _interlacing_violations(sets: dict) -> list[tuple[int, int]]:
 
 
 def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
-                      c=None, seed: int = 20240601, teo1_samples: int = 50,
-                      roro_max_level: int = 8,
-                      tm_max_k: int = 5, interlacing_max: int = 64,
+                      c=None, seed: int = 20240601,
                       metadata: dict | None = None) -> VerificationResult:
     """Run every verified inequality up to degree n_max plus the
-    informational checks.
+    informational checks, at the module's fixed sizes.
 
     One run-local cache holds the eigensolves and the dyadic zero and
     critical sets, so each is computed once per call; the spacing report
     fills it with one batched eigensolve of degrees 2..n_max, and
     interlacing is checked one degree r at a time.
     """
-    if not 2 <= n_max <= J.valid_length:
-        raise DomainError(f"n_max {n_max} outside [2, valid_length]")
+    if not 2 <= n_max <= J.b.size:
+        raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
     rng = np.random.default_rng(seed)
     cache: dict = {}
     entries: list[ReportEntry] = []
@@ -592,13 +589,13 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                             metadata=metadata)
 
     if n_max >= 4:
-        for _ in range(teo1_samples):
+        for _ in range(_TEO1_SAMPLES):
             l = int(rng.integers(4, n_max + 1))
             m = int(rng.integers(3, l))
             n = int(rng.integers(2, m))
             entries.append(verify_interlacing_bound(J, l, m, n, cache))
 
-    for k in range(1, tm_max_k + 1):
+    for k in range(1, _TM_MAX_K + 1):
         for k_prime in range(k):
             entries.append(verify_critical_bound(fam, k, k_prime, cache=cache))
 
@@ -608,10 +605,10 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     for r, n in uuu_pairs:
         entries.append(verify_second_neighbor_bound(J, r, n, cache))
 
-    for n in range(1, roro_max_level + 1):
+    for n in range(1, _RORO_MAX_LEVEL + 1):
         entries.append(verify_branch_lemma(fam, n, cache))
 
-    top = min(interlacing_max, n_max)
+    top = min(_INTERLACING_MAX, n_max)
     violations = _interlacing_violations({r: _cached_zeros(J, r, cache) for r in range(2, top + 1)})
     entries.append(ReportEntry(
         check="interlacing_at_most_one",
@@ -645,7 +642,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     dyadic = []
     m = 1
     while 2 ** m <= n_max:
-        dyadic.append(min_spacing(_cached_exact_zeros(fam, m, "auto", cache)))
+        dyadic.append(min_spacing(_cached_exact_zeros(fam, m, cache)))
         m += 1
     collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
     entries.append(ReportEntry(

@@ -144,7 +144,7 @@ def test_criterion_09_leftmost_length_bounds(gamma_sixth, gamma_periodic):
     sequences = (gamma_sixth, gamma_periodic, cp.GammaSequence.constant("0.24"))
     for gamma in sequences:
         for s in range(0, 25):
-            mode = "dd" if s > 14 else "double"
+            mode = "dd" if s > 14 else "auto"  # auto is double up to s = 14 here
             d = gamma.delta_fraction(s)
             l = cp.leftmost_length(gamma, s, mode)
             if mode == "dd":

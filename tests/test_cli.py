@@ -140,9 +140,10 @@ class TestZerosCommand:
 
     def test_tiny_gamma_zeros_need_more_than_34_digits(self, tmp_path):
         # at gamma = 0.001 the zeros of degree 4096 lie within 1e-36 of 0 and
-        # 1; they are written at the 52 digits the precision rule gives m = 12
+        # 1; they are written at the 52 digits the precision rule gives m = 12,
+        # with no --precision flag
         rc = main(["zeros", "--gamma", "constant:0.001", "--degree-max", "4096",
-                   "--depth", "14", "--precision", "auto", "--out", str(tmp_path)])
+                   "--depth", "14", "--out", str(tmp_path)])
         assert rc == 0
         names = [f"zeros_d{2 ** m}.csv" for m in range(1, 13)] + ["critical_l12.csv"]
         for name in names:
@@ -303,7 +304,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "0755ea5f775530d83d9dd2a0c5ad33da837e606dfd05c5fa688e03f46645663b"
+VERIFY_JSON_SHA256 = "f854eba2af1b135e11fa292ea4cb31a6c53dedf65caf4403f6b76480ad80e0e8"
 
 
 class TestPinnedOutputBytes:
@@ -317,7 +318,8 @@ class TestPinnedOutputBytes:
 
     def test_verify_json_sha256(self, tmp_path):
         # every check entry of a small run, taken before the dyadic zero and
-        # critical sets were cached per run; config.out is normalised
+        # critical sets were cached per run and re-pinned when config.precision
+        # became "auto" and metadata.precision_mode went; config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()
@@ -369,6 +371,15 @@ class TestConfigHandling:
                      "--out", str(tmp_path)]) == 2
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--gamma", "constant:0.02", "--degree-max", "4096", "--depth", "14"],
+        ["geometry", "--gamma", "constant:0.001", "--levels", "8"],
+    ])
+    def test_small_gamma_needs_no_precision_flag(self, tmp_path, argv):
+        # a forced double once rounded the extreme zeros and endpoints to 1
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["config"]["precision"] == "auto"
+
     def test_missing_gamma_exits_2(self, tmp_path):
         assert main(["geometry", "--out", str(tmp_path)]) == 2
 
@@ -377,8 +388,10 @@ class TestConfigHandling:
                      "--depth", "6", "--tol-zero", "-1", "--out", str(tmp_path)]) == 2
 
     def test_removed_trials_key_exits_2(self, tmp_path):
-        # every removed knob: trials and tol_stab
-        for key, value in (("trials", 10), ("tol_stab", 1e-10)):
+        # every removed knob: trials, tol_stab and every precision but auto
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
+                     "--precision", "double", "--out", str(tmp_path)]) == 2
+        for key, value in (("trials", 10), ("tol_stab", 1e-10), ("precision", "double")):
             cfg = tmp_path / f"run_{key}.json"
             cfg.write_text(json.dumps({
                 "gamma": {"kind": "constant", "values": ["1/6"]},

@@ -266,6 +266,20 @@ class TestCriticalSet:
         double = cp.exact_zeros(fam, 3)
         assert double.values is double.points
 
+    def test_sets_compare_by_values(self):
+        # levels 3 and 4 are double and 9 is extended at gamma = 0.02
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        for m in (3, 9):
+            assert cp.exact_zeros(fam, m) == cp.exact_zeros(fam, m)
+            assert cp.critical_set(fam, m) == cp.critical_set(fam, m)
+        assert cp.exact_zeros(fam, 3) != cp.exact_zeros(fam, 4)
+        other = cp.MapFamily(cp.GammaSequence.constant("0.03"))
+        assert cp.exact_zeros(fam, 9) != cp.exact_zeros(other, 9)
+        # a zero set and a critical set are never equal, nor hashable
+        assert cp.exact_zeros(fam, 2) != cp.critical_set(fam, 2)
+        with pytest.raises(TypeError):
+            hash(cp.exact_zeros(fam, 3))
+
     def test_critical_points_avoid_level_set(self, fam_sixth):
         for n in range(1, 6):
             ys = cp.critical_set(fam_sixth, n)

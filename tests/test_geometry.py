@@ -152,8 +152,11 @@ class TestGammaSequence:
         g = GammaSequence.constant("1/6")
         assert g.resolve_mode(4, "auto") == "double"
         assert g.resolve_mode(20, "auto") == "dd"
-        with pytest.raises(DomainError):
-            g.resolve_mode(4, "quad")
+        assert isinstance(g.gamma(20), Decimal) and isinstance(g.delta(20), Decimal)
+        assert isinstance(g.gamma(4), float) and isinstance(g.delta(4), float)
+        for forced in ("quad", "double"):  # only auto and dd are modes
+            with pytest.raises(DomainError):
+                g.resolve_mode(4, forced)
 
 
 class TestBranchWord:
@@ -176,7 +179,8 @@ class TestBranchValue:
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_all_left_word_matches_cosine_form(self, gamma_quarter, n):
-        got = cp.branch_value(gamma_quarter, "L" * n, -1.0)
+        # a Decimal from n = 20, where delta_n < 1e-12
+        got = float(cp.branch_value(gamma_quarter, "L" * n, -1.0))
         want = math.sin(math.pi / 2 ** (n + 1)) ** 2  # = (1 - cos(pi/2^n)) / 2
         assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
@@ -363,7 +367,7 @@ class TestAllBranchValues:
             assert all_branch_values(gamma, 9, 0.0, "dd") == want
             assert cp.exact_zeros(cp.MapFamily(gamma), 9, "dd").points_dd == tuple(sorted(want))
 
-    @pytest.mark.parametrize("mode", ["double", "dd"])
+    @pytest.mark.parametrize("mode", ["auto", "dd"])
     def test_table_columns_are_the_single_passes(self, gamma_periodic, mode):
         # one doubling over several parameters, in (word, parameter) order
         ts = (0.0, 1.0, -1.0, 0.25)

@@ -90,7 +90,7 @@ class TestStieltjesLanczos:
 class TestJacobiForGamma:
     def test_chebyshev_certified(self, jacobi_quarter_small):
         J = jacobi_quarter_small
-        assert J.valid_length == 16
+        assert J.b.size == 16
         assert np.max(np.abs(J.b - 0.5)) < 1e-10
         assert abs(J.a[0] - math.sqrt(1.0 / 8.0)) < 1e-10
         assert np.max(np.abs(J.a[1:] - 0.25)) < 1e-10
@@ -108,7 +108,7 @@ class TestJacobiForGamma:
         # at gamma = 1/4 every level constant is a power of two, so the
         # unfolding reproduces the affine Chebyshev recurrence exactly
         J = cp.jacobi_for_gamma(fam_quarter, 1024)
-        assert J.valid_length == 1024
+        assert J.b.size == 1024
         assert J.a[0] == math.sqrt(1.0 / 8.0)
         assert np.all(J.a[1:] == 0.25)
         assert np.all(J.b == 0.5)
@@ -253,7 +253,7 @@ class TestEigenZeros:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_chebyshev_cosine_oracle(self, jacobi_quarter_small, fam_quarter, m):
-        if 2 ** m > jacobi_quarter_small.valid_length:
+        if 2 ** m > jacobi_quarter_small.b.size:
             J = cp.stieltjes_lanczos(cp.refinement_measure(fam_quarter, 8, 0.0), 64)
         else:
             J = jacobi_quarter_small
@@ -462,5 +462,5 @@ class TestMoments:
 
     def test_degree_cap(self, jacobi_sixth_small):
         with pytest.raises(DomainError):
-            moments(jacobi_sixth_small, 2 * jacobi_sixth_small.valid_length)
+            moments(jacobi_sixth_small, 2 * jacobi_sixth_small.b.size)
 

@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 import cantorpoly as cp
 from cantorpoly import exact, spacing
 from cantorpoly.errors import DomainError
-from cantorpoly.spacing import (
-    SpacingRow,
-    branch_separation_chain,
-    full_verification,
-    spacing_for_degree,
-)
+from cantorpoly.spacing import SpacingRow, branch_separation_chain, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
 
@@ -134,7 +129,7 @@ class TestBatchedInterlacing:
         # list:1/4,1/1000 escalates degrees 55, 63 and 64 to Decimal
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         J = cp.jacobi_for_gamma(fam, 64)
-        result = full_verification(fam, J, n_max=64, teo1_samples=0, roro_max_level=1)
+        result = full_verification(fam, J, n_max=64)
         entry = next(e for e in result.entries if e.check == "interlacing_at_most_one")
         sets = {r: cp.eigen_zeros(J, r) for r in range(2, 65)}
         want = _per_pair_violations(sets)
@@ -147,15 +142,15 @@ class TestBatchedInterlacing:
 class TestRunLocalCache:
     @staticmethod
     def _count_branch_passes(monkeypatch):
-        # every binding that reaches a branch doubling pass: exact_zeros and
-        # largest_gap's level intervals (all_branch_values), and the branch
-        # lemma (branch_value_table, t is then a tuple of parameters)
+        # every binding that reaches a branch doubling pass: exact_zeros
+        # (all_branch_values), and largest_gap's level intervals and the
+        # branch lemma (branch_value_table, t is then a tuple of parameters)
         calls = Counter()
-        for module, name in ((exact, "all_branch_values"), (cp.geometry, "all_branch_values"),
+        for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table"),
                              (spacing, "branch_value_table")):
             real = getattr(module, name)
 
-            def counted(gamma, n, t, mode="double", _real=real, _where=module.__name__):
+            def counted(gamma, n, t, mode="auto", _real=real, _where=module.__name__):
                 calls[(_where, n, t, mode)] += 1
                 return _real(gamma, n, t, mode)
 
@@ -170,7 +165,7 @@ class TestRunLocalCache:
         for _ in range(2):
             calls.clear()
             full_verification(fam_sixth, J, n_max=64, c=Fraction(1, 6))
-            # exact_zeros passes t = 0 once per (level, mode)
+            # exact_zeros passes t = 0 once per level
             zero_levels = Counter()
             for (where, n, _, mode), k in calls.items():
                 if where == "cantorpoly.exact":
@@ -188,7 +183,7 @@ class TestRunLocalCache:
         for n in range(1, 6):
             assert (cp.verify_branch_lemma(fam_periodic, n, cache)
                     == cp.verify_branch_lemma(fam_periodic, n))
-        assert ("critical", 5, "auto") in cache and ("exact", 5, "auto") in cache
+        assert ("critical", 5) in cache and ("exact", 5) in cache
 
 
 class TestVerifyOps:
@@ -314,12 +309,11 @@ class TestSpacingReport:
             cp.spacing_report(fam_sixth, jacobi_sixth_small, [17])
 
     def test_dyadic_cross_check_and_sources(self, fam_sixth, jacobi_sixth_small):
-        m_n, pair, source, _ = spacing_for_degree(fam_sixth, jacobi_sixth_small, 8)
-        assert source == "both"
-        assert pair >= 0
-        m_n2, _, source2, _ = spacing_for_degree(fam_sixth, jacobi_sixth_small, 7)
-        assert source2 == "eigensolve"
-        assert m_n2 > m_n > 0
+        rows = {r.n: r for r in cp.spacing_report(fam_sixth, jacobi_sixth_small, [7, 8]).rows}
+        assert rows[8].source == "both"
+        assert rows[8].min_pair[0] >= 0
+        assert rows[7].source == "eigensolve"
+        assert rows[7].m_n > rows[8].m_n > 0
 
     def test_csv_shape(self, fam_sixth, jacobi_sixth_small):
         report = cp.spacing_report(fam_sixth, jacobi_sixth_small, range(2, 9),
@@ -451,9 +445,7 @@ class TestLeastDoubleAtLeast:
 
 class TestFullVerification:
     def test_small_run_passes(self, fam_sixth, jacobi_sixth_small):
-        result = full_verification(fam_sixth, jacobi_sixth_small, n_max=16,
-                                   c=Fraction(1, 6), teo1_samples=10,
-                                   roro_max_level=4)
+        result = full_verification(fam_sixth, jacobi_sixth_small, n_max=16, c=Fraction(1, 6))
         assert result.passed
         checks = {e.check for e in result.entries}
         assert "interlacing_distance_bound" in checks
@@ -467,8 +459,7 @@ class TestFullVerification:
 
     def test_informational_entries_present(self, fam_periodic):
         J = cp.jacobi_for_gamma(fam_periodic, 16)
-        result = full_verification(fam_periodic, J, n_max=16, teo1_samples=5,
-                                   roro_max_level=3)
+        result = full_verification(fam_periodic, J, n_max=16)
         severities = {e.check: e.severity for e in result.entries}
         assert severities["max_gap_sanity"] == "info"
         assert severities["dyadic_spacing_collapse"] == "info"
