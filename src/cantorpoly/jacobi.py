@@ -17,17 +17,22 @@ degrees share one set-up (``eigen_zero_sets``). The fast path is one
 LAPACK solve per degree. Where the diagonal is constant, as it is
 (b_k = 1/2) for every mu_gamma, the shifted truncation has a zero
 diagonal and its eigenvalues are plus and minus the singular values of
-a bidiagonal with floor(n/2) columns; that bidiagonal is built once for
-the largest degree, and each degree solves its leading block, a
-half-size problem. Any other diagonal gets one symmetric eigensolve at
-full size. Only when neighbouring eigenvalues approach the
-double-precision resolution limit is the solve escalated to a
-Sturm-count bisection of the full matrix in 34-digit ``decimal``
-arithmetic.
+a bidiagonal with floor(n/2) columns. Its two diagonals are split off
+once for the largest degree, and each degree hands their leading entries
+to LAPACK's dqds (``dlasq1``), which finds every singular value to high
+relative accuracy in O(n^2). numpy does not wrap ``dlasq1``; it is looked
+up once, at import, in the LAPACK that numpy's linalg extension links
+(the scipy-openblas of numpy's wheels). Where that LAPACK lacks it, the
+bidiagonal of each degree is assembled densely for ``numpy.linalg.svd``.
+Any other diagonal gets one symmetric eigensolve at full size. Only
+when neighbouring eigenvalues approach the double-precision resolution
+limit is the solve escalated to a Sturm-count bisection of the full
+matrix in 34-digit ``decimal`` arithmetic.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -304,48 +309,108 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return T
 
 
-def _half_bidiagonal(e: np.ndarray) -> np.ndarray:
-    """B of the zero-diagonal tridiagonal with off-diagonal e, size n = e.size + 1.
+def _find_dlasq1():
+    """LAPACK's dlasq1 (dqds) from the LAPACK that numpy's linalg extension links, or None.
 
-    The odd rows against the even columns: floor(n/2) columns, e_1, e_3,
-    ... on the diagonal and e_2, e_4, ... below it. Its leading
-    (k - k//2)-by-(k//2) block is the B of the leading k-by-k truncation.
+    dlsym on the extension's handle also searches the libraries it links,
+    which in numpy's wheels is the bundled scipy-openblas with 64-bit
+    integers. Only the ILP64 names are accepted, so N and INFO are int64.
     """
-    n = e.size + 1
-    m = n // 2
-    B = np.zeros((n - m, m))
-    flat = B.reshape(-1)
-    flat[:: m + 1] = e[0::2]
-    flat[m :: m + 1] = e[1::2]
-    return B
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name in ("scipy_dlasq1_64_", "dlasq1_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype = None
+            fn.argtypes = [ctypes.c_void_p] * 5
+            return fn
+    return None
 
 
-def _eigvals_lapack(d: np.ndarray, e: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+_DLASQ1 = _find_dlasq1()
+
+
+class _HalfSizeSolver:
+    """Singular values of the half-size bidiagonal of every J_n - d_0 I, n <= e.size + 1.
+
+    e is the off-diagonal of the largest truncation. The bidiagonal B_n of
+    J_n is its odd rows against its even columns: n - n//2 rows, n//2
+    columns, e_1, e_3, ... on the diagonal and e_2, e_4, ... below it, so
+    every n reads leading entries of the same two diagonals. For odd n, B_n
+    has one row more than columns; a 0 appended to its diagonal makes it
+    square and adds the singular value 0 and nothing else.
+
+    Each solve is one call of dlasq1 (dqds; Fernando and Parlett, Numer.
+    Math. 67, 1994) on the two diagonals, O(n^2), in buffers and a
+    workspace allocated once per solver. Where numpy's LAPACK has no
+    dlasq1, B_n is assembled densely and handed to ``numpy.linalg.svd``.
+    """
+
+    def __init__(self, e: np.ndarray):
+        self.n_max = e.size + 1
+        self.diag = np.ascontiguousarray(e[0::2])
+        self.sub = np.ascontiguousarray(e[1::2])
+        self.size = size = self.diag.size + 1
+        self.buf = np.empty(6 * size)  # dlasq1's D, E and 4 * size WORK
+        self.io = np.zeros(2, dtype=np.int64)  # N, INFO
+        d_ptr, io_ptr = self.buf.ctypes.data, self.io.ctypes.data
+        self.args = (io_ptr, d_ptr, d_ptr + 8 * size, d_ptr + 16 * size, io_ptr + 8)
+
+    def sigma(self, n: int) -> np.ndarray:
+        """The n//2 singular values of B_n, descending."""
+        if not 2 <= n <= self.n_max:
+            raise DomainError(f"degree {n} outside 2..{self.n_max} of this bidiagonal")
+        m = n // 2
+        k = n - m
+        dlasq1 = _DLASQ1
+        if dlasq1 is None:
+            B = np.zeros((k, m))
+            flat = B.reshape(-1)
+            flat[:: m + 1] = self.diag[:m]
+            flat[m :: m + 1] = self.sub[: k - 1]
+            return np.linalg.svd(B, compute_uv=False)
+        buf, size = self.buf, self.size
+        buf[:m] = self.diag[:m]
+        buf[m:k] = 0.0
+        buf[size : size + k - 1] = self.sub[: k - 1]
+        self.io[0] = k
+        dlasq1(*self.args)
+        if self.io[1]:
+            raise ConvergenceError(f"dlasq1 returned INFO = {self.io[1]} at degree {n}")
+        return buf[:m].copy()  # for odd n, drops the appended 0, the smallest
+
+
+def _eigvals_lapack(d: np.ndarray, e: np.ndarray, half: _HalfSizeSolver | None = None) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    One backward-stable LAPACK solve, so each eigenvalue is accurate to a
-    few eps times the spectral norm.
+    Without half the assembled n-by-n matrix gets one backward-stable
+    symmetric eigensolve (``numpy.linalg.eigvalsh``), so each eigenvalue
+    is accurate to a few eps times the spectral norm.
 
-    Without B the assembled n-by-n matrix gets one symmetric eigensolve
-    (``numpy.linalg.eigvalsh``). B asserts a constant diagonal d_0: it is
-    the half-size bidiagonal (``_half_bidiagonal``) of this matrix or of
-    any larger one with the same leading entries. T = J - d_0 I then has a
-    zero diagonal, and its eigenvalues are plus and minus the singular
-    values sigma of the leading (n - n//2)-by-(n//2) block of B, and 0 for
-    odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), so only the
-    singular values are computed (``numpy.linalg.svd``) and the
-    eigenvalues are d_0 - sigma, d_0 + sigma and, for odd n, d_0 exactly.
-    sigma carries the same absolute error as a direct solve, also near
-    d_0, where the eigenvalues sigma^2 of the half-size block B^T B of T^2
-    would leave an error of about eps / (2 sigma).
+    half asserts a constant diagonal d_0: it is the ``_HalfSizeSolver`` of
+    this matrix or of any larger one with the same leading entries. T =
+    J - d_0 I then has a zero diagonal, and its eigenvalues are plus and
+    minus the singular values sigma of the (n - n//2)-by-(n//2) bidiagonal
+    B_n, and 0 for odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965).
+    Only sigma is computed, by LAPACK's dqds (``dlasq1``, looked up once
+    through numpy's linalg extension), which finds every singular value of
+    a bidiagonal to high relative accuracy; where numpy's LAPACK lacks it,
+    ``numpy.linalg.svd`` of the dense B_n gives sigma to a few eps
+    absolute. The eigenvalues are d_0 - sigma, d_0 + sigma and, for odd n,
+    d_0 exactly. sigma carries no more than the absolute error of a direct
+    solve, also near d_0, where the eigenvalues sigma^2 of the half-size
+    block B^T B of T^2 would leave an error of about eps / (2 sigma).
     """
     n = d.size
     if n == 1:
         return d.copy()
-    if B is None:
+    if half is None:
         return np.linalg.eigvalsh(_tridiagonal(d, e))
-    m = n // 2
-    sigma = np.linalg.svd(B[: n - m, :m], compute_uv=False)
+    sigma = half.sigma(n)
     mid = d[:1] if n % 2 else d[:0]
     return np.concatenate([d[0] - sigma, mid, d[0] + sigma[::-1]])
 
@@ -401,11 +466,11 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
 
     The truncations J_n are leading blocks of the largest one, J_N, so the
     set-up is done once for all degrees: the constant-diagonal test
-    (leading blocks inside the constant run of the diagonal share its
-    half-size bidiagonal, and each solves a slice of it; every other
-    degree gets one symmetric eigensolve) and the Gershgorin bounds of
-    every J_n, from one prefix pass. Each degree then costs one LAPACK
-    solve. If consecutive eigenvalues come out closer than 1e3 * eps *
+    (leading blocks inside the constant run of the diagonal share the two
+    diagonals of its half-size bidiagonal and one dqds workspace, and each
+    solves leading slices of them; every other degree gets one symmetric
+    eigensolve) and the Gershgorin bounds of every J_n, from one prefix
+    pass. Each degree then costs one LAPACK solve. If consecutive eigenvalues come out closer than 1e3 * eps *
     Gershgorin width, that degree is solved again by decimal Sturm-count
     bisection and flagged as escalated, with the Decimal values in
     points_dd. Every set is bit for bit the one its degree would get alone.
@@ -420,12 +485,12 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     d = J.b[:N]
     e = J.a[: N - 1]
     run = int(np.argmax(d != d[0])) or N  # length of the constant leading run
-    B = _half_bidiagonal(e[: run - 1]) if run > 1 else None
+    half = _HalfSizeSolver(e[: run - 1]) if run > 1 else None
     glo, ghi = _gershgorin_prefix(d, e)
     out = {}
     for n in ns:
         d_n, e_n = d[:n], e[: n - 1]
-        vals = _eigvals_lapack(d_n, e_n, B if n <= run else None)
+        vals = _eigvals_lapack(d_n, e_n, half if n <= run else None)
         if n >= 2:
             lo, hi = float(glo[n - 2]), float(ghi[n - 2])
             if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):

@@ -295,16 +295,16 @@ PINNED_OUTPUTS = {
             "scales.csv": "94c720d2ad4193b54b009a66d85b9f98f07190ffa80fddcd71ffdb979bf08b9a",
         },
     ),
-    # M_n at non-dyadic n comes from LAPACK singular values of the
-    # half-size bidiagonal, so its last ~2 digits follow that solve
+    # M_n at non-dyadic n comes from the dqds singular values (dlasq1) of
+    # the half-size bidiagonal, so its last ~2 digits follow that solve
     "verify": (
         ["verify", "--gamma", "constant:1/6", "--degree-max", "16"],
-        {"spacing_report.csv": "da6d42528dc25040d1d82a2f9898b4623f32c052535b364522330e548e78b44d"},
+        {"spacing_report.csv": "881041a5b990a485b906edf9d82fd3ee214c94da641eb8e0ad1373a9b574a0c7"},
     ),
 }
 
 
-VERIFY_JSON_SHA256 = "f854eba2af1b135e11fa292ea4cb31a6c53dedf65caf4403f6b76480ad80e0e8"
+VERIFY_JSON_SHA256 = "3736d79606738a3c60d14c5b047183697c3cacffea01ae4e7d58d151ab70a5b3"
 
 
 class TestPinnedOutputBytes:
@@ -318,8 +318,9 @@ class TestPinnedOutputBytes:
 
     def test_verify_json_sha256(self, tmp_path):
         # every check entry of a small run, taken before the dyadic zero and
-        # critical sets were cached per run and re-pinned when config.precision
-        # became "auto" and metadata.precision_mode went; config.out is normalised
+        # critical sets were cached per run, re-pinned when config.precision
+        # became "auto" and metadata.precision_mode went, and again when the
+        # half-size solve moved to dqds; config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

@@ -1,5 +1,6 @@
 """Coefficient recovery, eigensolves, and Gauss measures."""
 
+import ctypes
 import math
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import cantorpoly as cp
-from cantorpoly.errors import DomainError
+from cantorpoly import jacobi
+from cantorpoly.errors import ConvergenceError, DomainError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import _eigvals_lapack, _gershgorin_prefix, moments, sign_alternation_ok
+from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _eigvals_lapack,
+                               _gershgorin_prefix, moments, sign_alternation_ok)
 
 from conftest import chebyshev_zeros_unit
 
@@ -344,6 +347,90 @@ class TestHalfSizeSplit:
             e = rng.uniform(0.05, 0.3, n - 1)
             direct = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
             assert np.array_equal(_eigvals_lapack(d, e), direct), n
+
+
+def _dense_slice_zeros(J, n):
+    """Zeros of P_n from numpy.linalg.svd of the dense half-size block B_n."""
+    m = n // 2
+    e = J.a[: n - 1]
+    B = np.zeros((n - m, m))
+    B[np.arange(m), np.arange(m)] = e[0::2]
+    B[np.arange(1, n - m), np.arange(n - m - 1)] = e[1::2]
+    sigma = np.linalg.svd(B, compute_uv=False) if m else np.empty(0)
+    mid = J.b[:1] if n % 2 else J.b[:0]
+    return np.concatenate([J.b[0] - sigma, mid, J.b[0] + sigma[::-1]])
+
+
+class TestDqdsKernel:
+    """The half-size solve: dqds on the two diagonals of the bidiagonal."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.fixture(scope="class", params=["constant:1/6", "constant:1/4", "periodic:1/6,1/5",
+                                           "constant:0.02", "list:1/4,1/1000"])
+    def jacobi_1024(self, request):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(request.param))
+        return request.param, cp.jacobi_for_gamma(fam, 1024)
+
+    def test_matches_dense_svd(self, jacobi_1024):
+        _, J = jacobi_1024
+        half = _HalfSizeSolver(J.a)
+        for n in range(1, 1025):
+            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half)
+            assert np.max(np.abs(got - _dense_slice_zeros(J, n))) <= 32 * self.EPS, n
+
+    def test_matches_decimal_bisection(self, jacobi_1024):
+        # on list:1/4,1/1000 the zero near 2.5e-4 of P_43 is 1/2 - sigma with
+        # sigma near 1/2, so it carries sigma's relative error, a small
+        # multiple of m eps for dqds: 12.6 eps there (the dense SVD: 9 eps)
+        desc, J = jacobi_1024
+        bound = (16 if desc == "list:1/4,1/1000" else 4) * self.EPS
+        half = _HalfSizeSolver(J.a[:63])
+        lo, hi = _gershgorin_prefix(J.b[:64], J.a[:63])
+        for n in range(2, 65):
+            want = np.asarray(_eigvals_bisect_decimal(J.b[:n], J.a[: n - 1], lo[n - 2], hi[n - 2]),
+                              dtype=float)
+            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half)
+            assert np.max(np.abs(got - want)) <= bound, n
+
+
+class TestDqdsLookup:
+    """dlasq1 is found in numpy's LAPACK, and the dense SVD stands in where it is not."""
+
+    def test_wheel_lapack_provides_dlasq1(self):
+        # the fast path relies on numpy's wheels linking scipy-openblas,
+        # whose ILP64 symbols include dlasq1; a change of that layout must
+        # fail here rather than fall back silently to the dense SVD
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy does not report its LAPACK")
+        if lapack != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack}, not the wheel's scipy-openblas")
+        assert jacobi._DLASQ1 is not None
+
+    def test_fallback_gives_the_same_report(self, monkeypatch):
+        fam = cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6)))
+        J = cp.jacobi_for_gamma(fam, 64)
+        fast = cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        monkeypatch.setattr(jacobi, "_DLASQ1", None)
+        slow = cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6))
+        assert len(calls) == 63
+        for f, s in zip(fast.rows, slow.rows, strict=True):
+            assert (f.n, f.pass_eq1, f.pass_eq2) == (s.n, s.pass_eq1, s.pass_eq2)
+            assert abs(f.m_n - s.m_n) <= 1e-12 * f.m_n, f.n
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        def failing(n_ptr, d_ptr, e_ptr, work_ptr, info_ptr):
+            ctypes.c_int64.from_address(info_ptr).value = 1
+
+        monkeypatch.setattr(jacobi, "_DLASQ1", failing)
+        J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 8)
+        with pytest.raises(ConvergenceError):
+            cp.eigen_zeros(J, 8)
 
 
 def _same_zero_set(a, b) -> bool:
