@@ -24,6 +24,10 @@ relative accuracy in O(n^2). numpy does not wrap ``dlasq1``; it is looked
 up once, at import, in the LAPACK that numpy's linalg extension links
 (the scipy-openblas of numpy's wheels). Where that LAPACK lacks it, the
 bidiagonal of each degree is assembled densely for ``numpy.linalg.svd``.
+These solves release the interpreter lock, so a batch large enough to
+repay the hand-offs is split across threads, one per CPU of the
+process's affinity mask; dlasq1 is reentrant, and the zeros do not
+depend on the number of threads.
 Any other diagonal gets one symmetric eigensolve at full size. Only
 when neighbouring eigenvalues approach the double-precision resolution
 limit is the solve escalated to a Sturm-count bisection of the full
@@ -33,6 +37,8 @@ matrix in 34-digit ``decimal`` arithmetic.
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -49,6 +55,8 @@ _TINY = np.finfo(float).tiny
 _LANCZOS_BREAKDOWN = 256.0 * _EPS
 _DD_ESCALATION_FACTOR = 1e3
 _UNFOLD_DIGITS = 50  # and twice as many, to check the first run
+_THREAD_WORK = 1 << 16  # sum of (n//2)^2 from which a batch's dqds calls are threaded
+_CALL_WORK = 128  # the fixed cost of one dqds call, in units of (n//2)^2
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +362,21 @@ class _HalfSizeSolver:
         self.n_max = e.size + 1
         self.diag = np.ascontiguousarray(e[0::2])
         self.sub = np.ascontiguousarray(e[1::2])
+        self._allocate()
+
+    def _allocate(self):
         self.size = size = self.diag.size + 1
         self.buf = np.empty(6 * size)  # dlasq1's D, E and 4 * size WORK
         self.io = np.zeros(2, dtype=np.int64)  # N, INFO
         d_ptr, io_ptr = self.buf.ctypes.data, self.io.ctypes.data
         self.args = (io_ptr, d_ptr, d_ptr + 8 * size, d_ptr + 16 * size, io_ptr + 8)
+
+    def twin(self) -> "_HalfSizeSolver":
+        """A solver that reads the same two diagonals, with a workspace of its own."""
+        other = object.__new__(_HalfSizeSolver)
+        other.n_max, other.diag, other.sub = self.n_max, self.diag, self.sub
+        other._allocate()
+        return other
 
     def sigma(self, n: int) -> np.ndarray:
         """The n//2 singular values of B_n, descending."""
@@ -384,15 +402,16 @@ class _HalfSizeSolver:
         return buf[:m].copy()  # for odd n, drops the appended 0, the smallest
 
 
-def _eigvals_lapack(d: np.ndarray, e: np.ndarray, half: _HalfSizeSolver | None = None) -> np.ndarray:
+def _eigvals_lapack(d: np.ndarray, e: np.ndarray,
+                    sigma: np.ndarray | None = None) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    Without half the assembled n-by-n matrix gets one backward-stable
+    Without sigma the assembled n-by-n matrix gets one backward-stable
     symmetric eigensolve (``numpy.linalg.eigvalsh``), so each eigenvalue
     is accurate to a few eps times the spectral norm.
 
-    half asserts a constant diagonal d_0: it is the ``_HalfSizeSolver`` of
-    this matrix or of any larger one with the same leading entries. T =
+    sigma asserts a constant diagonal d_0: it is ``_HalfSizeSolver.sigma(n)``
+    of this matrix or of any larger one with the same leading entries. T =
     J - d_0 I then has a zero diagonal, and its eigenvalues are plus and
     minus the singular values sigma of the (n - n//2)-by-(n//2) bidiagonal
     B_n, and 0 for odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965).
@@ -408,11 +427,66 @@ def _eigvals_lapack(d: np.ndarray, e: np.ndarray, half: _HalfSizeSolver | None =
     n = d.size
     if n == 1:
         return d.copy()
-    if half is None:
+    if sigma is None:
         return np.linalg.eigvalsh(_tridiagonal(d, e))
-    sigma = half.sigma(n)
     mid = d[:1] if n % 2 else d[:0]
     return np.concatenate([d[0] - sigma, mid, d[0] + sigma[::-1]])
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _solve_share(half: _HalfSizeSolver, share: list, out: dict) -> None:
+    # every degree of the share, ascending; a failure is kept for the caller
+    for n in share:
+        try:
+            out[n] = half.sigma(n)
+        except Exception as exc:  # re-raised by eigen_zero_sets at degree n
+            out[n] = exc
+
+
+def _half_size_sigmas(half: _HalfSizeSolver, ns: list) -> dict:
+    """half.sigma(n), or the exception it raised, for every n in ns, on up to one thread per CPU.
+
+    Each dlasq1 call releases the interpreter lock, so the calls of
+    different degrees run in parallel. The degrees are dealt largest first
+    to the least-loaded share, a call costing about (n//2)^2 plus a fixed
+    overhead, and each share is solved in ascending order. The calling
+    thread solves the first share and one daemon helper each of the
+    others, each helper with a workspace of its own; every helper is joined
+    before this returns. Below _THREAD_WORK in sum (n//2)^2, as for a verify
+    run to degree 64, handing the lock between threads costs more than the
+    second CPU saves, so the batch stays on the calling thread. dlasq1 keeps
+    no state between calls (no SAVE variables since LAPACK 3.2), and each
+    sigma depends on its degree alone, so the result is the same for any
+    number of threads.
+    """
+    work = [(n // 2) ** 2 for n in ns]
+    count = min(_cpu_count(), len(ns)) if sum(work) >= _THREAD_WORK else 1
+    loads = [0] * count
+    shares = [[] for _ in range(count)]
+    for w, n in sorted(zip(work, ns), reverse=True):
+        i = loads.index(min(loads))
+        loads[i] += w + _CALL_WORK
+        shares[i].append(n)
+    outs = [{} for _ in shares]
+    helpers = [threading.Thread(target=_solve_share, args=(half.twin(), sorted(share), out),
+                                daemon=True)
+               for share, out in zip(shares[1:], outs[1:])]
+    try:
+        for thread in helpers:
+            thread.start()
+        _solve_share(half, sorted(shares[0]), outs[0])
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    return {n: sigma for out in outs for n, sigma in out.items()}
 
 
 def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
@@ -467,13 +541,21 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     The truncations J_n are leading blocks of the largest one, J_N, so the
     set-up is done once for all degrees: the constant-diagonal test
     (leading blocks inside the constant run of the diagonal share the two
-    diagonals of its half-size bidiagonal and one dqds workspace, and each
-    solves leading slices of them; every other degree gets one symmetric
-    eigensolve) and the Gershgorin bounds of every J_n, from one prefix
-    pass. Each degree then costs one LAPACK solve. If consecutive eigenvalues come out closer than 1e3 * eps *
-    Gershgorin width, that degree is solved again by decimal Sturm-count
-    bisection and flagged as escalated, with the Decimal values in
-    points_dd. Every set is bit for bit the one its degree would get alone.
+    diagonals of its half-size bidiagonal, and each solves leading slices
+    of them; every other degree gets one symmetric eigensolve) and the
+    Gershgorin bounds of every J_n, from one prefix pass. Each degree then
+    costs one LAPACK solve. The dqds solves of the constant run are split
+    across the CPUs of the process's affinity mask, each thread with a
+    workspace of its own, once their summed (n//2)^2 reaches _THREAD_WORK;
+    smaller batches, such as degrees 2..64, stay on the calling thread.
+    dlasq1 is reentrant, so the results do not depend on the number of
+    threads. The symmetric eigensolves, the escalations and the assembly
+    of each set run on the calling thread in ascending order, and a failed
+    solve raises there, at its degree, as it would in a serial run. If
+    consecutive eigenvalues come out closer than 1e3 * eps * Gershgorin
+    width, that degree is solved again by decimal Sturm-count bisection
+    and flagged as escalated, with the Decimal values in points_dd. Every
+    set is bit for bit the one its degree would get alone.
     """
     ns = sorted({int(n) for n in degrees})
     for n in ns:
@@ -485,12 +567,17 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     d = J.b[:N]
     e = J.a[: N - 1]
     run = int(np.argmax(d != d[0])) or N  # length of the constant leading run
-    half = _HalfSizeSolver(e[: run - 1]) if run > 1 else None
     glo, ghi = _gershgorin_prefix(d, e)
+    sigmas = {}
+    if run > 1:
+        sigmas = _half_size_sigmas(_HalfSizeSolver(e[: run - 1]), [n for n in ns if 2 <= n <= run])
     out = {}
     for n in ns:
         d_n, e_n = d[:n], e[: n - 1]
-        vals = _eigvals_lapack(d_n, e_n, half if n <= run else None)
+        sigma = sigmas.pop(n, None)
+        if isinstance(sigma, Exception):
+            raise sigma
+        vals = _eigvals_lapack(d_n, e_n, sigma)
         if n >= 2:
             lo, hi = float(glo[n - 2]), float(ghi[n - 2])
             if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):

@@ -2,6 +2,8 @@
 
 import ctypes
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -376,7 +378,7 @@ class TestDqdsKernel:
         _, J = jacobi_1024
         half = _HalfSizeSolver(J.a)
         for n in range(1, 1025):
-            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half)
+            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half.sigma(n) if n > 1 else None)
             assert np.max(np.abs(got - _dense_slice_zeros(J, n))) <= 32 * self.EPS, n
 
     def test_matches_decimal_bisection(self, jacobi_1024):
@@ -390,7 +392,7 @@ class TestDqdsKernel:
         for n in range(2, 65):
             want = np.asarray(_eigvals_bisect_decimal(J.b[:n], J.a[: n - 1], lo[n - 2], hi[n - 2]),
                               dtype=float)
-            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half)
+            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half.sigma(n))
             assert np.max(np.abs(got - want)) <= bound, n
 
 
@@ -495,6 +497,104 @@ class TestEigenZeroSets:
         for bad in ([0, 4], [4, 17]):
             with pytest.raises(DomainError):
                 cp.eigen_zero_sets(jacobi_sixth_small, bad)
+
+
+class _ThreadRecorder:
+    """Stands in for threading.Thread and keeps every thread it starts."""
+
+    def __init__(self, monkeypatch):
+        self.started = []
+        recorder = self
+
+        class Thread(threading.Thread):
+            def start(self):
+                recorder.started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Thread)
+
+    def assert_all_joined(self):
+        assert not any(t.is_alive() for t in self.started)
+
+
+def _jacobi(desc, K):
+    return cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.from_descriptor(desc)), K)
+
+
+class TestThreadedSweep:
+    """The dqds calls of one batch are split across the CPUs, bit for bit as on one."""
+
+    @staticmethod
+    def _on_cpus(monkeypatch, J, degrees, cpus):
+        monkeypatch.setattr(jacobi, "_cpu_count", lambda: cpus)
+        return cp.eigen_zero_sets(J, degrees)
+
+    def _check_same(self, monkeypatch, J, degrees):
+        serial = self._on_cpus(monkeypatch, J, degrees, 1)
+        recorder = _ThreadRecorder(monkeypatch)
+        threaded = self._on_cpus(monkeypatch, J, degrees, 3)
+        assert len(recorder.started) == 2
+        recorder.assert_all_joined()
+        assert list(threaded) == list(serial)
+        for n in serial:
+            assert _same_zero_set(threaded[n], serial[n]), n
+        return threaded
+
+    @pytest.mark.parametrize("desc", ["constant:1/6", "constant:1/4", "periodic:1/6,1/5",
+                                      "constant:0.02"])
+    def test_threads_equal_one_thread(self, monkeypatch, desc):
+        self._check_same(monkeypatch, _jacobi(desc, 256), range(2, 257))
+
+    def test_constant_run_ending_inside_the_batch(self, monkeypatch):
+        J = _jacobi("constant:1/6", 256)
+        b = np.full(256, 0.5)
+        b[200:] += 0.01 * np.sin(np.arange(56.0) + 1.0)
+        got = self._check_same(monkeypatch, cp.JacobiMatrix(0.95 * J.a, b), range(2, 257))
+        assert got[199].points[99] == 0.5 and got[201].points[100] != 0.5
+
+    def test_escalated_degrees_from_threaded_solves(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "_THREAD_WORK", 0)
+        got = self._check_same(monkeypatch, _jacobi("list:1/4,1/1000", 64), range(2, 65))
+        assert {n for n, zs in got.items() if zs.escalated} == {55, 63, 64}
+
+    def test_small_batches_start_no_thread(self, monkeypatch):
+        recorder = _ThreadRecorder(monkeypatch)
+        J = _jacobi("constant:1/6", 1024)
+        self._on_cpus(monkeypatch, J, range(2, 65), 2)
+        cp.eigen_zeros(J, 1024)
+        assert recorder.started == []
+
+    def test_cpu_count_without_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert jacobi._cpu_count() == (os.cpu_count() or 1)
+
+    def test_two_cpus_start_one_helper(self, monkeypatch):
+        recorder = _ThreadRecorder(monkeypatch)
+        self._on_cpus(monkeypatch, _jacobi("constant:1/6", 256), range(2, 257), 2)
+        assert len(recorder.started) == 1
+        recorder.assert_all_joined()
+
+    def test_failure_names_the_serial_degree(self, monkeypatch):
+        real = jacobi._DLASQ1
+        if real is None:
+            pytest.skip("numpy's LAPACK has no dlasq1")
+
+        def failing_from_60(n_ptr, d_ptr, e_ptr, work_ptr, info_ptr):
+            real(n_ptr, d_ptr, e_ptr, work_ptr, info_ptr)
+            if ctypes.c_int64.from_address(n_ptr).value >= 60:
+                ctypes.c_int64.from_address(info_ptr).value = 1
+
+        monkeypatch.setattr(jacobi, "_DLASQ1", failing_from_60)
+        J = _jacobi("constant:1/6", 256)
+        with pytest.raises(ConvergenceError) as serial:
+            self._on_cpus(monkeypatch, J, range(2, 257), 1)
+        recorder = _ThreadRecorder(monkeypatch)
+        with pytest.raises(ConvergenceError) as threaded:
+            self._on_cpus(monkeypatch, J, range(2, 257), 3)
+        assert len(recorder.started) == 2
+        recorder.assert_all_joined()
+        assert str(threaded.value) == str(serial.value)
+        assert "degree 119" in str(serial.value)
 
 
 class TestGaussMeasure:
