@@ -27,10 +27,17 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, RangeOverflowError
-from .exact import CriticalSet, MapFamily, exact_zeros, monic_opoly_exact
+from .exact import (
+    CriticalSet,
+    MapFamily,
+    critical_levels,
+    critical_order,
+    exact_zero_ladder,
+    monic_opoly_exact,
+)
 from .geometry import GammaSequence, _as_fraction, level_intervals, scale_rows
 from .jacobi import JacobiMatrix, jacobi_for_gamma
-from .serialize import atomic_write_text, write_csv, write_json
+from .serialize import atomic_write_text, render, write_csv, write_json
 from .spacing import full_verification
 
 EXIT_OK = 0
@@ -171,9 +178,9 @@ def cmd_zeros(cfg: RunConfig) -> int:
     if top_m < 1:
         raise DomainError("degree-max must be at least 2 for the zeros command")
     eps = sys.float_info.epsilon
-    zero_sets = []
-    for m in range(1, top_m + 1):
-        zs = exact_zeros(fam, m)
+    zero_sets = exact_zero_ladder(fam, top_m)
+    texts = []  # each level's value strings, rendered once
+    for m, zs in enumerate(zero_sets, start=1):
         residuals = abs(monic_opoly_exact(fam, m, zs.points))
         tol = cfg.tol_zero if cfg.tol_zero is not None else \
             2 ** m * eps * max(1.0, float(abs(monic_opoly_exact(fam, m, _sample_grid(m))).max()))
@@ -181,12 +188,16 @@ def cmd_zeros(cfg: RunConfig) -> int:
             print(f"cantorpoly: zero residual {residuals.max()} exceeds {tol} at degree {2**m}",
                   file=sys.stderr)
             return EXIT_NUMERICAL
+        texts.append(render(zs.values))
         write_csv(out / f"zeros_d{2 ** m}.csv", ["index", "value"],
-                  [range(1, zs.degree + 1), zs.values])
-        zero_sets.append(zs)
-    crit = CriticalSet.from_zero_sets(zero_sets[:-1])
+                  [range(1, zs.degree + 1), texts[-1]])
+    # the critical file reuses the level files' strings where its levels are theirs
+    levels = critical_levels(fam, top_m, zero_sets[:-1])
+    crit = CriticalSet.from_zero_sets(levels)  # confirms the interlacing
+    strings = [["0.5"]] + [text if level is zs else render(level.values)
+                           for level, zs, text in zip(levels, zero_sets, texts)]
     write_csv(out / f"critical_l{top_m}.csv", ["index", "value"],
-              [range(1, crit.points.size + 1), crit.values])
+              [range(1, crit.points.size + 1), critical_order(strings)])
     write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 

@@ -9,22 +9,49 @@ and F_n = f_n o ... o f_1. The monic orthogonal polynomial of degree 2^m
 for the equilibrium measure of the limit set is F_m / tau_m, where tau_m
 is the leading coefficient of F_m. Zeros and critical points at dyadic
 degrees come from closed-form inverse-branch compositions; no root
-finding is involved. Dyadic zero sets come only from exact_zeros and
-critical sets only from CriticalSet.from_zero_sets; in extended precision
-both keep their exactly sorted Decimal values in points_dd next to the
-double view in points.
+finding is involved. Dyadic zero sets come from exact_zeros, or for
+levels 1..top together from exact_zero_ladder, which runs one branch
+ladder; the branch values fall in increasing order by a fixed Gray-code
+permutation of the words, which the sets' strict-increase check
+confirms. In extended precision they keep their Decimal values in
+points_dd next to the double view in points.
+
+The critical points of F_n are 1/2 together with the zeros of F_1, ...,
+F_{n-1}, and Rolle's theorem interlaces them: the point at 1-based
+position j = 2^nu (2i + 1) is zero i of level n - 1 - nu, where level 0
+is {1/2}. CriticalSet.from_zero_sets places the levels there instead of
+sorting, and its strict-increase check confirms the interlacing. Every
+level of a critical set is computed in the precision of its deepest
+level, n - 1 (critical_levels): a double level promoted next to extended
+ones would be too coarse to order.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 
 from .errors import DomainError, RangeOverflowError
-from .geometry import GammaSequence, all_branch_values, extended_context
+from .geometry import GammaSequence, all_branch_values, branch_value_ladder
 
 _ZERO_PROVENANCES = ("exact-branch", "eigensolve")
+# Decimal subtraction is exact here; entered only around differences
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def min_gap_with_index(points: np.ndarray) -> tuple[float, int]:
+    """The smallest gap between neighbouring points, rounded once to double,
+    and the first index i where points i and i + 1 attain it. Gaps between
+    Decimals are formed exactly."""
+    if points.size < 2:
+        raise DomainError("minimum spacing needs at least two zeros")
+    with localcontext(EXACT) if points.dtype == object else contextlib.nullcontext():
+        gaps = np.diff(points)
+    i = int(np.argmin(gaps))
+    return float(gaps[i]), i
 
 
 @dataclass(frozen=True)
@@ -105,7 +132,9 @@ class ZeroSet(_PointSet):
     """Sorted zeros of one orthogonal polynomial, strictly inside (0, 1).
 
     Extended-precision branch zeros and escalated eigensolves carry
-    points_dd.
+    points_dd. min_gap is (gap, i) of min_gap_with_index on values; a
+    builder that already has it passes it, otherwise smallest_gap
+    computes it on first use.
     """
 
     degree: int
@@ -113,6 +142,7 @@ class ZeroSet(_PointSet):
     provenance: str
     escalated: bool = False
     points_dd: tuple | None = None
+    min_gap: tuple[float, int] | None = field(default=None, repr=False)
     values: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -125,13 +155,18 @@ class ZeroSet(_PointSet):
     def __len__(self):
         return self.degree
 
+    def smallest_gap(self) -> tuple[float, int]:
+        """min_gap_with_index of the zeros, computed once."""
+        if self.min_gap is None:
+            object.__setattr__(self, "min_gap", min_gap_with_index(self.values))
+        return self.min_gap
+
 
 @dataclass(frozen=True, eq=False)
 class CriticalSet(_PointSet):
     """Sorted critical points of F_n: the 2^n - 1 zeros of its derivative.
 
-    Carries points_dd when any of its levels was computed in extended
-    precision.
+    Carries points_dd when its levels were computed in extended precision.
     """
 
     level: int
@@ -144,21 +179,43 @@ class CriticalSet(_PointSet):
 
     @classmethod
     def from_zero_sets(cls, zero_sets) -> "CriticalSet":
-        """{1/2} together with the zero sets of levels 1..n-1.
+        """{1/2} together with the zero sets of levels 1..n-1, in that order.
 
-        If any level is extended, the double levels are promoted, rounded
-        to 34 digits (their exact binary values would print 50 or more).
+        The levels are placed by interlacing (critical_order), and the
+        strict-increase check then confirms it: a missing, misordered or
+        misplaced level raises DomainError. The levels must share one
+        precision, all double or all extended (see critical_levels).
         """
         zero_sets = list(zero_sets)
         level = len(zero_sets) + 1
-        if all(zs.points_dd is None for zs in zero_sets):
-            return cls(level, np.sort(np.concatenate([[0.5]] + [zs.points for zs in zero_sets])))
-        promote = extended_context().create_decimal
-        vals = [promote(0.5)]
-        for zs in zero_sets:
-            vals.extend(zs.points_dd or map(promote, zs.points))
-        vals.sort()
-        return cls(level, np.asarray(vals, dtype=float), tuple(vals))
+        for k, zs in enumerate(zero_sets, start=1):
+            if zs.degree != 2 ** k:
+                raise DomainError(f"level {k} of a critical set needs {2 ** k} zeros, "
+                                  f"got {zs.degree}")
+        extended = {zs.points_dd is not None for zs in zero_sets}
+        if len(extended) > 1:
+            raise DomainError("the levels of a critical set must share one precision")
+        points = critical_order([np.array([0.5])] + [zs.points for zs in zero_sets])
+        if extended != {True}:
+            return cls(level, points)
+        vals = critical_order([[Decimal("0.5")]] + [zs.values for zs in zero_sets])
+        return cls(level, points, tuple(vals))
+
+
+def critical_order(levels) -> np.ndarray:
+    """The points of levels 0..n-1 merged in the order of a critical set.
+
+    levels[k] holds the 2^k points of level k in increasing order (level
+    0 is 1/2). Rolle's theorem puts point i of level n - 1 - nu at 1-based
+    position 2^nu (2i + 1); the result is an object array unless every
+    level is a float array.
+    """
+    n = len(levels)
+    floats = all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in levels)
+    out = np.empty(2 ** n - 1, dtype=float if floats else object)
+    for nu in range(n):
+        out[2 ** nu - 1::2 ** (nu + 1)] = levels[n - 1 - nu]
+    return out
 
 
 def evaluate_F(fam: MapFamily, n: int, z):
@@ -199,6 +256,23 @@ def monic_opoly_exact(fam: MapFamily, m: int, z):
     return p
 
 
+def _zero_set(m: int, vals) -> ZeroSet:
+    """The zero set of level m from its branch values in word-bit order.
+
+    Each letter R reverses the order of the values inside it, so the
+    increasing order visits the words in reflected Gray code order: the
+    i-th smallest value is that of word i ^ (i >> 1). ZeroSet's check
+    confirms the order instead of a sort making it.
+    """
+    i = np.arange(2 ** m)
+    vals = np.asarray(vals)[i ^ (i >> 1)]
+    if vals.dtype != object:  # double mode
+        return ZeroSet(degree=2 ** m, points=vals, provenance="exact-branch")
+    vals = vals.tolist()  # float() over a list beats astype's object loop by a quarter
+    return ZeroSet(degree=2 ** m, points=np.array(list(map(float, vals))),
+                   provenance="exact-branch", points_dd=tuple(vals))
+
+
 def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
     """The 2^m zeros of the degree-2^m orthogonal polynomial.
 
@@ -206,16 +280,41 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
     over all words of length m; equivalently the pullbacks of the two
     roots of f_m through the level-(m-1) branches. One zero lies in each
     level-m basic interval. In extended precision the Decimal values are
-    sorted exactly and kept in points_dd.
+    kept in points_dd, and their order is checked exactly.
     """
     if m < 1:
         raise DomainError("degree exponent must be >= 1")
-    vals = all_branch_values(fam.gamma, m, 0.0, mode)
-    if isinstance(vals, np.ndarray):  # double mode; extended precision gives a list
-        return ZeroSet(degree=2 ** m, points=np.sort(vals), provenance="exact-branch")
-    vals = sorted(vals)
-    return ZeroSet(degree=2 ** m, points=np.asarray(vals, dtype=float),
-                   provenance="exact-branch", points_dd=tuple(vals))
+    return _zero_set(m, all_branch_values(fam.gamma, m, 0.0, mode))
+
+
+def exact_zero_ladder(fam: MapFamily, top: int, mode: str = "auto",
+                      depth: int | None = None) -> list[ZeroSet]:
+    """exact_zeros(fam, m, mode) for m = 1..top, from one branch_value_ladder.
+
+    With depth, every level is computed in level depth's precision
+    instead of its own.
+    """
+    tables = branch_value_ladder(fam.gamma, top, (0.0,), mode, depth)
+    return [_zero_set(m, table[:, 0]) for m, table in enumerate(tables, start=1)]
+
+
+def critical_levels(fam: MapFamily, n: int, zero_sets=None, mode: str = "auto") -> list[ZeroSet]:
+    """The zero sets of levels 1..n-1, all in the precision of level n - 1.
+
+    zero_sets, when given, are the zero sets of levels 1..n-1 each in its
+    own precision, as exact_zero_ladder gives them. Those whose level
+    works in level n - 1's precision are kept as they are: computed again
+    they would come out bit for bit the same. The levels 1..j up to the
+    last one of another precision come from one ladder at depth n - 1,
+    and so do all levels when zero_sets is None.
+    """
+    gamma = fam.gamma
+    if zero_sets is None:
+        return exact_zero_ladder(fam, n - 1, mode, depth=n - 1)
+    deepest = gamma.precision(n - 1, mode)
+    j = max((k for k in range(1, n) if gamma.precision(k, mode) != deepest), default=0)
+    redone = exact_zero_ladder(fam, j, mode, depth=n - 1) if j else []
+    return redone + list(zero_sets)[j:]
 
 
 def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
@@ -224,7 +323,8 @@ def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
     The chain rule factors F_n' over f_1' (vanishing at 1/2) and
     f_k'(F_{k-1}) for k = 2..n, whose zeros are the zeros of F_{k-1};
     the union has exactly 2^n - 1 points and misses the level-n set.
+    Every level is computed in level n - 1's precision.
     """
     if n < 1:
         raise DomainError("level must be >= 1")
-    return CriticalSet.from_zero_sets(exact_zeros(fam, k, mode) for k in range(1, n))
+    return CriticalSet.from_zero_sets(critical_levels(fam, n, mode=mode))

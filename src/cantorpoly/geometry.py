@@ -15,10 +15,19 @@ Decimals. The ``mode`` argument of the higher-level operations is
 least 1e-12, below it extended precision (stdlib ``decimal``, in the
 private context ``GammaSequence.context(depth)``); or "dd", always
 extended. No mode forces double: the zero spacing falls with delta.
+
+The branch values of every word of one level come from one doubling
+pass (``branch_value_table``). ``branch_value_ladder`` yields the tables
+of levels 1..top from one run of that pass: when gamma repeats with
+period p and level n works in the precision of level n - p, level n
+continues level n - p's doubling by p steps instead of restarting, so
+the levels together cost about as much as the deepest one alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
@@ -67,7 +76,9 @@ class GammaSequence:
     materializations in either precision are correctly rounded. Each entry
     must satisfy 0 < gamma_k <= 1/4; the closed upper endpoint admits the
     degenerate case in which the construction fills all of [0, 1] and the
-    basic intervals touch instead of leaving gaps.
+    basic intervals touch instead of leaving gaps. The prefix products
+    delta_s and the digits of each context are computed once per
+    instance; the sequence is frozen, so they cannot go stale.
     """
 
     kind: str
@@ -135,13 +146,29 @@ class GammaSequence:
         with localcontext(self.context(k)):
             return _scalar(self.value(k), self.resolve_mode(k, mode))
 
+    @property
+    def period(self) -> int | None:
+        """The p with gamma_{k+p} = gamma_k for every k >= 1: 1 for a
+        constant, len(values) for a periodic descriptor, None for a list."""
+        return {"constant": 1, "periodic": len(self.values)}.get(self.kind)
+
+    @functools.cached_property
+    def _deltas(self) -> list[Fraction]:
+        # delta_0, delta_1, ..., extended on demand by delta_fraction
+        return [Fraction(1)]
+
+    @functools.cached_property
+    def _digits(self) -> dict[int, int]:
+        # depth -> digits of context(depth)
+        return {}
+
     def delta_fraction(self, s: int) -> Fraction:
         if s < 0:
             raise DomainError("delta index must be >= 0")
-        out = Fraction(1)
-        for k in range(1, s + 1):
-            out *= self.value(k)
-        return out
+        deltas = self._deltas
+        while len(deltas) <= s:
+            deltas.append(deltas[-1] * self.value(len(deltas)))
+        return deltas[s]
 
     def delta(self, s: int, mode: str = "auto") -> Scalar:
         with localcontext(self.context(s)):
@@ -164,9 +191,19 @@ class GammaSequence:
         """The decimal context of extended work down to level depth: the one
         precision rule. Its digits resolve delta_{depth+2}, the lower bound
         on the zero spacing at degree 2^depth, with a guard; at least 34."""
-        d = self.delta_fraction(depth + 2)
-        decades = math.ceil(math.log10(d.denominator) - math.log10(d.numerator))
-        return extended_context(max(_MIN_DIGITS, decades + _GUARD_DIGITS))
+        digits = self._digits.get(depth)
+        if digits is None:
+            d = self.delta_fraction(depth + 2)
+            decades = math.ceil(math.log10(d.denominator) - math.log10(d.numerator))
+            digits = self._digits[depth] = max(_MIN_DIGITS, decades + _GUARD_DIGITS)
+        return extended_context(digits)
+
+    def precision(self, depth: int, mode: str = "auto") -> tuple[str, int]:
+        """The working precision of level depth as (mode, digits): digits is
+        the context's precision in "dd" and 0 in "double", which reads no
+        context. Two levels of one precision round every operation alike."""
+        mode = self.resolve_mode(depth, mode)
+        return mode, self.context(depth).prec if mode == "dd" else 0
 
     # -- informational diagnostics ----------------------------------------
 
@@ -369,36 +406,79 @@ def basic_interval(gamma: GammaSequence, word, mode: str = "auto") -> Interval:
     return Interval(a, b) if a < b else Interval(b, a)
 
 
-def _all_compositions(gamma: GammaSequence, n: int, t_inner: np.ndarray, mode: str) -> np.ndarray:
-    """Values of all 2^n letter choices at each of the inner arguments t_inner.
+def _check_ts(ts) -> tuple:
+    ts = tuple(ts)
+    for t in ts:
+        if not -1.0 <= t <= 1.0:
+            raise DomainError(f"branch parameter {t} outside [-1, 1]")
+    return ts
 
-    Index bits read level-1 letter first (0 = L), and the inner argument
-    varies fastest: entry w * t_inner.size + j is word w at t_inner[j]. The
-    doubling shares the inner suffixes so the total work is O(2^n) per
-    inner argument.
+
+def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, int],
+                 carried: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The doubling array of level n and its table, in the given precision.
+
+    The doubling array holds the values of every word whose level-1
+    letter is L; index bits read the level-2 letter first (0 = L), and
+    the parameter varies fastest: entry w * len(ts) + j is word w at
+    ts[j]. Without carried it starts from u(t_inner) and pulls through
+    gamma_{n-1}, ..., gamma_1. With carried, the doubling array of level
+    n - p in the same precision, where p is the period of gamma, it pulls
+    only through gamma_p, ..., gamma_1: the inner steps would repeat level
+    n - p's with the same scales, arguments and rounding. The table
+    appends the level-1 reflection and has one row per word.
     """
-    v = u_map(t_inner)
-    for k in range(n - 1, 0, -1):
-        g = gamma.value(k)
-        v = np.concatenate([_pull(g, v, False, mode), _pull(g, v, True, mode)])
-    return np.concatenate([v, 1 - v])
+    mode, digits = precision
+    with localcontext(extended_context(digits)) if digits else contextlib.nullcontext():
+        if carried is None:
+            t_inner = np.array([_scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode)
+                                for t in ts])
+            v, k_top = u_map(t_inner), n - 1
+        else:
+            v, k_top = carried, gamma.period
+        for k in range(k_top, 0, -1):
+            g = gamma.value(k)
+            v = np.concatenate([_pull(g, v, False, mode), _pull(g, v, True, mode)])
+        return v, np.concatenate([v, 1 - v]).reshape(-1, len(ts))
 
 
 def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "auto") -> np.ndarray:
     """branch_value over every word of length n and every t in ts.
 
-    One row per word in word-bit order and one column per t, from one
-    doubling pass over all the parameters; an object array of Decimals if
-    extended.
+    One row per word in word-bit order (level-1 letter first, 0 = L) and
+    one column per t, from one doubling pass over all the parameters; an
+    object array of Decimals if extended. The total work is O(2^n) per
+    parameter. This is a one-level branch_value_ladder, with nothing
+    carried.
     """
-    ts = tuple(ts)
-    for t in ts:
-        if not -1.0 <= t <= 1.0:
-            raise DomainError(f"branch parameter {t} outside [-1, 1]")
-    mode = gamma.resolve_mode(n, mode)
-    with localcontext(gamma.context(n)):
-        t_inner = np.array([_scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode) for t in ts])
-        return _all_compositions(gamma, n, t_inner, mode).reshape(-1, len(ts))
+    return _level_table(gamma, n, _check_ts(ts), gamma.precision(n, mode))[1]
+
+
+def branch_value_ladder(gamma: GammaSequence, top: int, ts, mode: str = "auto",
+                        depth: int | None = None) -> list[np.ndarray]:
+    """branch_value_table(gamma, n, ts, mode) for n = 1..top, in one run.
+
+    Level n works in its own precision, or in level depth's for every n
+    when depth is given (the levels of a critical set). When gamma repeats
+    with period p and level n works in the precision of level n - p, it
+    continues level n - p's doubling array by p pull steps instead of
+    restarting. Every table is bit for bit the fresh one, and a constant
+    sequence in one precision pays about 2^top pulls per parameter for all
+    its levels, against 2^(top+1) when each level starts afresh.
+    """
+    ts = _check_ts(ts)
+    p = gamma.period
+    arrays: dict[int, tuple] = {}  # the last p levels: n -> (precision, doubling array)
+    tables = []
+    for n in range(1, top + 1):
+        precision = gamma.precision(n if depth is None else depth, mode)
+        prior = arrays.pop(n - p, None) if p else None
+        carried = prior[1] if prior is not None and prior[0] == precision else None
+        v, table = _level_table(gamma, n, ts, precision, carried)
+        if p:
+            arrays[n] = (precision, v)
+        tables.append(table)
+    return tables
 
 
 def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"):

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .exact import MapFamily, ZeroSet
+from .exact import MapFamily, ZeroSet, min_gap_with_index
 from .geometry import all_branch_values, as_decimal, extended_context
 from .serialize import csv_text
 
@@ -554,8 +554,9 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     solve raises there, at its degree, as it would in a serial run. If
     consecutive eigenvalues come out closer than 1e3 * eps * Gershgorin
     width, that degree is solved again by decimal Sturm-count bisection
-    and flagged as escalated, with the Decimal values in points_dd. Every
-    set is bit for bit the one its degree would get alone.
+    and flagged as escalated, with the Decimal values in points_dd. An
+    unescalated set keeps the smallest gap of that test as its min_gap.
+    Every set is bit for bit the one its degree would get alone.
     """
     ns = sorted({int(n) for n in degrees})
     for n in ns:
@@ -578,14 +579,17 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
         if isinstance(sigma, Exception):
             raise sigma
         vals = _eigvals_lapack(d_n, e_n, sigma)
+        gap = None
         if n >= 2:
+            gap = min_gap_with_index(vals)
             lo, hi = float(glo[n - 2]), float(ghi[n - 2])
-            if float(np.min(np.diff(vals))) < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):
+            if gap[0] < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):
                 ext = _eigvals_bisect_decimal(d_n, e_n, lo, hi)
                 out[n] = ZeroSet(degree=n, points=np.asarray(ext, dtype=float),
                                  provenance="eigensolve", escalated=True, points_dd=tuple(ext))
                 continue
-        out[n] = ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False)
+        out[n] = ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False,
+                         min_gap=gap)
     return out
 
 

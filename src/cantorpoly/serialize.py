@@ -9,11 +9,14 @@ Tables are passed by column: one sequence (ndarray, range, list or tuple)
 per header name, all of one length. Each column is typed once. A column
 of only floats (float or np.float64, or a float64 array) renders with
 %.17g, one of only ints (or an integer array) with %d, and one of only
-Decimals with %s. Any other column (mixed types, None, bool) falls back
-to fmt value by value. The whole table is then filled in by a single %
-on a template of those conversions, so the typed columns make no
-Python-level call per value. The output is the same as fmt applied to
-every value.
+Decimals, or only strings already rendered (render), with %s. Any other
+column (mixed types, None, bool) falls back to fmt value by value. The
+whole table is then filled in by a single % on a template of those
+conversions, so the typed columns make no Python-level call per value.
+The output is the same as fmt applied to every value.
+
+JSON is written compact (no indentation) with sorted keys, which keeps
+the stdlib's C encoder.
 
 Writes go through a temp file plus rename so readers never observe
 partial output; the file gets the permissions a plain open() would give
@@ -82,9 +85,21 @@ def _typed_column(col) -> tuple[str, list | range]:
         return "%.17g", col
     if kinds == {int}:
         return "%d", col
-    if kinds == {Decimal}:
+    if kinds == {Decimal} or kinds == {str}:
         return "%s", col
     return "%s", list(map(fmt, col))
+
+
+def render(col) -> list[str]:
+    """fmt of every value of one column, typed and formatted in one % pass.
+
+    The strings are split at newlines, so no rendered value may hold one
+    (numbers never do).
+    """
+    spec, values = _typed_column(col)
+    if not len(values):
+        return []
+    return ((spec + "\n") * len(values) % tuple(values))[:-1].split("\n")
 
 
 def csv_text(header: list[str], columns: list) -> str:
@@ -108,4 +123,4 @@ def write_csv(path, header: list[str], columns: list) -> None:
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")

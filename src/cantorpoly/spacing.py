@@ -22,27 +22,41 @@ points are formed exactly and rounded once, to double.
 
 A full verification run keeps one run-local cache: each eigensolve, each
 dyadic zero set and each critical set is computed once per run and read
-by every check, and the cache dies with the run. The at-most-one
-interlacing test is decided one larger degree r at a time, with one
-binning of all smaller-degree zeros.
+by every check, and the cache dies with the run. The dyadic zero sets
+and the branch-lemma tables of levels 1..8 come from one branch ladder
+each (geometry.branch_value_ladder), and a critical set reuses the
+cached zero sets wherever they share its deepest level's precision.
+Each eigensolved zero set carries its smallest gap from the solve, so
+M_n takes no second pass. The at-most-one interlacing test is decided
+one larger degree r at a time, with one binning of all smaller-degree
+zeros.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-from .exact import CriticalSet, MapFamily, ZeroSet, exact_zeros
+from .exact import EXACT as _EXACT
+from .exact import (
+    CriticalSet,
+    MapFamily,
+    ZeroSet,
+    critical_levels,
+    exact_zero_ladder,
+    exact_zeros,
+    min_gap_with_index,
+)
 from .geometry import (
     BranchWord,
     branch_composition,
+    branch_value_ladder,
     branch_value_table,
     largest_gap,
     leftmost_length,
@@ -52,8 +66,6 @@ from .serialize import csv_text
 
 _PI_SQ_4 = math.pi ** 2 / 4.0
 _EXACT_VS_EIGEN_TOL = 1e-9
-# Decimal subtraction is exact here; entered only around differences
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 # branch values carry rounding at the ~1e-34 scale of their O(1) size and
 # a separation keeps it as an absolute error, so the tie cushion is
@@ -66,6 +78,8 @@ _TEO1_SAMPLES = 50
 _TM_MAX_K = 5
 _RORO_MAX_LEVEL = 8
 _INTERLACING_MAX = 64
+# the branch lemma's parameters: anchors (t = 0) and both endpoints
+_LEMMA_TS = (0.0, 1.0, -1.0)
 
 
 def _scales_ok(chain, l_next, d_next) -> bool:
@@ -93,13 +107,9 @@ def min_spacing(zero_set) -> float:
 
 
 def _min_gap_with_index(zero_set) -> tuple[float, int]:
-    pts = _points(zero_set)
-    if pts.size < 2:
-        raise DomainError("minimum spacing needs at least two zeros")
-    with localcontext(_EXACT) if pts.dtype == object else contextlib.nullcontext():
-        gaps = np.diff(pts)
-    i = int(np.argmin(gaps))
-    return float(gaps[i]), i
+    if isinstance(zero_set, ZeroSet):
+        return zero_set.smallest_gap()
+    return min_gap_with_index(_points(zero_set))
 
 
 def set_distance(A, B) -> float:
@@ -345,14 +355,15 @@ def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> Re
     dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
     2^n must dominate the minimum separation over all words and
     endpoints. The anchors (t = 0) and endpoints (t = +-1) come from one
-    doubling pass of branch_value_table over the three parameters in
-    extended precision, so the whole level costs O(2^n) decimal
-    operations; the word-independent terms are computed once.
+    branch-value table over the three parameters in extended precision:
+    the run's lemma ladder when the cache holds one, else a fresh
+    doubling pass, O(2^n) decimal operations. The word-independent terms
+    are computed once.
     """
     if n < 1:
         raise DomainError("level must be >= 1")
     gamma = fam.gamma
-    table = branch_value_table(gamma, n, (0.0, 1.0, -1.0), "dd")
+    table = _cached_lemma_table(fam, n, cache)
     anchors = table[:, 0]
     chain = anchors[0]
     l_next = leftmost_length(gamma, n + 1, "dd")
@@ -405,16 +416,32 @@ def _cached_zeros(J: JacobiMatrix, n: int, cache: dict | None) -> ZeroSet:
     return _cached_zero_sets(J, (n,), cache)[n]
 
 
+def _ladder(cache: dict | None, key: str) -> list:
+    # the levels 1..L of one ladder that full_verification put in the cache
+    return [] if cache is None else cache.get(key, [])
+
+
 def _cached_exact_zeros(fam: MapFamily, m: int, cache: dict | None) -> ZeroSet:
+    ladder = _ladder(cache, "exact ladder")
+    if m <= len(ladder):
+        return ladder[m - 1]
     return _memo(cache, ("exact", m), lambda: exact_zeros(fam, m))
 
 
+def _cached_lemma_table(fam: MapFamily, n: int, cache: dict | None) -> np.ndarray:
+    ladder = _ladder(cache, "lemma ladder")
+    if n <= len(ladder):
+        return ladder[n - 1]
+    return _memo(cache, ("lemma", n), lambda: branch_value_table(fam.gamma, n, _LEMMA_TS, "dd"))
+
+
 def _cached_critical_set(fam: MapFamily, n: int, cache: dict | None) -> CriticalSet:
-    """{1/2} together with the (cached) zero sets of levels 1..n-1."""
+    """{1/2} together with the zero sets of levels 1..n-1, all in level
+    n - 1's precision: the cached ones wherever they share it."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    return _memo(cache, ("critical", n), lambda: CriticalSet.from_zero_sets(
-        _cached_exact_zeros(fam, k, cache) for k in range(1, n)))
+    return _memo(cache, ("critical", n), lambda: CriticalSet.from_zero_sets(critical_levels(
+        fam, n, [_cached_exact_zeros(fam, k, cache) for k in range(1, n)])))
 
 
 def _dyadic_exponent(n: int) -> int | None:
@@ -577,12 +604,18 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     One run-local cache holds the eigensolves and the dyadic zero and
     critical sets, so each is computed once per call; the spacing report
     fills it with one batched eigensolve of degrees 2..n_max, and
-    interlacing is checked one degree r at a time.
+    interlacing is checked one degree r at a time. The dyadic zero sets
+    of every level the run reads come from one ladder, and so do the
+    branch-lemma tables.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
     rng = np.random.default_rng(seed)
-    cache: dict = {}
+    # the run reads the dyadic levels up to n_max and up to the branch lemma's
+    cache: dict = {
+        "exact ladder": exact_zero_ladder(fam, max(n_max.bit_length() - 1, _RORO_MAX_LEVEL)),
+        "lemma ladder": branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd"),
+    }
     entries: list[ReportEntry] = []
 
     report = spacing_report(fam, J, range(2, n_max + 1), c=c, cache=cache,

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import cantorpoly as cp
 from cantorpoly.cli import main
+
+from conftest import mpmath_critical_points, worst_relative_error
 
 
 def _read_csv(path):
@@ -155,29 +157,30 @@ class TestZerosCommand:
         assert max(len(Decimal(r[1]).as_tuple().digits) for r in rows) == 52
 
     def test_one_branch_pass_per_level(self, tmp_path, monkeypatch):
-        # each level's zeros are computed once and reused for the critical file
+        # one ladder gives every level's zeros; of the critical file's levels
+        # 1..7 are double and 8..10 dd, so 1..7 come from one more ladder,
+        # in level 10's precision, and all are placed by interlacing
         calls = []
-        real = cp.exact.all_branch_values
+        real = cp.exact.branch_value_ladder
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(gamma, top, ts, mode="auto", depth=None):
+            calls.append((top, depth))
+            return real(gamma, top, ts, mode, depth)
 
-        monkeypatch.setattr(cp.exact, "all_branch_values", counting)
+        monkeypatch.setattr(cp.exact, "branch_value_ladder", counting)
         rc = main(["zeros", "--gamma", "constant:0.02", "--degree-max", "2048",
                    "--depth", "13", "--precision", "auto", "--out", str(tmp_path)])
         assert rc == 0
-        assert sorted(calls) == list(range(1, 12))
-        # levels 1..7 are written in double, 8..10 in dd; the critical file
-        # holds the double levels promoted exactly, so at 34 digits
-        want = [Decimal("0.5")]
-        for m in range(1, 11):
-            _, rows = _read_csv(tmp_path / f"zeros_d{2 ** m}.csv")
-            with localcontext() as ctx:
-                ctx.prec = 34
-                want.extend(+Decimal(float(r[1])) if m <= 7 else Decimal(r[1]) for r in rows)
+        assert calls == [(11, None), (7, 10)]
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        levels = cp.exact.exact_zero_ladder(fam, 10, depth=10)
+        want = sorted([Decimal("0.5")] + [v for zs in levels for v in zs.points_dd])
         _, rows = _read_csv(tmp_path / "critical_l11.csv")
-        assert [Decimal(r[1]) for r in rows] == sorted(want)
+        assert [Decimal(r[1]) for r in rows] == want
+        # levels 8..10 are the same in both precisions, so their strings agree
+        for m in range(8, 11):
+            _, zrows = _read_csv(tmp_path / f"zeros_d{2 ** m}.csv")
+            assert [r[1] for r in zrows] == [str(v) for v in levels[m - 1].points_dd]
 
     def test_17_digit_roundtrip(self, tmp_path, fam_sixth):
         main(["zeros", "--gamma", "constant:1/6", "--degree-max", "4",
@@ -185,6 +188,20 @@ class TestZerosCommand:
         _, rows = _read_csv(tmp_path / "zeros_d4.csv")
         got = np.array([float(r[1]) for r in rows])
         assert np.array_equal(got, cp.exact_zeros(fam_sixth, 2).points)
+
+
+class TestTinyGammaCriticalRows:
+    @pytest.mark.parametrize("desc", ["periodic:1/1000000,1/4", "periodic:1/4,1/1000000"])
+    def test_rows_match_mpmath(self, tmp_path, desc):
+        # levels 1..9 mix double and decimal; a double level promoted to 34
+        # digits was 1.9e-17 off and landed on the wrong side of a level-9
+        # zero 8.8e-20 away; every level now works at level 9's 49 digits
+        assert main(["zeros", "--gamma", desc, "--degree-max", "1024", "--depth", "12",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "critical_l10.csv")
+        want = mpmath_critical_points(cp.GammaSequence.from_descriptor(desc), 10)
+        assert worst_relative_error([r[1] for r in rows], want) <= 1e-30
+        assert [int(r[0]) for r in rows] == list(range(1, 1024))
 
 
 class TestVerifyCommand:
@@ -264,13 +281,16 @@ class TestVerifyCommand:
 
 
 # sha256 of every CSV a small run writes, taken before the CSV writer became
-# columnar; run.json is left out because it embeds --out
+# columnar; run.json is left out because it embeds --out. critical_l11.csv
+# was re-pinned when every level of a critical set moved to its deepest
+# level's precision: levels 1..9 are now 34-digit decimals instead of
+# promoted doubles, every row within 1.2e-33 relative of 60-digit mpmath
 PINNED_OUTPUTS = {
     "zeros": (
         ["zeros", "--gamma", "constant:0.05", "--degree-max", "2048", "--depth", "13",
          "--precision", "auto"],
         {
-            "critical_l11.csv": "eb7b758d8cf6afdc9639534e5bf3d6f41e0d9d58b5594e5b886c7b5294eef687",
+            "critical_l11.csv": "36caddd684a2c014d0d31d292fde355528b28da2e10830730b95c32cf01cf544",
             "zeros_d2.csv": "0366c459900564e550cde2c8e79498942cb3cc848c03d0eb4192c810f5569240",
             "zeros_d4.csv": "17273050371638296c8b5dc96ad60e6aebbbb811d22c1597f1a918308856e2a3",
             "zeros_d8.csv": "98053a99726f25bea34395c051d1a4a45c748459cd5ba3cdd70329ba2396e268",
@@ -304,7 +324,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "3736d79606738a3c60d14c5b047183697c3cacffea01ae4e7d58d151ab70a5b3"
+VERIFY_JSON_SHA256 = "ab371d046fb74ad372cffa91c4b313300022b0a811be2ff7dfdb926f56addc44"
 
 
 class TestPinnedOutputBytes:
@@ -319,8 +339,9 @@ class TestPinnedOutputBytes:
     def test_verify_json_sha256(self, tmp_path):
         # every check entry of a small run, taken before the dyadic zero and
         # critical sets were cached per run, re-pinned when config.precision
-        # became "auto" and metadata.precision_mode went, and again when the
-        # half-size solve moved to dqds; config.out is normalised
+        # became "auto" and metadata.precision_mode went, again when the
+        # half-size solve moved to dqds, and when the JSON went compact (its
+        # json.loads unchanged); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

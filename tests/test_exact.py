@@ -9,10 +9,10 @@ from numpy.polynomial import chebyshev as npcheb
 
 import cantorpoly as cp
 from cantorpoly.errors import DomainError, RangeOverflowError
-from cantorpoly.exact import CriticalSet, ZeroSet
+from cantorpoly.exact import CriticalSet, ZeroSet, critical_order, exact_zero_ladder
 from cantorpoly.geometry import level_intervals
 
-from conftest import chebyshev_zeros_unit
+from conftest import chebyshev_zeros_unit, mpmath_critical_points, worst_relative_error
 
 EPS = np.finfo(float).eps
 
@@ -237,21 +237,61 @@ class TestCriticalSet:
                 zk = cp.exact_zeros(fam_sixth, k)
                 assert cp.set_distance(zk, ys) == 0.0
 
-    def test_dd_levels_promote_the_double_levels(self):
+    def test_levels_share_the_deepest_precision(self):
         # at gamma = 0.02 levels 1..7 are double and 8..10 dd in auto mode;
-        # the union keeps every level exactly, sorted in dd
-        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        # the critical set of level 11 computes all of 1..10 in level 10's
+        # precision (a double level promoted to 34 digits is off by ~1e-16)
+        gamma = cp.GammaSequence.constant("0.02")
+        fam = cp.MapFamily(gamma)
         zero_sets = [cp.exact_zeros(fam, k, "auto") for k in range(1, 11)]
         assert [zs.points_dd is not None for zs in zero_sets] == [False] * 7 + [True] * 3
         ys = cp.critical_set(fam, 11, "auto")
-        assert ys.points_dd == CriticalSet.from_zero_sets(zero_sets).points_dd
-        want = [Decimal("0.5")]
-        for zs in zero_sets:
-            want.extend(zs.points_dd or [Context(prec=34).create_decimal(x) for x in zs.points])
-        assert list(ys.points_dd) == sorted(want)
-        assert np.array_equal(ys.points, [float(v) for v in sorted(want)])
+        assert ys.points_dd is not None
+        assert worst_relative_error(ys.points_dd, mpmath_critical_points(gamma, 11)) <= 1e-30
+        levels = exact_zero_ladder(fam, 10, depth=10)
+        assert ys == CriticalSet.from_zero_sets(levels)
+        assert np.array_equal(ys.points, [float(v) for v in ys.points_dd])
+        # the shared dd levels are the ones exact_zeros gives
+        assert [zs.points_dd for zs in levels[7:]] == [zs.points_dd for zs in zero_sets[7:]]
+        with pytest.raises(DomainError, match="one precision"):
+            CriticalSet.from_zero_sets(zero_sets)
         with pytest.raises(DomainError):
-            CriticalSet.from_zero_sets(zero_sets[1:])
+            CriticalSet.from_zero_sets(levels[1:])
+
+    @pytest.mark.parametrize("desc, n", [("constant:1/4", 9), ("constant:1/6", 10),
+                                         ("constant:0.1", 10), ("periodic:1/5,1/6", 10),
+                                         ("periodic:2/9,1/4", 9), ("constant:0.001", 8)])
+    def test_placement_is_the_sorted_union(self, desc, n):
+        # where every level shares one precision, placing the levels by
+        # interlacing gives the sorted union exactly
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        levels = exact_zero_ladder(fam, n - 1, depth=n - 1)
+        ys = CriticalSet.from_zero_sets(levels)
+        if levels[0].points_dd is None:
+            want = np.sort(np.concatenate([[0.5]] + [zs.points for zs in levels]))
+            assert np.array_equal(ys.points, want) and ys.points_dd is None
+        else:
+            want = sorted([Decimal("0.5")] + [v for zs in levels for v in zs.points_dd])
+            assert list(ys.points_dd) == want
+        assert ys == cp.critical_set(fam, n)
+
+    def test_missing_or_misordered_level_raises(self, fam_periodic):
+        levels = exact_zero_ladder(fam_periodic, 5)
+        assert CriticalSet.from_zero_sets(levels).level == 6
+        for bad in (levels[1:], levels[:2] + levels[3:], [levels[1], levels[0]] + levels[2:]):
+            with pytest.raises(DomainError):
+                CriticalSet.from_zero_sets(bad)
+        # a level of the right size in the wrong place breaks the interlacing
+        shifted = ZeroSet(degree=8, points=levels[2].points * 0.5, provenance="exact-branch")
+        with pytest.raises(DomainError, match="strictly increasing"):
+            CriticalSet.from_zero_sets(levels[:2] + [shifted] + levels[3:])
+
+    def test_critical_order_positions(self):
+        # 1-based position 2^nu (2i + 1) holds point i of level n - 1 - nu
+        levels = [np.array([0.5]), np.array([0.2, 0.8]), np.array([0.1, 0.3, 0.7, 0.9])]
+        assert list(critical_order(levels)) == [0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9]
+        assert critical_order(levels).dtype == float
+        assert list(critical_order([["c"], ["b", "d"]])) == ["b", "c", "d"]
 
     def test_working_view_built_once(self):
         fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import cantorpoly as cp
+from cantorpoly import geometry
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import (
     BranchWord,
     GammaSequence,
     Interval,
     all_branch_values,
+    branch_value_ladder,
     branch_value_table,
     largest_gap,
     level_gaps,
@@ -87,6 +89,27 @@ class TestUMap:
 
 
 class TestGammaSequence:
+    def test_period(self):
+        assert GammaSequence.constant("0.1").period == 1
+        assert GammaSequence.periodic(["1/6", "1/5", "1/4"]).period == 3
+        assert GammaSequence.from_list(["1/4", "1/4"]).period is None
+
+    @pytest.mark.parametrize("desc", ["constant:0.001", "periodic:1/6,1/5,1/4",
+                                      "list:1/4,1/1000"])
+    def test_memoized_scales_keep_their_values(self, desc):
+        # the prefix products and context digits are kept per instance;
+        # any order of calls gives the products and digits of the rule
+        g = GammaSequence.from_descriptor(desc)
+        for s in (7, 3, 12, 0, 12):
+            want = math.prod((g.value(k) for k in range(1, s + 1)), start=Fraction(1))
+            assert g.delta_fraction(s) == want
+            d = want * g.value(s + 1) * g.value(s + 2)
+            decades = math.ceil(math.log10(d.denominator) - math.log10(d.numerator))
+            assert g.context(s).prec == max(34, decades + 10)
+            assert g.context(s) is not g.context(s)  # a fresh context each call
+        assert g == GammaSequence.from_descriptor(desc)
+        assert hash(g) == hash(GammaSequence.from_descriptor(desc))
+
     def test_kinds_and_extension(self):
         g = GammaSequence.from_list(["0.1", "0.2"])
         assert g.value(1) == Fraction(1, 10)
@@ -383,3 +406,54 @@ class TestAllBranchValues:
         vals_d = sorted(all_branch_values(gamma_sixth, 5, -1.0))
         vals_dd = sorted(float(v) for v in all_branch_values(gamma_sixth, 5, -1.0, "dd"))
         assert np.allclose(vals_d, vals_dd, rtol=0, atol=1e-15)
+
+
+class TestBranchValueLadder:
+    @pytest.mark.parametrize("desc", ["constant:0.05", "constant:0.001", "periodic:1/5,1/6",
+                                      "periodic:1/6,1/5,1/4", "list:1/4,1/1000",
+                                      "constant:1/4"])
+    def test_levels_equal_fresh_tables(self, desc):
+        # 0.05 turns decimal at level 10; at 0.001 the context grows every
+        # level, so nothing is carried; a list is never carried
+        gamma = GammaSequence.from_descriptor(desc)
+        ts = (0.0, 1.0, -1.0)
+        tables = branch_value_ladder(gamma, 12, ts)
+        assert len(tables) == 12
+        for n, table in enumerate(tables, start=1):
+            fresh = branch_value_table(gamma, n, ts)
+            assert table.dtype == fresh.dtype and table.shape == fresh.shape == (2 ** n, 3)
+            if fresh.dtype == object:
+                assert table.tolist() == fresh.tolist(), n
+            else:
+                assert np.array_equal(table, fresh), n
+
+    def test_depth_fixes_one_precision(self):
+        gamma = GammaSequence.constant("0.02")
+        tables = branch_value_ladder(gamma, 10, (0.0,), depth=10)
+        assert all(t.dtype == object for t in tables)
+        for n in (1, 5, 8, 10):  # levels 8..10 already work at level 10's 34 digits
+            assert tables[n - 1].tolist() == branch_value_table(gamma, n, (0.0,), "dd").tolist()
+        assert branch_value_ladder(gamma, 0, (0.0,)) == []
+        with pytest.raises(DomainError):
+            branch_value_ladder(gamma, 3, (0.0, 1.5))
+
+    def test_carry_halves_the_decimal_pulls(self, monkeypatch):
+        # values pulled in decimal for levels 8..12 of constant 0.02: one
+        # fresh doubling per level pulls 2^n - 2 values each, the ladder
+        # starts level 8 afresh and carries every later level by one step
+        gamma = GammaSequence.constant("0.02")
+        pulled = []
+        real = geometry._pull
+
+        def counting(g, v, reflected, mode):
+            if mode == "dd":
+                pulled.append(len(v))
+            return real(g, v, reflected, mode)
+
+        monkeypatch.setattr(geometry, "_pull", counting)
+        for n in range(1, 13):
+            branch_value_table(gamma, n, (0.0,))
+        assert sum(pulled) == 7926
+        pulled.clear()
+        branch_value_ladder(gamma, 12, (0.0,))
+        assert sum(pulled) == 254 + 256 + 512 + 1024 + 2048

@@ -481,6 +481,27 @@ class TestEigenZeroSets:
         got = self._check(J, [4, 2, 3, 4])
         assert got[4].escalated and not got[3].escalated
 
+    def test_each_set_keeps_its_smallest_gap(self, monkeypatch):
+        # the escalation test's gap pass is the only one: M_n reads it back
+        fam = cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6)))
+        J = cp.jacobi_for_gamma(fam, 64)
+        for n, zs in cp.eigen_zero_sets(J, range(1, 65)).items():
+            if n == 1:
+                assert zs.min_gap is None
+                continue
+            gaps = np.diff(zs.points)
+            i = int(np.argmin(gaps))
+            assert zs.min_gap == (float(gaps[i]), i) and isinstance(zs.min_gap[0], float)
+        escalated = cp.eigen_zeros(cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5)), 4)
+        assert escalated.escalated and escalated.min_gap is None
+        assert escalated.smallest_gap() == cp.exact.min_gap_with_index(escalated.values)
+        calls = []
+        real = cp.exact.min_gap_with_index
+        monkeypatch.setattr(cp.exact, "min_gap_with_index",
+                            lambda pts: calls.append(pts.size) or real(pts))
+        cp.spacing_report(fam, J, range(2, 65))
+        assert sorted(calls) == [2, 4, 8, 16, 32, 64]  # the exact dyadic sets alone
+
     def test_gershgorin_prefix_is_each_truncation_alone(self):
         rng = np.random.default_rng(11)
         d = rng.uniform(0.2, 0.8, 40)

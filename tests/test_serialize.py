@@ -1,6 +1,7 @@
 """Columnar CSV writer: golden bytes per column kind, a row-wise property
 reference, and the permissions of written files."""
 
+import json
 import os
 import stat
 from decimal import Decimal
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorpoly import SpacingReport, serialize
-from cantorpoly.serialize import csv_text, fmt, write_csv, write_json
+from cantorpoly.serialize import csv_text, fmt, render, write_csv, write_json
 
 
 def rowwise_reference(header, columns) -> str:
@@ -132,3 +133,23 @@ class TestWrittenFiles:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~mask, name
         assert (tmp_path / "t.csv").read_text() == "k\n1\n2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+
+class TestRenderAndJson:
+    @pytest.mark.parametrize("column", [
+        np.array([0.1, 1 / 3, 1e-300, 0.5]), [Decimal("0.5"), Decimal("1E-40")],
+        range(3), np.array([1, 2], dtype=np.int64), ["a", "b"], [None, True, 1.5], []])
+    def test_render_is_fmt_per_value(self, column):
+        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        assert render(column) == [fmt(v) for v in values]
+
+    def test_rendered_strings_write_as_they_are(self):
+        col = np.array([0.25, 1e-20])
+        assert csv_text(["x"], [render(col)]) == csv_text(["x"], [col])
+
+    def test_json_is_compact_with_sorted_keys(self, tmp_path):
+        obj = {"b": [1.5, {"d": None, "c": "x"}], "a": True}
+        write_json(tmp_path / "o.json", obj)
+        text = (tmp_path / "o.json").read_text()
+        assert text == '{"a": true, "b": [1.5, {"c": "x", "d": null}]}\n'
+        assert json.loads(text) == obj

@@ -143,8 +143,9 @@ class TestRunLocalCache:
     @staticmethod
     def _count_branch_passes(monkeypatch):
         # every binding that reaches a branch doubling pass: exact_zeros
-        # (all_branch_values), and largest_gap's level intervals and the
-        # branch lemma (branch_value_table, t is then a tuple of parameters)
+        # (all_branch_values), largest_gap's level intervals and the branch
+        # lemma off the cache (branch_value_table, t is then a tuple of
+        # parameters), and the ladders of the run's zero sets and lemma tables
         calls = Counter()
         for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table"),
                              (spacing, "branch_value_table")):
@@ -155,6 +156,15 @@ class TestRunLocalCache:
                 return _real(gamma, n, t, mode)
 
             monkeypatch.setattr(module, name, counted)
+        for module in (exact, spacing):
+            real = module.branch_value_ladder
+
+            def counted_ladder(gamma, top, ts, mode="auto", depth=None, _real=real,
+                               _where=module.__name__):
+                calls[(_where, "ladder", top, ts, mode, depth)] += 1
+                return _real(gamma, top, ts, mode, depth)
+
+            monkeypatch.setattr(module, "branch_value_ladder", counted_ladder)
         return calls
 
     def test_each_dyadic_level_built_once_per_run(self, monkeypatch, fam_sixth):
@@ -165,12 +175,15 @@ class TestRunLocalCache:
         for _ in range(2):
             calls.clear()
             full_verification(fam_sixth, J, n_max=64, c=Fraction(1, 6))
-            # exact_zeros passes t = 0 once per level
-            zero_levels = Counter()
-            for (where, n, _, mode), k in calls.items():
-                if where == "cantorpoly.exact":
-                    zero_levels[(n, mode)] += k
-            assert zero_levels == {(n, "auto"): 1 for n in range(1, 9)}
+            # one ladder gives the zeros of levels 1..8, one the lemma tables;
+            # every critical set reuses the zeros, which are all double
+            ladders = {key: k for key, k in calls.items() if key[1] == "ladder"}
+            assert ladders == {("cantorpoly.exact", "ladder", 8, (0.0,), "auto", None): 1,
+                               ("cantorpoly.spacing", "ladder", 8, (0.0, 1.0, -1.0), "dd",
+                                None): 1}
+            assert not [key for key in calls if key[0] == "cantorpoly.exact" and key not in ladders]
+            assert not [key for key in calls if key[0] == "cantorpoly.spacing"
+                        and key not in ladders]
             totals.append(sum(calls.values()))
         assert totals[0] == totals[1]
 
