@@ -63,8 +63,14 @@ class RunConfig:
     def validate(self):
         if self.command not in ("geometry", "jacobi", "zeros", "verify"):
             raise DomainError(f"unknown command {self.command!r}")
+        for name in ("levels", "degree_max", "depth", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass, and no count
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.levels < 0 or self.degree_max < 1 or self.depth < 1:
             raise DomainError("levels, degree-max and depth must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if self.degree_max > 2 ** (self.depth - 2):
             raise DomainError(
                 f"degree-max {self.degree_max} violates the safety margin "
@@ -117,7 +123,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
     if args.config:
         with open(args.config) as fh:
-            settings.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise DomainError(f"config file {args.config} must hold a JSON object")
+        settings.update(loaded)
     for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out",
                 "tol_zero", "seed", "jacobi_file"):
         value = getattr(args, key, None)

@@ -13,8 +13,8 @@ finding is involved. Dyadic zero sets come from exact_zeros, or for
 levels 1..top together from exact_zero_ladder, which runs one branch
 ladder; the branch values fall in increasing order by a fixed Gray-code
 permutation of the words, which the sets' strict-increase check
-confirms. In extended precision they keep their Decimal values in
-points_dd next to the double view in points.
+confirms. In extended precision their values are Decimals, and points is
+the double view of them.
 
 The critical points of F_n are 1/2 together with the zeros of F_1, ...,
 F_{n-1}, and Rolle's theorem interlaces them: the point at 1-based
@@ -29,6 +29,7 @@ ones would be too coarse to order.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
@@ -97,12 +98,12 @@ class MapFamily:
 class _PointSet:
     """Sorted points, checked in their working precision.
 
-    A set computed in extended precision carries its Decimal values in
-    points_dd; points is then only their double view, where neighbours
-    may tie and extreme points may round to 0 or 1. values holds the
-    points in the working precision: points itself, or a read-only object
-    array of the Decimals, built once here. Two sets are equal when they
-    are of one type and their values are equal point for point.
+    values is the one stored array: float64, or for a set computed in
+    extended precision a read-only object array of Decimals. points is its
+    double view, formed on first read; in extended precision neighbours
+    may tie there and extreme points may round to 0 or 1. Two sets are
+    equal when they are of one type and their values are equal point for
+    point.
     """
 
     __hash__ = None
@@ -112,16 +113,21 @@ class _PointSet:
             return NotImplemented
         return np.array_equal(self.values, other.values)  # False on a size mismatch
 
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The double view of values (values itself for a double set)."""
+        return self.values.astype(float, copy=False)
+
     def _validate(self, count: int, what: str) -> np.ndarray:
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        if self.points_dd is None:
-            vals = self.points
-        else:
-            vals = np.array(self.points_dd, dtype=object)
+        vals = np.asarray(self.values)
+        if vals.dtype == object:
+            vals = vals.copy()  # freezing it leaves the caller's array writable
             vals.flags.writeable = False
+        else:
+            vals = vals.astype(float, copy=False)
         object.__setattr__(self, "values", vals)
-        if count < 1 or self.points.size != count or vals.size != count:
-            raise DomainError(f"expected {count} {what}, got {self.points.size}")
+        if count < 1 or vals.size != count:
+            raise DomainError(f"expected {count} {what}, got {vals.size}")
         if not np.all(vals[1:] > vals[:-1]):
             raise DomainError(f"{what} must be strictly increasing")
         return vals
@@ -131,19 +137,16 @@ class _PointSet:
 class ZeroSet(_PointSet):
     """Sorted zeros of one orthogonal polynomial, strictly inside (0, 1).
 
-    Extended-precision branch zeros and escalated eigensolves carry
-    points_dd. min_gap is (gap, i) of min_gap_with_index on values; a
-    builder that already has it passes it, otherwise smallest_gap
+    Extended-precision branch zeros and escalated eigensolves hold
+    Decimal values. min_gap is (gap, i) of min_gap_with_index on values;
+    a builder that already has it passes it, otherwise smallest_gap
     computes it on first use.
     """
 
     degree: int
-    points: np.ndarray
+    values: np.ndarray = field(repr=False)
     provenance: str
-    escalated: bool = False
-    points_dd: tuple | None = None
     min_gap: tuple[float, int] | None = field(default=None, repr=False)
-    values: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vals = self._validate(self.degree, "zeros")
@@ -154,6 +157,11 @@ class ZeroSet(_PointSet):
 
     def __len__(self):
         return self.degree
+
+    @property
+    def escalated(self) -> bool:
+        """Whether an eigensolve fell back to decimal bisection."""
+        return self.provenance == "eigensolve" and self.values.dtype == object
 
     def smallest_gap(self) -> tuple[float, int]:
         """min_gap_with_index of the zeros, computed once."""
@@ -166,13 +174,12 @@ class ZeroSet(_PointSet):
 class CriticalSet(_PointSet):
     """Sorted critical points of F_n: the 2^n - 1 zeros of its derivative.
 
-    Carries points_dd when its levels were computed in extended precision.
+    Holds Decimal values when its levels were computed in extended
+    precision.
     """
 
     level: int
-    points: np.ndarray
-    points_dd: tuple | None = None
-    values: np.ndarray = field(default=None, init=False, repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self._validate(2 ** self.level - 1, "critical points")
@@ -192,14 +199,11 @@ class CriticalSet(_PointSet):
             if zs.degree != 2 ** k:
                 raise DomainError(f"level {k} of a critical set needs {2 ** k} zeros, "
                                   f"got {zs.degree}")
-        extended = {zs.points_dd is not None for zs in zero_sets}
+        extended = {zs.values.dtype == object for zs in zero_sets}
         if len(extended) > 1:
             raise DomainError("the levels of a critical set must share one precision")
-        points = critical_order([np.array([0.5])] + [zs.points for zs in zero_sets])
-        if extended != {True}:
-            return cls(level, points)
-        vals = critical_order([[Decimal("0.5")]] + [zs.values for zs in zero_sets])
-        return cls(level, points, tuple(vals))
+        half = Decimal("0.5") if extended == {True} else 0.5
+        return cls(level, critical_order([np.array([half])] + [zs.values for zs in zero_sets]))
 
 
 def critical_order(levels) -> np.ndarray:
@@ -265,12 +269,8 @@ def _zero_set(m: int, vals) -> ZeroSet:
     confirms the order instead of a sort making it.
     """
     i = np.arange(2 ** m)
-    vals = np.asarray(vals)[i ^ (i >> 1)]
-    if vals.dtype != object:  # double mode
-        return ZeroSet(degree=2 ** m, points=vals, provenance="exact-branch")
-    vals = vals.tolist()  # float() over a list beats astype's object loop by a quarter
-    return ZeroSet(degree=2 ** m, points=np.array(list(map(float, vals))),
-                   provenance="exact-branch", points_dd=tuple(vals))
+    return ZeroSet(degree=2 ** m, values=np.asarray(vals)[i ^ (i >> 1)],
+                   provenance="exact-branch")
 
 
 def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
@@ -279,8 +279,8 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
     They are the preimages of 0 under F_m, i.e. the branch values at t = 0
     over all words of length m; equivalently the pullbacks of the two
     roots of f_m through the level-(m-1) branches. One zero lies in each
-    level-m basic interval. In extended precision the Decimal values are
-    kept in points_dd, and their order is checked exactly.
+    level-m basic interval. In extended precision the values are Decimals,
+    and their order is checked exactly.
     """
     if m < 1:
         raise DomainError("degree exponent must be >= 1")

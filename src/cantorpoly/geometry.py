@@ -171,6 +171,7 @@ class GammaSequence:
         return deltas[s]
 
     def delta(self, s: int, mode: str = "auto") -> Scalar:
+        """The level-s scale delta_s = gamma_1 * ... * gamma_s (delta_0 = 1)."""
         with localcontext(self.context(s)):
             return _scalar(self.delta_fraction(s), self.resolve_mode(s, mode))
 
@@ -519,11 +520,6 @@ def largest_gap(gamma: GammaSequence, n: int) -> float:
 # ---------------------------------------------------------------------------
 # scale quantities
 # ---------------------------------------------------------------------------
-
-def delta(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
-    """The level-s scale delta_s = gamma_1 * ... * gamma_s (delta_0 = 1)."""
-    return gamma.delta(s, mode)
-
 
 def leftmost_length(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
     """Length of the leftmost level-s basic interval (1 for s = 0).

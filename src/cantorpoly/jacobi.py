@@ -31,7 +31,8 @@ depend on the number of threads.
 Any other diagonal gets one symmetric eigensolve at full size. Only
 when neighbouring eigenvalues approach the double-precision resolution
 limit is the solve escalated to a Sturm-count bisection of the full
-matrix in 34-digit ``decimal`` arithmetic.
+matrix in 34-digit ``decimal`` arithmetic; the zero set of that degree
+then holds the Decimal values, and its points are their double view.
 """
 
 from __future__ import annotations
@@ -554,7 +555,7 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     solve raises there, at its degree, as it would in a serial run. If
     consecutive eigenvalues come out closer than 1e3 * eps * Gershgorin
     width, that degree is solved again by decimal Sturm-count bisection
-    and flagged as escalated, with the Decimal values in points_dd. An
+    and its set holds the Decimal values, which makes it escalated. An
     unescalated set keeps the smallest gap of that test as its min_gap.
     Every set is bit for bit the one its degree would get alone.
     """
@@ -585,11 +586,9 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
             lo, hi = float(glo[n - 2]), float(ghi[n - 2])
             if gap[0] < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):
                 ext = _eigvals_bisect_decimal(d_n, e_n, lo, hi)
-                out[n] = ZeroSet(degree=n, points=np.asarray(ext, dtype=float),
-                                 provenance="eigensolve", escalated=True, points_dd=tuple(ext))
+                out[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
                 continue
-        out[n] = ZeroSet(degree=n, points=vals, provenance="eigensolve", escalated=False,
-                         min_gap=gap)
+        out[n] = ZeroSet(degree=n, values=vals, provenance="eigensolve", min_gap=gap)
     return out
 
 

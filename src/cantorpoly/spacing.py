@@ -492,7 +492,10 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     c_frac = None
     if c is not None:
         c_frac = c if isinstance(c, Fraction) else Fraction(c)
-        if c_frac <= 0 or c_frac > gamma.infimum():
+        if c_frac <= 0:
+            raise DomainError(f"declared c = {c} must lie in (0, inf gamma] "
+                              f"= (0, {gamma.infimum()}]")
+        if c_frac > gamma.infimum():
             raise DomainError(f"declared c = {c} exceeds the materialized infimum")
         c_sq = c_frac * c_frac
 

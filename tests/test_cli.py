@@ -174,13 +174,13 @@ class TestZerosCommand:
         assert calls == [(11, None), (7, 10)]
         fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
         levels = cp.exact.exact_zero_ladder(fam, 10, depth=10)
-        want = sorted([Decimal("0.5")] + [v for zs in levels for v in zs.points_dd])
+        want = sorted([Decimal("0.5")] + [v for zs in levels for v in zs.values])
         _, rows = _read_csv(tmp_path / "critical_l11.csv")
         assert [Decimal(r[1]) for r in rows] == want
         # levels 8..10 are the same in both precisions, so their strings agree
         for m in range(8, 11):
             _, zrows = _read_csv(tmp_path / f"zeros_d{2 ** m}.csv")
-            assert [r[1] for r in zrows] == [str(v) for v in levels[m - 1].points_dd]
+            assert [r[1] for r in zrows] == [str(v) for v in levels[m - 1].values]
 
     def test_17_digit_roundtrip(self, tmp_path, fam_sixth):
         main(["zeros", "--gamma", "constant:1/6", "--degree-max", "4",
@@ -422,6 +422,44 @@ class TestConfigHandling:
                 key: value,
             }))
             assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2, key
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth", 5.5), ("levels", True), ("levels", 2.0), ("degree_max", True),
+        ("degree_max", 8.0), ("seed", True), ("seed", 1.5),
+    ])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma": "constant:1/6", "degree_max": 8, "depth": 6,
+                                   key: value}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
+                     "--seed", "-1", "--out", str(tmp_path)]) == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma": "constant:1/6", "degree_max": 8, "depth": 6,
+                                   "seed": -1}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("seed must be non-negative") == 2
+
+    @pytest.mark.parametrize("text", ['["abc"]', '[["depth", 6]]', '"constant:1/6"'])
+    def test_config_that_is_no_object_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg), "--gamma", "constant:1/6",
+                     "--degree-max", "8", "--depth", "6", "--out", str(tmp_path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c, message", [
+        ("0", "declared c = 0 must lie in (0, inf gamma] = (0, 1/6]"),
+        ("-1", "declared c = -1 must lie in (0, inf gamma] = (0, 1/6]"),
+        ("1/5", "declared c = 1/5 exceeds the materialized infimum"),
+    ])
+    def test_declared_c_outside_its_range_exits_2(self, tmp_path, capsys, c, message):
+        assert main(["verify", "--gamma", "constant:1/6", "--c", c, "--degree-max", "8",
+                     "--depth", "6", "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_safety_margin_enforced(self, tmp_path):
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "20",

@@ -1,7 +1,9 @@
 """Map family, monic polynomials, exact zeros, and critical sets."""
 
 import math
+from dataclasses import fields
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +162,7 @@ class TestExactZeros:
             assert float(res.max()) <= 2 ** m * EPS * scale
 
     def test_dd_mode_scalars(self, fam_sixth):
-        pts = cp.exact_zeros(fam_sixth, 3, "dd").points_dd
+        pts = cp.exact_zeros(fam_sixth, 3, "dd").values
         assert len(pts) == 8
         floats = cp.exact_zeros(fam_sixth, 3).points
         assert np.allclose([float(p) for p in pts], floats, atol=1e-15)
@@ -169,13 +171,13 @@ class TestExactZeros:
         # at gamma = 0.02, m = 11 neighbouring dd zeros share a double
         # rounding, so ordering them by float leaves pairs reversed
         fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
-        pts = cp.exact_zeros(fam, 11, "dd").points_dd
+        pts = cp.exact_zeros(fam, 11, "dd").values
         assert len(pts) == 2 ** 11
         assert all(x < y for x, y in zip(pts, pts[1:]))
         # in auto mode the set keeps its dd values from m = 10 on, where the
         # top zero (1 - 5.2e-18) rounds to 1.0 and neighbours tie in double
         for m in (10, 11, 12):
-            pts = cp.exact_zeros(fam, m, "auto").points_dd
+            pts = cp.exact_zeros(fam, m, "auto").values
             assert len(pts) == 2 ** m
             assert all(x < y for x, y in zip(pts, pts[1:]))
             assert pts[0] > 0.0 and pts[-1] < 1.0
@@ -189,7 +191,7 @@ class TestExactZeros:
         fam = cp.MapFamily(cp.GammaSequence.constant("0.001"))
         assert fam.gamma.context(12).prec == 52
         zs = cp.exact_zeros(fam, 12, "auto")
-        pts = zs.points_dd
+        pts = zs.values
         assert len(pts) == 2 ** 12
         assert all(x < y for x, y in zip(pts, pts[1:]))
         with localcontext(Context(prec=100)):  # exact differences
@@ -198,22 +200,20 @@ class TestExactZeros:
 
     def test_zero_set_validation(self):
         with pytest.raises(DomainError):
-            ZeroSet(degree=2, points=np.array([0.5, 0.2]), provenance="exact-branch")
+            ZeroSet(degree=2, values=np.array([0.5, 0.2]), provenance="exact-branch")
         with pytest.raises(DomainError):
-            ZeroSet(degree=2, points=np.array([0.2, 1.5]), provenance="exact-branch")
+            ZeroSet(degree=2, values=np.array([0.2, 1.5]), provenance="exact-branch")
         with pytest.raises(DomainError):
-            ZeroSet(degree=2, points=np.array([0.2, 0.5]), provenance="guess")
+            ZeroSet(degree=2, values=np.array([0.2, 0.5]), provenance="guess")
         # with dd values present, order and range are checked on them
         lo, hi = Decimal("0.2"), Decimal("0.5")
         with pytest.raises(DomainError):
-            ZeroSet(degree=2, points=np.array([0.2, 0.5]), provenance="exact-branch",
-                    points_dd=(hi, lo))
+            ZeroSet(degree=2, values=(hi, lo), provenance="exact-branch")
         with pytest.raises(DomainError):
-            ZeroSet(degree=2, points=np.array([0.2, 1.0]), provenance="exact-branch",
-                    points_dd=(lo, Decimal(1)))
+            ZeroSet(degree=2, values=(lo, Decimal(1)), provenance="exact-branch")
         # a double view that ties or touches 1 is fine when the dd values are not
-        ZeroSet(degree=2, points=np.array([1.0, 1.0]), provenance="exact-branch",
-                points_dd=(Decimal("0.99999999999999999998"), Decimal("0.99999999999999999999")))
+        ZeroSet(degree=2, values=(Decimal("0.99999999999999999998"),
+                                  Decimal("0.99999999999999999999")), provenance="exact-branch")
 
 
 class TestCriticalSet:
@@ -244,15 +244,15 @@ class TestCriticalSet:
         gamma = cp.GammaSequence.constant("0.02")
         fam = cp.MapFamily(gamma)
         zero_sets = [cp.exact_zeros(fam, k, "auto") for k in range(1, 11)]
-        assert [zs.points_dd is not None for zs in zero_sets] == [False] * 7 + [True] * 3
+        assert [zs.values.dtype == object for zs in zero_sets] == [False] * 7 + [True] * 3
         ys = cp.critical_set(fam, 11, "auto")
-        assert ys.points_dd is not None
-        assert worst_relative_error(ys.points_dd, mpmath_critical_points(gamma, 11)) <= 1e-30
+        assert ys.values.dtype == object
+        assert worst_relative_error(ys.values, mpmath_critical_points(gamma, 11)) <= 1e-30
         levels = exact_zero_ladder(fam, 10, depth=10)
         assert ys == CriticalSet.from_zero_sets(levels)
-        assert np.array_equal(ys.points, [float(v) for v in ys.points_dd])
+        assert np.array_equal(ys.points, [float(v) for v in ys.values])
         # the shared dd levels are the ones exact_zeros gives
-        assert [zs.points_dd for zs in levels[7:]] == [zs.points_dd for zs in zero_sets[7:]]
+        assert [list(zs.values) for zs in levels[7:]] == [list(zs.values) for zs in zero_sets[7:]]
         with pytest.raises(DomainError, match="one precision"):
             CriticalSet.from_zero_sets(zero_sets)
         with pytest.raises(DomainError):
@@ -267,12 +267,12 @@ class TestCriticalSet:
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         levels = exact_zero_ladder(fam, n - 1, depth=n - 1)
         ys = CriticalSet.from_zero_sets(levels)
-        if levels[0].points_dd is None:
+        if levels[0].values.dtype != object:
             want = np.sort(np.concatenate([[0.5]] + [zs.points for zs in levels]))
-            assert np.array_equal(ys.points, want) and ys.points_dd is None
+            assert np.array_equal(ys.points, want) and ys.values.dtype == float
         else:
-            want = sorted([Decimal("0.5")] + [v for zs in levels for v in zs.points_dd])
-            assert list(ys.points_dd) == want
+            want = sorted([Decimal("0.5")] + [v for zs in levels for v in zs.values])
+            assert list(ys.values) == want
         assert ys == cp.critical_set(fam, n)
 
     def test_missing_or_misordered_level_raises(self, fam_periodic):
@@ -282,7 +282,7 @@ class TestCriticalSet:
             with pytest.raises(DomainError):
                 CriticalSet.from_zero_sets(bad)
         # a level of the right size in the wrong place breaks the interlacing
-        shifted = ZeroSet(degree=8, points=levels[2].points * 0.5, provenance="exact-branch")
+        shifted = ZeroSet(degree=8, values=levels[2].points * 0.5, provenance="exact-branch")
         with pytest.raises(DomainError, match="strictly increasing"):
             CriticalSet.from_zero_sets(levels[:2] + [shifted] + levels[3:])
 
@@ -300,8 +300,7 @@ class TestCriticalSet:
         for s in (zs, ys):
             assert s.values is s.values
             assert s.values.dtype == object and not s.values.flags.writeable
-            assert list(s.values) == list(s.points_dd)
-            assert np.array_equal(s.points, [float(v) for v in s.points_dd])
+            assert np.array_equal(s.points, [float(v) for v in s.values])
             assert "values" not in repr(s)
         double = cp.exact_zeros(fam, 3)
         assert double.values is double.points
@@ -331,3 +330,66 @@ class TestCriticalSet:
         for n in range(1, 6):
             for y in cp.critical_set(fam_sixth, n).points:
                 assert abs(cp.evaluate_F(fam_sixth, n, y)) > 1.0
+
+
+class TestOneStoredArray:
+    """A point set stores its values once; points is their double view."""
+
+    def test_extended_points_are_the_double_view(self):
+        fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
+        zs = cp.exact_zeros(fam, 12)
+        assert zs.values.dtype == object and not zs.values.flags.writeable
+        assert np.array_equal(zs.points, [float(v) for v in zs.values])
+        assert zs.points.dtype == np.float64
+        assert zs.points is zs.points
+        with pytest.raises(ValueError):
+            zs.values[0] = Decimal("0.5")
+        # a double set's view is its values
+        ds = cp.exact_zeros(fam, 6)
+        assert ds.values.dtype == np.float64 and ds.points is ds.values
+
+    def test_escalated_only_on_decimal_eigensolves(self):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor("list:1/4,1/1000"))
+        sets = cp.eigen_zero_sets(cp.jacobi_for_gamma(fam, 64), range(2, 65))
+        assert [n for n, zs in sets.items() if zs.escalated] == [55, 63, 64]
+        assert all(zs.values.dtype == object for zs in (sets[55], sets[63], sets[64]))
+        # exact-branch sets are never escalated, double (1/6) or extended
+        for desc in ("constant:1/6", "constant:0.02", "list:1/4,1/1000"):
+            fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+            ladder = exact_zero_ladder(fam, 12)
+            assert not any(zs.escalated for zs in ladder), desc
+            assert ladder[-1].values.dtype == (float if desc == "constant:1/6" else object)
+
+    def test_init_takes_only_the_values(self):
+        assert [f.name for f in fields(ZeroSet) if f.init] == ["degree", "values",
+                                                               "provenance", "min_gap"]
+        assert [f.name for f in fields(CriticalSet) if f.init] == ["level", "values"]
+        with pytest.raises(TypeError):
+            ZeroSet(degree=2, points=np.array([0.1, 0.2]), provenance="exact-branch")
+        with pytest.raises(TypeError):
+            ZeroSet(degree=2, values=np.array([0.1, 0.2]), provenance="exact-branch",
+                    escalated=True)
+
+    def test_critical_set_makes_one_ordering_pass(self, monkeypatch):
+        calls = []
+        real = cp.exact.critical_order
+
+        def counting(levels):
+            calls.append(len(levels))
+            return real(levels)
+
+        monkeypatch.setattr(cp.exact, "critical_order", counting)
+        for desc in ("constant:1/6", "constant:0.02"):
+            fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+            levels = exact_zero_ladder(fam, 10, depth=10)
+            calls.clear()
+            ys = CriticalSet.from_zero_sets(levels)
+            assert calls == [11], desc
+            assert ys.values.dtype == levels[0].values.dtype
+
+    def test_no_other_module_names_the_double_double_stub(self):
+        package = Path(cp.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            if path.name != "ddouble.py":
+                text = path.read_text()
+                assert "ddouble" not in text and "DoubleDouble" not in text, path.name

@@ -89,8 +89,7 @@ def _per_pair_violations(sets):
 def _extended(values):
     # a ZeroSet whose working values are the given Decimals
     dd = tuple(Decimal(v) for v in values)
-    return cp.ZeroSet(degree=len(dd), points=np.array([float(v) for v in dd]),
-                      provenance="eigensolve", points_dd=dd)
+    return cp.ZeroSet(degree=len(dd), values=dd, provenance="eigensolve")
 
 
 # a coarse grid forces ties and shared endpoints between the sets; the
