@@ -76,8 +76,8 @@ class RunConfig:
                 f"degree-max {self.degree_max} violates the safety margin "
                 f"degree-max <= 2^(depth-2) = {2 ** (self.depth - 2)}"
             )
-        if self.tol_zero is not None and self.tol_zero <= 0:
-            raise DomainError("tol_zero must be positive")
+        if self.tol_zero is not None and not 0 < self.tol_zero < math.inf:
+            raise DomainError(f"tol_zero must be positive and finite, got {self.tol_zero}")
         if self.precision != "auto":
             raise DomainError(f"unknown precision mode {self.precision!r} (only 'auto')")
 

@@ -41,21 +41,22 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeOverflowError
 from .exact import MapFamily, ZeroSet, min_gap_with_index
-from .geometry import all_branch_values, as_decimal, extended_context
+from .geometry import all_branch_values, extended_context
 from .serialize import csv_text
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LANCZOS_BREAKDOWN = 256.0 * _EPS
 _DD_ESCALATION_FACTOR = 1e3
-_UNFOLD_DIGITS = 50  # and twice as many, to check the first run
+_UNFOLD_DIGITS = 50  # the unfolding starts at these digits and doubles them
+_UNFOLD_MAX_DIGITS = 1600  # up to this cap
 _THREAD_WORK = 1 << 16  # sum of (n//2)^2 from which a batch's dqds calls are threaded
 _CALL_WORK = 128  # the fixed cost of one dqds call, in units of (n//2)^2
 
@@ -238,37 +239,46 @@ def jacobi_for_gamma(fam: MapFamily, K: int) -> JacobiMatrix:
     bit-identical prefix of the result for any larger K.
 
     bp_k - c_{2n} cancels where a gamma_k near 1/4 sits above a tiny
-    gamma_{k+1}, so the unfolding runs in decimal at 50 and at 100 digits.
-    Raises ArithmeticError naming the level where some c_k is not positive,
-    or where the two runs, rounded to double, differ beyond 4 eps relative.
+    gamma_{k+1}, so ``_unfold`` encloses each c at 50 digits, doubled up to 1600
+    until each level-1 enclosure rounds to one double, the correctly rounded c;
+    else ArithmeticError names the level. A c that rounds to 0 raises RangeOverflowError.
     """
     if K < 1:
         raise DomainError("coefficient count must be >= 1")
     needs = [K - 1]
     while needs[-1] > 1:
         needs.append(needs[-1] // 2)
-    runs = []
-    for digits in (_UNFOLD_DIGITS, 2 * _UNFOLD_DIGITS):
-        levels, q = [], []
-        with localcontext(extended_context(digits)):
-            for k in range(len(needs), 0, -1):
-                g = fam.gamma.value(k)
-                bp, s = (Fraction(1, 4) - g / 2, g * g / 4) if k == 1 else (1 - 2 * g, 4 * g * g)
-                bp, s = as_decimal(bp), as_decimal(s)
-                c = [bp]
-                for i in range(1, needs[k - 1]):
-                    c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
-                    if not c[-1] > 0:
-                        raise ArithmeticError(f"squared coefficient c_{i + 1} = {c[-1]:.3e} "
-                                              f"at level {k} lost all precision")
-                levels.append(np.asarray(c, dtype=float))
-                q = c
-        runs.append(levels)
-    for k, x, y in zip(range(len(needs), 0, -1), *runs):
-        if not np.all((y > 0) & (np.abs(x - y) <= 4 * _EPS * y)):
-            raise ArithmeticError(f"squared coefficients at level {k} differ beyond 4 eps "
-                                  f"between {_UNFOLD_DIGITS} and {2 * _UNFOLD_DIGITS} digits")
-    return JacobiMatrix(np.sqrt(runs[1][-1][: K - 1]), np.full(K, 0.5))
+    digits = _UNFOLD_DIGITS
+    while True:
+        lo, hi, unresolved = _unfold(fam.gamma, needs, digits)
+        c = np.asarray(lo, dtype=float)
+        if unresolved is None and (hi == lo or np.array_equal(c, np.asarray(hi, dtype=float))):
+            break
+        if 2 * digits > _UNFOLD_MAX_DIGITS:
+            raise ArithmeticError(f"{unresolved or 'level 1 is unresolved'} at {digits} digits")
+        digits *= 2
+    if not np.all(c > 0):
+        raise RangeOverflowError(f"squared coefficient c_{np.argmin(c) + 1} at level 1 underflows")
+    return JacobiMatrix(np.sqrt(c), np.full(K, 0.5))
+
+
+def _unfold(gamma, needs: list, digits: int) -> tuple[list, list, str | None]:
+    """Level 1's lo <= c <= hi from one pass, lo rounded down and hi up, each read from the
+    other end of a divisor or subtrahend; or [], [] and the first divisor with lo <= 0."""
+    down, up = (Context(prec=digits, rounding=r) for r in (ROUND_FLOOR, ROUND_CEILING))
+    for k, g in ((k, gamma.value(k)) for k in range(len(needs), 0, -1)):
+        bp, s = (Fraction(1, 4) - g / 2, g * g / 4) if k == 1 else (1 - 2 * g, 4 * g * g)
+        s_lo, s_hi = (r.divide(*s.as_integer_ratio()) for r in (down, up))
+        lo, hi = ([r.divide(*bp.as_integer_ratio())] for r in (down, up))
+        for i in range(1, needs[k - 1], 2):  # c_{i+1} = s q / c_i and c_{i+2} = bp - c_{i+1}
+            if not lo[-1] > 0:
+                return [], [], f"c_{i} at level {k} is not enclosed above 0"
+            x = down.divide(down.multiply(s_lo, q_lo[i // 2]), hi[-1])
+            y = up.divide(up.multiply(s_hi, q_hi[i // 2]), lo[-1])
+            lo += x, down.subtract(lo[0], y)
+            hi += y, up.subtract(hi[0], x)
+        q_lo, q_hi = lo[: needs[k - 1]], hi[: needs[k - 1]]
+    return q_lo, q_hi, None
 
 
 # ---------------------------------------------------------------------------

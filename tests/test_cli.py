@@ -104,16 +104,30 @@ class TestJacobiCommand:
         assert J.b.size == int(degree)
 
 
-    @pytest.mark.parametrize("gamma", ["list:1/4,1/1000", "periodic:1/1000000,1/4"])
-    def test_cancelling_gamma_succeeds(self, tmp_path, gamma):
+    @pytest.mark.parametrize("gamma,degree,depth", [
+        pytest.param(gamma, degree, depth, id=gamma) for gamma, degree, depth in [
+            ("list:1/4,1/1000", 1024, 12), ("periodic:1/1000000,1/4", 1024, 12),
+            ("periodic:1/4,1/1000000", 4096, 14), ("periodic:1/4,1/100000000", 1024, 12),
+            ("list:1/4,1/100000000", 64, 8), ("periodic:1/1000000000000,1/4", 1024, 12)]])
+    def test_cancelling_gamma_succeeds(self, tmp_path, gamma, degree, depth):
         # in double the first wrote a_1023 = 7.45e-9 (true value 2.55e-13)
-        # and the second raised ArithmeticError
-        rc = main(["jacobi", "--gamma", gamma, "--degree-max", "1024",
-                   "--depth", "12", "--out", str(tmp_path)])
+        # and the second raised ArithmeticError; the last four cancel more
+        # digits than 50 hold, and the unfolding doubles them
+        rc = main(["jacobi", "--gamma", gamma, "--degree-max", str(degree),
+                   "--depth", str(depth), "--out", str(tmp_path)])
         assert rc == 0
         J = cp.JacobiMatrix.from_csv((tmp_path / "jacobi.csv").read_text())
-        if gamma.startswith("list"):
+        assert J.b.size == degree
+        if gamma == "list:1/4,1/1000":
             assert J.a[-1] == pytest.approx(math.sqrt(6.50e-26), rel=1e-2)
+
+
+    def test_underflowing_coefficient_exits_1(self, tmp_path, capsys):
+        # c_171 at gamma_2 = 1e-100 is below the smallest double: a numerical
+        # failure, not an invalid input
+        assert main(["jacobi", "--gamma", "periodic:1/4,1e-100", "--degree-max", "1024",
+                     "--depth", "12", "--out", str(tmp_path)]) == 1
+        assert "c_171 at level 1 underflows" in capsys.readouterr().err
 
 
 class TestZerosCommand:
@@ -406,8 +420,11 @@ class TestConfigHandling:
         assert main(["geometry", "--out", str(tmp_path)]) == 2
 
     def test_bad_tolerance_exits_2(self, tmp_path):
-        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
-                     "--depth", "6", "--tol-zero", "-1", "--out", str(tmp_path)]) == 2
+        # no residual exceeds nan or inf, so either would pass every degree
+        for command in ("verify", "zeros"):
+            for tol in ("-1", "nan", "inf"):
+                assert main([command, "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
+                             "--tol-zero", tol, "--out", str(tmp_path)]) == 2
 
     def test_removed_trials_key_exits_2(self, tmp_path):
         # every removed knob: trials, tol_stab and every precision but auto

@@ -14,7 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import cantorpoly as cp
 from cantorpoly import jacobi
-from cantorpoly.errors import ConvergenceError, DomainError
+from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.geometry import level_intervals
 from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _eigvals_lapack,
                                _gershgorin_prefix, moments, sign_alternation_ok)
@@ -92,6 +92,29 @@ class TestStieltjesLanczos:
             cp.stieltjes_lanczos(m, 5)
 
 
+def _needs(K: int) -> list:
+    """The entry count of each level of ``jacobi_for_gamma``, level 1 first."""
+    needs = [K - 1]
+    while needs[-1] > 1:
+        needs.append(needs[-1] // 2)
+    return needs
+
+
+def _reference_unfolding(fam, K: int, one) -> list:
+    """The level-1 c_1..c_{K-1} of ``jacobi_for_gamma`` in the number type of
+    one: exact with Fraction(1), rounded to its precision with an mpmath 1."""
+    needs, q = _needs(K), []
+    for k in range(len(needs), 0, -1):
+        g = fam.gamma.value(k)
+        g = one * g.numerator / g.denominator
+        bp, s = (one / 4 - g / 2, g * g / 4) if k == 1 else (1 - 2 * g, 4 * g * g)
+        c = [bp]
+        for i in range(1, needs[k - 1]):
+            c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
+        q = c
+    return q[: K - 1]
+
+
 class TestJacobiForGamma:
     def test_chebyshev_certified(self, jacobi_quarter_small):
         J = jacobi_quarter_small
@@ -156,48 +179,54 @@ class TestJacobiForGamma:
                                 Fraction(1, 10 ** 12)]),
                st.fractions(Fraction(1, 100), Fraction(1, 4), max_denominator=10 ** 6)),
                min_size=1, max_size=6))
-    def test_valid_gamma_gives_coefficients_or_arithmetic_error(self, kind, values):
+    def test_valid_gamma_gives_coefficients(self, kind, values):
         # gamma_k = 1/4 right above a tiny gamma_{k+1} cancels bp_k - c_{2n};
-        # where 50 digits do not cover it, that must surface as ArithmeticError
+        # the unfolding adds digits until every enclosure resolves
         fam = cp.MapFamily(cp.GammaSequence(kind, tuple(values)))
-        try:
-            J = cp.jacobi_for_gamma(fam, 1024)
-        except ArithmeticError:
-            return
+        J = cp.jacobi_for_gamma(fam, 1024)
         assert np.all(np.isfinite(J.a)) and np.all((J.a > 0) & (J.a < 1))
         assert np.all(J.b == 0.5)
 
-    @pytest.mark.parametrize("desc", ["periodic:1/1000000,1/4", "list:1/4,1/1000",
-                                      "periodic:1/4,1/6", "constant:1/6"])
-    def test_matches_mpmath_unfolding(self, desc):
-        # the same recursion at 300 bits: every a_k within 2 eps relative
+    @pytest.mark.parametrize("desc,K", [
+        pytest.param(desc, K, id=desc) for desc, K in [
+            ("periodic:1/1000000,1/4", 1024), ("list:1/4,1/1000", 1024),
+            ("periodic:1/4,1/6", 1024), ("constant:1/6", 1024),
+            # 50 digits do not pin these to one double; 100 do
+            ("periodic:1/4,1/1000000", 4096), ("periodic:1/4,1/100000000", 1024),
+            ("list:1/4,1/100000000", 64), ("periodic:1/1000000000000,1/4", 1024)]])
+    def test_matches_mpmath_unfolding(self, desc, K):
+        # the same recursion at 2000 bits: every a_k is the double square root
+        # of the correctly rounded c_k, bit for bit
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
-        mp.prec = 300
+        mp.prec = 2000
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
-        K = 1024
-        needs = [K - 1]
-        while needs[-1] > 1:
-            needs.append(needs[-1] // 2)
-        q = []
-        for k in range(len(needs), 0, -1):
-            g = fam.gamma.value(k)
-            g = mp.mpf(g.numerator) / g.denominator
-            bp, s = (mp.mpf(1) / 4 - g / 2, g * g / 4) if k == 1 else (1 - 2 * g, 4 * g * g)
-            c = [bp]
-            for i in range(1, needs[k - 1]):
-                c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
-            q = c
-        want = np.array([float(mp.sqrt(x)) for x in q])
-        J = cp.jacobi_for_gamma(fam, K)
-        assert np.all(J.a > 0)
-        assert np.max(np.abs(J.a - want) / want) <= 2 * np.finfo(float).eps
+        want = np.sqrt([float(c) for c in _reference_unfolding(fam, K, mp.mpf(1))])
+        assert np.array_equal(cp.jacobi_for_gamma(fam, K).a, want)
 
-    def test_cancellation_raises_arithmetic_error(self):
-        # gamma = 1e-12 under 1/4 cancels more than 50 digits: the runs at
-        # 50 and 100 digits disagree at level 2
+    @pytest.mark.parametrize("desc", ["constant:1/6", "list:1/4,1/1000", "periodic:1/4,1/1000000",
+                                      "periodic:1/1000000000000,1/4"])
+    def test_enclosures_contain_exact_unfolding(self, desc):
+        # the recursion in exact rationals: every 50-digit [lo, hi] holds its c
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        lo, hi, unresolved = jacobi._unfold(fam.gamma, _needs(512), 50)
+        assert unresolved is None
+        exact = _reference_unfolding(fam, 512, Fraction(1))
+        assert all(Fraction(x) <= c <= Fraction(y) for x, y, c in zip(lo, hi, exact, strict=True))
+
+    def test_digit_cap_raises_arithmetic_error(self, monkeypatch):
+        # gamma = 1e-12 under 1/4 cancels more than 50 digits at level 2,
+        # which 100 digits resolve; capped at 50, the unfolding gives up there
         fam = cp.MapFamily(cp.GammaSequence.periodic([Fraction(1, 10 ** 12), Fraction(1, 4)]))
-        with pytest.raises(ArithmeticError, match="level 2"):
+        monkeypatch.setattr(jacobi, "_UNFOLD_MAX_DIGITS", 50)
+        with pytest.raises(ArithmeticError, match="level 2 .* at 50 digits"):
+            cp.jacobi_for_gamma(fam, 1024)
+
+    def test_underflowing_coefficient_raises_range_overflow(self):
+        # gamma_2 = 1e-100 drives c_171 below the smallest double; the
+        # enclosure resolves at 800 digits and the square root would be 0
+        fam = cp.MapFamily(cp.GammaSequence.periodic([Fraction(1, 4), Fraction(1, 10 ** 100)]))
+        with pytest.raises(RangeOverflowError, match="c_171 at level 1"):
             cp.jacobi_for_gamma(fam, 1024)
 
     def test_jacobi_csv_roundtrip(self, jacobi_sixth_small):
