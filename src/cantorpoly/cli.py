@@ -36,7 +36,7 @@ from .exact import (
     monic_opoly_exact,
 )
 from .geometry import GammaSequence, _as_fraction, level_intervals, scale_rows
-from .jacobi import JacobiMatrix, jacobi_for_gamma
+from .jacobi import jacobi_for_gamma
 from .serialize import atomic_write_text, render, write_csv, write_json
 from .spacing import full_verification
 
@@ -58,7 +58,6 @@ class RunConfig:
     out: str = "."
     tol_zero: float | None = None
     seed: int = 20240601
-    jacobi_file: str | None = None
 
     def validate(self):
         if self.command not in ("geometry", "jacobi", "zeros", "verify"):
@@ -76,8 +75,9 @@ class RunConfig:
                 f"degree-max {self.degree_max} violates the safety margin "
                 f"degree-max <= 2^(depth-2) = {2 ** (self.depth - 2)}"
             )
-        if self.tol_zero is not None and not 0 < self.tol_zero < math.inf:
-            raise DomainError(f"tol_zero must be positive and finite, got {self.tol_zero}")
+        tol = self.tol_zero  # a JSON true is no tolerance, though bool is an int subclass
+        if tol is not None and (type(tol) not in (int, float) or not 0 < tol < math.inf):
+            raise DomainError(f"tol_zero must be positive and finite, got {tol!r}")
         if self.precision != "auto":
             raise DomainError(f"unknown precision mode {self.precision!r} (only 'auto')")
 
@@ -114,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--tol-zero", type=float, dest="tol_zero")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--jacobi-file", dest="jacobi_file",
-                        help="verify a precomputed jacobi.csv instead of recovering one")
     return parser
 
 
@@ -128,7 +126,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise DomainError(f"config file {args.config} must hold a JSON object")
         settings.update(loaded)
     for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out",
-                "tol_zero", "seed", "jacobi_file"):
+                "tol_zero", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -219,13 +217,7 @@ def _sample_grid(m: int):
 def cmd_verify(cfg: RunConfig) -> int:
     fam = MapFamily(cfg.gamma_sequence())
     out = Path(cfg.out)
-    if cfg.jacobi_file:
-        with open(cfg.jacobi_file) as fh:
-            J = JacobiMatrix.from_csv(fh.read())
-        if J.b.size < cfg.degree_max:
-            raise DomainError(f"jacobi file holds {J.b.size} < degree-max {cfg.degree_max}")
-    else:
-        J = jacobi_for_gamma(fam, cfg.degree_max)
+    J = jacobi_for_gamma(fam, cfg.degree_max)
     c = cfg.c if cfg.c is None else _as_fraction(cfg.c)
     result = full_verification(
         fam, J, n_max=cfg.degree_max, c=c, seed=cfg.seed, metadata=_run_meta(cfg),

@@ -13,26 +13,26 @@ formulation with full reorthogonalization; applied to the refinement
 measures it serves as an independent cross-check of the unfolding.
 Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation, and the
 truncations of one matrix are leading blocks of the largest, so several
-degrees share one set-up (``eigen_zero_sets``). The fast path is one
-LAPACK solve per degree. Where the diagonal is constant, as it is
-(b_k = 1/2) for every mu_gamma, the shifted truncation has a zero
-diagonal and its eigenvalues are plus and minus the singular values of
-a bidiagonal with floor(n/2) columns. Its two diagonals are split off
-once for the largest degree, and each degree hands their leading entries
-to LAPACK's dqds (``dlasq1``), which finds every singular value to high
-relative accuracy in O(n^2). numpy does not wrap ``dlasq1``; it is looked
-up once, at import, in the LAPACK that numpy's linalg extension links
-(the scipy-openblas of numpy's wheels). Where that LAPACK lacks it, the
-bidiagonal of each degree is assembled densely for ``numpy.linalg.svd``.
-These solves release the interpreter lock, so a batch large enough to
-repay the hand-offs is split across threads, one per CPU of the
-process's affinity mask; dlasq1 is reentrant, and the zeros do not
-depend on the number of threads.
-Any other diagonal gets one symmetric eigensolve at full size. Only
+degrees share one set-up (``eigen_zero_sets``). Only a constant
+diagonal is solved, as every mu_gamma has (b_k = 1/2): the shifted
+truncation then has a zero diagonal and its eigenvalues are plus and
+minus the singular values of a bidiagonal with floor(n/2) columns. Its
+two diagonals are split off once for the largest degree, and each degree
+hands their leading entries to LAPACK's dqds (``dlasq1``), which finds
+every singular value to high relative accuracy in O(n^2). numpy does not
+wrap ``dlasq1``; it is looked up once, at import, in the LAPACK that
+numpy's linalg extension links (the scipy-openblas of numpy's wheels).
+Where that LAPACK lacks it, the bidiagonal of each degree is assembled
+densely for ``numpy.linalg.svd``. These solves release the interpreter
+lock, so a batch large enough to repay the hand-offs is split across
+threads, one per CPU of the process's affinity mask; dlasq1 is
+reentrant, and the zeros do not depend on the number of threads. Only
 when neighbouring eigenvalues approach the double-precision resolution
 limit is the solve escalated to a Sturm-count bisection of the full
 matrix in 34-digit ``decimal`` arithmetic; the zero set of that degree
 then holds the Decimal values, and its points are their double view.
+Gauss rules take their nodes and weights from one symmetric eigensolve
+of their own, for any diagonal.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ class DiscreteMeasure:
     def __len__(self):
         return self.nodes.size
 
-    def to_csv(self) -> str:
-        return csv_text(["node", "weight"], [self.nodes, self.weights])
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscreteMeasure":
-        nodes, weights = [], []
-        for line in text.strip().splitlines()[1:]:
-            n, w = line.split(",")
-            nodes.append(float(n))
-            weights.append(float(w))
-        return cls(np.array(nodes), np.array(weights))
-
 
 @dataclass(frozen=True)
 class JacobiMatrix:
@@ -134,31 +122,6 @@ class JacobiMatrix:
         """One row per k; a_K does not exist, so the last a_k is empty."""
         K = self.b.size
         return csv_text(["k", "a_k", "b_k"], [range(1, K + 1), self.a.tolist() + [None], self.b])
-
-    @classmethod
-    def from_csv(cls, text: str) -> "JacobiMatrix":
-        """Parse the to_csv layout; any other layout raises DomainError.
-
-        The header is k,a_k,b_k, k runs 1..K in order, and a_k is empty on
-        the last row and on no other.
-        """
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != "k,a_k,b_k":
-            raise DomainError("jacobi file must start with the header k,a_k,b_k")
-        rows = [line.split(",") for line in lines[1:]]
-        if not rows or any(len(row) != 3 for row in rows):
-            raise DomainError("jacobi file needs at least one row of three fields")
-        K = len(rows)
-        if [row[0] for row in rows] != [str(k) for k in range(1, K + 1)]:
-            raise DomainError(f"jacobi file rows must run k = 1..{K} in order")
-        if [k for k, row in enumerate(rows, start=1) if not row[1]] != [K]:
-            raise DomainError("a_k must be empty on the last row and on no other")
-        try:
-            a = [float(row[1]) for row in rows[:-1]]
-            b = [float(row[2]) for row in rows]
-        except ValueError as exc:
-            raise DomainError(f"malformed number in jacobi file: {exc}") from None
-        return cls(np.array(a), np.array(b))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +263,7 @@ def opoly_eval(J: JacobiMatrix, n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal eigensolve: LAPACK fast path, decimal Sturm escalation
+# constant-diagonal eigensolve: dqds fast path, decimal Sturm escalation
 # ---------------------------------------------------------------------------
 
 def _gershgorin_prefix(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,16 +279,6 @@ def _gershgorin_prefix(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.nda
     lo = np.minimum(np.minimum.accumulate(d - rad)[:-1], d[1:] - np.abs(e))
     hi = np.maximum(np.maximum.accumulate(d + rad)[:-1], d[1:] + np.abs(e))
     return lo, hi
-
-
-def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    n = d.size
-    T = np.zeros((n, n))
-    flat = T.reshape(-1)
-    flat[:: n + 1] = d
-    flat[1 :: n + 1] = e
-    flat[n :: n + 1] = e
-    return T
 
 
 def _find_dlasq1():
@@ -413,35 +366,10 @@ class _HalfSizeSolver:
         return buf[:m].copy()  # for odd n, drops the appended 0, the smallest
 
 
-def _eigvals_lapack(d: np.ndarray, e: np.ndarray,
-                    sigma: np.ndarray | None = None) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    Without sigma the assembled n-by-n matrix gets one backward-stable
-    symmetric eigensolve (``numpy.linalg.eigvalsh``), so each eigenvalue
-    is accurate to a few eps times the spectral norm.
-
-    sigma asserts a constant diagonal d_0: it is ``_HalfSizeSolver.sigma(n)``
-    of this matrix or of any larger one with the same leading entries. T =
-    J - d_0 I then has a zero diagonal, and its eigenvalues are plus and
-    minus the singular values sigma of the (n - n//2)-by-(n//2) bidiagonal
-    B_n, and 0 for odd n (Golub and Kahan, SIAM J. Numer. Anal. 2, 1965).
-    Only sigma is computed, by LAPACK's dqds (``dlasq1``, looked up once
-    through numpy's linalg extension), which finds every singular value of
-    a bidiagonal to high relative accuracy; where numpy's LAPACK lacks it,
-    ``numpy.linalg.svd`` of the dense B_n gives sigma to a few eps
-    absolute. The eigenvalues are d_0 - sigma, d_0 + sigma and, for odd n,
-    d_0 exactly. sigma carries no more than the absolute error of a direct
-    solve, also near d_0, where the eigenvalues sigma^2 of the half-size
-    block B^T B of T^2 would leave an error of about eps / (2 sigma).
-    """
-    n = d.size
-    if n == 1:
-        return d.copy()
-    if sigma is None:
-        return np.linalg.eigvalsh(_tridiagonal(d, e))
-    mid = d[:1] if n % 2 else d[:0]
-    return np.concatenate([d[0] - sigma, mid, d[0] + sigma[::-1]])
+def _spectrum(d0: float, sigma: np.ndarray, n: int) -> np.ndarray:
+    """The eigenvalues of J_n, ascending, from the descending singular values sigma of B_n:
+    d0 - sigma, then d0 itself for odd n, then d0 + sigma."""
+    return np.concatenate([d0 - sigma, [d0] if n % 2 else [], d0 + sigma[::-1]])
 
 
 def _cpu_count() -> int:
@@ -549,25 +477,36 @@ def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray, glo: float, ghi: f
 def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     """Zeros of P_n for each requested degree n, keyed by n in ascending order.
 
-    The truncations J_n are leading blocks of the largest one, J_N, so the
-    set-up is done once for all degrees: the constant-diagonal test
-    (leading blocks inside the constant run of the diagonal share the two
-    diagonals of its half-size bidiagonal, and each solves leading slices
-    of them; every other degree gets one symmetric eigensolve) and the
-    Gershgorin bounds of every J_n, from one prefix pass. Each degree then
-    costs one LAPACK solve. The dqds solves of the constant run are split
+    The diagonal of J_N, N the largest degree, must be constant, d_0, as
+    it is (1/2) for every mu_gamma; else DomainError names the first b_k
+    that differs. T = J_n - d_0 I then has a zero diagonal, and its
+    eigenvalues are plus and minus the singular values sigma of the
+    (n - n//2)-by-(n//2) bidiagonal B_n, and 0 for odd n (Golub and Kahan,
+    SIAM J. Numer. Anal. 2, 1965). The zeros are d_0 - sigma, d_0 + sigma
+    and, for odd n, d_0 exactly. Only sigma is computed, by LAPACK's dqds
+    (``dlasq1``), which finds every singular value of a bidiagonal to high
+    relative accuracy; where numpy's LAPACK lacks it, ``numpy.linalg.svd``
+    of the dense B_n gives sigma to a few eps absolute. sigma carries no
+    more than the absolute error of a direct solve, also near d_0, where
+    the eigenvalues sigma^2 of the half-size block B^T B of T^2 would leave
+    an error of about eps / (2 sigma).
+
+    The truncations J_n are leading blocks of J_N, so the set-up is done
+    once for all degrees: the two diagonals of B_N, whose leading slices
+    are every B_n, and the Gershgorin bounds of every J_n, from one prefix
+    pass. Each degree then costs one dqds call. These calls are split
     across the CPUs of the process's affinity mask, each thread with a
     workspace of its own, once their summed (n//2)^2 reaches _THREAD_WORK;
     smaller batches, such as degrees 2..64, stay on the calling thread.
     dlasq1 is reentrant, so the results do not depend on the number of
-    threads. The symmetric eigensolves, the escalations and the assembly
-    of each set run on the calling thread in ascending order, and a failed
-    solve raises there, at its degree, as it would in a serial run. If
-    consecutive eigenvalues come out closer than 1e3 * eps * Gershgorin
-    width, that degree is solved again by decimal Sturm-count bisection
-    and its set holds the Decimal values, which makes it escalated. An
-    unescalated set keeps the smallest gap of that test as its min_gap.
-    Every set is bit for bit the one its degree would get alone.
+    threads. The escalations and the assembly of each set run on the
+    calling thread in ascending order, and a failed solve raises there, at
+    its degree, as it would in a serial run. If consecutive eigenvalues
+    come out closer than 1e3 * eps * Gershgorin width, that degree is
+    solved again by decimal Sturm-count bisection and its set holds the
+    Decimal values, which makes it escalated. An unescalated set keeps the
+    smallest gap of that test as its min_gap. Every set is bit for bit the
+    one its degree would get alone.
     """
     ns = sorted({int(n) for n in degrees})
     for n in ns:
@@ -578,24 +517,25 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     N = ns[-1]
     d = J.b[:N]
     e = J.a[: N - 1]
-    run = int(np.argmax(d != d[0])) or N  # length of the constant leading run
+    varies = d != d[0]
+    if varies.any():
+        k = int(np.argmax(varies))
+        raise DomainError(f"diagonal b_{k + 1} = {float(d[k])} differs from b_1 = {float(d[0])}; "
+                          "only a constant diagonal is solved")
     glo, ghi = _gershgorin_prefix(d, e)
-    sigmas = {}
-    if run > 1:
-        sigmas = _half_size_sigmas(_HalfSizeSolver(e[: run - 1]), [n for n in ns if 2 <= n <= run])
+    sigmas = _half_size_sigmas(_HalfSizeSolver(e), [n for n in ns if n > 1])
     out = {}
     for n in ns:
-        d_n, e_n = d[:n], e[: n - 1]
-        sigma = sigmas.pop(n, None)
+        sigma = sigmas.pop(n) if n > 1 else np.empty(0)
         if isinstance(sigma, Exception):
             raise sigma
-        vals = _eigvals_lapack(d_n, e_n, sigma)
+        vals = _spectrum(d[0], sigma, n)
         gap = None
         if n >= 2:
             gap = min_gap_with_index(vals)
             lo, hi = float(glo[n - 2]), float(ghi[n - 2])
             if gap[0] < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):
-                ext = _eigvals_bisect_decimal(d_n, e_n, lo, hi)
+                ext = _eigvals_bisect_decimal(d[:n], e[: n - 1], lo, hi)
                 out[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
                 continue
         out[n] = ZeroSet(degree=n, values=vals, provenance="eigensolve", min_gap=gap)
@@ -605,10 +545,10 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
 def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     """Zeros of P_n as eigenvalues of the n-by-n Jacobi truncation.
 
-    The one-degree call of ``eigen_zero_sets``: one LAPACK eigensolve,
-    ascending, escalated to decimal Sturm-count bisection where
-    consecutive eigenvalues come out closer than 1e3 * eps * Gershgorin
-    width.
+    The one-degree call of ``eigen_zero_sets``: a constant diagonal, one
+    dqds solve at half size, ascending, escalated to decimal Sturm-count
+    bisection where consecutive eigenvalues come out closer than
+    1e3 * eps * Gershgorin width.
     """
     return eigen_zero_sets(J, (n,))[n]
 
@@ -631,25 +571,26 @@ def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:
 def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
     """The r-point Gauss rule of the measure represented by J.
 
-    Nodes are the zeros of P_r; the weights follow Golub and Welsch
-    (Math. Comp. 23, 1969): each is the squared first component of the
-    corresponding normalized eigenvector of the r-by-r Jacobi truncation,
-    taken from one LAPACK symmetric eigensolve. The rule integrates any
-    polynomial of degree <= 2r - 1 exactly against the moment functional
-    of J.
+    One LAPACK symmetric eigensolve of the r-by-r Jacobi truncation, for
+    any diagonal, gives both: the nodes are its eigenvalues, the zeros of
+    P_r, and the weights follow Golub and Welsch (Math. Comp. 23, 1969):
+    each is the squared first component of the corresponding normalized
+    eigenvector. The rule integrates any polynomial of degree <= 2r - 1
+    exactly against the moment functional of J.
     """
     if not 1 <= r <= J.b.size:
         raise DomainError(f"rule size {r} exceeds the {J.b.size} coefficients")
     if r == 1:
         return DiscreteMeasure(np.array([J.b[0]]), np.array([1.0]))
-    _, vecs = np.linalg.eigh(_tridiagonal(J.b[:r], J.a[: r - 1]))
+    # eigh reads the lower triangle only
+    nodes, vecs = np.linalg.eigh(np.diag(J.b[:r]) + np.diag(J.a[: r - 1], -1))
     w = vecs[0] ** 2
     total = float(w.sum())
     if not np.all(w > 0) or abs(total - 1.0) > 1e-8:
         raise ConvergenceError(
             f"eigenvector first components give unusable weights (sum {total})"
         )
-    return DiscreteMeasure(eigen_zeros(J, r).points, w / total)
+    return DiscreteMeasure(nodes, w / total)
 
 
 def moments(J: JacobiMatrix, max_degree: int) -> np.ndarray:

@@ -18,6 +18,17 @@ def chebyshev_zeros_unit(m: int) -> np.ndarray:
     return np.sort((1.0 + np.cos((2.0 * j - 1.0) * np.pi / (2.0 * n))) / 2.0)
 
 
+def read_jacobi_csv(text: str) -> cp.JacobiMatrix:
+    """The matrix ``JacobiMatrix.to_csv`` wrote: header k,a_k,b_k, k = 1..K
+    in order, and a_k empty on the last row only."""
+    lines = text.strip().splitlines()
+    assert lines[0] == "k,a_k,b_k"
+    k, a, b = zip(*(line.split(",") for line in lines[1:]))
+    assert list(k) == [str(i) for i in range(1, len(k) + 1)]
+    assert a[-1] == "" and "" not in a[:-1]
+    return cp.JacobiMatrix(np.array(a[:-1], dtype=float), np.array(b, dtype=float))
+
+
 def mpmath_critical_points(gamma, n: int, dps: int = 60) -> list:
     """The 2^n - 1 critical points of F_n as sorted mpmath numbers.
 

@@ -2,8 +2,8 @@
 
 Each test prints one PASS line once its assertions have held; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them inline. The heavy
-artifacts (depth-10 coefficient recovery, full degree sweeps to 256) are
-session fixtures shared across criteria.
+artifacts (full degree sweeps to 256) are session fixtures shared across
+criteria.
 """
 
 import math
@@ -17,7 +17,6 @@ from cantorpoly.spacing import branch_separation_chain, spacing_report
 
 from conftest import chebyshev_zeros_unit
 
-SWEEP_DEPTH = 10
 SWEEP_DEGREE = 256
 
 
@@ -27,8 +26,7 @@ def _announce(num, label):
 
 @pytest.fixture(scope="session")
 def sweep_sixth(fam_sixth):
-    J = cp.stieltjes_lanczos(cp.refinement_measure(fam_sixth, SWEEP_DEPTH, 0.0),
-                             SWEEP_DEGREE)
+    J = cp.jacobi_for_gamma(fam_sixth, SWEEP_DEGREE)
     cache: dict = {}
     report = spacing_report(fam_sixth, J, range(2, SWEEP_DEGREE + 1),
                             c=Fraction(1, 6), cache=cache)
@@ -37,8 +35,7 @@ def sweep_sixth(fam_sixth):
 
 @pytest.fixture(scope="session")
 def sweep_periodic(fam_periodic):
-    J = cp.stieltjes_lanczos(cp.refinement_measure(fam_periodic, SWEEP_DEPTH, 0.0),
-                             SWEEP_DEGREE)
+    J = cp.jacobi_for_gamma(fam_periodic, SWEEP_DEGREE)
     cache: dict = {}
     report = spacing_report(fam_periodic, J, range(2, SWEEP_DEGREE + 1),
                             c=Fraction(1, 6), cache=cache)

@@ -11,7 +11,7 @@ import pytest
 import cantorpoly as cp
 from cantorpoly.cli import main
 
-from conftest import mpmath_critical_points, worst_relative_error
+from conftest import mpmath_critical_points, read_jacobi_csv, worst_relative_error
 
 
 def _read_csv(path):
@@ -77,7 +77,7 @@ class TestJacobiCommand:
         rc = main(["jacobi", "--gamma", "constant:0.25", "--degree-max", "16",
                    "--depth", "8", "--out", str(tmp_path)])
         assert rc == 0
-        J = cp.JacobiMatrix.from_csv((tmp_path / "jacobi.csv").read_text())
+        J = read_jacobi_csv((tmp_path / "jacobi.csv").read_text())
         assert np.max(np.abs(J.b - 0.5)) < 1e-10
         assert abs(J.a[0] - math.sqrt(0.125)) < 1e-10
         assert np.max(np.abs(J.a[1:] - 0.25)) < 1e-10
@@ -86,7 +86,7 @@ class TestJacobiCommand:
         rc = main(["jacobi", "--gamma", "periodic:1/6,1/5", "--degree-max", "1",
                    "--depth", "6", "--out", str(tmp_path)])
         assert rc == 0
-        J = cp.JacobiMatrix.from_csv((tmp_path / "jacobi.csv").read_text())
+        J = read_jacobi_csv((tmp_path / "jacobi.csv").read_text())
         assert J.b.size == 1
         assert J.b[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -100,7 +100,7 @@ class TestJacobiCommand:
         rc = main(["jacobi", "--gamma", gamma, "--degree-max", degree,
                    "--depth", "14", "--out", str(tmp_path)])
         assert rc == 0
-        J = cp.JacobiMatrix.from_csv((tmp_path / "jacobi.csv").read_text())
+        J = read_jacobi_csv((tmp_path / "jacobi.csv").read_text())
         assert J.b.size == int(degree)
 
 
@@ -116,7 +116,7 @@ class TestJacobiCommand:
         rc = main(["jacobi", "--gamma", gamma, "--degree-max", str(degree),
                    "--depth", str(depth), "--out", str(tmp_path)])
         assert rc == 0
-        J = cp.JacobiMatrix.from_csv((tmp_path / "jacobi.csv").read_text())
+        J = read_jacobi_csv((tmp_path / "jacobi.csv").read_text())
         assert J.b.size == degree
         if gamma == "list:1/4,1/1000":
             assert J.a[-1] == pytest.approx(math.sqrt(6.50e-26), rel=1e-2)
@@ -232,52 +232,15 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert payload["spacing"]["metadata"]["config"]["degree_max"] == 16
 
-    def test_corrupted_jacobi_file_exits_2(self, tmp_path, fam_sixth):
-        J = cp.jacobi_for_gamma(fam_sixth, 8)
-        good = J.to_csv().strip().splitlines()
-
-        def set_a(lines, i, value):
-            k, _, b = lines[i].split(",")
-            lines[i] = ",".join([k, value, b])
-            return lines
-
-        def misplace_blank(lines):
-            # the empty a_8 moved to row 4, and a_4 to the last row
-            a4 = lines[4].split(",")[1]
-            return set_a(set_a(lines, 4, ""), 8, a4)
-
-        cases = {
-            "sign": lambda lines: set_a(lines, 3, str(-float(lines[3].split(",")[1]))),
-            "nan": lambda lines: set_a(lines, 3, "nan"),
-            "shuffled": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
-            "misplaced_blank": misplace_blank,
-            "no_blank": lambda lines: set_a(lines, 8, "0.25"),
-            "header": lambda lines: ["n,a,b"] + lines[1:],
-            "text": lambda lines: set_a(lines, 2, "abc"),
-        }
-        for name, corrupt in cases.items():
-            bad = tmp_path / f"jacobi_{name}.csv"
-            bad.write_text("\n".join(corrupt(list(good))) + "\n")
-            with pytest.raises(cp.DomainError):
-                cp.JacobiMatrix.from_csv(bad.read_text())
-            rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
-                       "--depth", "6", "--jacobi-file", str(bad), "--out", str(tmp_path)])
-            assert rc == 2, name
-
-    def test_jacobi_file_is_a_directory_exits_2(self, tmp_path, capsys):
-        rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
-                   "--depth", "6", "--jacobi-file", str(tmp_path), "--out", str(tmp_path / "v")])
-        assert rc == 2
-        assert "invalid input" in capsys.readouterr().err
-
-    def test_valid_jacobi_file_accepted(self, tmp_path, fam_sixth):
-        J = cp.jacobi_for_gamma(fam_sixth, 8)
+    def test_jacobi_file_flag_exits_2(self, tmp_path, capsys, fam_sixth):
+        # verify unfolds its own coefficients and takes no coefficient file
         path = tmp_path / "jacobi.csv"
-        path.write_text(J.to_csv())
-        rc = main(["verify", "--gamma", "constant:1/6", "--degree-max", "8",
-                   "--depth", "6", "--jacobi-file", str(path),
-                   "--out", str(tmp_path)])
-        assert rc == 0
+        path.write_text(cp.jacobi_for_gamma(fam_sixth, 8).to_csv())
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
+                  "--jacobi-file", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jacobi-file" in capsys.readouterr().err
 
     def test_deterministic_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -338,7 +301,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "ab371d046fb74ad372cffa91c4b313300022b0a811be2ff7dfdb926f56addc44"
+VERIFY_JSON_SHA256 = "e64b11139669cdd262c752f5b43b8fd22cfa473213fe85fd43979d5a0dd8781b"
 
 
 class TestPinnedOutputBytes:
@@ -354,8 +317,9 @@ class TestPinnedOutputBytes:
         # every check entry of a small run, taken before the dyadic zero and
         # critical sets were cached per run, re-pinned when config.precision
         # became "auto" and metadata.precision_mode went, again when the
-        # half-size solve moved to dqds, and when the JSON went compact (its
-        # json.loads unchanged); config.out is normalised
+        # half-size solve moved to dqds, when the JSON went compact (its
+        # json.loads unchanged), and when config.jacobi_file went (the old
+        # bytes less '"jacobi_file": null, ' are the new); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()
@@ -420,17 +384,24 @@ class TestConfigHandling:
         assert main(["geometry", "--out", str(tmp_path)]) == 2
 
     def test_bad_tolerance_exits_2(self, tmp_path):
-        # no residual exceeds nan or inf, so either would pass every degree
+        # no residual exceeds nan or inf, so either would pass every degree;
+        # a JSON true once passed as the tolerance 1.0
         for command in ("verify", "zeros"):
             for tol in ("-1", "nan", "inf"):
                 assert main([command, "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
                              "--tol-zero", tol, "--out", str(tmp_path)]) == 2
+            for tol in (True, "1e-3"):
+                cfg = tmp_path / "run.json"
+                cfg.write_text(json.dumps({"gamma": "constant:1/6", "degree_max": 16, "depth": 6,
+                                           "tol_zero": tol}))
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2, tol
 
     def test_removed_trials_key_exits_2(self, tmp_path):
-        # every removed knob: trials, tol_stab and every precision but auto
+        # every removed knob: trials, tol_stab, jacobi_file and every precision but auto
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
                      "--precision", "double", "--out", str(tmp_path)]) == 2
-        for key, value in (("trials", 10), ("tol_stab", 1e-10), ("precision", "double")):
+        for key, value in (("trials", 10), ("tol_stab", 1e-10), ("jacobi_file", "jacobi.csv"),
+                           ("precision", "double")):
             cfg = tmp_path / f"run_{key}.json"
             cfg.write_text(json.dumps({
                 "gamma": {"kind": "constant", "values": ["1/6"]},

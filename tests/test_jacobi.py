@@ -16,10 +16,10 @@ import cantorpoly as cp
 from cantorpoly import jacobi
 from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _eigvals_lapack,
-                               _gershgorin_prefix, moments, sign_alternation_ok)
+from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _gershgorin_prefix,
+                               _spectrum, moments, sign_alternation_ok)
 
-from conftest import chebyshev_zeros_unit
+from conftest import chebyshev_zeros_unit, read_jacobi_csv
 
 
 class TestRefinementMeasure:
@@ -51,12 +51,6 @@ class TestRefinementMeasure:
             cp.DiscreteMeasure(np.array([0.2, 0.1]), np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             cp.DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.6, 0.6]))
-
-    def test_csv_roundtrip(self, fam_sixth):
-        m = cp.refinement_measure(fam_sixth, 3, 0.25)
-        back = cp.DiscreteMeasure.from_csv(m.to_csv())
-        assert np.array_equal(back.nodes, m.nodes)
-        assert np.array_equal(back.weights, m.weights)
 
 
 class TestStieltjesLanczos:
@@ -230,7 +224,7 @@ class TestJacobiForGamma:
             cp.jacobi_for_gamma(fam, 1024)
 
     def test_jacobi_csv_roundtrip(self, jacobi_sixth_small):
-        back = cp.JacobiMatrix.from_csv(jacobi_sixth_small.to_csv())
+        back = read_jacobi_csv(jacobi_sixth_small.to_csv())
         assert np.array_equal(back.a, jacobi_sixth_small.a)
         assert np.array_equal(back.b, jacobi_sixth_small.b)
 
@@ -279,16 +273,14 @@ class TestEigenZeros:
         assert zs.points[0] == jacobi_sixth_small.b[0]
 
     def test_two_by_two_quadratic_oracle(self):
-        J = cp.JacobiMatrix(np.array([0.21]), np.array([0.4, 0.6]))
-        tr, det = 1.0, 0.4 * 0.6 - 0.21 ** 2
-        disc = math.sqrt(tr * tr - 4 * det)
-        want = sorted([(tr - disc) / 2, (tr + disc) / 2])
-        assert np.allclose(cp.eigen_zeros(J, 2).points, want, atol=1e-14)
+        # P_2(x) = (x - 1/2)^2 - a_1^2 on b = (1/2, 1/2), so its zeros are 1/2 -+ a_1
+        J = cp.JacobiMatrix(np.array([0.21]), np.array([0.5, 0.5]))
+        assert np.allclose(cp.eigen_zeros(J, 2).points, [0.5 - 0.21, 0.5 + 0.21], atol=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_chebyshev_cosine_oracle(self, jacobi_quarter_small, fam_quarter, m):
         if 2 ** m > jacobi_quarter_small.b.size:
-            J = cp.stieltjes_lanczos(cp.refinement_measure(fam_quarter, 8, 0.0), 64)
+            J = cp.jacobi_for_gamma(fam_quarter, 64)
         else:
             J = jacobi_quarter_small
         zs = cp.eigen_zeros(J, 2 ** m)
@@ -313,10 +305,10 @@ class TestEigenZeros:
             assert zs.points[0] > 0.0 and zs.points[-1] < 1.0
 
     def test_double_double_escalation(self):
-        # a pair split by ~2 eps around 0.5 inside a wide spectrum: below
-        # double bisection resolution, so the dd re-run must kick in
-        J = cp.JacobiMatrix(np.array([1e-16, 1e-16, 1e-16]),
-                            np.array([0.1, 0.9, 0.5, 0.5]))
+        # a pair split by ~5e-16 around 0.5 inside a wide spectrum: its
+        # bidiagonal [[1e-8, 0], [0.4, 1e-8]] has the singular values 0.4
+        # and 2.5e-16, below double resolution, so the decimal re-run must kick in
+        J = cp.JacobiMatrix(np.array([1e-8, 0.4, 1e-8]), np.full(4, 0.5))
         zs = cp.eigen_zeros(J, 4)
         assert zs.escalated
         assert zs.values.dtype == object
@@ -371,14 +363,6 @@ class TestHalfSizeSplit:
         assert zs.values.dtype == object
         assert np.allclose(zs.points, [0.2, 0.2, 0.8, 0.8], atol=1e-15)
 
-    def test_non_constant_diagonal_is_the_direct_solve(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 8, 33):
-            d = rng.uniform(0.2, 0.8, n)
-            e = rng.uniform(0.05, 0.3, n - 1)
-            direct = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-            assert np.array_equal(_eigvals_lapack(d, e), direct), n
-
 
 def _dense_slice_zeros(J, n):
     """Zeros of P_n from numpy.linalg.svd of the dense half-size block B_n."""
@@ -407,7 +391,7 @@ class TestDqdsKernel:
         _, J = jacobi_1024
         half = _HalfSizeSolver(J.a)
         for n in range(1, 1025):
-            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half.sigma(n) if n > 1 else None)
+            got = _spectrum(J.b[0], half.sigma(n) if n > 1 else np.empty(0), n)
             assert np.max(np.abs(got - _dense_slice_zeros(J, n))) <= 32 * self.EPS, n
 
     def test_matches_decimal_bisection(self, jacobi_1024):
@@ -421,7 +405,7 @@ class TestDqdsKernel:
         for n in range(2, 65):
             want = np.asarray(_eigvals_bisect_decimal(J.b[:n], J.a[: n - 1], lo[n - 2], hi[n - 2]),
                               dtype=float)
-            got = _eigvals_lapack(J.b[:n], J.a[: n - 1], half.sigma(n))
+            got = _spectrum(J.b[0], half.sigma(n), n)
             assert np.max(np.abs(got - want)) <= bound, n
 
 
@@ -491,19 +475,24 @@ class TestEigenZeroSets:
         self._check(J, range(2, 256))
 
     def test_non_constant_diagonal(self):
-        # spectrum of 0.5 + 0.95 (J - 0.5) moved by at most 0.01: inside (0, 1)
+        # only a constant diagonal is solved; the error names the first b_k that differs
         J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 255)
         b = 0.5 + 0.01 * np.sin(np.arange(255.0) + 1.0)
-        self._check(cp.JacobiMatrix(0.95 * J.a, b), self.DEGREES)
+        with pytest.raises(DomainError, match="diagonal b_2 = .* differs from b_1"):
+            cp.eigen_zero_sets(cp.JacobiMatrix(0.95 * J.a, b), self.DEGREES)
 
     def test_constant_run_then_varying_diagonal(self):
-        # degrees inside the constant leading run take the half-size path
-        # also when a larger degree in the same call does not
+        # only the truncations asked for are checked: degrees inside the
+        # constant leading run are solved, and a batch past it raises
         J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 255)
         b = np.full(255, 0.5)
         b[40:] += 0.01 * np.sin(np.arange(215.0) + 1.0)
-        got = self._check(cp.JacobiMatrix(0.95 * J.a, b), self.DEGREES + [40, 41])
+        varying = cp.JacobiMatrix(0.95 * J.a, b)
+        got = self._check(varying, [n for n in self.DEGREES if n <= 40] + [40])
         assert got[17].points[8] == 0.5
+        for degrees in (self.DEGREES + [40, 41], [41]):
+            with pytest.raises(DomainError, match="b_41 "):
+                cp.eigen_zero_sets(varying, degrees)
 
     def test_escalated_degree_in_a_batch(self):
         J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
@@ -596,11 +585,17 @@ class TestThreadedSweep:
         self._check_same(monkeypatch, _jacobi(desc, 256), range(2, 257))
 
     def test_constant_run_ending_inside_the_batch(self, monkeypatch):
+        # the diagonal is checked before any solve, so such a batch starts no thread
         J = _jacobi("constant:1/6", 256)
         b = np.full(256, 0.5)
         b[200:] += 0.01 * np.sin(np.arange(56.0) + 1.0)
-        got = self._check_same(monkeypatch, cp.JacobiMatrix(0.95 * J.a, b), range(2, 257))
-        assert got[199].points[99] == 0.5 and got[201].points[100] != 0.5
+        varying = cp.JacobiMatrix(0.95 * J.a, b)
+        recorder = _ThreadRecorder(monkeypatch)
+        with pytest.raises(DomainError, match="b_201 "):
+            self._on_cpus(monkeypatch, varying, range(2, 257), 3)
+        assert recorder.started == []
+        got = self._check_same(monkeypatch, varying, range(2, 201))
+        assert got[199].points[99] == 0.5
 
     def test_escalated_degrees_from_threaded_solves(self, monkeypatch):
         monkeypatch.setattr(jacobi, "_THREAD_WORK", 0)
