@@ -9,7 +9,8 @@ Four commands over a shared configuration:
 
 Configuration comes from an optional JSON file (--config) with flag
 overrides; every run writes the resolved configuration into its JSON
-output so results are reproducible from the artifact alone. Exit codes:
+output so results are reproducible from the artifact alone: that object,
+written to a file, is a --config of the same command. Exit codes:
 0 success / all checks passed, 1 internal numerical failure or failed
 verification, 2 invalid input, 3 non-convergence.
 """
@@ -56,7 +57,6 @@ class RunConfig:
     precision: str = "auto"
     c: str | None = None
     out: str = "."
-    tol_zero: float | None = None
     seed: int = 20240601
 
     def validate(self):
@@ -75,9 +75,6 @@ class RunConfig:
                 f"degree-max {self.degree_max} violates the safety margin "
                 f"degree-max <= 2^(depth-2) = {2 ** (self.depth - 2)}"
             )
-        tol = self.tol_zero  # a JSON true is no tolerance, though bool is an int subclass
-        if tol is not None and (type(tol) not in (int, float) or not 0 < tol < math.inf):
-            raise DomainError(f"tol_zero must be positive and finite, got {tol!r}")
         if self.precision != "auto":
             raise DomainError(f"unknown precision mode {self.precision!r} (only 'auto')")
 
@@ -112,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", help="only 'auto' (decimal once delta_n < 1e-12)")
     parser.add_argument("--c", help="declared lower bound for the gamma values")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--tol-zero", type=float, dest="tol_zero")
     parser.add_argument("--seed", type=int)
     return parser
 
@@ -125,8 +121,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise DomainError(f"config file {args.config} must hold a JSON object")
         settings.update(loaded)
-    for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out",
-                "tol_zero", "seed"):
+    for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -136,6 +131,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         settings["gamma"] = _parse_gamma_arg(settings["gamma"])
     else:
         settings["gamma"] = GammaSequence.from_descriptor(settings["gamma"]).descriptor()
+    # the configuration a run embeds names its command: it must be this one
+    command = settings.pop("command", args.command)
+    if command != args.command:
+        raise DomainError(f"the config is for command {command!r}, not {args.command!r}")
     cfg = RunConfig(command=args.command, **settings)
     cfg.validate()
     return cfg
@@ -189,8 +188,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     texts = []  # each level's value strings, rendered once
     for m, zs in enumerate(zero_sets, start=1):
         residuals = abs(monic_opoly_exact(fam, m, zs.points))
-        tol = cfg.tol_zero if cfg.tol_zero is not None else \
-            2 ** m * eps * max(1.0, float(abs(monic_opoly_exact(fam, m, _sample_grid(m))).max()))
+        tol = 2 ** m * eps * max(1.0, float(abs(monic_opoly_exact(fam, m, _sample_grid(m))).max()))
         if float(residuals.max()) > tol:
             print(f"cantorpoly: zero residual {residuals.max()} exceeds {tol} at degree {2**m}",
                   file=sys.stderr)

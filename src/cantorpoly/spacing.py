@@ -20,15 +20,16 @@ for a double M_n, M_n >= t holds exactly when M_n >= q, so the verdicts
 carry no rounding slack of their own. Gaps and distances between Decimal
 points are formed exactly and rounded once, to double.
 
-A full verification run keeps one run-local cache: each eigensolve, each
-dyadic zero set and each critical set is computed once per run and read
-by every check, and the cache dies with the run. The dyadic zero sets
-and the branch-lemma tables of levels 1..8 come from one branch ladder
-each (geometry.branch_value_ladder), and a critical set reuses the
-cached zero sets wherever they share its deepest level's precision.
-Each eigensolved zero set carries its smallest gap from the solve, so
-M_n takes no second pass. The at-most-one interlacing test is decided
-one larger degree r at a time, with one binning of all smaller-degree
+A full verification run builds each point set it reads once, before its
+checks run, and hands the sets to the checks, which take point sets and
+read each degree or level from them: the eigensolved zero sets of every
+degree from one batched solve, the dyadic zero sets and the branch-lemma
+tables of levels 1..8 from one branch ladder each
+(geometry.branch_value_ladder), and the critical sets from those zero
+sets wherever they share its deepest level's precision. Each
+eigensolved zero set carries its smallest gap from the solve, so M_n
+takes no second pass. The at-most-one interlacing test is decided one
+larger degree r at a time, with one binning of all smaller-degree
 zeros.
 """
 
@@ -50,14 +51,12 @@ from .exact import (
     ZeroSet,
     critical_levels,
     exact_zero_ladder,
-    exact_zeros,
     min_gap_with_index,
 )
 from .geometry import (
     BranchWord,
     branch_composition,
     branch_value_ladder,
-    branch_value_table,
     largest_gap,
     leftmost_length,
 )
@@ -103,13 +102,9 @@ def _points(obj) -> np.ndarray:
 
 def min_spacing(zero_set) -> float:
     """Minimum gap between consecutive zeros, in the set's working precision."""
-    return _min_gap_with_index(zero_set)[0]
-
-
-def _min_gap_with_index(zero_set) -> tuple[float, int]:
     if isinstance(zero_set, ZeroSet):
-        return zero_set.smallest_gap()
-    return min_gap_with_index(_points(zero_set))
+        return zero_set.smallest_gap()[0]
+    return min_gap_with_index(_points(zero_set))[0]
 
 
 def set_distance(A, B) -> float:
@@ -245,16 +240,19 @@ class SpacingReport:
 # verified inequalities
 # ---------------------------------------------------------------------------
 
-def verify_interlacing_bound(J: JacobiMatrix, l: int, m: int, n: int,
-                             cache: dict | None = None) -> ReportEntry:
-    """d(Z_l, Z_m) <= M_n for degrees l > m > n > 1."""
+def _level(zero_set: ZeroSet) -> int:
+    """m for the zero set of a dyadic degree 2^m; DomainError otherwise."""
+    m = _dyadic_exponent(zero_set.degree)
+    if m is None:
+        raise DomainError(f"degree {zero_set.degree} is not a dyadic degree")
+    return m
+
+
+def verify_interlacing_bound(zl: ZeroSet, zm: ZeroSet, zn: ZeroSet) -> ReportEntry:
+    """d(Z_l, Z_m) <= M_n for the zero sets of degrees l > m > n > 1."""
+    l, m, n = zl.degree, zm.degree, zn.degree
     if not l > m > n > 1:
         raise DomainError(f"need l > m > n > 1, got {(l, m, n)}")
-    if l > J.b.size:
-        raise DomainError(f"degree {l} exceeds the {J.b.size} coefficients")
-    zl = _cached_zeros(J, l, cache)
-    zm = _cached_zeros(J, m, cache)
-    zn = _cached_zeros(J, n, cache)
     lhs = set_distance(zl, zm)
     rhs = min_spacing(zn)
     return ReportEntry(
@@ -266,42 +264,38 @@ def verify_interlacing_bound(J: JacobiMatrix, l: int, m: int, n: int,
     )
 
 
-def verify_critical_bound(fam: MapFamily, k: int, k_prime: int,
-                          cache: dict | None = None) -> ReportEntry:
+def verify_critical_bound(z: ZeroSet, y: CriticalSet, z_prime: ZeroSet) -> ReportEntry:
     """d(Z, Y) <= d(Z, Z') on the exact dyadic sets.
 
-    Z and Y are the zero and critical sets at level 1 + k, Z' the zero set
-    at level 1 + k'; requires k > k' >= 0.
+    z and y are the zero and critical sets of one level 1 + k, z_prime the
+    zero set of a lower level 1 + k' (k > k' >= 0); the levels are read
+    from the sets, and sets of mismatched levels raise DomainError.
     """
+    k, k_prime = _level(z) - 1, _level(z_prime) - 1
+    if y.level != 1 + k:
+        raise DomainError(f"critical set of level {y.level} against zeros of level {1 + k}")
     if not k > k_prime >= 0:
         raise DomainError(f"need k > k' >= 0, got {(k, k_prime)}")
-    z = _cached_exact_zeros(fam, 1 + k, cache)
-    y = _cached_critical_set(fam, 1 + k, cache)
-    zp = _cached_exact_zeros(fam, 1 + k_prime, cache)
     lhs = set_distance(z, y)
-    rhs = set_distance(z, zp)
+    rhs = set_distance(z, z_prime)
     return ReportEntry(
         check="critical_distance_bound",
         passed=lhs <= rhs,
         lhs=lhs,
         rhs=rhs,
         detail={"k": k, "k_prime": k_prime,
-                "degree": 2 ** (1 + k), "degree_prime": 2 ** (1 + k_prime)},
+                "degree": z.degree, "degree_prime": z_prime.degree},
     )
 
 
-def verify_second_neighbor_bound(J: JacobiMatrix, r: int, n: int,
-                                 cache: dict | None = None) -> ReportEntry:
+def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
     """M_r <= min second-neighbour gap of the degree-n zeros.
 
     Indices 0 and n+1 denote the support endpoints 0 and 1.
     """
+    r, n = zr.degree, zn.degree
     if not (r > 1 and r >= n >= 1):
         raise DomainError(f"need r > 1 and r >= n >= 1, got {(r, n)}")
-    if r > J.b.size:
-        raise DomainError(f"degree {r} exceeds the {J.b.size} coefficients")
-    zr = _cached_zeros(J, r, cache)
-    zn = _cached_zeros(J, n, cache)
     aug = np.concatenate([[0], _points(zn), [1]])
     with localcontext(_EXACT):
         rhs = float(np.min(aug[2:] - aug[:-2]))
@@ -347,23 +341,27 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     }
 
 
-def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> ReportEntry:
+def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
+                        y: CriticalSet) -> ReportEntry:
     """Exhaustive check of the separation chain at level n.
 
     For every one of the 2^n words and both inner endpoints the branch
     separation must dominate the all-L chain value, which in turn
     dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
     2^n must dominate the minimum separation over all words and
-    endpoints. The anchors (t = 0) and endpoints (t = +-1) come from one
-    branch-value table over the three parameters in extended precision:
-    the run's lemma ladder when the cache holds one, else a fresh
-    doubling pass, O(2^n) decimal operations. The word-independent terms
-    are computed once.
+    endpoints. table is the level's branch-value table over the
+    parameters (0, 1, -1) in extended precision, one row per word: the
+    anchors (t = 0) and both endpoints (t = +-1). z and y are the zero
+    and critical sets of level n. The word-independent terms are
+    computed once.
     """
-    if n < 1:
-        raise DomainError("level must be >= 1")
+    n = _level(z)
+    if y.level != n:
+        raise DomainError(f"critical set of level {y.level} against zeros of level {n}")
+    if np.shape(table) != (2 ** n, len(_LEMMA_TS)):
+        raise DomainError(f"level {n} needs a {2 ** n} x {len(_LEMMA_TS)} branch table, "
+                          f"got shape {np.shape(table)}")
     gamma = fam.gamma
-    table = _cached_lemma_table(fam, n, cache)
     anchors = table[:, 0]
     chain = anchors[0]
     l_next = leftmost_length(gamma, n + 1, "dd")
@@ -376,7 +374,7 @@ def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> Re
         failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= _TIE_CUSHION))
     min_sep = float(min(seps))
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
-    dzy = set_distance(_cached_exact_zeros(fam, n, cache), _cached_critical_set(fam, n, cache))
+    dzy = set_distance(z, y)
     chain_ok = failures == 0
     dzy_ok = dzy >= min_sep
     return ReportEntry(
@@ -393,81 +391,30 @@ def verify_branch_lemma(fam: MapFamily, n: int, cache: dict | None = None) -> Re
 # the spacing report
 # ---------------------------------------------------------------------------
 
-def _memo(cache: dict | None, key, compute):
-    # cache is one run's dict; without one every call computes afresh
-    if cache is None:
-        return compute()
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
-
-
-def _cached_zero_sets(J: JacobiMatrix, degrees, cache: dict | None) -> dict[int, ZeroSet]:
-    # one batched eigensolve of the degrees the cache does not hold yet
-    if cache is None:
-        return eigen_zero_sets(J, degrees)
-    missing = [n for n in degrees if n not in cache]
-    if missing:
-        cache.update(eigen_zero_sets(J, missing))
-    return {n: cache[n] for n in degrees}
-
-
-def _cached_zeros(J: JacobiMatrix, n: int, cache: dict | None) -> ZeroSet:
-    return _cached_zero_sets(J, (n,), cache)[n]
-
-
-def _ladder(cache: dict | None, key: str) -> list:
-    # the levels 1..L of one ladder that full_verification put in the cache
-    return [] if cache is None else cache.get(key, [])
-
-
-def _cached_exact_zeros(fam: MapFamily, m: int, cache: dict | None) -> ZeroSet:
-    ladder = _ladder(cache, "exact ladder")
-    if m <= len(ladder):
-        return ladder[m - 1]
-    return _memo(cache, ("exact", m), lambda: exact_zeros(fam, m))
-
-
-def _cached_lemma_table(fam: MapFamily, n: int, cache: dict | None) -> np.ndarray:
-    ladder = _ladder(cache, "lemma ladder")
-    if n <= len(ladder):
-        return ladder[n - 1]
-    return _memo(cache, ("lemma", n), lambda: branch_value_table(fam.gamma, n, _LEMMA_TS, "dd"))
-
-
-def _cached_critical_set(fam: MapFamily, n: int, cache: dict | None) -> CriticalSet:
-    """{1/2} together with the zero sets of levels 1..n-1, all in level
-    n - 1's precision: the cached ones wherever they share it."""
-    if n < 1:
-        raise DomainError("level must be >= 1")
-    return _memo(cache, ("critical", n), lambda: CriticalSet.from_zero_sets(critical_levels(
-        fam, n, [_cached_exact_zeros(fam, k, cache) for k in range(1, n)])))
-
-
 def _dyadic_exponent(n: int) -> int | None:
     if n >= 2 and (n & (n - 1)) == 0:
         return n.bit_length() - 1
     return None
 
 
-def _spacing(fam: MapFamily, zs: ZeroSet, cache: dict | None):
+def _spacing(zs: ZeroSet, exact: list[ZeroSet]):
     """M_n with provenance: exact at dyadic degrees, eigensolve elsewhere.
 
-    At dyadic degrees both routes are computed and cross-checked before
-    the exact value is used.
+    exact holds the zero sets of levels 1, 2, ...; at dyadic degrees both
+    routes are cross-checked before the exact value is used.
     """
     n = zs.degree
-    m_eig, pair = _min_gap_with_index(zs)
+    m_eig, pair = zs.smallest_gap()
     m = _dyadic_exponent(n)
     if m is None:
-        return m_eig, pair, "eigensolve", zs.escalated
-    m_exact, pair_exact = _min_gap_with_index(_cached_exact_zeros(fam, m, cache))
+        return m_eig, pair, "eigensolve"
+    m_exact, pair_exact = exact[m - 1].smallest_gap()
     if abs(m_exact - m_eig) > _EXACT_VS_EIGEN_TOL:
         raise DomainError(
             f"exact and eigensolve spacing disagree at degree {n}: "
             f"{m_exact} vs {m_eig}"
         )
-    return m_exact, pair_exact, "both", zs.escalated
+    return m_exact, pair_exact, "both"
 
 
 def _least_double_at_least(q: Fraction) -> float:
@@ -476,28 +423,25 @@ def _least_double_at_least(q: Fraction) -> float:
     return math.nextafter(t, math.inf) if Fraction(t) < q else t
 
 
-def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
-                   cache: dict | None = None, metadata: dict | None = None) -> SpacingReport:
-    """Spacing rows for the requested degrees, with bound verdicts.
+def _declared_c(gamma, c) -> Fraction | None:
+    """The declared c as a Fraction, checked against (0, inf gamma]."""
+    if c is None:
+        return None
+    c_frac = c if isinstance(c, Fraction) else Fraction(c)
+    if c_frac <= 0:
+        raise DomainError(f"declared c = {c} must lie in (0, inf gamma] "
+                          f"= (0, {gamma.infimum()}]")
+    if c_frac > gamma.infimum():
+        raise DomainError(f"declared c = {c} exceeds the materialized infimum")
+    return c_frac
 
-    All degrees come from one batched eigensolve (with a cache, of the
-    degrees it does not hold yet). Lower-bound comparisons are exact: the
-    delta products are rationals, and M_n is compared against the least
-    double at or above each, which decides M_n >= q without rounding. The
-    pi^2-scaled upper bounds are evaluated in double, where their margins
-    are many orders of magnitude wide. Both depend only on s, so each
-    octave's bounds are formed once.
-    """
+
+def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
+            exact: list[ZeroSet], c_frac: Fraction | None,
+            metadata: dict | None) -> SpacingReport:
+    """One row per zero set, in ascending degree; exact holds the zero sets
+    of every dyadic level among them, and c_frac is already checked."""
     gamma = fam.gamma
-    c_frac = None
-    if c is not None:
-        c_frac = c if isinstance(c, Fraction) else Fraction(c)
-        if c_frac <= 0:
-            raise DomainError(f"declared c = {c} must lie in (0, inf gamma] "
-                              f"= (0, {gamma.infimum()}]")
-        if c_frac > gamma.infimum():
-            raise DomainError(f"declared c = {c} exceeds the materialized infimum")
-        c_sq = c_frac * c_frac
 
     @functools.cache
     def bounds(s: int):
@@ -508,19 +452,14 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
                _least_double_at_least(d_lo))
         if c_frac is None:
             return eq1, None
-        d_s = gamma.delta_fraction(s)
+        d_s, c_sq = gamma.delta_fraction(s), c_frac * c_frac
         lo2 = c_sq * d_s
         return eq1, (float(lo2), _PI_SQ_4 / float(c_sq) * float(d_s), _least_double_at_least(lo2))
 
-    ns = sorted({int(d) for d in degrees})
-    for n in ns:
-        if not 1 < n <= J.b.size:
-            raise DomainError(f"degree {n} outside (1, {J.b.size}]")
-    zero_sets = _cached_zero_sets(J, ns, cache)
     rows = []
-    for n in ns:
+    for n, zs in zero_sets.items():
         s = n.bit_length()
-        m_n, pair, source, escalated = _spacing(fam, zero_sets[n], cache)
+        m_n, pair, source = _spacing(zs, exact)
         (lower1, upper1, least1), eq2 = bounds(s)
         pass1 = m_n >= least1 and m_n <= upper1
         if eq2 is None:
@@ -534,7 +473,7 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
             lower_eq2=lower2, upper_eq2=upper2,
             pass_eq1=pass1, pass_eq2=pass2,
             margin_lo=m_n / lower1, margin_hi=upper1 / m_n,
-            source=source, min_pair=(pair, pair + 1), escalated=escalated,
+            source=source, min_pair=(pair, pair + 1), escalated=zs.escalated,
         ))
     meta = {
         "gamma": gamma.descriptor(),
@@ -544,6 +483,28 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     if metadata:
         meta.update(metadata)
     return SpacingReport(rows=tuple(rows), metadata=meta)
+
+
+def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
+                   metadata: dict | None = None) -> SpacingReport:
+    """Spacing rows for the requested degrees, with bound verdicts.
+
+    All degrees come from one batched eigensolve, and the exact zero sets
+    of the dyadic degrees among them from one exact_zero_ladder.
+    Lower-bound comparisons are exact: the delta products are rationals,
+    and M_n is compared against the least double at or above each, which
+    decides M_n >= q without rounding. The pi^2-scaled upper bounds are
+    evaluated in double, where their margins are many orders of magnitude
+    wide. Both depend only on s, so each octave's bounds are formed once.
+    """
+    c_frac = _declared_c(fam.gamma, c)
+    ns = sorted({int(d) for d in degrees})
+    for n in ns:
+        if not 1 < n <= J.b.size:
+            raise DomainError(f"degree {n} outside (1, {J.b.size}]")
+    zero_sets = eigen_zero_sets(J, ns)
+    top = max((_dyadic_exponent(n) or 0 for n in ns), default=0)
+    return _report(fam, J, zero_sets, exact_zero_ladder(fam, top), c_frac, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -604,48 +565,50 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     """Run every verified inequality up to degree n_max plus the
     informational checks, at the module's fixed sizes.
 
-    One run-local cache holds the eigensolves and the dyadic zero and
-    critical sets, so each is computed once per call; the spacing report
-    fills it with one batched eigensolve of degrees 2..n_max, and
-    interlacing is checked one degree r at a time. The dyadic zero sets
-    of every level the run reads come from one ladder, and so do the
-    branch-lemma tables.
+    Each point set the checks read is built once per call, before the
+    checks run: the zero sets of degrees 2..n_max from one batched
+    eigensolve, the exact zero sets of every dyadic level the run reads
+    from one exact_zero_ladder, the branch-lemma tables from one
+    branch_value_ladder, and the critical sets of levels 1..8 from those
+    exact zero sets wherever they share a level's precision. The spacing
+    report reads the same sets, and interlacing is checked one degree r
+    at a time.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
     rng = np.random.default_rng(seed)
     # the run reads the dyadic levels up to n_max and up to the branch lemma's
-    cache: dict = {
-        "exact ladder": exact_zero_ladder(fam, max(n_max.bit_length() - 1, _RORO_MAX_LEVEL)),
-        "lemma ladder": branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd"),
-    }
+    exact = exact_zero_ladder(fam, max(n_max.bit_length() - 1, _RORO_MAX_LEVEL))
+    tables = branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd")
+    c_frac = _declared_c(fam.gamma, c)
+    zeros = eigen_zero_sets(J, range(2, n_max + 1))
+    report = _report(fam, J, zeros, exact, c_frac, metadata)
+    critical = [CriticalSet.from_zero_sets(critical_levels(fam, n, exact[:n - 1]))
+                for n in range(1, _RORO_MAX_LEVEL + 1)]
     entries: list[ReportEntry] = []
-
-    report = spacing_report(fam, J, range(2, n_max + 1), c=c, cache=cache,
-                            metadata=metadata)
 
     if n_max >= 4:
         for _ in range(_TEO1_SAMPLES):
             l = int(rng.integers(4, n_max + 1))
             m = int(rng.integers(3, l))
             n = int(rng.integers(2, m))
-            entries.append(verify_interlacing_bound(J, l, m, n, cache))
+            entries.append(verify_interlacing_bound(zeros[l], zeros[m], zeros[n]))
 
     for k in range(1, _TM_MAX_K + 1):
         for k_prime in range(k):
-            entries.append(verify_critical_bound(fam, k, k_prime, cache=cache))
+            entries.append(verify_critical_bound(exact[k], critical[k], exact[k_prime]))
 
     uuu_pairs = sorted({(n_max, max(2, n_max // 2)), (n_max, 2),
                         (max(2, n_max // 2), max(2, n_max // 4)),
                         (n_max, n_max)})
     for r, n in uuu_pairs:
-        entries.append(verify_second_neighbor_bound(J, r, n, cache))
+        entries.append(verify_second_neighbor_bound(zeros[r], zeros[n]))
 
     for n in range(1, _RORO_MAX_LEVEL + 1):
-        entries.append(verify_branch_lemma(fam, n, cache))
+        entries.append(verify_branch_lemma(fam, tables[n - 1], exact[n - 1], critical[n - 1]))
 
     top = min(_INTERLACING_MAX, n_max)
-    violations = _interlacing_violations({r: _cached_zeros(J, r, cache) for r in range(2, top + 1)})
+    violations = _interlacing_violations({r: zeros[r] for r in range(2, top + 1)})
     entries.append(ReportEntry(
         check="interlacing_at_most_one",
         passed=not violations,
@@ -658,10 +621,9 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     # of the matching pre-Cantor level
     gap_checks = []
     for n in sorted(n for n in {4, n_max // 2, n_max} if 2 <= n <= n_max):
-        zs = _cached_zeros(J, n, cache)
         level = math.ceil(math.log2(n))
         half_gap = 0.5 * largest_gap(fam.gamma, level)
-        max_zero_gap = float(np.max(np.diff(zs.points)))
+        max_zero_gap = float(np.max(np.diff(zeros[n].points)))
         gap_checks.append({"n": n, "max_zero_gap": max_zero_gap,
                            "half_largest_gap": half_gap,
                            "ok": max_zero_gap >= half_gap})
@@ -675,11 +637,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     ))
 
     # informational: M at dyadic degrees should collapse monotonically
-    dyadic = []
-    m = 1
-    while 2 ** m <= n_max:
-        dyadic.append(min_spacing(_cached_exact_zeros(fam, m, cache)))
-        m += 1
+    dyadic = [min_spacing(zs) for zs in exact[:n_max.bit_length() - 1]]
     collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
     entries.append(ReportEntry(
         check="dyadic_spacing_collapse",

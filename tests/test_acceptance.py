@@ -24,22 +24,22 @@ def _announce(num, label):
     print(f"criterion {num} ({label}): PASS")
 
 
+def _sweep(fam):
+    J = cp.jacobi_for_gamma(fam, SWEEP_DEGREE)
+    report = spacing_report(fam, J, range(2, SWEEP_DEGREE + 1), c=Fraction(1, 6))
+    # the zero sets criteria 05 and 06 read, degrees 2..128
+    zeros = {n: cp.eigen_zeros(J, n) for n in range(2, SWEEP_DEGREE // 2 + 1)}
+    return {"fam": fam, "J": J, "zeros": zeros, "report": report}
+
+
 @pytest.fixture(scope="session")
 def sweep_sixth(fam_sixth):
-    J = cp.jacobi_for_gamma(fam_sixth, SWEEP_DEGREE)
-    cache: dict = {}
-    report = spacing_report(fam_sixth, J, range(2, SWEEP_DEGREE + 1),
-                            c=Fraction(1, 6), cache=cache)
-    return {"fam": fam_sixth, "J": J, "cache": cache, "report": report}
+    return _sweep(fam_sixth)
 
 
 @pytest.fixture(scope="session")
 def sweep_periodic(fam_periodic):
-    J = cp.jacobi_for_gamma(fam_periodic, SWEEP_DEGREE)
-    cache: dict = {}
-    report = spacing_report(fam_periodic, J, range(2, SWEEP_DEGREE + 1),
-                            c=Fraction(1, 6), cache=cache)
-    return {"fam": fam_periodic, "J": J, "cache": cache, "report": report}
+    return _sweep(fam_periodic)
 
 
 @pytest.fixture(scope="session")
@@ -84,25 +84,23 @@ def test_criterion_04_uniform_c_sweep(sweep_sixth, sweep_periodic):
 
 
 def test_criterion_05_interlacing_suite(sweep_sixth, sweep_periodic):
-    from cantorpoly.spacing import _cached_zeros
     for sweep in (sweep_sixth, sweep_periodic):
-        J, cache = sweep["J"], sweep["cache"]
+        zeros = sweep["zeros"]
         for r in range(3, 65):
-            zr = _cached_zeros(J, r, cache)
             for s in range(2, r):
-                assert cp.interlacing_at_most_one(_cached_zeros(J, s, cache), zr)
+                assert cp.interlacing_at_most_one(zeros[s], zeros[r])
     _announce(5, "at-most-one interlacing for all 2 <= s < r <= 64, both sequences")
 
 
 def test_criterion_06_distance_bound_samples(sweep_sixth, sweep_periodic):
     rng = np.random.default_rng(20240601)
     for sweep in (sweep_sixth, sweep_periodic):
-        J, cache = sweep["J"], sweep["cache"]
+        zeros = sweep["zeros"]
         for _ in range(50):
             l = int(rng.integers(4, 129))
             m = int(rng.integers(3, l))
             n = int(rng.integers(2, m))
-            entry = cp.verify_interlacing_bound(J, l, m, n, cache)
+            entry = cp.verify_interlacing_bound(zeros[l], zeros[m], zeros[n])
             assert entry.passed, (l, m, n)
     _announce(6, "d(Z_l, Z_m) <= M_n for 50 random triples per sequence, l <= 128")
 
@@ -111,13 +109,14 @@ def test_criterion_07_critical_containment(fam_sixth, fam_periodic):
     for fam in (fam_sixth, fam_periodic):
         for k in range(1, 6):
             y = cp.critical_set(fam, 1 + k)
+            z = cp.exact_zeros(fam, 1 + k)
             for k_prime in range(k):
                 z_small = cp.exact_zeros(fam, 1 + k_prime)
                 gap = max(
                     float(np.min(np.abs(y.points - z))) for z in z_small.points
                 )
                 assert gap <= 1e-12
-                assert cp.verify_critical_bound(fam, k, k_prime).passed
+                assert cp.verify_critical_bound(z, y, z_small).passed
     _announce(7, "zero sets nest in critical sets to 1e-12 and d(Z,Y) <= d(Z,Z'), k <= 5")
 
 

@@ -301,7 +301,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "e64b11139669cdd262c752f5b43b8fd22cfa473213fe85fd43979d5a0dd8781b"
+VERIFY_JSON_SHA256 = "3bbcb38c360436a1fe5b6733fb9153481d090d5056e716af66dac0f28a6bb5eb"
 
 
 class TestPinnedOutputBytes:
@@ -318,8 +318,9 @@ class TestPinnedOutputBytes:
         # critical sets were cached per run, re-pinned when config.precision
         # became "auto" and metadata.precision_mode went, again when the
         # half-size solve moved to dqds, when the JSON went compact (its
-        # json.loads unchanged), and when config.jacobi_file went (the old
-        # bytes less '"jacobi_file": null, ' are the new); config.out is normalised
+        # json.loads unchanged), and when config.jacobi_file and then
+        # config.tol_zero went (each time the old bytes less that key's
+        # '"<key>": null' entry are the new); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()
@@ -383,18 +384,47 @@ class TestConfigHandling:
     def test_missing_gamma_exits_2(self, tmp_path):
         assert main(["geometry", "--out", str(tmp_path)]) == 2
 
-    def test_bad_tolerance_exits_2(self, tmp_path):
-        # no residual exceeds nan or inf, so either would pass every degree;
-        # a JSON true once passed as the tolerance 1.0
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys):
+        # the zero tolerance is no setting: the computed residual bound is
+        # the only one, and neither the flag nor the config key is accepted
         for command in ("verify", "zeros"):
-            for tol in ("-1", "nan", "inf"):
-                assert main([command, "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
-                             "--tol-zero", tol, "--out", str(tmp_path)]) == 2
-            for tol in (True, "1e-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
+                      "--tol-zero", "1e-3", "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tol-zero" in capsys.readouterr().err
+            for tol in (None, 1e-3):
                 cfg = tmp_path / "run.json"
                 cfg.write_text(json.dumps({"gamma": "constant:1/6", "degree_max": 16, "depth": 6,
                                            "tol_zero": tol}))
                 assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2, tol
+                assert "tol_zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, embedded", [
+        (["geometry", "--gamma", "constant:1/6", "--levels", "3"], ("run.json",)),
+        (["verify", "--gamma", "constant:1/6", "--degree-max", "16", "--depth", "6", "--c", "1/6"],
+         ("spacing_report.json", "spacing", "metadata")),
+    ])
+    def test_embedded_config_round_trips(self, tmp_path, argv, embedded):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(argv + ["--out", str(first)]) == 0
+        meta = json.loads((first / embedded[0]).read_text())
+        for key in embedded[1:]:
+            meta = meta[key]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(meta["config"]))
+        assert main([argv[0], "--config", str(cfg), "--out", str(second)]) == 0
+        csvs = sorted(p.name for p in first.glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in second.glob("*.csv"))
+        for name in csvs:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_config_of_another_command_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"command": "geometry", "gamma": "constant:1/6", "levels": 3}))
+        assert main(["verify", "--config", str(cfg), "--degree-max", "8", "--depth", "6",
+                     "--out", str(tmp_path)]) == 2
+        assert "the config is for command 'geometry', not 'verify'" in capsys.readouterr().err
 
     def test_removed_trials_key_exits_2(self, tmp_path):
         # every removed knob: trials, tol_stab, jacobi_file and every precision but auto

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cantorpoly as cp
 from cantorpoly import exact, spacing
 from cantorpoly.errors import DomainError
+from cantorpoly.geometry import branch_value_table
 from cantorpoly.spacing import SpacingRow, branch_separation_chain, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
@@ -142,12 +143,10 @@ class TestRunLocalCache:
     @staticmethod
     def _count_branch_passes(monkeypatch):
         # every binding that reaches a branch doubling pass: exact_zeros
-        # (all_branch_values), largest_gap's level intervals and the branch
-        # lemma off the cache (branch_value_table, t is then a tuple of
-        # parameters), and the ladders of the run's zero sets and lemma tables
+        # (all_branch_values), largest_gap's level intervals, and the
+        # ladders of the run's zero sets and lemma tables
         calls = Counter()
-        for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table"),
-                             (spacing, "branch_value_table")):
+        for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table")):
             real = getattr(module, name)
 
             def counted(gamma, n, t, mode="auto", _real=real, _where=module.__name__):
@@ -186,22 +185,25 @@ class TestRunLocalCache:
             totals.append(sum(calls.values()))
         assert totals[0] == totals[1]
 
-    def test_uncached_checks_unchanged(self, fam_periodic):
-        cache = {}
-        for k in range(1, 5):
-            for k_prime in range(k):
-                assert (cp.verify_critical_bound(fam_periodic, k, k_prime, cache=cache)
-                        == cp.verify_critical_bound(fam_periodic, k, k_prime))
-        for n in range(1, 6):
-            assert (cp.verify_branch_lemma(fam_periodic, n, cache)
-                    == cp.verify_branch_lemma(fam_periodic, n))
-        assert ("critical", 5) in cache and ("exact", 5) in cache
+
+def _lemma(fam, n, ts=spacing._LEMMA_TS):
+    """verify_branch_lemma at level n on sets from the public producers."""
+    table = branch_value_table(fam.gamma, n, ts, "dd")
+    return cp.verify_branch_lemma(fam, table, cp.exact_zeros(fam, n), cp.critical_set(fam, n))
+
+
+def _critical_bound(fam, k, k_prime):
+    return cp.verify_critical_bound(cp.exact_zeros(fam, 1 + k), cp.critical_set(fam, 1 + k),
+                                    cp.exact_zeros(fam, 1 + k_prime))
 
 
 class TestVerifyOps:
     def test_interlacing_bound_chebyshev(self, jacobi_quarter_small):
-        entry = cp.verify_interlacing_bound(jacobi_quarter_small, 8, 4, 2)
+        J = jacobi_quarter_small
+        entry = cp.verify_interlacing_bound(cp.eigen_zeros(J, 8), cp.eigen_zeros(J, 4),
+                                            cp.eigen_zeros(J, 2))
         assert entry.passed
+        assert entry.detail == {"l": 8, "m": 4, "n": 2}
         # both sides from cosine closed forms
         z8, z4 = chebyshev_zeros_unit(3), chebyshev_zeros_unit(2)
         want_lhs = min(abs(x - y) for x in z8 for y in z4)
@@ -209,28 +211,53 @@ class TestVerifyOps:
         assert entry.rhs == pytest.approx(chebyshev_min_gap(1), rel=1e-9)
 
     def test_interlacing_bound_small_degrees(self, jacobi_sixth_small):
-        assert cp.verify_interlacing_bound(jacobi_sixth_small, 4, 3, 2).passed
+        z = {n: cp.eigen_zeros(jacobi_sixth_small, n) for n in (2, 3, 4)}
+        assert cp.verify_interlacing_bound(z[4], z[3], z[2]).passed
 
     def test_interlacing_bound_preconditions(self, jacobi_sixth_small):
+        z = {n: cp.eigen_zeros(jacobi_sixth_small, n) for n in (1, 2, 3, 4)}
         with pytest.raises(DomainError):
-            cp.verify_interlacing_bound(jacobi_sixth_small, 4, 4, 2)
+            cp.verify_interlacing_bound(z[4], z[4], z[2])
         with pytest.raises(DomainError):
-            cp.verify_interlacing_bound(jacobi_sixth_small, 4, 3, 1)
+            cp.verify_interlacing_bound(z[4], z[3], z[1])
 
     def test_critical_bound(self, fam_quarter, fam_sixth):
-        e = cp.verify_critical_bound(fam_quarter, 1, 0)
+        e = _critical_bound(fam_quarter, 1, 0)
         assert e.passed
-        assert cp.verify_critical_bound(fam_sixth, 2, 0).passed
+        assert e.detail == {"k": 1, "k_prime": 0, "degree": 4, "degree_prime": 2}
+        assert _critical_bound(fam_sixth, 2, 0).passed
         with pytest.raises(DomainError):
-            cp.verify_critical_bound(fam_quarter, 1, 1)
+            _critical_bound(fam_quarter, 1, 1)
 
     def test_second_neighbor_bound(self, jacobi_quarter_small, jacobi_sixth_small):
-        trivial = cp.verify_second_neighbor_bound(jacobi_sixth_small, 8, 8)
+        def bound(J, r, n):
+            return cp.verify_second_neighbor_bound(cp.eigen_zeros(J, r), cp.eigen_zeros(J, n))
+
+        trivial = bound(jacobi_sixth_small, 8, 8)
         assert trivial.passed
-        assert cp.verify_second_neighbor_bound(jacobi_quarter_small, 16, 4).passed
-        assert cp.verify_second_neighbor_bound(jacobi_sixth_small, 8, 4).passed
+        assert bound(jacobi_quarter_small, 16, 4).passed
+        assert bound(jacobi_sixth_small, 8, 4).passed
         with pytest.raises(DomainError):
-            cp.verify_second_neighbor_bound(jacobi_sixth_small, 1, 1)
+            bound(jacobi_sixth_small, 1, 1)
+
+    def test_mismatched_levels_raise(self, fam_sixth):
+        z = {m: cp.exact_zeros(fam_sixth, m) for m in (1, 3)}
+        y = {m: cp.critical_set(fam_sixth, m) for m in (2, 3)}
+        table = branch_value_table(fam_sixth.gamma, 3, spacing._LEMMA_TS, "dd")
+        assert cp.verify_critical_bound(z[3], y[3], z[1]).passed
+        assert cp.verify_branch_lemma(fam_sixth, table, z[3], y[3]).passed
+        with pytest.raises(DomainError, match="critical set of level 2"):
+            cp.verify_critical_bound(z[3], y[2], z[1])
+        with pytest.raises(DomainError, match="critical set of level 2"):
+            cp.verify_branch_lemma(fam_sixth, table, z[3], y[2])
+        with pytest.raises(DomainError, match="branch table"):
+            cp.verify_branch_lemma(fam_sixth, table[:4], z[3], y[3])
+        with pytest.raises(DomainError, match="branch table"):
+            cp.verify_branch_lemma(fam_sixth, table[:, :2], z[3], y[3])
+        # an eigensolved set of a non-dyadic degree has no level
+        odd = cp.eigen_zeros(cp.jacobi_for_gamma(fam_sixth, 8), 7)
+        with pytest.raises(DomainError, match="not a dyadic degree"):
+            cp.verify_critical_bound(odd, y[3], z[1])
 
     def test_branch_chain_equality_case(self, fam_sixth):
         # all-L word at the inner endpoint 0 attains the chain value exactly
@@ -244,7 +271,7 @@ class TestVerifyOps:
         for desc in ("constant:1/6", "periodic:1/6,1/5", "constant:1/4", "constant:0.02"):
             fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
             for n in range(1, 7):
-                entry = cp.verify_branch_lemma(fam, n)
+                entry = _lemma(fam, n)
                 assert entry.passed, (desc, n)
                 assert entry.detail["words"] == 2 ** n
                 assert entry.detail["chain_failures"] == 0
@@ -256,7 +283,7 @@ class TestVerifyOps:
         # at tiny gamma d(Z, Y) needs the dd zero and critical sets: their
         # extreme points round to 0 and 1 in double
         for desc in ("constant:0.01", "constant:0.005"):
-            entry = cp.verify_branch_lemma(cp.MapFamily(cp.GammaSequence.from_descriptor(desc)), 8)
+            entry = _lemma(cp.MapFamily(cp.GammaSequence.from_descriptor(desc)), 8)
             assert entry.passed and entry.detail["critical_distance_ok"], desc
             assert entry.detail["chain_failures"] == 0
 
@@ -264,24 +291,48 @@ class TestVerifyOps:
         # with gamma_8 = 1/4 the chain value equals l_{1,8}; in decimal the
         # two round apart, which must not count as 2^8 chain failures
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor("periodic:1/1000000,1/4"))
-        entry = cp.verify_branch_lemma(fam, 7)
+        entry = _lemma(fam, 7)
         assert entry.passed and entry.detail["chain_failures"] == 0
         gn = fam.gamma.gamma(7, "dd")
         assert branch_separation_chain(fam, "L" * 7, gn)["ok"]
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_branch_lemma_checks_both_endpoints(self, fam_sixth, monkeypatch, side):
+    def test_branch_lemma_checks_both_endpoints(self, fam_sixth, side):
         # collapse one endpoint family onto the zeros: each of its words
         # then has separation 0 < chain and must be counted as a failure
-        real = spacing.branch_value_table
-
-        def collapsed(gamma, n, ts, mode):
-            return real(gamma, n, [0.0 if t == side else t for t in ts], mode)
-
-        monkeypatch.setattr(spacing, "branch_value_table", collapsed)
-        entry = cp.verify_branch_lemma(fam_sixth, 3)
+        entry = _lemma(fam_sixth, 3, [0.0 if t == side else t for t in spacing._LEMMA_TS])
         assert not entry.passed
         assert entry.detail["chain_failures"] == 8
+
+
+class TestChecksOnPublicSets:
+    """full_verification's entries are the public checks on the sets that
+    the public producers build, one degree or level at a time."""
+
+    @pytest.mark.parametrize("desc", ["constant:1/6", "periodic:1/6,1/5"])
+    def test_entries_match_public_checks(self, desc):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        J = cp.jacobi_for_gamma(fam, 64)
+        result = full_verification(fam, J, n_max=64, c=Fraction(1, 6))
+        z = {n: cp.eigen_zeros(J, n) for n in range(2, 65)}
+        want = {
+            "interlacing_distance_bound":
+                lambda d: cp.verify_interlacing_bound(z[d["l"]], z[d["m"]], z[d["n"]]),
+            "critical_distance_bound": lambda d: _critical_bound(fam, d["k"], d["k_prime"]),
+            "second_neighbor_bound": lambda d: cp.verify_second_neighbor_bound(z[d["r"]],
+                                                                               z[d["n"]]),
+            "branch_separation_chain": lambda d: _lemma(fam, d["n"]),
+        }
+        checked = Counter()
+        for entry in result.entries:
+            if entry.check in want:
+                assert entry == want[entry.check](entry.detail), entry
+                checked[entry.check] += 1
+        assert checked == {"interlacing_distance_bound": 50, "critical_distance_bound": 15,
+                           "second_neighbor_bound": 4, "branch_separation_chain": 8}
+        assert result.spacing.rows == cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6)).rows
+        interlacing = next(e for e in result.entries if e.check == "interlacing_at_most_one")
+        assert interlacing.lhs == len(_per_pair_violations(z)) == 0
 
 
 class TestSpacingReport:
@@ -358,11 +409,10 @@ def _reference_rows(fam, J, degrees, c):
     rows = []
     for n in degrees:
         zs = cp.eigen_zeros(J, n)
-        m_n, pair = spacing._min_gap_with_index(zs)
+        m_n, pair = zs.smallest_gap()
         source = "eigensolve"
         if n & (n - 1) == 0:
-            m_exact, pair_exact = spacing._min_gap_with_index(
-                cp.exact_zeros(fam, n.bit_length() - 1, "auto"))
+            m_exact, pair_exact = cp.exact_zeros(fam, n.bit_length() - 1, "auto").smallest_gap()
             assert abs(m_exact - m_n) <= 1e-9
             m_n, pair, source = m_exact, pair_exact, "both"
         s = n.bit_length()
@@ -400,30 +450,6 @@ class TestBatchedReport:
         assert report.rows == want
         assert [r.m_n.hex() for r in report.rows] == [r.m_n.hex() for r in want]
         assert report.escalated_degrees == ((55,) if desc.startswith("list") else ())
-
-    def test_cache_solves_only_missing_degrees(self, monkeypatch, fam_sixth, jacobi_sixth_small):
-        J = jacobi_sixth_small
-        requested = []
-        real = spacing.eigen_zero_sets
-
-        def counted(J, degrees):
-            requested.append(sorted(degrees))
-            return real(J, degrees)
-
-        monkeypatch.setattr(spacing, "eigen_zero_sets", counted)
-        cache = {n: cp.eigen_zeros(J, n) for n in (3, 8, 13)}
-        held = dict(cache)
-        report = cp.spacing_report(fam_sixth, J, [16, 2, 3, 8, 9, 13, 2], c=Fraction(1, 6),
-                                   cache=cache)
-        assert requested == [[2, 9, 16]]
-        assert all(cache[n] is zs for n, zs in held.items())
-        assert sorted(k for k in cache if isinstance(k, int)) == [2, 3, 8, 9, 13, 16]
-        uncached = cp.spacing_report(fam_sixth, J, [2, 3, 8, 9, 13, 16], c=Fraction(1, 6))
-        assert report.rows == uncached.rows
-        # a second report over held degrees solves nothing
-        requested.clear()
-        cp.spacing_report(fam_sixth, J, [3, 9], cache=cache)
-        assert requested == []
 
 
 @st.composite
