@@ -61,39 +61,6 @@ class MapFamily:
 
     gamma: GammaSequence
 
-    def f(self, n: int, z):
-        """Evaluate the level-n generating map."""
-        if n < 1:
-            raise DomainError("map index must be >= 1")
-        g = float(self.gamma.value(n))
-        if n == 1:
-            return 2.0 * z * (z - 1.0) / g + 1.0
-        return z * z / (2.0 * g) + 1.0 - 1.0 / (2.0 * g)
-
-    def lead(self, n: int) -> float:
-        """Leading coefficient of f_n."""
-        g = float(self.gamma.value(n))
-        return 2.0 / g if n == 1 else 1.0 / (2.0 * g)
-
-    def subleading(self, n: int) -> float:
-        """Coefficient of z^(deg-1) in f_n; vanishes for every n >= 2."""
-        if n == 1:
-            return -2.0 / float(self.gamma.value(1))
-        return 0.0
-
-    def tau(self, m: int) -> float:
-        """Leading coefficient of F_m; tau_{m+1} = tau_m^2 / (2 gamma_{m+1}).
-
-        Grows doubly exponentially and overflows to inf around m = 10; the
-        monic evaluation below never forms it explicitly.
-        """
-        if m < 1:
-            raise DomainError("composition depth must be >= 1")
-        t = self.lead(1)
-        for k in range(2, m + 1):
-            t = t * t / (2.0 * float(self.gamma.value(k)))
-        return t
-
 
 class _PointSet:
     """Sorted points, checked in their working precision.
@@ -220,22 +187,6 @@ def critical_order(levels) -> np.ndarray:
     for nu in range(n):
         out[2 ** nu - 1::2 ** (nu + 1)] = levels[n - 1 - nu]
     return out
-
-
-def evaluate_F(fam: MapFamily, n: int, z):
-    """Forward composition F_n(z) = f_n(...f_1(z)).
-
-    Off the invariant set the values blow up doubly exponentially; a
-    non-finite intermediate raises RangeOverflowError.
-    """
-    if n < 1:
-        raise DomainError("composition depth must be >= 1")
-    v = z
-    for k in range(1, n + 1):
-        v = fam.f(k, v)
-        if not np.all(np.isfinite(v)):
-            raise RangeOverflowError(f"F_{k} overflowed at z = {z!r}")
-    return v
 
 
 def monic_opoly_exact(fam: MapFamily, m: int, z):

@@ -7,13 +7,10 @@ The three-term recurrence used throughout is the monic one,
 with P_{-1} = 0 and P_0 = 1. The coefficients of mu_gamma come directly
 from the polynomial-mapping structure of the generating maps, by a
 level-by-level unfolding with no nodes and no iteration
-(``jacobi_for_gamma``). Coefficients of discrete measures are recovered
-by a discretized Stieltjes procedure in its orthonormal (Lanczos)
-formulation with full reorthogonalization; applied to the refinement
-measures it serves as an independent cross-check of the unfolding.
-Zeros of P_n are eigenvalues of the n-by-n Jacobi truncation, and the
-truncations of one matrix are leading blocks of the largest, so several
-degrees share one set-up (``eigen_zero_sets``). Only a constant
+(``jacobi_for_gamma``). Zeros of P_n are eigenvalues of the n-by-n
+Jacobi truncation, and the truncations of one matrix are leading blocks
+of the largest, so several degrees share one set-up
+(``eigen_zero_sets``). Only a constant
 diagonal is solved, as every mu_gamma has (b_k = 1/2): the shifted
 truncation then has a zero diagonal and its eigenvalues are plus and
 minus the singular values of a bidiagonal with floor(n/2) columns. Its
@@ -48,12 +45,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeOverflowError
 from .exact import MapFamily, ZeroSet, min_gap_with_index
-from .geometry import all_branch_values, extended_context
+from .geometry import extended_context
 from .serialize import csv_text
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-_LANCZOS_BREAKDOWN = 256.0 * _EPS
 _DD_ESCALATION_FACTOR = 1e3
 _UNFOLD_DIGITS = 50  # the unfolding starts at these digits and doubles them
 _UNFOLD_MAX_DIGITS = 1600  # up to this cap
@@ -99,8 +95,8 @@ class JacobiMatrix:
     """Recurrence coefficients b_1..b_K (diagonal) and a_1..a_{K-1}.
 
     Every coefficient held is certified, so P_n can be evaluated and
-    eigensolved for n <= K = b.size. a_K does not exist at the truncation
-    limit K = node count, hence the one-shorter array.
+    eigensolved for n <= K = b.size. P_n needs no a_K, hence the
+    one-shorter array.
     """
 
     a: np.ndarray
@@ -125,62 +121,8 @@ class JacobiMatrix:
 
 
 # ---------------------------------------------------------------------------
-# refinement measures and coefficient recovery
+# the coefficients of mu_gamma
 # ---------------------------------------------------------------------------
-
-def refinement_measure(fam: MapFamily, N: int, a_target: float) -> DiscreteMeasure:
-    """Equal-weight counting measure on the 2^N solutions of F_N(z) = a.
-
-    Requires |a| < 1 so the preimages stay one per level-N basic interval
-    and pairwise distinct.
-    """
-    if N < 1:
-        raise DomainError("refinement depth must be >= 1")
-    if not -1.0 < a_target < 1.0:
-        raise DomainError(f"refinement target {a_target} outside (-1, 1)")
-    nodes = np.sort(np.asarray(all_branch_values(fam.gamma, N, a_target)))
-    return DiscreteMeasure(nodes, np.full(nodes.size, 2.0 ** -N))
-
-
-def stieltjes_lanczos(measure: DiscreteMeasure, K: int) -> JacobiMatrix:
-    """Recurrence coefficients of a discrete measure, k = 1..K.
-
-    Lanczos on diag(nodes) started from sqrt(weights), with two-pass full
-    reorthogonalization. With K equal to the node count the recovered
-    matrix reproduces the measure's own Gauss rule. A collapsed norm
-    (orthogonality exhausted) truncates the output after the last safe
-    index, so it may hold fewer than K coefficients.
-    """
-    x = measure.nodes
-    w = measure.weights
-    M = x.size
-    if not 1 <= K <= M:
-        raise DomainError(f"requested {K} coefficients from a {M}-node measure")
-    Q = np.empty((K, M))
-    Q[0] = np.sqrt(w)
-    b = np.empty(K)
-    a = np.empty(K - 1 if K > 1 else 0)
-    beta_prev = 0.0
-    kept = K
-    for k in range(K):
-        v = x * Q[k]
-        b[k] = float(Q[k] @ v)
-        if k == K - 1:
-            break
-        v -= b[k] * Q[k]
-        if k > 0:
-            v -= beta_prev * Q[k - 1]
-        for _ in range(2):
-            v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
-        beta = float(np.sqrt(v @ v))
-        if beta <= _LANCZOS_BREAKDOWN:
-            kept = k + 1
-            break
-        a[k] = beta
-        Q[k + 1] = v / beta
-        beta_prev = beta
-    return JacobiMatrix(a[: max(kept - 1, 0)], b[:kept])
-
 
 def jacobi_for_gamma(fam: MapFamily, K: int) -> JacobiMatrix:
     """Recurrence coefficients b_1..b_K and a_1..a_{K-1} of mu_gamma.
@@ -553,17 +495,6 @@ def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     return eigen_zero_sets(J, (n,))[n]
 
 
-def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:
-    """Check that P_n changes sign across consecutive computed zeros."""
-    n = zs.degree
-    if n < 2:
-        return True
-    mids = 0.5 * (zs.points[:-1] + zs.points[1:])
-    signs = np.sign(opoly_eval(J, n, np.concatenate([[zs.points[0] - 1e-9], mids,
-                                                     [zs.points[-1] + 1e-9]])))
-    return bool(np.all(signs[:-1] * signs[1:] < 0))
-
-
 # ---------------------------------------------------------------------------
 # Gauss quadrature measures
 # ---------------------------------------------------------------------------
@@ -591,24 +522,3 @@ def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
             f"eigenvector first components give unusable weights (sum {total})"
         )
     return DiscreteMeasure(nodes, w / total)
-
-
-def moments(J: JacobiMatrix, max_degree: int) -> np.ndarray:
-    """Power moments of the measure represented by J, degrees 0..max_degree.
-
-    Computed as the top-left entries of powers of the Jacobi truncation;
-    exact (up to rounding) while max_degree <= 2 K - 1, K = b.size.
-    """
-    if max_degree > 2 * J.b.size - 1:
-        raise DomainError("moment degree exceeds what the truncation determines")
-    v = np.zeros(J.b.size)
-    v[0] = 1.0
-    out = np.empty(max_degree + 1)
-    out[0] = 1.0
-    for j in range(1, max_degree + 1):
-        nxt = J.b * v
-        nxt[:-1] += J.a * v[1:]
-        nxt[1:] += J.a * v[:-1]
-        v = nxt
-        out[j] = v[0]
-    return out

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -53,13 +54,7 @@ from .exact import (
     exact_zero_ladder,
     min_gap_with_index,
 )
-from .geometry import (
-    BranchWord,
-    branch_composition,
-    branch_value_ladder,
-    largest_gap,
-    leftmost_length,
-)
+from .geometry import branch_value_ladder, largest_gap, leftmost_length
 from .jacobi import JacobiMatrix, eigen_zero_sets
 from .serialize import csv_text
 
@@ -157,14 +152,7 @@ class ReportEntry:
     severity: str = "assert"
 
     def as_json(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "severity": self.severity,
-            "detail": self.detail,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -218,21 +206,12 @@ class SpacingReport:
                         [[getattr(r, name.lower()) for r in self.rows] for name in _CSV_COLUMNS])
 
     def as_json(self) -> dict:
+        # one key per SpacingRow field, M_n for m_n as in the CSV
+        keys = [("M_n" if f.name == "m_n" else f.name, f.name) for f in fields(SpacingRow)]
         return {
             "metadata": dict(self.metadata),
             "escalated_degrees": list(self.escalated_degrees),
-            "rows": [
-                {
-                    "n": r.n, "s": r.s, "M_n": r.m_n,
-                    "lower_eq1": r.lower_eq1, "upper_eq1": r.upper_eq1,
-                    "lower_eq2": r.lower_eq2, "upper_eq2": r.upper_eq2,
-                    "pass_eq1": r.pass_eq1, "pass_eq2": r.pass_eq2,
-                    "margin_lo": r.margin_lo, "margin_hi": r.margin_hi,
-                    "source": r.source, "min_pair": list(r.min_pair),
-                    "escalated": r.escalated,
-                }
-                for r in self.rows
-            ],
+            "rows": [{key: getattr(r, name) for key, name in keys} for r in self.rows],
         }
 
 
@@ -309,38 +288,6 @@ def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
     )
 
 
-def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
-    """The three chained quantities for one word and inner endpoint.
-
-    Returns the separation |G(t_tilde) - G(gamma_n/2)| together with the
-    nested all-L value at gamma_n/2, the leftmost length l_{1,n+1} and
-    delta_{n+1}; everything is evaluated in extended precision so equality
-    cases do not flip from rounding.
-    """
-    gamma = fam.gamma
-    w = word if isinstance(word, BranchWord) else BranchWord(word)
-    n = len(w)
-    half = gamma.value(n) / 2
-    anchor = branch_composition(gamma, w, half, "dd")
-    value = branch_composition(gamma, w, t_tilde, "dd")
-    chain = branch_composition(gamma, BranchWord.leftmost(n), half, "dd")
-    l_next = leftmost_length(gamma, n + 1, "dd")
-    d_next = gamma.delta(n + 1, "dd")
-    # words whose inner letters are all L attain sep == chain exactly at
-    # t_tilde = 0, and the reflected branches compute the tied sides
-    # through different expressions: see _TIE_CUSHION
-    with localcontext(_EXACT):
-        sep = abs(value - anchor)
-        sep_ok = chain - sep <= _TIE_CUSHION
-    return {
-        "separation": sep,
-        "chain": chain,
-        "leftmost_next": l_next,
-        "delta_next": d_next,
-        "ok": sep_ok and _scales_ok(chain, l_next, d_next),
-    }
-
-
 def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
                         y: CriticalSet) -> ReportEntry:
     """Exhaustive check of the separation chain at level n.
@@ -367,7 +314,9 @@ def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
     l_next = leftmost_length(gamma, n + 1, "dd")
     d_next = gamma.delta(n + 1, "dd")
     scales_ok = _scales_ok(chain, l_next, d_next)
-    # same absolute tie cushion as branch_separation_chain
+    # words whose inner letters are all L tie with the chain, and the
+    # reflected branches compute the tied sides through different
+    # expressions: hence the absolute tie cushion
     with localcontext(_EXACT):
         seps = [abs(value - anchor)
                 for col in (1, 2) for value, anchor in zip(table[:, col], anchors)]
@@ -454,7 +403,14 @@ def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
             return eq1, None
         d_s, c_sq = gamma.delta_fraction(s), c_frac * c_frac
         lo2 = c_sq * d_s
-        return eq1, (float(lo2), _PI_SQ_4 / float(c_sq) * float(d_s), _least_double_at_least(lo2))
+        if float(c_sq) >= sys.float_info.min:
+            up2 = _PI_SQ_4 / float(c_sq) * float(d_s)
+        else:  # c^2 is no normal double: divide exactly, then round once
+            try:
+                up2 = _PI_SQ_4 * float(d_s / c_sq)
+            except OverflowError:  # above the double range
+                up2 = math.inf
+        return eq1, (float(lo2), up2, _least_double_at_least(lo2))
 
     rows = []
     for n, zs in zero_sets.items():

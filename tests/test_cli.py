@@ -250,6 +250,18 @@ class TestVerifyCommand:
                          "--out", str(out)]) == 0
         assert (a / "spacing_report.csv").read_bytes() == (b / "spacing_report.csv").read_bytes()
 
+    def test_tiny_declared_c_passes(self, tmp_path):
+        # c = 1e-200 lies in (0, inf gamma]; c^2 underflows to 0 in double, and
+        # delta_s / c^2 lies above the double range, so each upper bound is inf
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "4", "--depth", "4",
+                     "--c", "1e-200", "--out", str(tmp_path)]) == 0
+        header, rows = _read_csv(tmp_path / "spacing_report.csv")
+        assert len(rows) == 3
+        assert all(r[header.index("pass_eq2")] == "true" for r in rows)
+        assert all(math.isinf(float(r[header.index("upper_eq2")])) for r in rows)
+        payload = json.loads((tmp_path / "spacing_report.json").read_text())
+        assert [r["pass_eq2"] for r in payload["spacing"]["rows"]] == [True] * 3
+
     @pytest.mark.parametrize("degree_max, depth", [("2", "3"), ("3", "4")])
     def test_degree_max_below_four_passes(self, tmp_path, degree_max, depth):
         # the informational max-gap check must stay within degree-max

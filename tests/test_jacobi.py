@@ -17,26 +17,27 @@ from cantorpoly import jacobi
 from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.geometry import level_intervals
 from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _gershgorin_prefix,
-                               _spectrum, moments, sign_alternation_ok)
+                               _spectrum)
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
+from reference import moments, refinement_measure, sign_alternation_ok, stieltjes_lanczos
 
 
 class TestRefinementMeasure:
     def test_depth_one_matches_exact_zeros(self, fam_periodic):
-        m = cp.refinement_measure(fam_periodic, 1, 0.0)
+        m = refinement_measure(fam_periodic, 1, 0.0)
         zs = cp.exact_zeros(fam_periodic, 1)
         assert np.allclose(m.nodes, zs.points, atol=0)
         assert np.allclose(m.weights, [0.5, 0.5], atol=0)
 
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_chebyshev_nodes(self, fam_quarter, N):
-        m = cp.refinement_measure(fam_quarter, N, 0.0)
+        m = refinement_measure(fam_quarter, N, 0.0)
         assert np.max(np.abs(m.nodes - chebyshev_zeros_unit(N))) < 1e-13
         assert np.allclose(m.weights, 2.0 ** -N)
 
     def test_nodes_populate_every_interval(self, fam_sixth):
-        m = cp.refinement_measure(fam_sixth, 3, 0.5)
+        m = refinement_measure(fam_sixth, 3, 0.5)
         assert len(m) == 8
         for iv in level_intervals(fam_sixth.gamma, 3):
             assert np.sum((m.nodes >= iv.lo) & (m.nodes <= iv.hi)) == 1
@@ -44,7 +45,7 @@ class TestRefinementMeasure:
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.7])
     def test_target_outside_open_interval_rejected(self, fam_sixth, bad):
         with pytest.raises(DomainError):
-            cp.refinement_measure(fam_sixth, 3, bad)
+            refinement_measure(fam_sixth, 3, bad)
 
     def test_measure_validation(self):
         with pytest.raises(DomainError):
@@ -56,34 +57,34 @@ class TestRefinementMeasure:
 class TestStieltjesLanczos:
     def test_two_point_closed_form(self):
         m = cp.DiscreteMeasure(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
-        J = cp.stieltjes_lanczos(m, 2)
+        J = stieltjes_lanczos(m, 2)
         assert J.b[0] == pytest.approx(0.5, abs=1e-15)
         assert J.a[0] == pytest.approx(0.2, abs=1e-15)
         assert J.b[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_first_coefficient_is_mean(self, fam_periodic):
-        m = cp.refinement_measure(fam_periodic, 5, 0.0)
-        J = cp.stieltjes_lanczos(m, 1)
+        m = refinement_measure(fam_periodic, 5, 0.0)
+        J = stieltjes_lanczos(m, 1)
         assert J.b[0] == pytest.approx(float(m.nodes @ m.weights), abs=1e-15)
 
     def test_chebyshev_coefficients(self, fam_quarter):
-        m = cp.refinement_measure(fam_quarter, 8, 0.0)
-        J = cp.stieltjes_lanczos(m, 33)
+        m = refinement_measure(fam_quarter, 8, 0.0)
+        J = stieltjes_lanczos(m, 33)
         assert np.max(np.abs(J.b - 0.5)) < 1e-13
         assert abs(J.a[0] - math.sqrt(1.0 / 8.0)) < 1e-13
         assert np.max(np.abs(J.a[1:] - 0.25)) < 1e-13
 
     def test_reproduces_gauss_rule_at_full_length(self, fam_quarter):
-        m = cp.refinement_measure(fam_quarter, 3, 0.0)
-        J = cp.stieltjes_lanczos(m, 8)
+        m = refinement_measure(fam_quarter, 3, 0.0)
+        J = stieltjes_lanczos(m, 8)
         rule = cp.gauss_measure(J, 8)
         assert np.allclose(rule.nodes, m.nodes, atol=1e-12)
         assert np.allclose(rule.weights, m.weights, atol=1e-12)
 
     def test_k_larger_than_node_count_rejected(self, fam_sixth):
-        m = cp.refinement_measure(fam_sixth, 2, 0.0)
+        m = refinement_measure(fam_sixth, 2, 0.0)
         with pytest.raises(DomainError):
-            cp.stieltjes_lanczos(m, 5)
+            stieltjes_lanczos(m, 5)
 
 
 def _needs(K: int) -> list:
@@ -154,7 +155,7 @@ class TestJacobiForGamma:
     def test_agrees_with_lanczos_on_refinement_measure(self, fam_sixth, fam_periodic, N):
         K = 2 ** (N - 2)
         for fam in (fam_sixth, fam_periodic):
-            lanczos = cp.stieltjes_lanczos(cp.refinement_measure(fam, N, 0.0), K)
+            lanczos = stieltjes_lanczos(refinement_measure(fam, N, 0.0), K)
             J = cp.jacobi_for_gamma(fam, K)
             assert np.max(np.abs(J.a - lanczos.a)) <= 1e-12
             assert np.max(np.abs(J.b - lanczos.b)) <= 1e-12
@@ -679,15 +680,15 @@ class TestGaussMeasure:
 
     def test_relanczos_self_consistency(self, jacobi_sixth_small):
         rule = cp.gauss_measure(jacobi_sixth_small, 4)
-        back = cp.stieltjes_lanczos(rule, 4)
+        back = stieltjes_lanczos(rule, 4)
         assert np.max(np.abs(back.b[:3] - jacobi_sixth_small.b[:3])) < 1e-12
         assert np.max(np.abs(back.a[:3] - jacobi_sixth_small.a[:3])) < 1e-12
 
 
 class TestMoments:
     def test_matches_direct_sum(self, fam_sixth):
-        m = cp.refinement_measure(fam_sixth, 4, 0.0)
-        J = cp.stieltjes_lanczos(m, 16)
+        m = refinement_measure(fam_sixth, 4, 0.0)
+        J = stieltjes_lanczos(m, 16)
         mom = moments(J, 9)
         direct = [float(m.weights @ m.nodes ** j) for j in range(10)]
         assert np.allclose(mom, direct, rtol=1e-12, atol=1e-15)

@@ -14,9 +14,10 @@ import cantorpoly as cp
 from cantorpoly import exact, spacing
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import branch_value_table
-from cantorpoly.spacing import SpacingRow, branch_separation_chain, full_verification
+from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
+from reference import branch_separation_chain
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -395,6 +396,19 @@ class TestSpacingReport:
                        lower_eq2=None, upper_eq2=None, pass_eq1=True,
                        pass_eq2=None, margin_lo=1.0, margin_hi=1.0,
                        source="both", min_pair=(0, 1), escalated=False)
+
+    def test_subnormal_c_squared_bound_from_the_exact_quotient(self):
+        # c^2 = 1e-312 is subnormal, and pi^2/4 / c^2 alone overflows, but
+        # delta_3 / c^2 = 1e-5: the upper bound is small and finite
+        gamma = cp.GammaSequence.from_descriptor("list:1e-156,1e-156,1e-5,1/4")
+        fam, c = cp.MapFamily(gamma), Fraction(1, 10 ** 156)
+        ladder = exact.exact_zero_ladder(fam, 2)
+        report = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), {4: ladder[1]}, ladder, c, None)
+        row = report.rows[0]
+        bound = Fraction(PI_SQ_4) * gamma.delta_fraction(3) / (c * c)
+        assert row.s == 3 and 0 < row.upper_eq2 < 1e-4
+        assert abs(Fraction(row.upper_eq2) - bound) <= bound * Fraction(1, 2 ** 52)
+        assert row.pass_eq2 is (Fraction(row.m_n) <= bound) is True
 
     def test_margins_are_ratios(self, fam_sixth, jacobi_sixth_small):
         row = cp.spacing_report(fam_sixth, jacobi_sixth_small, [5]).rows[0]
