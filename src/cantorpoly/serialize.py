@@ -16,7 +16,8 @@ conversions, so the typed columns make no Python-level call per value.
 The output is the same as fmt applied to every value.
 
 JSON is written compact (no indentation) with sorted keys, which keeps
-the stdlib's C encoder.
+the stdlib's C encoder, and strict: a non-finite float (an infinite
+bound, say) is written as null, while the CSV keeps inf.
 
 Writes go through a temp file plus rename so readers never observe
 partial output; the file gets the permissions a plain open() would give
@@ -26,6 +27,7 @@ under the process umask.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from decimal import Decimal
@@ -122,5 +124,16 @@ def write_csv(path, header: list[str], columns: list) -> None:
     atomic_write_text(path, csv_text(header, columns))
 
 
+def _finite(obj):
+    """obj with every non-finite float in its dicts and lists made None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(_finite(obj), sort_keys=True, allow_nan=False) + "\n")

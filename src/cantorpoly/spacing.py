@@ -28,9 +28,9 @@ tables of levels 1..8 from one branch ladder each
 (geometry.branch_value_ladder), and the critical sets from those zero
 sets wherever they share its deepest level's precision. Each
 eigensolved zero set carries its smallest gap from the solve, so M_n
-takes no second pass. The at-most-one interlacing test is decided one
-larger degree r at a time, with one binning of all smaller-degree
-zeros.
+takes no second pass. No check samples: one pass per degree r up to 256
+bins all smaller-degree zeros into Z_r, and decides at-most-one
+interlacing and the distance bound on every pair and triple of degrees.
 """
 
 from __future__ import annotations
@@ -65,13 +65,12 @@ _TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 # a separation keeps it as an absolute error, so the tie cushion is
 # absolute; 1e-29 sits far below every genuine scale in range
 _TIE_CUSHION = Decimal("1e-29")
-# the sizes of a full verification: seeded (l, m, n) samples of the
-# interlacing distance bound, the critical-set bound for k' < k <= 5,
-# the branch lemma at levels 1..8, at-most-one interlacing to degree 64
-_TEO1_SAMPLES = 50
+# the sizes of a full verification: the critical-set bound for k' < k <= 5,
+# the branch lemma at levels 1..8, and the pairs of degrees up to 256 for
+# at-most-one interlacing and the distance bound
 _TM_MAX_K = 5
 _RORO_MAX_LEVEL = 8
-_INTERLACING_MAX = 64
+_PAIRS_MAX = 256
 # the branch lemma's parameters: anchors (t = 0) and both endpoints
 _LEMMA_TS = (0.0, 1.0, -1.0)
 
@@ -267,6 +266,13 @@ def verify_critical_bound(z: ZeroSet, y: CriticalSet, z_prime: ZeroSet) -> Repor
     )
 
 
+def _second_gap(zn) -> float:
+    """Minimum second-neighbour gap of a zero set, with 0 and 1 at its ends."""
+    aug = np.concatenate([[0], _points(zn), [1]])
+    with localcontext(_EXACT):
+        return float(np.min(aug[2:] - aug[:-2]))
+
+
 def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
     """M_r <= min second-neighbour gap of the degree-n zeros.
 
@@ -275,9 +281,7 @@ def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
     r, n = zr.degree, zn.degree
     if not (r > 1 and r >= n >= 1):
         raise DomainError(f"need r > 1 and r >= n >= 1, got {(r, n)}")
-    aug = np.concatenate([[0], _points(zn), [1]])
-    with localcontext(_EXACT):
-        rhs = float(np.min(aug[2:] - aug[:-2]))
+    rhs = _second_gap(zn)
     lhs = min_spacing(zr)
     return ReportEntry(
         check="second_neighbor_bound",
@@ -372,6 +376,14 @@ def _least_double_at_least(q: Fraction) -> float:
     return math.nextafter(t, math.inf) if Fraction(t) < q else t
 
 
+def _to_double(q: Fraction) -> float:
+    """q rounded once to double; inf above the double range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
 def _declared_c(gamma, c) -> Fraction | None:
     """The declared c as a Fraction, checked against (0, inf gamma]."""
     if c is None:
@@ -406,10 +418,7 @@ def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
         if float(c_sq) >= sys.float_info.min:
             up2 = _PI_SQ_4 / float(c_sq) * float(d_s)
         else:  # c^2 is no normal double: divide exactly, then round once
-            try:
-                up2 = _PI_SQ_4 * float(d_s / c_sq)
-            except OverflowError:  # above the double range
-                up2 = math.inf
+            up2 = _PI_SQ_4 * _to_double(d_s / c_sq)
         return eq1, (float(lo2), up2, _least_double_at_least(lo2))
 
     rows = []
@@ -428,7 +437,10 @@ def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
             lower_eq1=lower1, upper_eq1=upper1,
             lower_eq2=lower2, upper_eq2=upper2,
             pass_eq1=pass1, pass_eq2=pass2,
-            margin_lo=m_n / lower1, margin_hi=upper1 / m_n,
+            # a lower bound below the doubles rounds to 0: divide exactly
+            margin_lo=(m_n / lower1 if lower1 > 0
+                       else _to_double(Fraction(m_n) / gamma.delta_fraction(s + 2))),
+            margin_hi=upper1 / m_n,
             source=source, min_pair=(pair, pair + 1), escalated=zs.escalated,
         ))
     meta = {
@@ -485,20 +497,23 @@ class VerificationResult:
         }
 
 
-def _interlacing_violations(sets: dict) -> list[tuple[int, int]]:
+def _pair_pass(sets: dict) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Every (s, r), s < r, for which interlacing_at_most_one(sets[s], sets[r])
-    is False, ordered by r and then s.
+    is False, ordered by r and then s, and set_distance(sets[s], sets[r]) at
+    [r, s] of a matrix over the positions of the sorted keys.
 
     One pass per r: the points of all smaller keys are concatenated and
-    binned into sets[r] by one searchsorted, then both requirements are
-    decided per segment. Comparisons between double and Decimal points
-    are exact, so double, extended and mixed sets get the per-pair verdicts.
-    """
+    binned into sets[r] by one searchsorted, then both requirements and the
+    nearest distances are decided per segment, on all points in Decimal once
+    a pass reads a Decimal set, so double, extended and mixed sets get the
+    per-pair results."""
     keys = sorted(sets)
     points = [_points(sets[k]) for k in keys]
     sizes = np.array([p.size for p in points])
-    violations = []
+    violations, distances = [], np.zeros((len(keys), len(keys)))
     for j in range(1, len(keys)):
+        if any(p.dtype == object for p in points[:j + 1]):
+            points = [p if p.dtype == object else _TO_DECIMAL(p) for p in points]
         big = points[j]
         small = np.concatenate(points[:j])
         ends = np.cumsum(sizes[:j])
@@ -512,12 +527,16 @@ def _interlacing_violations(sets: dict) -> list[tuple[int, int]]:
         crowded = np.logical_or.reduceat(crowds, starts)
         outside = (small[starts] <= big[0]) | (small[ends - 1] >= big[-1])
         violations += [(keys[i], keys[j]) for i in np.flatnonzero(crowded | outside)]
-    return violations
+        with localcontext(_EXACT):  # each point against its big neighbours
+            near = np.minimum(np.abs(small - big[np.maximum(bins - 1, 0)]),
+                              np.abs(big[np.minimum(bins, big.size - 1)] - small))
+        # rounding once to double is monotone, so it keeps each minimum
+        distances[j, :j] = np.minimum.reduceat(near.astype(float), starts)
+    return violations, distances
 
 
 def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
-                      c=None, seed: int = 20240601,
-                      metadata: dict | None = None) -> VerificationResult:
+                      c=None, metadata: dict | None = None) -> VerificationResult:
     """Run every verified inequality up to degree n_max plus the
     informational checks, at the module's fixed sizes.
 
@@ -527,12 +546,11 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     from one exact_zero_ladder, the branch-lemma tables from one
     branch_value_ladder, and the critical sets of levels 1..8 from those
     exact zero sets wherever they share a level's precision. The spacing
-    report reads the same sets, and interlacing is checked one degree r
-    at a time.
+    report reads the same sets. No check samples: the bounds on pairs and
+    triples of degrees are decided on every case, listing 20 violations.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
-    rng = np.random.default_rng(seed)
     # the run reads the dyadic levels up to n_max and up to the branch lemma's
     exact = exact_zero_ladder(fam, max(n_max.bit_length() - 1, _RORO_MAX_LEVEL))
     tables = branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd")
@@ -541,30 +559,43 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     report = _report(fam, J, zeros, exact, c_frac, metadata)
     critical = [CriticalSet.from_zero_sets(critical_levels(fam, n, exact[:n - 1]))
                 for n in range(1, _RORO_MAX_LEVEL + 1)]
+    top = min(_PAIRS_MAX, n_max)
+    violations, dist = _pair_pass({r: zeros[r] for r in range(2, top + 1)})
+    spacings = np.array([min_spacing(zeros[n]) for n in range(2, n_max + 1)])  # M_n at n - 2
     entries: list[ReportEntry] = []
 
-    if n_max >= 4:
-        for _ in range(_TEO1_SAMPLES):
-            l = int(rng.integers(4, n_max + 1))
-            m = int(rng.integers(3, l))
-            n = int(rng.integers(2, m))
-            entries.append(verify_interlacing_bound(zeros[l], zeros[m], zeros[n]))
+    def every_case(check, max_degree, cases, ratios, name, failed):
+        # ratios is lhs / rhs, or lower where no case is; failed, the failing cases
+        worst = np.unravel_index(np.argmax(ratios), ratios.shape)
+        entries.append(ReportEntry(check, not len(failed), float(len(failed)), 0.0, {
+            "max_degree": max_degree, "cases": cases, "violations": failed[:20].tolist(),
+            "worst_ratio": float(ratios[worst]) if cases else None,
+            "worst_case": name(*map(int, worst)) if cases else None}))
+
+    # d(Z_l, Z_m) <= M_n, l > m > n > 1: each pair [l - 2, m - 2] against the least M_n
+    least = np.minimum.accumulate(np.concatenate([[np.inf], spacings[:top - 2]]))
+    bad = np.argwhere(dist > least)  # pairs with a failing triple; hit: (pair, n) each
+    hit = np.argwhere((spacings[:top - 1] < dist[tuple(bad.T)][:, None])
+                      & (np.arange(top - 1) < bad[:, 1:]))
+    every_case("interlacing_distance_bound", top, math.comb(top - 1, 3),
+               np.where(np.tri(top - 1, k=-1, dtype=bool) & (least < np.inf), dist / least, -1),
+               lambda l, m: (l + 2, m + 2, int(np.argmin(spacings[:m])) + 2),
+               np.column_stack([bad[hit[:, 0]], hit[:, 1]]) + 2)
 
     for k in range(1, _TM_MAX_K + 1):
         for k_prime in range(k):
             entries.append(verify_critical_bound(exact[k], critical[k], exact[k_prime]))
 
-    uuu_pairs = sorted({(n_max, max(2, n_max // 2)), (n_max, 2),
-                        (max(2, n_max // 2), max(2, n_max // 4)),
-                        (n_max, n_max)})
-    for r, n in uuu_pairs:
-        entries.append(verify_second_neighbor_bound(zeros[r], zeros[n]))
+    # M_r <= every second-neighbour gap of Z_n, 2 <= n <= r: each n against the largest M_r
+    second = np.array([_second_gap(zeros[n]) for n in range(2, n_max + 1)])
+    every_case("second_neighbor_bound", n_max, math.comb(n_max, 2),
+               np.maximum.accumulate(spacings[::-1])[::-1] / second,
+               lambda n: (n + 2 + int(np.argmax(spacings[n:])), n + 2),
+               np.argwhere(np.tril(spacings[:, None] > second)) + 2)
 
     for n in range(1, _RORO_MAX_LEVEL + 1):
         entries.append(verify_branch_lemma(fam, tables[n - 1], exact[n - 1], critical[n - 1]))
 
-    top = min(_INTERLACING_MAX, n_max)
-    violations = _interlacing_violations({r: zeros[r] for r in range(2, top + 1)})
     entries.append(ReportEntry(
         check="interlacing_at_most_one",
         passed=not violations,

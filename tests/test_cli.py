@@ -262,6 +262,32 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "spacing_report.json").read_text())
         assert [r["pass_eq2"] for r in payload["spacing"]["rows"]] == [True] * 3
 
+    def test_json_is_strict_with_infinite_bounds(self, tmp_path):
+        # the upper bounds of eq. 2 are inf at c = 1e-200: null in the JSON
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "4", "--depth", "4",
+                     "--c", "1e-200", "--out", str(tmp_path)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "spacing_report.json").read_text()
+        rows = json.loads(text, parse_constant=reject)["spacing"]["rows"]
+        assert [r["upper_eq2"] for r in rows] == [None] * 3
+        assert [r["pass_eq2"] for r in rows] == [True] * 3
+
+    def test_seed_changes_no_output(self, tmp_path):
+        # no check samples: --seed is recorded in config and read by nothing
+        outs = [tmp_path / "s1", tmp_path / "s2"]
+        for seed, out in zip(("1", "2"), outs):
+            assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
+                         "--depth", "6", "--seed", seed, "--out", str(out)]) == 0
+        assert len({(out / "spacing_report.csv").read_bytes() for out in outs}) == 1
+        payloads = [json.loads((out / "spacing_report.json").read_text()) for out in outs]
+        configs = [p["spacing"]["metadata"]["config"] for p in payloads]
+        assert [(c.pop("seed"), c.pop("out")) for c in configs] == [(1, str(outs[0])),
+                                                                     (2, str(outs[1]))]
+        assert payloads[0] == payloads[1]
+
     @pytest.mark.parametrize("degree_max, depth", [("2", "3"), ("3", "4")])
     def test_degree_max_below_four_passes(self, tmp_path, degree_max, depth):
         # the informational max-gap check must stay within degree-max
@@ -313,7 +339,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "3bbcb38c360436a1fe5b6733fb9153481d090d5056e716af66dac0f28a6bb5eb"
+VERIFY_JSON_SHA256 = "c252077fa289355284380f245648e665b3894e42346f4dfa63307cbff4878cf9"
 
 
 class TestPinnedOutputBytes:
@@ -332,7 +358,10 @@ class TestPinnedOutputBytes:
         # half-size solve moved to dqds, when the JSON went compact (its
         # json.loads unchanged), and when config.jacobi_file and then
         # config.tol_zero went (each time the old bytes less that key's
-        # '"<key>": null' entry are the new); config.out is normalised
+        # '"<key>": null' entry are the new), and when the sampled distance
+        # and second-neighbour entries became one exhaustive entry each
+        # (json.loads of the old and new bytes less those entries are
+        # equal); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

@@ -2,6 +2,7 @@
 reference, and the permissions of written files."""
 
 import json
+import math
 import os
 import stat
 from decimal import Decimal
@@ -153,3 +154,9 @@ class TestRenderAndJson:
         text = (tmp_path / "o.json").read_text()
         assert text == '{"a": true, "b": [1.5, {"c": "x", "d": null}]}\n'
         assert json.loads(text) == obj
+
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        obj = {"a": [math.inf, (np.float64(-math.inf), 2.5)], "b": {"c": math.nan}, "d": 1}
+        write_json(tmp_path / "o.json", obj)
+        text = (tmp_path / "o.json").read_text()
+        assert text == '{"a": [null, [null, 2.5]], "b": {"c": null}, "d": 1}\n'

@@ -1,6 +1,7 @@
 """Spacing quantities, bound verification, and report assembly."""
 
 import math
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -101,12 +102,28 @@ _SORTED_SETS = st.lists(st.lists(st.sampled_from(_GRID), min_size=1, max_size=8,
                         .map(sorted).map(np.array), min_size=2, max_size=6)
 
 
+def _per_pair_distances(sets):
+    """The reference: set_distance on every (s, r), s < r, at [r, s] by key position."""
+    keys = sorted(sets)
+    want = np.zeros((len(keys), len(keys)))
+    for j, r in enumerate(keys):
+        for i, s in enumerate(keys[:j]):
+            want[j, i] = cp.set_distance(sets[s], sets[r])
+    return want
+
+
 class TestBatchedInterlacing:
     @settings(max_examples=300, deadline=None)
-    @given(_SORTED_SETS)
-    def test_matches_per_pair_reference(self, arrays):
+    @given(_SORTED_SETS, st.lists(st.sampled_from(_GRID[2:]), min_size=6, max_size=6))
+    def test_matches_per_pair_reference(self, arrays, bounds):
         sets = {k: a for k, a in enumerate(arrays)}
-        assert spacing._interlacing_violations(sets) == _per_pair_violations(sets)
+        violations, dist = spacing._pair_pass(sets)
+        assert violations == _per_pair_violations(sets)
+        assert np.array_equal(dist, _per_pair_distances(sets))
+        # a bound per smaller key: the same pairs break it
+        pairs = [(s, r) for r in sets for s in range(r)]
+        assert ([p for p in pairs if dist[p[1], p[0]] > bounds[p[0]]]
+                == [p for p in pairs if cp.set_distance(sets[p[0]], sets[p[1]]) > bounds[p[0]]])
 
     def test_mixed_double_and_decimal_sets(self):
         # the Decimal points straddle 1/2 by 1e-40: in their double views
@@ -122,7 +139,12 @@ class TestBatchedInterlacing:
             }
         want = _per_pair_violations(sets)
         assert want == [(2, 4)]
-        assert spacing._interlacing_violations(sets) == want
+        violations, dist = spacing._pair_pass(sets)
+        assert violations == want
+        # one pass reads Decimal and double sets: the distances are formed
+        # exactly, where the double views would give 0 for each pair
+        assert np.array_equal(dist, _per_pair_distances(sets))
+        assert (dist[1, 0], dist[2, 0], dist[2, 1]) == (1e-40, 1e-40, 2e-40)
 
     @pytest.mark.parametrize("desc", ["list:1/4,1/1000", "constant:0.01"])
     def test_full_verification_lists_every_violation(self, desc):
@@ -136,7 +158,7 @@ class TestBatchedInterlacing:
         want = _per_pair_violations(sets)
         assert want
         assert entry.lhs == len(want)
-        assert spacing._interlacing_violations(sets) == want
+        assert spacing._pair_pass(sets)[0] == want
         assert entry.detail["violations"] == want[:20]
 
 
@@ -306,6 +328,29 @@ class TestVerifyOps:
         assert entry.detail["chain_failures"] == 8
 
 
+def _every_case_entry(check, max_degree, cases):
+    """The entry of a bound decided on every case, from (case, lhs, rhs) per
+    case in order: a case fails unless lhs <= rhs, and the worst is the
+    first case of the largest ratio lhs / rhs."""
+    cases = list(cases)
+    failed = [list(case) for case, lhs, rhs in cases if not lhs <= rhs]
+    worst = max(cases, key=lambda c: c[1] / c[2], default=None)
+    return spacing.ReportEntry(check, not failed, float(len(failed)), 0.0, {
+        "max_degree": max_degree, "cases": len(cases), "violations": failed[:20],
+        "worst_ratio": None if worst is None else worst[1] / worst[2],
+        "worst_case": None if worst is None else worst[0]})
+
+
+def _distance_cases(top, lhs_rhs):
+    return (((l, m, n), *lhs_rhs(l, m, n)) for l in range(4, top + 1)
+            for m in range(3, l) for n in range(2, m))
+
+
+def _second_neighbor_cases(z, n_max):
+    return (((r, n), e.lhs, e.rhs) for r in range(2, n_max + 1) for n in range(2, r + 1)
+            for e in [cp.verify_second_neighbor_bound(z[r], z[n])])
+
+
 class TestChecksOnPublicSets:
     """full_verification's entries are the public checks on the sets that
     the public producers build, one degree or level at a time."""
@@ -316,12 +361,15 @@ class TestChecksOnPublicSets:
         J = cp.jacobi_for_gamma(fam, 64)
         result = full_verification(fam, J, n_max=64, c=Fraction(1, 6))
         z = {n: cp.eigen_zeros(J, n) for n in range(2, 65)}
+        # the triples read one set_distance per pair, as verify_interlacing_bound does
+        dist = {(l, m): cp.set_distance(z[l], z[m]) for l in z for m in z if m < l}
         want = {
-            "interlacing_distance_bound":
-                lambda d: cp.verify_interlacing_bound(z[d["l"]], z[d["m"]], z[d["n"]]),
+            "interlacing_distance_bound": lambda d: _every_case_entry(
+                "interlacing_distance_bound", 64,
+                _distance_cases(64, lambda l, m, n: (dist[l, m], cp.min_spacing(z[n])))),
             "critical_distance_bound": lambda d: _critical_bound(fam, d["k"], d["k_prime"]),
-            "second_neighbor_bound": lambda d: cp.verify_second_neighbor_bound(z[d["r"]],
-                                                                               z[d["n"]]),
+            "second_neighbor_bound": lambda d: _every_case_entry(
+                "second_neighbor_bound", 64, _second_neighbor_cases(z, 64)),
             "branch_separation_chain": lambda d: _lemma(fam, d["n"]),
         }
         checked = Counter()
@@ -329,11 +377,58 @@ class TestChecksOnPublicSets:
             if entry.check in want:
                 assert entry == want[entry.check](entry.detail), entry
                 checked[entry.check] += 1
-        assert checked == {"interlacing_distance_bound": 50, "critical_distance_bound": 15,
-                           "second_neighbor_bound": 4, "branch_separation_chain": 8}
+        assert checked == {"interlacing_distance_bound": 1, "critical_distance_bound": 15,
+                           "second_neighbor_bound": 1, "branch_separation_chain": 8}
         assert result.spacing.rows == cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6)).rows
         interlacing = next(e for e in result.entries if e.check == "interlacing_at_most_one")
         assert interlacing.lhs == len(_per_pair_violations(z)) == 0
+
+    @pytest.mark.parametrize("desc", ["constant:1/6", "periodic:1/6,1/5"])
+    def test_every_triple_and_pair_by_the_public_checks(self, desc):
+        # all 1,771 triples through verify_interlacing_bound and all 276
+        # pairs through verify_second_neighbor_bound
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        J = cp.jacobi_for_gamma(fam, 24)
+        entries = {e.check: e for e in full_verification(fam, J, n_max=24).entries}
+        z = {n: cp.eigen_zeros(J, n) for n in range(2, 25)}
+
+        def triple(l, m, n):
+            e = cp.verify_interlacing_bound(z[l], z[m], z[n])
+            return e.lhs, e.rhs
+
+        want = _every_case_entry("interlacing_distance_bound", 24, _distance_cases(24, triple))
+        assert want.detail["cases"] == 1771 and want.passed
+        assert entries["interlacing_distance_bound"] == want
+        want = _every_case_entry("second_neighbor_bound", 24, _second_neighbor_cases(z, 24))
+        assert want.detail["cases"] == 276 and want.passed
+        assert entries["second_neighbor_bound"] == want
+
+    def test_one_deep_pair_breaks_the_distance_bound(self, monkeypatch, fam_sixth):
+        # raise d(Z_24, Z_20) above M_n for exactly the n < 20 whose M_n lies
+        # below the median: only that pair fails, on exactly those triples
+        J = cp.jacobi_for_gamma(fam_sixth, 24)
+        z = {n: cp.eigen_zeros(J, n) for n in range(2, 25)}
+        spacings = {n: cp.min_spacing(z[n]) for n in range(2, 20)}
+        raised = float(np.median(list(spacings.values())))
+        real = spacing._pair_pass
+
+        def one_deep_pair(sets):
+            violations, dist = real(sets)
+            dist[22, 18] = raised
+            return violations, dist
+
+        monkeypatch.setattr(spacing, "_pair_pass", one_deep_pair)
+        entries = {e.check: e for e in full_verification(fam_sixth, J, n_max=24).entries}
+        entry = entries["interlacing_distance_bound"]
+        failing = [[24, 20, n] for n in sorted(spacings) if spacings[n] < raised]
+        assert 0 < len(failing) < 18
+        assert not entry.passed and entry.lhs == len(failing)
+        assert entry.detail["violations"] == failing
+        least = min(spacings, key=spacings.get)
+        assert entry.detail["worst_case"] == (24, 20, least)
+        assert entry.detail["worst_ratio"] == raised / spacings[least]
+        assert entries["second_neighbor_bound"].passed
+        assert entries["interlacing_at_most_one"].passed
 
 
 class TestSpacingReport:
@@ -409,6 +504,22 @@ class TestSpacingReport:
         assert row.s == 3 and 0 < row.upper_eq2 < 1e-4
         assert abs(Fraction(row.upper_eq2) - bound) <= bound * Fraction(1, 2 ** 52)
         assert row.pass_eq2 is (Fraction(row.m_n) <= bound) is True
+
+    @pytest.mark.parametrize("desc", ["constant:1e-70", "constant:1e-160"])
+    def test_margin_lo_from_the_exact_quotient(self, desc):
+        # delta_5 = gamma^5 lies below the smallest double, so the lower
+        # bound of eq. 1 rounds to 0; the margin M_4 / delta_5 = gamma^-4 is
+        # divided exactly, finite at 1e-70 and above the doubles at 1e-160
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        ladder = exact.exact_zero_ladder(fam, 2)
+        row = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), {4: ladder[1]}, ladder,
+                              None, None).rows[0]
+        assert row.s == 3 and row.lower_eq1 == 0.0 and row.pass_eq1
+        quotient = Fraction(row.m_n) / fam.gamma.delta_fraction(5)
+        if quotient > Fraction(sys.float_info.max):
+            assert row.margin_lo == math.inf
+        else:
+            assert row.margin_lo == float(quotient) and 1e279 < row.margin_lo < 1e281
 
     def test_margins_are_ratios(self, fam_sixth, jacobi_sixth_small):
         row = cp.spacing_report(fam_sixth, jacobi_sixth_small, [5]).rows[0]
