@@ -202,7 +202,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     strings = [["0.5"]] + [text if level is zs else render(level.values)
                            for level, zs, text in zip(levels, zero_sets, texts)]
     write_csv(out / f"critical_l{top_m}.csv", ["index", "value"],
-              [range(1, crit.points.size + 1), critical_order(strings)])
+              [range(1, crit.values.size + 1), critical_order(strings)])
     write_json(out / "run.json", _run_meta(cfg))
     return EXIT_OK
 

@@ -13,8 +13,9 @@ finding is involved. Dyadic zero sets come from exact_zeros, or for
 levels 1..top together from exact_zero_ladder, which runs one branch
 ladder; the branch values fall in increasing order by a fixed Gray-code
 permutation of the words, which the sets' strict-increase check
-confirms. In extended precision their values are Decimals, and points is
-the double view of them.
+confirms. branch_order makes that placement, also for several parameters
+per word, as the eigensolver's pullbacks have. In extended precision
+their values are Decimals, and points is the double view of them.
 
 The critical points of F_n are 1/2 together with the zeros of F_1, ...,
 F_{n-1}, and Rolle's theorem interlaces them: the point at 1-based
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
@@ -85,7 +86,8 @@ class _PointSet:
         """The double view of values (values itself for a double set)."""
         return self.values.astype(float, copy=False)
 
-    def _validate(self, count: int, what: str) -> np.ndarray:
+    def _validate(self, count: int, what: str, gaps=None) -> np.ndarray:
+        # gaps, when the builder has it, is np.diff(values), read instead of a second pass
         vals = np.asarray(self.values)
         if vals.dtype == object:
             vals = vals.copy()  # freezing it leaves the caller's array writable
@@ -95,7 +97,7 @@ class _PointSet:
         object.__setattr__(self, "values", vals)
         if count < 1 or vals.size != count:
             raise DomainError(f"expected {count} {what}, got {vals.size}")
-        if not np.all(vals[1:] > vals[:-1]):
+        if not (vals[1:] > vals[:-1] if gaps is None else gaps > 0).all():
             raise DomainError(f"{what} must be strictly increasing")
         return vals
 
@@ -106,17 +108,23 @@ class ZeroSet(_PointSet):
 
     Extended-precision branch zeros and escalated eigensolves hold
     Decimal values. min_gap is (gap, i) of min_gap_with_index on values;
-    a builder that already has it passes it, otherwise smallest_gap
-    computes it on first use.
+    a builder that already has it passes it, or passes gaps, the
+    difference array np.diff(values), from which both the strict-increase
+    check and min_gap are read. Otherwise smallest_gap computes it on
+    first use.
     """
 
     degree: int
     values: np.ndarray = field(repr=False)
     provenance: str
     min_gap: tuple[float, int] | None = field(default=None, repr=False)
+    gaps: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        vals = self._validate(self.degree, "zeros")
+    def __post_init__(self, gaps):
+        vals = self._validate(self.degree, "zeros", gaps)
+        if gaps is not None and self.min_gap is None:
+            i = int(np.argmin(gaps))
+            object.__setattr__(self, "min_gap", (float(gaps[i]), i))
         if vals[0] <= 0.0 or vals[-1] >= 1.0:
             raise DomainError("zeros must lie strictly inside (0, 1)")
         if self.provenance not in _ZERO_PROVENANCES:
@@ -211,17 +219,27 @@ def monic_opoly_exact(fam: MapFamily, m: int, z):
     return p
 
 
-def _zero_set(m: int, vals) -> ZeroSet:
-    """The zero set of level m from its branch values in word-bit order.
+def branch_order(table: np.ndarray) -> np.ndarray:
+    """The values of a branch table in increasing order, placed, not sorted.
 
-    Each letter R reverses the order of the values inside it, so the
-    increasing order visits the words in reflected Gray code order: the
-    i-th smallest value is that of word i ^ (i >> 1). ZeroSet's check
+    table has one row per word of one level, in word-bit order, and one
+    column per parameter t, ascending. Each letter R reverses the order of
+    the values inside it, so the increasing order visits the words in
+    reflected Gray code order, word i ^ (i >> 1) at position i. The count of
+    letters R in that word has the parity of i, and the all-L branch
+    decreases in t, so the words at even positions place their values in
+    descending t and the others in ascending t. A set's strict-increase check
     confirms the order instead of a sort making it.
     """
-    i = np.arange(2 ** m)
-    return ZeroSet(degree=2 ** m, values=np.asarray(vals)[i ^ (i >> 1)],
-                   provenance="exact-branch")
+    i = np.arange(table.shape[0])
+    rows = table[i ^ (i >> 1)]
+    rows[0::2] = rows[0::2, ::-1]
+    return rows.reshape(-1)
+
+
+def _zero_set(m: int, table: np.ndarray) -> ZeroSet:
+    """The zero set of level m from its branch table at t = 0 alone."""
+    return ZeroSet(degree=2 ** m, values=branch_order(table), provenance="exact-branch")
 
 
 def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
@@ -235,7 +253,7 @@ def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
     """
     if m < 1:
         raise DomainError("degree exponent must be >= 1")
-    return _zero_set(m, all_branch_values(fam.gamma, m, 0.0, mode))
+    return _zero_set(m, np.asarray(all_branch_values(fam.gamma, m, 0.0, mode))[:, None])
 
 
 def exact_zero_ladder(fam: MapFamily, top: int, mode: str = "auto",
@@ -246,7 +264,7 @@ def exact_zero_ladder(fam: MapFamily, top: int, mode: str = "auto",
     instead of its own.
     """
     tables = branch_value_ladder(fam.gamma, top, (0.0,), mode, depth)
-    return [_zero_set(m, table[:, 0]) for m, table in enumerate(tables, start=1)]
+    return [_zero_set(m, table) for m, table in enumerate(tables, start=1)]
 
 
 def critical_levels(fam: MapFamily, n: int, zero_sets=None, mode: str = "auto") -> list[ZeroSet]:

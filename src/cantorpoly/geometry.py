@@ -362,8 +362,9 @@ def _pull(g: Fraction, v, reflected: bool, mode: str):
     formed as (1 - 4g) + 4g v, a sum of non-negative terms: the plain form
     cancels half the digits where g y nears 1/4.
     """
-    if mode == "double":
-        return u_map(float(g) * (1 - v if reflected else v))
+    if mode == "double":  # u_map, less its range check: g y lies in [0, g]
+        y = float(g) * (1 - v if reflected else v)
+        return 2 * y / (1 + np.sqrt(1 - 4 * y))
     two_g, four_g = as_decimal(2 * g), as_decimal(4 * g)
     if reflected:
         return two_g * (1 - v) / (1 + np.sqrt(as_decimal(1 - 4 * g) + four_g * v))
@@ -415,6 +416,22 @@ def _check_ts(ts) -> tuple:
     return ts
 
 
+def _inner_kernel(g: Fraction, t: np.ndarray) -> np.ndarray:
+    """u(t_inner) with t_inner = g (1 - t) / 2, for an array of doubles t in [-1, 1].
+
+    t_inner is formed as one array operation, (g / 2) (1 - t), the factor
+    rounded once. The root argument 1 - 4 t_inner is formed from t where
+    t < 0, as (1 - 4g) + 2g (1 + t): 1 + t is exact there, while t_inner,
+    which nears g as t nears -1, would drop t's last bit, and at g = 1/4
+    the square root amplifies that loss. At t = 0, 1 and -1 both give the
+    bits of u_map of the correctly rounded t_inner.
+    """
+    g_half = float(g / 2)
+    t_inner = g_half * (1 - t)
+    root_arg = np.where(t < 0, (1 - 4 * float(g)) + 2 * float(g) * (1 + t), 1 - 4 * t_inner)
+    return 2 * t_inner / (1 + np.sqrt(root_arg))
+
+
 def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, int],
                  carried: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The doubling array of level n and its table, in the given precision.
@@ -423,15 +440,19 @@ def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, 
     letter is L; index bits read the level-2 letter first (0 = L), and
     the parameter varies fastest: entry w * len(ts) + j is word w at
     ts[j]. Without carried it starts from u(t_inner) and pulls through
-    gamma_{n-1}, ..., gamma_1. With carried, the doubling array of level
-    n - p in the same precision, where p is the period of gamma, it pulls
-    only through gamma_p, ..., gamma_1: the inner steps would repeat level
-    n - p's with the same scales, arguments and rounding. The table
-    appends the level-1 reflection and has one row per word.
+    gamma_{n-1}, ..., gamma_1; in double, ts may be any array of doubles
+    in [-1, 1], and the first step is ``_inner_kernel``. With carried,
+    the doubling array of level n - p in the same precision, where p is
+    the period of gamma, it pulls only through gamma_p, ..., gamma_1: the
+    inner steps would repeat level n - p's with the same scales, arguments
+    and rounding. The table appends the level-1 reflection and has one row
+    per word.
     """
     mode, digits = precision
     with localcontext(extended_context(digits)) if digits else contextlib.nullcontext():
-        if carried is None:
+        if carried is None and mode == "double":
+            v, k_top = _inner_kernel(gamma.value(n), np.asarray(ts, dtype=float)), n - 1
+        elif carried is None:
             t_inner = np.array([_scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode)
                                 for t in ts])
             v, k_top = u_map(t_inner), n - 1

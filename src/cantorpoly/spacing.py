@@ -14,7 +14,12 @@ The checks in this module compute each side independently (exact branch
 compositions at dyadic degrees, eigensolves elsewhere) and report the
 comparison outcome with scale-free ratio margins. The bounds change only
 once per octave s, so a report decides them once per octave, and it
-solves all its degrees in one batched eigensolve. Each rational lower
+solves all its degrees in one batched eigensolve, each degree 2^j m at
+level j + 1 of the mapping tower (jacobi.eigen_zero_sets). A dyadic
+degree solves nothing there: its eigensolved zeros are the branch values
+at t = 0, which are the exact zeros wherever those work in double, so
+the two routes part only where the exact set is extended or the
+eigensolve escalates. Each rational lower
 bound q (a delta product) is decided through the least double t >= q:
 for a double M_n, M_n >= t holds exactly when M_n >= q, so the verdicts
 carry no rounding slack of their own. Gaps and distances between Decimal
@@ -27,10 +32,11 @@ degree from one batched solve, the dyadic zero sets and the branch-lemma
 tables of levels 1..8 from one branch ladder each
 (geometry.branch_value_ladder), and the critical sets from those zero
 sets wherever they share its deepest level's precision. Each
-eigensolved zero set carries its smallest gap from the solve, so M_n
-takes no second pass. No check samples: one pass per degree r up to 256
-bins all smaller-degree zeros into Z_r, and decides at-most-one
-interlacing and the distance bound on every pair and triple of degrees.
+eigensolved zero set carries its smallest gap from the difference array
+of its solve, so M_n takes no second pass. No check samples: one pass
+per degree r up to 256 bins all smaller-degree zeros into Z_r, and
+decides at-most-one interlacing and the distance bound on every pair and
+triple of degrees.
 """
 
 from __future__ import annotations

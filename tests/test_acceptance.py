@@ -93,17 +93,16 @@ def test_criterion_05_interlacing_suite(sweep_sixth, sweep_periodic):
     _announce(5, "at-most-one interlacing for all 2 <= s < r <= 64, both sequences")
 
 
-def test_criterion_06_distance_bound_samples(sweep_sixth, sweep_periodic):
-    rng = np.random.default_rng(20240601)
+def test_criterion_06_distance_bound_every_triple(sweep_sixth, sweep_periodic):
     for sweep in (sweep_sixth, sweep_periodic):
-        zeros = sweep["zeros"]
-        for _ in range(50):
-            l = int(rng.integers(4, 129))
-            m = int(rng.integers(3, l))
-            n = int(rng.integers(2, m))
-            entry = cp.verify_interlacing_bound(zeros[l], zeros[m], zeros[n])
-            assert entry.passed, (l, m, n)
-    _announce(6, "d(Z_l, Z_m) <= M_n for 50 random triples per sequence, l <= 128")
+        result = cp.full_verification(sweep["fam"], sweep["J"], n_max=SWEEP_DEGREE,
+                                      c=Fraction(1, 6))
+        [entry] = [e for e in result.entries if e.check == "interlacing_distance_bound"]
+        assert entry.passed and entry.lhs == 0.0 and entry.detail["violations"] == []
+        assert entry.detail["max_degree"] == SWEEP_DEGREE
+        assert entry.detail["cases"] == math.comb(SWEEP_DEGREE - 1, 3)
+        assert entry.detail["worst_ratio"] < 1.0
+    _announce(6, "d(Z_l, Z_m) <= M_n for every triple l > m > n > 1, l <= 256, both sequences")
 
 
 def test_criterion_07_critical_containment(fam_sixth, fam_periodic):

@@ -11,7 +11,8 @@ from numpy.polynomial import chebyshev as npcheb
 
 import cantorpoly as cp
 from cantorpoly.errors import DomainError, RangeOverflowError
-from cantorpoly.exact import CriticalSet, ZeroSet, critical_order, exact_zero_ladder
+from cantorpoly.exact import (CriticalSet, ZeroSet, branch_order, critical_order,
+                              exact_zero_ladder)
 from cantorpoly.geometry import level_intervals
 
 import reference as ref
@@ -215,6 +216,26 @@ class TestExactZeros:
         # a double view that ties or touches 1 is fine when the dd values are not
         ZeroSet(degree=2, values=(Decimal("0.99999999999999999998"),
                                   Decimal("0.99999999999999999999")), provenance="exact-branch")
+
+
+class TestBranchOrder:
+    """Branch values over several parameters are placed in order, not sorted."""
+
+    @pytest.mark.parametrize("desc", ["constant:1/6", "constant:1/4", "periodic:2/9,1/4",
+                                      "list:1/4,1/1000"])
+    def test_placement_is_the_sort(self, desc):
+        gamma = cp.GammaSequence.from_descriptor(desc)
+        ts = (-0.9, -0.25, 0.0, 0.5, 0.75)
+        for n in range(1, 6):
+            table = cp.geometry.branch_value_table(gamma, n, ts)
+            placed = branch_order(table)
+            assert placed.tolist() == sorted(table.ravel().tolist()), n
+            assert np.all(placed[1:] > placed[:-1]), n
+
+    def test_one_column_is_the_gray_order(self, fam_sixth):
+        table = cp.geometry.branch_value_table(fam_sixth.gamma, 4, (0.0,))
+        i = np.arange(16)
+        assert np.array_equal(branch_order(table), table[i ^ (i >> 1), 0])
 
 
 class TestCriticalSet:

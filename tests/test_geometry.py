@@ -22,6 +22,7 @@ from cantorpoly.geometry import (
     level_gaps,
     level_intervals,
     scale_rows,
+    u_map,
 )
 
 PI_SQ_4 = math.pi ** 2 / 4.0
@@ -406,6 +407,29 @@ class TestAllBranchValues:
         vals_d = sorted(all_branch_values(gamma_sixth, 5, -1.0))
         vals_dd = sorted(float(v) for v in all_branch_values(gamma_sixth, 5, -1.0, "dd"))
         assert np.allclose(vals_d, vals_dd, rtol=0, atol=1e-15)
+
+
+class TestInnerKernel:
+    """The double first step of a doubling pass over an array of parameters t."""
+
+    @pytest.mark.parametrize("g", [Fraction(1, 4), Fraction(1, 6), Fraction(2, 9),
+                                   Fraction(1, 20), Fraction(1, 1000), Fraction(1, 10 ** 6)])
+    def test_endpoints_and_anchor_are_the_exact_t_inner(self, g):
+        # at t = -1, 0, 1 the bits of u_map of the correctly rounded g (1 - t) / 2
+        want = np.array([u_map(float(g * (1 - t) / 2)) for t in (-1, 0, 1)])
+        assert geometry._inner_kernel(g, np.array([-1.0, 0.0, 1.0])).tobytes() == want.tobytes()
+
+    def test_keeps_one_plus_t_near_minus_one(self):
+        # at g = 1/4 the root argument is (1 + t) / 2: formed from 1 + t, exact
+        # there, u keeps full accuracy where forming t_inner first loses t's last bit
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        t = -1 + np.array([2.0 ** -k + 2.0 ** -53 for k in range(2, 50)])  # t's last bit set
+        got = geometry._inner_kernel(Fraction(1, 4), t)
+        want = [(1 - mp.mpf(x)) / 4 / (1 + mp.sqrt((1 + mp.mpf(x)) / 2)) for x in t]
+        err = max(abs(mp.mpf(u) - w) / w for u, w in zip(got, want))
+        assert err <= 4 * np.finfo(float).eps
 
 
 class TestBranchValueLadder:

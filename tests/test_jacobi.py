@@ -95,10 +95,11 @@ def _needs(K: int) -> list:
     return needs
 
 
-def _reference_unfolding(fam, K: int, one) -> list:
-    """The level-1 c_1..c_{K-1} of ``jacobi_for_gamma`` in the number type of
-    one: exact with Fraction(1), rounded to its precision with an mpmath 1."""
-    needs, q = _needs(K), []
+def _reference_levels(fam, K: int, one) -> list:
+    """Every level's c of ``jacobi_for_gamma``, level 1 first, in the number
+    type of one: exact with Fraction(1), rounded to its precision with an
+    mpmath 1."""
+    needs, q, levels = _needs(K), [], []
     for k in range(len(needs), 0, -1):
         g = fam.gamma.value(k)
         g = one * g.numerator / g.denominator
@@ -106,8 +107,14 @@ def _reference_unfolding(fam, K: int, one) -> list:
         c = [bp]
         for i in range(1, needs[k - 1]):
             c.append(s * q[i // 2] / c[-1] if i % 2 else bp - c[-1])
-        q = c
-    return q[: K - 1]
+        q = c[: needs[k - 1]]
+        levels.append(q)
+    return levels[::-1]
+
+
+def _reference_unfolding(fam, K: int, one) -> list:
+    """The level-1 c_1..c_{K-1} of ``_reference_levels``."""
+    return _reference_levels(fam, K, one)[0]
 
 
 class TestJacobiForGamma:
@@ -202,12 +209,15 @@ class TestJacobiForGamma:
     @pytest.mark.parametrize("desc", ["constant:1/6", "list:1/4,1/1000", "periodic:1/4,1/1000000",
                                       "periodic:1/1000000000000,1/4"])
     def test_enclosures_contain_exact_unfolding(self, desc):
-        # the recursion in exact rationals: every 50-digit [lo, hi] holds its c
+        # the recursion in exact rationals: every 50-digit [lo, hi] of every level holds its c
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         lo, hi, unresolved = jacobi._unfold(fam.gamma, _needs(512), 50)
         assert unresolved is None
-        exact = _reference_unfolding(fam, 512, Fraction(1))
-        assert all(Fraction(x) <= c <= Fraction(y) for x, y, c in zip(lo, hi, exact, strict=True))
+        exact = _reference_levels(fam, 512, Fraction(1))
+        assert len(lo) == len(hi) == len(exact) == len(_needs(512))
+        for lo_k, hi_k, exact_k in zip(lo, hi, exact):
+            assert all(Fraction(x) <= c <= Fraction(y)
+                       for x, y, c in zip(lo_k, hi_k, exact_k, strict=True))
 
     def test_digit_cap_raises_arithmetic_error(self, monkeypatch):
         # gamma = 1e-12 under 1/4 cancels more than 50 digits at level 2,
@@ -332,6 +342,76 @@ class TestEigenZeros:
             assert np.all(np.diff(cp.eigen_zeros(J, n).points) > 0), n
 
 
+class TestTowerDescent:
+    """Degree 2^j m, m odd, solves T^(j+1)_m and pulls its eigenvalues back through F_j."""
+
+    @pytest.fixture(scope="class", params=["constant:1/6", "constant:1/4", "constant:0.05",
+                                           "periodic:2/9,1/4"])
+    def fam_jacobi_128(self, request):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(request.param))
+        return fam, cp.jacobi_for_gamma(fam, 128)
+
+    @staticmethod
+    def _full_size(J, n):
+        # the oracle: a dense symmetric eigensolve of J_n itself, at level 1
+        return np.linalg.eigvalsh(np.diag(J.b[:n]) + np.diag(J.a[: n - 1], -1))
+
+    def test_matches_full_size_eigvalsh(self, fam_jacobi_128):
+        _, J = fam_jacobi_128
+        for n, zs in cp.eigen_zero_sets(J, range(2, 129)).items():
+            assert not zs.escalated, n
+            assert np.max(np.abs(zs.points - self._full_size(J, n))) <= 1e-13, n
+
+    def test_dyadic_degrees_are_the_exact_zeros(self, fam_jacobi_128):
+        # m = 1: no solve, the branch values at t = 0, bit for bit
+        fam, J = fam_jacobi_128
+        sets = cp.eigen_zero_sets(J, [2 ** m for m in range(1, 8)])
+        for m in range(1, 8):
+            want = cp.exact_zeros(fam, m).values
+            assert sets[2 ** m].values.dtype == want.dtype == float
+            assert sets[2 ** m].values.tobytes() == want.tobytes(), m
+
+    def test_every_level_is_correctly_rounded(self, fam_jacobi_128):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 200
+        fam, J = fam_jacobi_128
+        levels = _reference_levels(fam, 128, mp.mpf(1))
+        assert len(J.deeper) == len(levels) - 1 == 6
+        assert np.array_equal(J.a, np.sqrt([float(c) for c in levels[0]]))
+        for k, (got, want) in enumerate(zip(J.deeper, levels[1:]), start=2):
+            assert np.array_equal(got, [float(c) for c in want]), k
+
+    def test_quarter_within_the_closed_form(self, fam_quarter):
+        # a gamma_k = 1/4 pullback amplifies the error of t near -1: 7.0e-15 at n = 210
+        sets = cp.eigen_zero_sets(cp.jacobi_for_gamma(fam_quarter, 256), range(2, 257))
+        for n, zs in sets.items():
+            want = np.sort((1 + np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))) / 2)
+            assert np.max(np.abs(zs.points - want)) <= 1e-14, n
+
+    def test_shorter_tower_solves_one_level_up(self, fam_jacobi_128):
+        # without level 3, degree 12 solves T^(2)_6; by hand, level 1 alone
+        fam, J = fam_jacobi_128
+        short = cp.JacobiMatrix(J.a, J.b, fam.gamma, J.deeper[:1])
+        by_hand = cp.JacobiMatrix(J.a, J.b)
+        for Jx in (short, by_hand):
+            for n, zs in cp.eigen_zero_sets(Jx, range(2, 129)).items():
+                assert np.max(np.abs(zs.points - self._full_size(J, n))) <= 1e-13, n
+        assert jacobi._tower_step(short, 12) == (1, 6)
+        assert jacobi._tower_step(short, 16) == (4, 1)
+        assert jacobi._tower_step(by_hand, 16) == (0, 16)
+        assert jacobi._tower_step(J, 96) == (5, 3)
+
+    def test_tower_validation(self, fam_jacobi_128):
+        fam, J = fam_jacobi_128
+        with pytest.raises(DomainError, match="need the gamma"):
+            cp.JacobiMatrix(J.a, J.b, None, J.deeper)
+        with pytest.raises(DomainError, match="level 3 needs 31"):
+            cp.JacobiMatrix(J.a, J.b, fam.gamma, (J.deeper[0], J.deeper[1][:-1]))
+        with pytest.raises(DomainError, match="level 2 .* in \\[0, 1\\]"):
+            cp.JacobiMatrix(J.a, J.b, fam.gamma, (-J.deeper[0],))
+
+
 class TestHalfSizeSplit:
     """A constant diagonal is solved from a bidiagonal with floor(n/2) columns."""
 
@@ -434,7 +514,7 @@ class TestDqdsLookup:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         monkeypatch.setattr(jacobi, "_DLASQ1", None)
         slow = cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6))
-        assert len(calls) == 63
+        assert len(calls) == 63 - 6  # the six dyadic degrees solve nothing
         for f, s in zip(fast.rows, slow.rows, strict=True):
             assert (f.n, f.pass_eq1, f.pass_eq2) == (s.n, s.pass_eq1, s.pass_eq2)
             assert abs(f.m_n - s.m_n) <= 1e-12 * f.m_n, f.n
@@ -445,8 +525,10 @@ class TestDqdsLookup:
 
         monkeypatch.setattr(jacobi, "_DLASQ1", failing)
         J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 8)
-        with pytest.raises(ConvergenceError):
-            cp.eigen_zeros(J, 8)
+        # degree 7 solves at level 1 and degree 6 at level 2; degree 8 solves nothing
+        for n in (6, 7):
+            with pytest.raises(ConvergenceError, match=f"at degree {n}"):
+                cp.eigen_zeros(J, n)
 
 
 def _same_zero_set(a, b) -> bool:
