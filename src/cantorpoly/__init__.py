@@ -15,42 +15,31 @@ from .geometry import (
     BranchWord,
     GammaSequence,
     Interval,
-    basic_interval,
     branch_composition,
-    branch_value,
     leftmost_length,
-    level_gaps,
     level_intervals,
     u_map,
 )
 from .jacobi import (
-    DiscreteMeasure,
     JacobiMatrix,
     eigen_zero_sets,
     eigen_zeros,
-    gauss_measure,
     jacobi_for_gamma,
-    opoly_eval,
 )
 from .spacing import (
     ReportEntry,
     SpacingReport,
     full_verification,
-    interlacing_at_most_one,
     min_spacing,
     set_distance,
     spacing_report,
     verify_branch_lemma,
-    verify_critical_bound,
-    verify_interlacing_bound,
-    verify_second_neighbor_bound,
 )
 
 __all__ = [
     "BranchWord",
     "ConvergenceError",
     "CriticalSet",
-    "DiscreteMeasure",
     "DomainError",
     "GammaSequence",
     "Interval",
@@ -60,28 +49,19 @@ __all__ = [
     "ReportEntry",
     "SpacingReport",
     "ZeroSet",
-    "basic_interval",
     "branch_composition",
-    "branch_value",
     "critical_set",
     "eigen_zero_sets",
     "eigen_zeros",
     "exact_zeros",
     "full_verification",
-    "gauss_measure",
-    "interlacing_at_most_one",
     "jacobi_for_gamma",
     "leftmost_length",
-    "level_gaps",
     "level_intervals",
     "min_spacing",
     "monic_opoly_exact",
-    "opoly_eval",
     "set_distance",
     "spacing_report",
     "u_map",
     "verify_branch_lemma",
-    "verify_critical_bound",
-    "verify_interlacing_bound",
-    "verify_second_neighbor_bound",
 ]

@@ -12,6 +12,6 @@ class RangeOverflowError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """An iterative procedure exhausted its budget without converging.
 
-    Raised by the decimal bisection, by a nonzero INFO from LAPACK's
-    dqds (dlasq1), and by Gauss weights that do not come out positive.
+    Raised by the decimal bisection and by a nonzero INFO from LAPACK's
+    dqds (dlasq1).
     """

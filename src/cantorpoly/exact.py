@@ -108,21 +108,20 @@ class ZeroSet(_PointSet):
 
     Extended-precision branch zeros and escalated eigensolves hold
     Decimal values. min_gap is (gap, i) of min_gap_with_index on values;
-    a builder that already has it passes it, or passes gaps, the
-    difference array np.diff(values), from which both the strict-increase
-    check and min_gap are read. Otherwise smallest_gap computes it on
-    first use.
+    a builder that already has the difference array np.diff(values) passes
+    it as gaps, and both the strict-increase check and min_gap are read
+    from it. Otherwise smallest_gap computes min_gap on first use.
     """
 
     degree: int
     values: np.ndarray = field(repr=False)
     provenance: str
-    min_gap: tuple[float, int] | None = field(default=None, repr=False)
+    min_gap: tuple[float, int] | None = field(default=None, init=False, repr=False)
     gaps: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, gaps):
         vals = self._validate(self.degree, "zeros", gaps)
-        if gaps is not None and self.min_gap is None:
+        if gaps is not None:
             i = int(np.argmin(gaps))
             object.__setattr__(self, "min_gap", (float(gaps[i]), i))
         if vals[0] <= 0.0 or vals[-1] >= 1.0:

@@ -388,26 +388,6 @@ def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "auto"):
         return 1 - v if w.letters[0] == "R" else v
 
 
-def branch_value(gamma: GammaSequence, word, t, mode: str = "auto"):
-    """Value of the composed inverse branch addressed by ``word`` at t.
-
-    t ranges over [-1, 1]; the innermost substitution is
-    t_inner = gamma_n * (1 - t) / 2, formed exactly.
-    """
-    w = _as_word(word)
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"branch parameter {t} outside [-1, 1]")
-    t_inner = gamma.value(len(w)) * (1 - _as_fraction(t)) / 2
-    return branch_composition(gamma, w, t_inner, mode)
-
-
-def basic_interval(gamma: GammaSequence, word, mode: str = "auto") -> Interval:
-    """The level-n basic interval addressed by a word of length n."""
-    a = branch_value(gamma, word, 1.0, mode)
-    b = branch_value(gamma, word, -1.0, mode)
-    return Interval(a, b) if a < b else Interval(b, a)
-
-
 def _check_ts(ts) -> tuple:
     ts = tuple(ts)
     for t in ts:
@@ -465,11 +445,13 @@ def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, 
 
 
 def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "auto") -> np.ndarray:
-    """branch_value over every word of length n and every t in ts.
+    """The branch value of every word of length n at every t in ts.
 
-    One row per word in word-bit order (level-1 letter first, 0 = L) and
-    one column per t, from one doubling pass over all the parameters; an
-    object array of Decimals if extended. The total work is O(2^n) per
+    The branch value of a word at t in [-1, 1] is its composed inverse
+    branch at t_inner = gamma_n * (1 - t) / 2. One row per word in
+    word-bit order (level-1 letter first, 0 = L) and one column per t,
+    from one doubling pass over all the parameters; an object array of
+    Decimals if extended. The total work is O(2^n) per
     parameter. This is a one-level branch_value_ladder, with nothing
     carried.
     """
@@ -504,7 +486,7 @@ def branch_value_ladder(gamma: GammaSequence, top: int, ts, mode: str = "auto",
 
 
 def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"):
-    """branch_value over every word of length n, in word-bit order (a list if extended)."""
+    """Every word's branch value at t, level n, in word-bit order (a list if extended)."""
     x = branch_value_table(gamma, n, (t,), mode)[:, 0]
     return x.tolist() if x.dtype == object else x
 
@@ -517,17 +499,6 @@ def level_intervals(gamma: GammaSequence, n: int, mode: str = "auto") -> list[In
     ivs = [Interval(a, b) if a < b else Interval(b, a) for a, b in ends]
     ivs.sort(key=lambda iv: iv.lo)
     return ivs
-
-
-def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
-    """The 2^n open gaps removed inside the level-n parents.
-
-    Derived from the level-(n+1) intervals rather than stored; entries are
-    (lo, hi) pairs and may be degenerate (lo == hi) in the boundary case
-    gamma_k = 1/4.
-    """
-    ivs = level_intervals(gamma, n + 1, mode)
-    return [(ivs[2 * j].hi, ivs[2 * j + 1].lo) for j in range(2 ** n)]
 
 
 def largest_gap(gamma: GammaSequence, n: int) -> float:

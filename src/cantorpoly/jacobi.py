@@ -1,4 +1,4 @@
-"""Recurrence coefficients, arbitrary-degree polynomials, and eigensolves.
+"""Recurrence coefficients and eigensolves.
 
 The three-term recurrence used throughout is the monic one,
 
@@ -33,8 +33,6 @@ double-precision resolution limit is the solve escalated to a
 Sturm-count bisection of the full level-1 matrix in 34-digit
 ``decimal`` arithmetic; the zero set of that degree
 then holds the Decimal values, and its points are their double view.
-Gauss rules take their nodes and weights from one symmetric eigensolve
-of their own, for any diagonal.
 """
 
 from __future__ import annotations
@@ -67,35 +65,6 @@ _NO_SIGMA = np.empty(0)  # the singular values of a degree that solves nothing (
 # ---------------------------------------------------------------------------
 # measures and matrices
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finite probability measure: sorted nodes with positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise DomainError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size > 1 and not np.all(np.diff(nodes) > 0):
-            raise DomainError("nodes must be strictly increasing")
-        if np.any(weights <= 0):
-            raise DomainError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise DomainError("weights must sum to 1 within 1e-12")
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def __len__(self):
-        return self.nodes.size
-
 
 @dataclass(frozen=True)
 class JacobiMatrix:
@@ -223,24 +192,6 @@ def _unfold(gamma, needs: list, digits: int) -> tuple[list, list, str | None]:
         levels_lo.append(q_lo)
         levels_hi.append(q_hi)
     return levels_lo[::-1], levels_hi[::-1], None
-
-
-# ---------------------------------------------------------------------------
-# polynomial evaluation
-# ---------------------------------------------------------------------------
-
-def opoly_eval(J: JacobiMatrix, n: int, x):
-    """Monic P_n(x) by the three-term recurrence; accepts scalars or arrays."""
-    if not 0 <= n <= J.b.size:
-        raise DomainError(f"degree {n} exceeds the {J.b.size} coefficients")
-    p_prev = np.zeros_like(np.asarray(x, dtype=float))
-    p = np.ones_like(p_prev)
-    for k in range(n):
-        asq = J.a[k - 1] ** 2 if k > 0 else 0.0
-        p, p_prev = (x - J.b[k]) * p - asq * p_prev, p
-    if np.ndim(x) == 0:
-        return float(p)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -604,32 +555,3 @@ def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     zeros come out closer than 1e3 * eps * Gershgorin width.
     """
     return eigen_zero_sets(J, (n,))[n]
-
-
-# ---------------------------------------------------------------------------
-# Gauss quadrature measures
-# ---------------------------------------------------------------------------
-
-def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
-    """The r-point Gauss rule of the measure represented by J.
-
-    One LAPACK symmetric eigensolve of the r-by-r Jacobi truncation, for
-    any diagonal, gives both: the nodes are its eigenvalues, the zeros of
-    P_r, and the weights follow Golub and Welsch (Math. Comp. 23, 1969):
-    each is the squared first component of the corresponding normalized
-    eigenvector. The rule integrates any polynomial of degree <= 2r - 1
-    exactly against the moment functional of J.
-    """
-    if not 1 <= r <= J.b.size:
-        raise DomainError(f"rule size {r} exceeds the {J.b.size} coefficients")
-    if r == 1:
-        return DiscreteMeasure(np.array([J.b[0]]), np.array([1.0]))
-    # eigh reads the lower triangle only
-    nodes, vecs = np.linalg.eigh(np.diag(J.b[:r]) + np.diag(J.a[: r - 1], -1))
-    w = vecs[0] ** 2
-    total = float(w.sum())
-    if not np.all(w > 0) or abs(total - 1.0) > 1e-8:
-        raise ConvergenceError(
-            f"eigenvector first components give unusable weights (sum {total})"
-        )
-    return DiscreteMeasure(nodes, w / total)

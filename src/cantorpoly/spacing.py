@@ -37,6 +37,17 @@ of its solve, so M_n takes no second pass. No check samples: one pass
 per degree r up to 256 bins all smaller-degree zeros into Z_r, and
 decides at-most-one interlacing and the distance bound on every pair and
 triple of degrees.
+
+Besides the rows of both inequalities, a run's checks are:
+
+- interlacing_distance_bound: d(Z_l, Z_m) <= M_n for every l > m > n > 1,
+  l <= min(n_max, 256);
+- second_neighbor_bound: M_r below every second-neighbour gap of Z_n,
+  for every 2 <= n <= r <= n_max;
+- branch_separation_chain: the branch lemma at each level 1..8, with
+  d(Z, Y) above its least separation;
+- interlacing_at_most_one: every pair of degrees to min(n_max, 256);
+- max_gap_sanity and dyadic_spacing_collapse, informational only.
 """
 
 from __future__ import annotations
@@ -71,10 +82,9 @@ _TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 # a separation keeps it as an absolute error, so the tie cushion is
 # absolute; 1e-29 sits far below every genuine scale in range
 _TIE_CUSHION = Decimal("1e-29")
-# the sizes of a full verification: the critical-set bound for k' < k <= 5,
-# the branch lemma at levels 1..8, and the pairs of degrees up to 256 for
-# at-most-one interlacing and the distance bound
-_TM_MAX_K = 5
+# the sizes of a full verification: the branch lemma at levels 1..8, and
+# the pairs of degrees up to 256 for at-most-one interlacing and the
+# distance bound
 _RORO_MAX_LEVEL = 8
 _PAIRS_MAX = 256
 # the branch lemma's parameters: anchors (t = 0) and both endpoints
@@ -124,21 +134,6 @@ def set_distance(A, B) -> float:
         if np.any(left):
             best = min(best, float(np.min(np.abs(b[pos[left] - 1] - a[left]))))
     return best
-
-
-def interlacing_at_most_one(small, big) -> bool:
-    """True when the smaller-degree zeros sit one per bin of the larger set.
-
-    Checks both requirements: the small zeros lie strictly between the
-    extreme large zeros, and no two of them share a closed interval of
-    consecutive large zeros.
-    """
-    zs = _points(small)
-    zr = _points(big)
-    if zs[0] <= zr[0] or zs[-1] >= zr[-1]:
-        return False
-    bins = np.searchsorted(zr, zs)
-    return bool(np.all(np.diff(bins) >= 1))
 
 
 # ---------------------------------------------------------------------------
@@ -232,70 +227,11 @@ def _level(zero_set: ZeroSet) -> int:
     return m
 
 
-def verify_interlacing_bound(zl: ZeroSet, zm: ZeroSet, zn: ZeroSet) -> ReportEntry:
-    """d(Z_l, Z_m) <= M_n for the zero sets of degrees l > m > n > 1."""
-    l, m, n = zl.degree, zm.degree, zn.degree
-    if not l > m > n > 1:
-        raise DomainError(f"need l > m > n > 1, got {(l, m, n)}")
-    lhs = set_distance(zl, zm)
-    rhs = min_spacing(zn)
-    return ReportEntry(
-        check="interlacing_distance_bound",
-        passed=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        detail={"l": l, "m": m, "n": n},
-    )
-
-
-def verify_critical_bound(z: ZeroSet, y: CriticalSet, z_prime: ZeroSet) -> ReportEntry:
-    """d(Z, Y) <= d(Z, Z') on the exact dyadic sets.
-
-    z and y are the zero and critical sets of one level 1 + k, z_prime the
-    zero set of a lower level 1 + k' (k > k' >= 0); the levels are read
-    from the sets, and sets of mismatched levels raise DomainError.
-    """
-    k, k_prime = _level(z) - 1, _level(z_prime) - 1
-    if y.level != 1 + k:
-        raise DomainError(f"critical set of level {y.level} against zeros of level {1 + k}")
-    if not k > k_prime >= 0:
-        raise DomainError(f"need k > k' >= 0, got {(k, k_prime)}")
-    lhs = set_distance(z, y)
-    rhs = set_distance(z, z_prime)
-    return ReportEntry(
-        check="critical_distance_bound",
-        passed=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        detail={"k": k, "k_prime": k_prime,
-                "degree": z.degree, "degree_prime": z_prime.degree},
-    )
-
-
 def _second_gap(zn) -> float:
     """Minimum second-neighbour gap of a zero set, with 0 and 1 at its ends."""
     aug = np.concatenate([[0], _points(zn), [1]])
     with localcontext(_EXACT):
         return float(np.min(aug[2:] - aug[:-2]))
-
-
-def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
-    """M_r <= min second-neighbour gap of the degree-n zeros.
-
-    Indices 0 and n+1 denote the support endpoints 0 and 1.
-    """
-    r, n = zr.degree, zn.degree
-    if not (r > 1 and r >= n >= 1):
-        raise DomainError(f"need r > 1 and r >= n >= 1, got {(r, n)}")
-    rhs = _second_gap(zn)
-    lhs = min_spacing(zr)
-    return ReportEntry(
-        check="second_neighbor_bound",
-        passed=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        detail={"r": r, "n": n},
-    )
 
 
 def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
@@ -504,26 +440,31 @@ class VerificationResult:
 
 
 def _pair_pass(sets: dict) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Every (s, r), s < r, for which interlacing_at_most_one(sets[s], sets[r])
-    is False, ordered by r and then s, and set_distance(sets[s], sets[r]) at
-    [r, s] of a matrix over the positions of the sorted keys.
+    """Every (s, r), s < r, for which sets[s] breaks at-most-one interlacing
+    with sets[r], ordered by r and then s, and the set distance of sets[s]
+    and sets[r] at [r, s] of a matrix over the positions of the sorted keys.
 
-    One pass per r: the points of all smaller keys are concatenated and
-    binned into sets[r] by one searchsorted, then both requirements and the
-    nearest distances are decided per segment, on all points in Decimal once
-    a pass reads a Decimal set, so double, extended and mixed sets get the
+    sets[s] interlaces at most once with sets[r] when its points lie
+    strictly between the extreme points of sets[r] and no two of them share
+    a closed interval of consecutive points of sets[r]. The points of all
+    sets are laid end to end once, in key order, and the pass of r bins the
+    prefix before sets[r] into it by one searchsorted, then decides both
+    requirements and the nearest distances per segment. The passes before
+    the first Decimal set read the doubles; from that pass on, every pass
+    reads all points in Decimal, so double, extended and mixed sets get the
     per-pair results."""
     keys = sorted(sets)
     points = [_points(sets[k]) for k in keys]
-    sizes = np.array([p.size for p in points])
+    offsets = np.cumsum([0] + [p.size for p in points])
+    first = next((i for i, p in enumerate(points) if p.dtype == object), len(points))
+    doubles = np.concatenate(points[:first]) if first else None
+    decimals = (np.concatenate([p if p.dtype == object else _TO_DECIMAL(p) for p in points])
+                if first < len(points) else None)
     violations, distances = [], np.zeros((len(keys), len(keys)))
     for j in range(1, len(keys)):
-        if any(p.dtype == object for p in points[:j + 1]):
-            points = [p if p.dtype == object else _TO_DECIMAL(p) for p in points]
-        big = points[j]
-        small = np.concatenate(points[:j])
-        ends = np.cumsum(sizes[:j])
-        starts = ends - sizes[:j]
+        flat = doubles if j < first else decimals
+        big, small = flat[offsets[j]:offsets[j + 1]], flat[:offsets[j]]
+        starts, ends = offsets[:j], offsets[1:j + 1]
         bins = np.searchsorted(big, small)
         # a point crowds its predecessor in the same segment when both
         # fall in one closed interval of consecutive big points
@@ -587,10 +528,6 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                np.where(np.tri(top - 1, k=-1, dtype=bool) & (least < np.inf), dist / least, -1),
                lambda l, m: (l + 2, m + 2, int(np.argmin(spacings[:m])) + 2),
                np.column_stack([bad[hit[:, 0]], hit[:, 1]]) + 2)
-
-    for k in range(1, _TM_MAX_K + 1):
-        for k_prime in range(k):
-            entries.append(verify_critical_bound(exact[k], critical[k], exact[k_prime]))
 
     # M_r <= every second-neighbour gap of Z_n, 2 <= n <= r: each n against the largest M_r
     second = np.array([_second_gap(zeros[n]) for n in range(2, n_max + 1)])

@@ -15,20 +15,46 @@ same quantities another way, and the tests compare the two:
 - the power moments of a Jacobi matrix and the sign alternation of P_n
   across computed zeros;
 - the separation chain of the branch lemma for one word, from scalar
-  branch compositions.
+  branch compositions;
+- discrete measures, the Gauss rule of a Jacobi matrix (Golub-Welsch) and
+  P_n by the three-term recurrence;
+- one branch value, one basic interval and the gaps of a level, each from
+  scalar branch compositions;
+- at-most-one interlacing, the distance bound and the second-neighbour
+  bound on one pair or triple of zero sets, from which the tests build
+  the exhaustive entries of a full verification.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import localcontext
 
 import numpy as np
 
-from cantorpoly.errors import DomainError, RangeOverflowError
+from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.exact import EXACT, MapFamily, ZeroSet
-from cantorpoly.geometry import BranchWord, all_branch_values, branch_composition, leftmost_length
-from cantorpoly.jacobi import DiscreteMeasure, JacobiMatrix, opoly_eval
-from cantorpoly.spacing import _TIE_CUSHION, _scales_ok
+from cantorpoly.geometry import (
+    BranchWord,
+    GammaSequence,
+    Interval,
+    _as_fraction,
+    _as_word,
+    all_branch_values,
+    branch_composition,
+    leftmost_length,
+    level_intervals,
+)
+from cantorpoly.jacobi import JacobiMatrix
+from cantorpoly.spacing import (
+    _TIE_CUSHION,
+    ReportEntry,
+    _points,
+    _scales_ok,
+    _second_gap,
+    min_spacing,
+    set_distance,
+)
 
 _EPS = np.finfo(float).eps
 _LANCZOS_BREAKDOWN = 256.0 * _EPS
@@ -89,6 +115,78 @@ def evaluate_F(fam: MapFamily, n: int, z):
         if not np.all(np.isfinite(v)):
             raise RangeOverflowError(f"F_{k} overflowed at z = {z!r}")
     return v
+
+
+# ---------------------------------------------------------------------------
+# discrete measures, Gauss rules and polynomial evaluation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DiscreteMeasure:
+    """Finite probability measure: sorted nodes with positive weights."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        if nodes.ndim != 1 or nodes.shape != weights.shape:
+            raise DomainError("nodes and weights must be 1-d arrays of equal length")
+        if nodes.size > 1 and not np.all(np.diff(nodes) > 0):
+            raise DomainError("nodes must be strictly increasing")
+        if np.any(weights <= 0):
+            raise DomainError("weights must be positive")
+        if abs(float(weights.sum()) - 1.0) > 1e-12:
+            raise DomainError("weights must sum to 1 within 1e-12")
+
+    @property
+    def mass(self) -> float:
+        return float(self.weights.sum())
+
+    def __len__(self):
+        return self.nodes.size
+
+
+def gauss_measure(J: JacobiMatrix, r: int) -> DiscreteMeasure:
+    """The r-point Gauss rule of the measure represented by J.
+
+    One LAPACK symmetric eigensolve of the r-by-r Jacobi truncation, for
+    any diagonal, gives both: the nodes are its eigenvalues, the zeros of
+    P_r, and the weights follow Golub and Welsch (Math. Comp. 23, 1969):
+    each is the squared first component of the corresponding normalized
+    eigenvector. The rule integrates any polynomial of degree <= 2r - 1
+    exactly against the moment functional of J.
+    """
+    if not 1 <= r <= J.b.size:
+        raise DomainError(f"rule size {r} exceeds the {J.b.size} coefficients")
+    if r == 1:
+        return DiscreteMeasure(np.array([J.b[0]]), np.array([1.0]))
+    # eigh reads the lower triangle only
+    nodes, vecs = np.linalg.eigh(np.diag(J.b[:r]) + np.diag(J.a[: r - 1], -1))
+    w = vecs[0] ** 2
+    total = float(w.sum())
+    if not np.all(w > 0) or abs(total - 1.0) > 1e-8:
+        raise ConvergenceError(
+            f"eigenvector first components give unusable weights (sum {total})"
+        )
+    return DiscreteMeasure(nodes, w / total)
+
+
+def opoly_eval(J: JacobiMatrix, n: int, x):
+    """Monic P_n(x) by the three-term recurrence; accepts scalars or arrays."""
+    if not 0 <= n <= J.b.size:
+        raise DomainError(f"degree {n} exceeds the {J.b.size} coefficients")
+    p_prev = np.zeros_like(np.asarray(x, dtype=float))
+    p = np.ones_like(p_prev)
+    for k in range(n):
+        asq = J.a[k - 1] ** 2 if k > 0 else 0.0
+        p, p_prev = (x - J.b[k]) * p - asq * p_prev, p
+    if np.ndim(x) == 0:
+        return float(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +280,41 @@ def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# branch values, basic intervals and gaps, one at a time
+# ---------------------------------------------------------------------------
+
+def branch_value(gamma: GammaSequence, word, t, mode: str = "auto"):
+    """Value of the composed inverse branch addressed by ``word`` at t.
+
+    t ranges over [-1, 1]; the innermost substitution is
+    t_inner = gamma_n * (1 - t) / 2, formed exactly.
+    """
+    w = _as_word(word)
+    if not -1.0 <= t <= 1.0:
+        raise DomainError(f"branch parameter {t} outside [-1, 1]")
+    t_inner = gamma.value(len(w)) * (1 - _as_fraction(t)) / 2
+    return branch_composition(gamma, w, t_inner, mode)
+
+
+def basic_interval(gamma: GammaSequence, word, mode: str = "auto") -> Interval:
+    """The level-n basic interval addressed by a word of length n."""
+    a = branch_value(gamma, word, 1.0, mode)
+    b = branch_value(gamma, word, -1.0, mode)
+    return Interval(a, b) if a < b else Interval(b, a)
+
+
+def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
+    """The 2^n open gaps removed inside the level-n parents.
+
+    Derived from the level-(n+1) intervals rather than stored; entries are
+    (lo, hi) pairs and may be degenerate (lo == hi) in the boundary case
+    gamma_k = 1/4.
+    """
+    ivs = level_intervals(gamma, n + 1, mode)
+    return [(ivs[2 * j].hi, ivs[2 * j + 1].lo) for j in range(2 ** n)]
+
+
+# ---------------------------------------------------------------------------
 # the branch lemma, one word at a time
 # ---------------------------------------------------------------------------
 
@@ -215,3 +348,57 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
         "delta_next": d_next,
         "ok": sep_ok and _scales_ok(chain, l_next, d_next),
     }
+
+
+# ---------------------------------------------------------------------------
+# the checks on one pair or triple of zero sets
+# ---------------------------------------------------------------------------
+
+def interlacing_at_most_one(small, big) -> bool:
+    """True when the smaller-degree zeros sit one per bin of the larger set.
+
+    Checks both requirements: the small zeros lie strictly between the
+    extreme large zeros, and no two of them share a closed interval of
+    consecutive large zeros.
+    """
+    zs = _points(small)
+    zr = _points(big)
+    if zs[0] <= zr[0] or zs[-1] >= zr[-1]:
+        return False
+    bins = np.searchsorted(zr, zs)
+    return bool(np.all(np.diff(bins) >= 1))
+
+
+def verify_interlacing_bound(zl: ZeroSet, zm: ZeroSet, zn: ZeroSet) -> ReportEntry:
+    """d(Z_l, Z_m) <= M_n for the zero sets of degrees l > m > n > 1."""
+    l, m, n = zl.degree, zm.degree, zn.degree
+    if not l > m > n > 1:
+        raise DomainError(f"need l > m > n > 1, got {(l, m, n)}")
+    lhs = set_distance(zl, zm)
+    rhs = min_spacing(zn)
+    return ReportEntry(
+        check="interlacing_distance_bound",
+        passed=lhs <= rhs,
+        lhs=lhs,
+        rhs=rhs,
+        detail={"l": l, "m": m, "n": n},
+    )
+
+
+def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
+    """M_r <= min second-neighbour gap of the degree-n zeros.
+
+    Indices 0 and n+1 denote the support endpoints 0 and 1.
+    """
+    r, n = zr.degree, zn.degree
+    if not (r > 1 and r >= n >= 1):
+        raise DomainError(f"need r > 1 and r >= n >= 1, got {(r, n)}")
+    rhs = _second_gap(zn)
+    lhs = min_spacing(zr)
+    return ReportEntry(
+        check="second_neighbor_bound",
+        passed=lhs <= rhs,
+        lhs=lhs,
+        rhs=rhs,
+        detail={"r": r, "n": n},
+    )

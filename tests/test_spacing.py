@@ -18,7 +18,8 @@ from cantorpoly.geometry import branch_value_table
 from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
-from reference import branch_separation_chain
+from reference import (branch_separation_chain, interlacing_at_most_one, verify_interlacing_bound,
+                       verify_second_neighbor_bound)
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -70,23 +71,23 @@ class TestSetDistance:
 class TestInterlacing:
     def test_detects_good_and_bad(self):
         big = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-        assert cp.interlacing_at_most_one(np.array([0.2, 0.6]), big)
-        assert not cp.interlacing_at_most_one(np.array([0.35, 0.45]), big)
-        assert not cp.interlacing_at_most_one(np.array([0.05, 0.5]), big)
+        assert interlacing_at_most_one(np.array([0.2, 0.6]), big)
+        assert not interlacing_at_most_one(np.array([0.35, 0.45]), big)
+        assert not interlacing_at_most_one(np.array([0.05, 0.5]), big)
 
     def test_consecutive_degrees(self, jacobi_sixth_small):
         for r in range(3, 17):
             zr = cp.eigen_zeros(jacobi_sixth_small, r)
             for s in range(2, r):
                 zs = cp.eigen_zeros(jacobi_sixth_small, s)
-                assert cp.interlacing_at_most_one(zs, zr)
+                assert interlacing_at_most_one(zs, zr)
 
 
 def _per_pair_violations(sets):
     """The reference: interlacing_at_most_one on every (s, r), r then s."""
     keys = sorted(sets)
     return [(s, r) for r in keys for s in keys
-            if s < r and not cp.interlacing_at_most_one(sets[s], sets[r])]
+            if s < r and not interlacing_at_most_one(sets[s], sets[r])]
 
 
 def _extended(values):
@@ -215,16 +216,11 @@ def _lemma(fam, n, ts=spacing._LEMMA_TS):
     return cp.verify_branch_lemma(fam, table, cp.exact_zeros(fam, n), cp.critical_set(fam, n))
 
 
-def _critical_bound(fam, k, k_prime):
-    return cp.verify_critical_bound(cp.exact_zeros(fam, 1 + k), cp.critical_set(fam, 1 + k),
-                                    cp.exact_zeros(fam, 1 + k_prime))
-
-
 class TestVerifyOps:
     def test_interlacing_bound_chebyshev(self, jacobi_quarter_small):
         J = jacobi_quarter_small
-        entry = cp.verify_interlacing_bound(cp.eigen_zeros(J, 8), cp.eigen_zeros(J, 4),
-                                            cp.eigen_zeros(J, 2))
+        entry = verify_interlacing_bound(cp.eigen_zeros(J, 8), cp.eigen_zeros(J, 4),
+                                         cp.eigen_zeros(J, 2))
         assert entry.passed
         assert entry.detail == {"l": 8, "m": 4, "n": 2}
         # both sides from cosine closed forms
@@ -235,26 +231,18 @@ class TestVerifyOps:
 
     def test_interlacing_bound_small_degrees(self, jacobi_sixth_small):
         z = {n: cp.eigen_zeros(jacobi_sixth_small, n) for n in (2, 3, 4)}
-        assert cp.verify_interlacing_bound(z[4], z[3], z[2]).passed
+        assert verify_interlacing_bound(z[4], z[3], z[2]).passed
 
     def test_interlacing_bound_preconditions(self, jacobi_sixth_small):
         z = {n: cp.eigen_zeros(jacobi_sixth_small, n) for n in (1, 2, 3, 4)}
         with pytest.raises(DomainError):
-            cp.verify_interlacing_bound(z[4], z[4], z[2])
+            verify_interlacing_bound(z[4], z[4], z[2])
         with pytest.raises(DomainError):
-            cp.verify_interlacing_bound(z[4], z[3], z[1])
-
-    def test_critical_bound(self, fam_quarter, fam_sixth):
-        e = _critical_bound(fam_quarter, 1, 0)
-        assert e.passed
-        assert e.detail == {"k": 1, "k_prime": 0, "degree": 4, "degree_prime": 2}
-        assert _critical_bound(fam_sixth, 2, 0).passed
-        with pytest.raises(DomainError):
-            _critical_bound(fam_quarter, 1, 1)
+            verify_interlacing_bound(z[4], z[3], z[1])
 
     def test_second_neighbor_bound(self, jacobi_quarter_small, jacobi_sixth_small):
         def bound(J, r, n):
-            return cp.verify_second_neighbor_bound(cp.eigen_zeros(J, r), cp.eigen_zeros(J, n))
+            return verify_second_neighbor_bound(cp.eigen_zeros(J, r), cp.eigen_zeros(J, n))
 
         trivial = bound(jacobi_sixth_small, 8, 8)
         assert trivial.passed
@@ -267,10 +255,7 @@ class TestVerifyOps:
         z = {m: cp.exact_zeros(fam_sixth, m) for m in (1, 3)}
         y = {m: cp.critical_set(fam_sixth, m) for m in (2, 3)}
         table = branch_value_table(fam_sixth.gamma, 3, spacing._LEMMA_TS, "dd")
-        assert cp.verify_critical_bound(z[3], y[3], z[1]).passed
         assert cp.verify_branch_lemma(fam_sixth, table, z[3], y[3]).passed
-        with pytest.raises(DomainError, match="critical set of level 2"):
-            cp.verify_critical_bound(z[3], y[2], z[1])
         with pytest.raises(DomainError, match="critical set of level 2"):
             cp.verify_branch_lemma(fam_sixth, table, z[3], y[2])
         with pytest.raises(DomainError, match="branch table"):
@@ -280,7 +265,7 @@ class TestVerifyOps:
         # an eigensolved set of a non-dyadic degree has no level
         odd = cp.eigen_zeros(cp.jacobi_for_gamma(fam_sixth, 8), 7)
         with pytest.raises(DomainError, match="not a dyadic degree"):
-            cp.verify_critical_bound(odd, y[3], z[1])
+            cp.verify_branch_lemma(fam_sixth, table, odd, y[3])
 
     def test_branch_chain_equality_case(self, fam_sixth):
         # all-L word at the inner endpoint 0 attains the chain value exactly
@@ -348,12 +333,13 @@ def _distance_cases(top, lhs_rhs):
 
 def _second_neighbor_cases(z, n_max):
     return (((r, n), e.lhs, e.rhs) for r in range(2, n_max + 1) for n in range(2, r + 1)
-            for e in [cp.verify_second_neighbor_bound(z[r], z[n])])
+            for e in [verify_second_neighbor_bound(z[r], z[n])])
 
 
 class TestChecksOnPublicSets:
-    """full_verification's entries are the public checks on the sets that
-    the public producers build, one degree or level at a time."""
+    """full_verification's entries are the branch lemma and the reference
+    checks of tests/reference.py on the sets that the public producers
+    build, one degree or level at a time."""
 
     @pytest.mark.parametrize("desc", ["constant:1/6", "periodic:1/6,1/5"])
     def test_entries_match_public_checks(self, desc):
@@ -367,7 +353,6 @@ class TestChecksOnPublicSets:
             "interlacing_distance_bound": lambda d: _every_case_entry(
                 "interlacing_distance_bound", 64,
                 _distance_cases(64, lambda l, m, n: (dist[l, m], cp.min_spacing(z[n])))),
-            "critical_distance_bound": lambda d: _critical_bound(fam, d["k"], d["k_prime"]),
             "second_neighbor_bound": lambda d: _every_case_entry(
                 "second_neighbor_bound", 64, _second_neighbor_cases(z, 64)),
             "branch_separation_chain": lambda d: _lemma(fam, d["n"]),
@@ -377,8 +362,8 @@ class TestChecksOnPublicSets:
             if entry.check in want:
                 assert entry == want[entry.check](entry.detail), entry
                 checked[entry.check] += 1
-        assert checked == {"interlacing_distance_bound": 1, "critical_distance_bound": 15,
-                           "second_neighbor_bound": 1, "branch_separation_chain": 8}
+        assert checked == {"interlacing_distance_bound": 1, "second_neighbor_bound": 1,
+                           "branch_separation_chain": 8}
         assert result.spacing.rows == cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6)).rows
         interlacing = next(e for e in result.entries if e.check == "interlacing_at_most_one")
         assert interlacing.lhs == len(_per_pair_violations(z)) == 0
@@ -393,7 +378,7 @@ class TestChecksOnPublicSets:
         z = {n: cp.eigen_zeros(J, n) for n in range(2, 25)}
 
         def triple(l, m, n):
-            e = cp.verify_interlacing_bound(z[l], z[m], z[n])
+            e = verify_interlacing_bound(z[l], z[m], z[n])
             return e.lhs, e.rhs
 
         want = _every_case_entry("interlacing_distance_bound", 24, _distance_cases(24, triple))
@@ -612,7 +597,7 @@ class TestFullVerification:
         assert result.passed
         checks = {e.check for e in result.entries}
         assert "interlacing_distance_bound" in checks
-        assert "critical_distance_bound" in checks
+        assert "critical_distance_bound" not in checks
         assert "second_neighbor_bound" in checks
         assert "branch_separation_chain" in checks
         assert "interlacing_at_most_one" in checks
