@@ -7,15 +7,11 @@ from .exact import (
     CriticalSet,
     MapFamily,
     ZeroSet,
-    critical_set,
     exact_zeros,
     monic_opoly_exact,
 )
 from .geometry import (
-    BranchWord,
     GammaSequence,
-    Interval,
-    branch_composition,
     leftmost_length,
     level_intervals,
     u_map,
@@ -23,7 +19,6 @@ from .geometry import (
 from .jacobi import (
     JacobiMatrix,
     eigen_zero_sets,
-    eigen_zeros,
     jacobi_for_gamma,
 )
 from .spacing import (
@@ -37,22 +32,17 @@ from .spacing import (
 )
 
 __all__ = [
-    "BranchWord",
     "ConvergenceError",
     "CriticalSet",
     "DomainError",
     "GammaSequence",
-    "Interval",
     "JacobiMatrix",
     "MapFamily",
     "RangeOverflowError",
     "ReportEntry",
     "SpacingReport",
     "ZeroSet",
-    "branch_composition",
-    "critical_set",
     "eigen_zero_sets",
-    "eigen_zeros",
     "exact_zeros",
     "full_verification",
     "jacobi_for_gamma",

@@ -36,7 +36,7 @@ from .exact import (
     exact_zero_ladder,
     monic_opoly_exact,
 )
-from .geometry import GammaSequence, _as_fraction, level_intervals, scale_rows
+from .geometry import GammaSequence, _as_fraction, _interval_ladder, scale_rows
 from .jacobi import jacobi_for_gamma
 from .serialize import atomic_write_text, render, write_csv, write_json
 from .spacing import full_verification
@@ -156,9 +156,9 @@ def _run_meta(cfg: RunConfig) -> dict:
 def cmd_geometry(cfg: RunConfig) -> int:
     gamma = cfg.gamma_sequence()
     out = Path(cfg.out)
-    rows = [(level, index, iv.lo, iv.hi)
-            for level in range(cfg.levels + 1)
-            for index, iv in enumerate(level_intervals(gamma, level), start=1)]
+    rows = [(level, index, lo, hi)
+            for level, ivs in enumerate(_interval_ladder(gamma, cfg.levels))
+            for index, (lo, hi) in enumerate(ivs, start=1)]
     # level 0 always has its one interval, so the transpose has four columns
     write_csv(out / "intervals.csv", ["level", "index", "lo", "hi"], list(zip(*rows)))
     write_csv(out / "scales.csv", ["s", "delta_s", "l_1s", "ratio"],

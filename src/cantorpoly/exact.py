@@ -11,11 +11,10 @@ is the leading coefficient of F_m. Zeros and critical points at dyadic
 degrees come from closed-form inverse-branch compositions; no root
 finding is involved. Dyadic zero sets come from exact_zeros, or for
 levels 1..top together from exact_zero_ladder, which runs one branch
-ladder; the branch values fall in increasing order by a fixed Gray-code
-permutation of the words, which the sets' strict-increase check
-confirms. branch_order makes that placement, also for several parameters
-per word, as the eigensolver's pullbacks have. In extended precision
-their values are Decimals, and points is the double view of them.
+ladder. geometry.branch_order places the branch values in increasing
+order by a fixed Gray-code permutation of the words, and the sets'
+strict-increase check confirms it. In extended precision their values
+are Decimals, and points is the double view of them.
 
 The critical points of F_n are 1/2 together with the zeros of F_1, ...,
 F_{n-1}, and Rolle's theorem interlaces them: the point at 1-based
@@ -37,7 +36,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 import numpy as np
 
 from .errors import DomainError, RangeOverflowError
-from .geometry import GammaSequence, all_branch_values, branch_value_ladder
+from .geometry import GammaSequence, all_branch_values, branch_order, branch_value_ladder
 
 _ZERO_PROVENANCES = ("exact-branch", "eigensolve")
 # Decimal subtraction is exact here; entered only around differences
@@ -218,24 +217,6 @@ def monic_opoly_exact(fam: MapFamily, m: int, z):
     return p
 
 
-def branch_order(table: np.ndarray) -> np.ndarray:
-    """The values of a branch table in increasing order, placed, not sorted.
-
-    table has one row per word of one level, in word-bit order, and one
-    column per parameter t, ascending. Each letter R reverses the order of
-    the values inside it, so the increasing order visits the words in
-    reflected Gray code order, word i ^ (i >> 1) at position i. The count of
-    letters R in that word has the parity of i, and the all-L branch
-    decreases in t, so the words at even positions place their values in
-    descending t and the others in ascending t. A set's strict-increase check
-    confirms the order instead of a sort making it.
-    """
-    i = np.arange(table.shape[0])
-    rows = table[i ^ (i >> 1)]
-    rows[0::2] = rows[0::2, ::-1]
-    return rows.reshape(-1)
-
-
 def _zero_set(m: int, table: np.ndarray) -> ZeroSet:
     """The zero set of level m from its branch table at t = 0 alone."""
     return ZeroSet(degree=2 ** m, values=branch_order(table), provenance="exact-branch")
@@ -283,16 +264,3 @@ def critical_levels(fam: MapFamily, n: int, zero_sets=None, mode: str = "auto") 
     j = max((k for k in range(1, n) if gamma.precision(k, mode) != deepest), default=0)
     redone = exact_zero_ladder(fam, j, mode, depth=n - 1) if j else []
     return redone + list(zero_sets)[j:]
-
-
-def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
-    """Critical points of F_n: {1/2} together with all shallower zero sets.
-
-    The chain rule factors F_n' over f_1' (vanishing at 1/2) and
-    f_k'(F_{k-1}) for k = 2..n, whose zeros are the zeros of F_{k-1};
-    the union has exactly 2^n - 1 points and misses the level-n set.
-    Every level is computed in level n - 1's precision.
-    """
-    if n < 1:
-        raise DomainError("level must be >= 1")
-    return CriticalSet.from_zero_sets(critical_levels(fam, n, mode=mode))

@@ -1,7 +1,8 @@
 """Geometry of the quadratically generated Cantor sets.
 
-The level-n pre-Cantor set is a disjoint union of 2^n basic intervals,
-each addressed by a word over {L, R}. All interval endpoints and branch
+The level-n pre-Cantor set is a union of 2^n basic intervals, each
+addressed by a word over {L, R}: letter k selects the branch of level k,
+L the kernel u and R its reflection 1 - u. All interval endpoints and branch
 values factor through the elementary kernel
 
     u(t) = 1/2 - (1/2) * sqrt(1 - 4t),      0 <= t <= 1/4,
@@ -22,6 +23,11 @@ of levels 1..top from one run of that pass: when gamma repeats with
 period p and level n works in the precision of level n - p, level n
 continues level n - p's doubling by p steps instead of restarting, so
 the levels together cost about as much as the deepest one alone.
+branch_order places a table's values in increasing order by a fixed
+Gray-code permutation of the words. The basic intervals of a level are
+its table at t = -1 and 1 in that order, as [lo, hi] rows, and the
+leftmost length l_{1,s} is the all-L branch at t = -1, pulled alone:
+the doubling pass is the one branch evaluator.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import product as _alphabet_product
-from typing import Iterator, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -262,76 +267,7 @@ def _fraction_str(v: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# branch words and intervals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchWord:
-    """A word over {L, R}; letter k selects the branch used at level k.
-
-    L stands for the increasing kernel u, R for its reflection 1 - u.
-    A word of length n addresses exactly one level-n basic interval; the
-    all-L word addresses the leftmost one.
-    """
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
-            raise DomainError("branch word must be nonempty")
-        if any(c not in "LR" for c in self.letters):
-            raise DomainError(f"branch word {self.letters!r} has letters outside L/R")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    @classmethod
-    def leftmost(cls, n: int) -> "BranchWord":
-        return cls("L" * n)
-
-    @staticmethod
-    def all_words(n: int) -> Iterator["BranchWord"]:
-        for combo in _alphabet_product("LR", repeat=n):
-            yield BranchWord("".join(combo))
-
-
-def _as_word(word) -> BranchWord:
-    if isinstance(word, BranchWord):
-        return word
-    if isinstance(word, str):
-        return BranchWord(word)
-    if isinstance(word, Sequence):
-        return BranchWord("".join(word))
-    raise DomainError(f"cannot interpret {word!r} as a branch word")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with positive length."""
-
-    lo: Scalar
-    hi: Scalar
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"degenerate interval [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> Scalar:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-
-# ---------------------------------------------------------------------------
-# kernel and branch compositions
+# the kernel and the doubling table
 # ---------------------------------------------------------------------------
 
 def u_map(t):
@@ -341,18 +277,9 @@ def u_map(t):
     to 1/2 - sqrt(1 - 4t)/2 but free of cancellation near t = 1/4.
     Decimals (np.sqrt calls Decimal.sqrt) run in the active context.
     """
-    _check_unit_quarter(t)
+    if np.any(np.asarray(t) < 0) or np.any(np.asarray(t) > 0.25):
+        raise DomainError("u argument outside [0, 1/4]")
     return 2 * t / (1 + np.sqrt(1 - 4 * t))
-
-
-def _check_unit_quarter(t):
-    if isinstance(t, (float, int, Decimal)):
-        if t < 0.0 or t > 0.25:
-            raise DomainError(f"u argument {t} outside [0, 1/4]")
-    else:
-        t = np.asarray(t)
-        if np.any(t < 0.0) or np.any(t > 0.25):
-            raise DomainError("u argument outside [0, 1/4]")
 
 
 def _pull(g: Fraction, v, reflected: bool, mode: str):
@@ -369,23 +296,6 @@ def _pull(g: Fraction, v, reflected: bool, mode: str):
     if reflected:
         return two_g * (1 - v) / (1 + np.sqrt(as_decimal(1 - 4 * g) + four_g * v))
     return two_g * v / (1 + np.sqrt(1 - four_g * v))
-
-
-def branch_composition(gamma: GammaSequence, word, t_inner, mode: str = "auto"):
-    """Evaluate g_1(gamma_1 * g_2(... gamma_{n-1} * g_n(t_inner))).
-
-    Each g_k is u (letter L) or 1 - u (letter R); t_inner must lie in
-    [0, gamma_n]. This is the common core of branch values, interval
-    endpoints, and the separation quantities built from them.
-    """
-    w = _as_word(word)
-    n = len(w)
-    mode = gamma.resolve_mode(n, mode)
-    with localcontext(gamma.context(n)):
-        v = u_map(_scalar(t_inner, mode))
-        for k in range(n - 1, 0, -1):
-            v = _pull(gamma.value(k), v, w.letters[k] == "R", mode)
-        return 1 - v if w.letters[0] == "R" else v
 
 
 def _check_ts(ts) -> tuple:
@@ -491,22 +401,57 @@ def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"
     return x.tolist() if x.dtype == object else x
 
 
-def level_intervals(gamma: GammaSequence, n: int, mode: str = "auto") -> list[Interval]:
-    """All 2^n level-n basic intervals, sorted left to right."""
-    if n == 0:
-        return [Interval(0.0, 1.0)]
-    ends = branch_value_table(gamma, n, (1.0, -1.0), mode)
-    ivs = [Interval(a, b) if a < b else Interval(b, a) for a, b in ends]
-    ivs.sort(key=lambda iv: iv.lo)
+def branch_order(table: np.ndarray) -> np.ndarray:
+    """The values of a branch table in increasing order, placed, not sorted.
+
+    table has one row per word of one level, in word-bit order, and one
+    column per parameter t, ascending. Each letter R reverses the order of
+    the values inside it, so the increasing order visits the words in
+    reflected Gray code order, word i ^ (i >> 1) at position i. The count of
+    letters R in that word has the parity of i, and the all-L branch
+    decreases in t, so the words at even positions place their values in
+    descending t and the others in ascending t. A set's strict-increase check
+    confirms the order instead of a sort making it.
+    """
+    i = np.arange(table.shape[0])
+    rows = table[i ^ (i >> 1)]
+    rows[0::2] = rows[0::2, ::-1]
+    return rows.reshape(-1)
+
+
+_INTERVAL_ENDS = (-1.0, 1.0)
+
+
+def _interval_rows(table: np.ndarray) -> np.ndarray:
+    """The basic intervals of one level from its table at _INTERVAL_ENDS,
+    as [lo, hi] rows left to right: placed by branch_order, then confirmed.
+    Each interval must have positive length, and may touch the next one
+    (where gamma_k = 1/4) but not overlap it."""
+    ivs = branch_order(table).reshape(-1, 2)
+    if not ((ivs[:, 0] < ivs[:, 1]).all() and (ivs[:-1, 1] <= ivs[1:, 0]).all()):
+        raise DomainError(f"{len(ivs)} basic intervals: one is empty or out of order")
     return ivs
+
+
+def level_intervals(gamma: GammaSequence, n: int, mode: str = "auto") -> np.ndarray:
+    """All 2^n level-n basic intervals, left to right, as a (2^n, 2) array
+    of [lo, hi] rows; an object array of Decimals if extended."""
+    if n == 0:
+        return np.array([[0.0, 1.0]])
+    return _interval_rows(branch_value_table(gamma, n, _INTERVAL_ENDS, mode))
+
+
+def _interval_ladder(gamma: GammaSequence, top: int) -> list[np.ndarray]:
+    """level_intervals(gamma, n) for n = 0..top, levels 1..top from one
+    branch_value_ladder."""
+    tables = branch_value_ladder(gamma, top, _INTERVAL_ENDS)
+    return [level_intervals(gamma, 0)] + [_interval_rows(table) for table in tables]
 
 
 def largest_gap(gamma: GammaSequence, n: int) -> float:
     """Length of the widest gap of the level-n set."""
-    ivs = level_intervals(gamma, n)
-    if len(ivs) == 1:
-        return 0.0
-    return max(float(ivs[i + 1].lo) - float(ivs[i].hi) for i in range(len(ivs) - 1))
+    ivs = level_intervals(gamma, n).astype(float)
+    return float(np.max(ivs[1:, 0] - ivs[:-1, 1], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +461,19 @@ def largest_gap(gamma: GammaSequence, n: int) -> float:
 def leftmost_length(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
     """Length of the leftmost level-s basic interval (1 for s = 0).
 
-    Equals the fully nested kernel value u(gamma_1 * u(... * u(gamma_s)))
-    and satisfies delta_s <= l <= (pi^2/4) delta_s.
+    Equals the fully nested kernel value u(gamma_1 * u(... * u(gamma_s))),
+    the all-L branch at t = -1, and satisfies delta_s <= l <= (pi^2/4) delta_s.
     """
     if s < 0:
         raise DomainError("level must be >= 0")
+    mode = gamma.resolve_mode(s, mode)
     if s == 0:
-        return Decimal(1) if gamma.resolve_mode(s, mode) == "dd" else 1.0
-    return branch_composition(gamma, BranchWord.leftmost(s), gamma.value(s), mode)
+        return Decimal(1) if mode == "dd" else 1.0
+    with localcontext(gamma.context(s)):
+        v = u_map(_scalar(gamma.value(s), mode))
+        for k in range(s - 1, 0, -1):
+            v = _pull(gamma.value(k), v, False, mode)
+        return v
 
 
 def scale_rows(gamma: GammaSequence, s_max: int, mode: str = "auto") -> list[tuple]:

@@ -47,8 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeOverflowError
-from .exact import MapFamily, ZeroSet, branch_order
-from .geometry import GammaSequence, _level_table, extended_context
+from .exact import MapFamily, ZeroSet
+from .geometry import GammaSequence, _level_table, branch_order, extended_context
 from .serialize import csv_text
 
 _EPS = np.finfo(float).eps
@@ -544,14 +544,3 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
         else:
             out[n] = ZeroSet(degree=n, values=vals, provenance="eigensolve", gaps=gaps)
     return out
-
-
-def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
-    """Zeros of P_n as eigenvalues of the n-by-n Jacobi truncation.
-
-    The one-degree call of ``eigen_zero_sets``: a constant diagonal, one
-    dqds solve at half size of the degree's own level of the tower,
-    ascending, escalated to decimal Sturm-count bisection where consecutive
-    zeros come out closer than 1e3 * eps * Gershgorin width.
-    """
-    return eigen_zero_sets(J, (n,))[n]

