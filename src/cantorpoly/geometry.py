@@ -401,7 +401,15 @@ def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"
     return x.tolist() if x.dtype == object else x
 
 
-def branch_order(table: np.ndarray) -> np.ndarray:
+def _runs(sizes) -> np.ndarray:
+    """The index of every element inside its run, for runs of the given sizes end to end."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    index = np.arange(ends[-1] if ends.size else 0)
+    index -= np.repeat(ends - sizes, sizes)
+    return index
+
+
+def branch_order(table: np.ndarray, widths=None) -> np.ndarray:
     """The values of a branch table in increasing order, placed, not sorted.
 
     table has one row per word of one level, in word-bit order, and one
@@ -411,12 +419,18 @@ def branch_order(table: np.ndarray) -> np.ndarray:
     letters R in that word has the parity of i, and the all-L branch
     decreases in t, so the words at even positions place their values in
     descending t and the others in ascending t. A set's strict-increase check
-    confirms the order instead of a sort making it.
+    confirms the order instead of a sort making it. With widths, the columns
+    are groups of those widths, left to right, each placed as a table of its
+    own, and the groups' values follow one another: one gather for all.
     """
-    i = np.arange(table.shape[0])
-    rows = table[i ^ (i >> 1)]
-    rows[0::2] = rows[0::2, ::-1]
-    return rows.reshape(-1)
+    w = np.asarray([table.shape[1]] if widths is None else widths, dtype=np.int64)
+    sizes = w * table.shape[0]
+    m = np.repeat(w, sizes)
+    i, r = np.divmod(_runs(sizes), m)
+    np.subtract(m - 1, r, out=r, where=i % 2 == 0)  # in place: these are as long as the table
+    r += np.repeat(np.cumsum(w) - w, sizes)
+    i ^= i >> 1
+    return table[i, r]
 
 
 _INTERVAL_ENDS = (-1.0, 1.0)

@@ -18,28 +18,31 @@ mapping tower shrinks the even degrees: P_{2^j m} is the degree-m
 polynomial of level j + 1 composed with F_j, so degree 2^j m, m odd,
 solves the level-(j+1) truncation of size m, whose eigenvalues the
 branches of F_j pull back, and a dyadic degree solves nothing. Each
-level's two diagonals are split off once per call, and
-each degree hands their leading entries to LAPACK's dqds (``dlasq1``),
-which finds every singular value to high relative accuracy in O(m^2).
-numpy does not wrap ``dlasq1``; it is looked up once, at import, in the
-LAPACK that numpy's linalg extension links (the scipy-openblas of
-numpy's wheels). Where that LAPACK lacks it, the bidiagonal of each
-degree is assembled densely for ``numpy.linalg.svd``. These solves
-release the interpreter lock, so a batch large enough to repay the
-hand-offs is split across threads, one per CPU of the process's
-affinity mask; dlasq1 is reentrant, and the zeros do not depend on the
-number of threads. Only when neighbouring zeros approach the
-double-precision resolution limit is the solve escalated to a
-Sturm-count bisection of the full level-1 matrix in 34-digit
-``decimal`` arithmetic; the zero set of that degree
-then holds the Decimal values, and its points are their double view.
+level's two diagonals are split off once per call, and each degree
+hands their leading entries to LAPACK's dqds (``dlasq1``), which finds
+every singular value to high relative accuracy in O(m^2). numpy does
+not wrap ``dlasq1``; it is looked up once, at import, in the LAPACK
+that numpy's linalg extension links (the scipy-openblas of numpy's
+wheels). Where that LAPACK lacks it, the bidiagonal of each degree is
+assembled densely for ``numpy.linalg.svd``. These solves release the
+interpreter lock, so a batch large enough to repay the hand-offs is
+split across threads, one per CPU of the process's affinity mask;
+dlasq1 is reentrant, and the zeros do not depend on the number of
+threads. The zeros of every degree of a call form one flat table
+(``_zero_table``), built, checked and reduced as whole arrays. Only
+when neighbouring zeros approach the double-precision resolution limit
+is a degree escalated to a Sturm-count bisection of the full level-1
+matrix in 34-digit ``decimal``; its zero set, kept beside the table,
+holds the Decimal values, and the table their double view.
 """
 
 from __future__ import annotations
 
 import ctypes
+import numbers
 import os
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
@@ -47,8 +50,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeOverflowError
-from .exact import MapFamily, ZeroSet
-from .geometry import GammaSequence, _level_table, branch_order, extended_context
+from .exact import MapFamily, ZeroSet, min_gap_with_index
+from .geometry import GammaSequence, _level_table, _runs, branch_order, extended_context
 from .serialize import csv_text
 
 _EPS = np.finfo(float).eps
@@ -59,7 +62,6 @@ _UNFOLD_MAX_DIGITS = 1600  # up to this cap
 _THREAD_WORK = 1 << 16  # sum of (m//2)^2 from which a batch's dqds calls are threaded
 _CALL_WORK = 128  # the fixed cost of one dqds call, in units of (m//2)^2
 _DOUBLE = ("double", 0)  # the precision of a pullback: the eigenvalues are doubles
-_NO_SIGMA = np.empty(0)  # the singular values of a degree that solves nothing (m = 1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,8 @@ class _HalfSizeSolver:
         return other
 
     def sigma(self, n: int, degree: int | None = None) -> np.ndarray:
-        """The n//2 singular values of B_n, descending; an error names degree, n by default."""
+        """The n//2 singular values of B_n, descending, valid until the next call; errors name
+        degree (n by default)."""
         if not 2 <= n <= self.n_max:
             raise DomainError(f"degree {n} outside 2..{self.n_max} of this bidiagonal")
         m = n // 2
@@ -295,18 +298,7 @@ class _HalfSizeSolver:
         dlasq1(*self.args)
         if self.io[1]:
             raise ConvergenceError(f"dlasq1 returned INFO = {self.io[1]} at degree {degree or n}")
-        return buf[:m].copy()  # for odd n, drops the appended 0, the smallest
-
-
-def _spectrum(d0: float, sigma: np.ndarray, n: int) -> np.ndarray:
-    """The eigenvalues of J_n, ascending, from the descending singular values sigma of B_n:
-    d0 - sigma, then d0 itself for odd n, then d0 + sigma, written into one array."""
-    out = np.empty(n)
-    k = sigma.size
-    np.subtract(d0, sigma, out=out[:k])
-    out[k : n - k] = d0
-    np.add(d0, sigma[::-1], out=out[n - k :])
-    return out
+        return buf[:m]  # for odd n, drops the appended 0, the smallest
 
 
 def _tower_step(J: JacobiMatrix, n: int) -> tuple[int, int]:
@@ -324,35 +316,6 @@ def _tower_step(J: JacobiMatrix, n: int) -> tuple[int, int]:
     return j, n >> j
 
 
-def _zeros_from(J: JacobiMatrix, steps: dict, sigmas: dict) -> dict:
-    """The zeros of every degree n, ascending, from the singular values sigmas[n] of
-    T^(j+1)_m, (j, m) = steps[n]; or the exception the solve of n raised.
-
-    At level 1 (j = 0) they are b_1 -+ sigma. Above it the m eigenvalues t
-    of T^(j+1)_m, -sigma, 0 for odd m and sigma, each in [-1, 1], are
-    pulled back through f_j, ..., f_1, and the values are placed by
-    branch_order instead of sorted. The eigenvalues of every degree with
-    the same j share one doubling pass, which works elementwise, so each
-    degree's zeros are the ones a pass of its own would give.
-    """
-    out, pending = {}, {}
-    for n, (j, m) in steps.items():
-        sigma = sigmas.get(n, _NO_SIGMA)
-        if isinstance(sigma, Exception):
-            out[n] = sigma
-        elif j == 0:
-            out[n] = _spectrum(J.b[0], sigma, m)
-        else:  # the true sigma is below 1
-            pending.setdefault(j, []).append((n, _spectrum(0.0, np.minimum(sigma, 1.0), m)))
-    for j, group in pending.items():
-        table = _level_table(J.gamma, j, np.concatenate([t for _, t in group]), _DOUBLE)[1]
-        start = 0
-        for n, t in group:
-            out[n] = branch_order(table[:, start : start + t.size])
-            start += t.size
-    return out
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask, where the platform has one."""
     try:
@@ -361,24 +324,25 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_share(solvers: dict, share: list, out: dict) -> None:
-    # every job (n, j, m) of the share, ascending in n; a failure is kept for the caller
-    for n, j, m in share:
+def _solve_share(solvers: dict, share: list, failures: dict) -> None:
+    # every job (n, j, m, out) of the share, ascending in n; a failure is kept for the caller
+    for n, j, m, out in share:
         try:
-            out[n] = solvers[j].sigma(m, degree=n)
-        except Exception as exc:  # re-raised by eigen_zero_sets at degree n
-            out[n] = exc
+            out[:] = solvers[j].sigma(m, degree=n)
+        except Exception as exc:  # re-raised by _zero_table at the least failing degree
+            failures[n] = exc
 
 
-def _half_size_sigmas(solvers: dict, jobs: list) -> dict:
-    """solvers[j].sigma(m) for every job (n, j, m), keyed by n, or the exception it raised,
-    on up to one thread per CPU.
+def _solve_all(solvers: dict, jobs: list) -> dict:
+    """solvers[j].sigma(m) into out for every job (n, j, m, out), on up to one thread per
+    CPU; the exception of each failing job, keyed by n.
 
     solvers maps j to the solver of level j + 1, and the jobs of every
-    level share one pool. Each dlasq1 call releases the interpreter lock,
-    so the calls run in parallel. The jobs are dealt largest first to the
-    least-loaded share, a call costing about (m//2)^2 plus a fixed overhead,
-    and each share is solved in ascending degree. The calling thread solves
+    level share one pool; each writes its own slice of one buffer. Each
+    dlasq1 call releases the interpreter lock, so the calls run in parallel.
+    The jobs are dealt largest first to the least-loaded share, a call
+    costing about (m//2)^2 plus a fixed overhead, and each share is solved
+    in ascending degree. The calling thread solves
     the first share and one daemon helper each of the others, each helper
     with a workspace of its own for every level; every helper is joined
     before this returns. Below _THREAD_WORK in sum (m//2)^2, as for a verify
@@ -388,27 +352,27 @@ def _half_size_sigmas(solvers: dict, jobs: list) -> dict:
     sigma depends on its job alone, so the result is the same for any
     number of threads.
     """
-    work = [(m // 2) ** 2 for _, _, m in jobs]
+    work = [(m // 2) ** 2 for _, _, m, _ in jobs]
     count = min(_cpu_count(), len(jobs)) if sum(work) >= _THREAD_WORK else 1
     loads = [0] * count
     shares = [[] for _ in range(count)]
-    for w, job in sorted(zip(work, jobs), reverse=True):
+    for w, job in sorted(zip(work, jobs), reverse=True):  # the degrees n break every tie
         i = loads.index(min(loads))
         loads[i] += w + _CALL_WORK
         shares[i].append(job)
-    outs = [{} for _ in shares]
+    failures = [{} for _ in shares]
     helpers = [threading.Thread(target=_solve_share, daemon=True,
                                 args=({j: s.twin() for j, s in solvers.items()}, sorted(share), out))
-               for share, out in zip(shares[1:], outs[1:])]
+               for share, out in zip(shares[1:], failures[1:])]
     try:
         for thread in helpers:
             thread.start()
-        _solve_share(solvers, sorted(shares[0]), outs[0])
+        _solve_share(solvers, sorted(shares[0]), failures[0])
     finally:
         for thread in helpers:
             if thread.ident is not None:  # started
                 thread.join()
-    return {n: sigma for out in outs for n, sigma in out.items()}
+    return {n: exc for out in failures for n, exc in out.items()}
 
 
 def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
@@ -458,7 +422,7 @@ def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray, glo: float, ghi: f
 
 
 def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
-    """Zeros of P_n for each requested degree n, keyed by n in ascending order.
+    """Zeros of P_n for each requested integer degree n in 1..K, keyed by n in ascending order.
 
     The diagonal of J_N, N the largest degree, must be constant, d_0, as
     it is (1/2) for every mu_gamma; else DomainError names the first b_k
@@ -492,55 +456,100 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     of the tower are leading blocks of its largest, so the set-up is done
     once for all degrees: the two diagonals of each level's bidiagonal,
     and the Gershgorin bounds of every J_n, from one prefix pass. Each
-    degree then costs one dqds call, or none. The calls of every level are
-    split across the CPUs of the process's affinity mask, each thread with
-    a workspace of its own for each level, once their summed (m//2)^2
-    reaches _THREAD_WORK; smaller batches, such as degrees 2..112, stay on
-    the calling thread. dlasq1 is reentrant, so the results do not depend
-    on the number of threads. The pullbacks, the escalations and the
-    assembly of each set run on the calling thread, the sets in ascending
-    order, and a failed solve raises there, at its degree, as it would in a
-    serial run. The degrees with one j share one doubling pass, which
-    works elementwise. If consecutive zeros come out closer than 1e3 * eps
-    * Gershgorin width of J_n, or out of order, that degree is solved again
-    by decimal Sturm-count bisection of J_n and its set holds the Decimal
-    values, which makes it escalated. An unescalated set reads its
-    strict-increase check and its min_gap from the one difference array of
-    that test. Every set is bit for bit the one its degree would get alone.
+    degree then costs one dqds call, or none, and large batches split the
+    calls across threads (``_solve_all``); a failed solve raises at the
+    least failing degree, as in a serial run. The zeros of all degrees are
+    one table (``_zero_table``), built, checked and reduced as whole
+    arrays, and each set returned is a view of its slice. If consecutive
+    zeros come out closer than 1e3 * eps * Gershgorin width of J_n, or out
+    of order, that degree is solved again by decimal Sturm-count bisection
+    of J_n and its set holds the Decimal values, which makes it escalated.
+    Every set is bit for bit the one its degree would get alone.
     """
-    ns = sorted({int(n) for n in degrees})
+    t = _zero_table(J, degrees)
+    return {n: t.escalated[n] if n in t.escalated else
+            ZeroSet(degree=n, values=t.values[a:b], provenance="eigensolve",
+                    gaps=np.diff(t.values[a:b]) if n > 1 else None)
+            for n, a, b in zip(t.degrees, t.offsets[:-1].tolist(), t.offsets[1:].tolist())}
+
+
+_ZeroTable = namedtuple("_ZeroTable", "degrees offsets values min_gap min_index escalated")
+
+
+def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
+    """The zeros of eigen_zero_sets(J, degrees) as one table; DomainError names a degree that
+    is not an integer or lies outside least..K.
+
+    Degree degrees[i] holds values[offsets[i]:offsets[i + 1]], ascending, and min_gap[i],
+    min_index[i] are their min_gap_with_index, from one np.diff of the table (inf for
+    degree 1). An escalated degree n holds the double view of the ZeroSet escalated[n] and
+    its exact smallest gap. The solves write one buffer; one gather forms every spectrum
+    (-sigma, 0 for odd m, sigma); d_0 is added at level 1, and each deeper level is pulled
+    back in one doubling pass and placed by one gather (``branch_order``).
+    """
+    ns = sorted(set(degrees))
     for n in ns:
-        if not 1 <= n <= J.b.size:
-            raise DomainError(f"degree {n} exceeds the {J.b.size} coefficients")
-    if not ns:
-        return {}
-    N = ns[-1]
-    d = J.b[:N]
-    e = J.a[: N - 1]
+        if not isinstance(n, numbers.Integral):
+            raise DomainError(f"degree {n!r} is not an integer")
+        if not least <= n <= J.b.size:
+            raise DomainError(f"degree {n} outside {least}..{J.b.size}")
+    ns = [int(n) for n in ns]
+    N = ns[-1] if ns else 1
+    d, e = J.b[:N], J.a[: N - 1]
     varies = d != d[0]
     if varies.any():
         k = int(np.argmax(varies))
         raise DomainError(f"diagonal b_{k + 1} = {float(d[k])} differs from b_1 = {float(d[0])}; "
                           "only a constant diagonal is solved")
     glo, ghi = _gershgorin_prefix(d, e)
-    steps = {n: _tower_step(J, n) for n in ns}
-    jobs = [(n, j, m) for n, (j, m) in steps.items() if m > 1]
+    offsets = np.cumsum([0, *ns])
+    # every degree's (j, n, m) and where it starts in the table, by level, then degree
+    j_o, n_o, m_o = np.array(sorted((j, n, m) for n in ns for j, m in [_tower_step(J, n)]),
+                             dtype=np.int64).reshape(-1, 3).T
+    at = offsets[np.searchsorted(ns, n_o)]
+    soff = np.cumsum(np.append(0, m_o // 2 + 1))
+    sigma = np.zeros(soff[-1])  # each degree's singular values, then the 0 of an odd m
+    jobs = [(n, j, m, sigma[a : b - 1]) for j, n, m, a, b in zip(
+        j_o.tolist(), n_o.tolist(), m_o.tolist(), soff[:-1].tolist(), soff[1:].tolist()) if m > 1]
     solvers = {j: _HalfSizeSolver(e if j == 0 else np.sqrt(J.deeper[j - 1]))
-               for j in {j for _, j, _ in jobs}}
-    zeros = _zeros_from(J, steps, _half_size_sigmas(solvers, jobs))
-    out = {}
-    for n in ns:
-        vals = zeros.pop(n)
-        if isinstance(vals, Exception):
-            raise vals
-        if n == 1:
-            out[n] = ZeroSet(degree=n, values=vals, provenance="eigensolve")
-            continue
-        gaps = np.diff(vals)  # a tie or a misplaced value gives a gap <= 0: it escalates
-        lo, hi = float(glo[n - 2]), float(ghi[n - 2])
-        if gaps.min() < _DD_ESCALATION_FACTOR * _EPS * (hi - lo):
-            ext = _eigvals_bisect_decimal(d[:n], e[: n - 1], lo, hi)
-            out[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
-        else:
-            out[n] = ZeroSet(degree=n, values=vals, provenance="eigensolve", gaps=gaps)
-    return out
+               for j in {j for _, j, _, _ in jobs}}
+    failures = _solve_all(solvers, jobs)
+    if failures:
+        raise failures[min(failures)]
+    toff, q = np.cumsum(np.append(0, m_o)), _runs(m_o)
+    lower = q < np.repeat(m_o // 2, m_o)
+    np.minimum(q, np.repeat(m_o - 1, m_o) - q, out=q)  # the middle of an odd m reads its 0
+    q += np.repeat(soff[:-1], m_o)
+    t = sigma[q]
+    np.minimum(t, 1.0, out=t, where=np.repeat(j_o > 0, m_o))  # the true sigma is below 1
+    np.subtract(0.0, t, out=t, where=lower)
+    del q, lower, sigma  # the table's large temporaries are freed as soon as they are read
+    values = np.empty(offsets[-1])
+    for j in sorted(set(j_o.tolist())):  # level 1 (j = 0), where n = m, adds d_0
+        a, b = np.searchsorted(j_o, [j, j + 1])
+        ts = t[toff[a] : toff[b]]
+        dest = _runs(n_o[a:b])
+        dest += np.repeat(at[a:b], n_o[a:b])
+        values[dest] = (np.add(d[0], ts, out=ts) if j == 0 else
+                        branch_order(_level_table(J.gamma, j, ts, _DOUBLE)[1], m_o[a:b]))
+    del t
+    gaps = np.empty(values.size)
+    np.subtract(values[1:], values[:-1], out=gaps[:-1])
+    gaps[offsets[1:] - 1] = np.inf
+    starts, counts = offsets[:-1], np.diff(offsets)
+    min_gap = np.minimum.reduceat(gaps, starts)
+    # a tie or a misplaced value gives a gap <= 0: it escalates; degree 1 reads the appended 0
+    escalate = min_gap < _DD_ESCALATION_FACTOR * _EPS * np.append(ghi - glo, 0.0)[counts - 2]
+    if not np.logical_and.reduceat(gaps > 0, starts)[~escalate].all():
+        raise DomainError("zeros must be strictly increasing")
+    if not ((values[starts] > 0.0) & (values[offsets[1:] - 1] < 1.0))[~escalate].all():
+        raise DomainError("zeros must lie strictly inside (0, 1)")
+    hits = np.flatnonzero(gaps == np.repeat(min_gap, counts))
+    min_index = hits[np.searchsorted(hits, starts)] - starts
+    escalated = {}
+    for k, n in ((k, ns[k]) for k in np.flatnonzero(escalate).tolist()):
+        ext = _eigvals_bisect_decimal(d[:n], e[: n - 1], float(glo[n - 2]), float(ghi[n - 2]))
+        zs = escalated[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
+        values[offsets[k] : offsets[k + 1]] = zs.points
+        min_gap[k], min_index[k] = min_gap_with_index(zs.values)
+    return _ZeroTable(ns, offsets, values, min_gap, min_index, escalated)

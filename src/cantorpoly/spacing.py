@@ -26,15 +26,14 @@ carry no rounding slack of their own. Gaps and distances between Decimal
 points are formed exactly and rounded once, to double.
 
 A full verification run builds each point set it reads once, before its
-checks run, and hands the sets to the checks, which take point sets and
-read each degree or level from them: the eigensolved zero sets of every
-degree from one batched solve, the dyadic zero sets and the branch-lemma
-tables of levels 1..8 from one branch ladder each
-(geometry.branch_value_ladder), and the critical sets from those zero
-sets wherever they share its deepest level's precision. Each
-eigensolved zero set carries its smallest gap from the difference array
-of its solve, so M_n takes no second pass. No check samples: one pass
-per degree r up to 256 bins all smaller-degree zeros into Z_r, and
+checks run, and the checks read each degree or level from them: the
+eigensolved zeros of every degree as one table from one batched solve,
+whose difference array gives each M_n; the dyadic zero sets and the
+branch-lemma tables of levels 1..8 from one branch ladder each
+(geometry.branch_value_ladder); and the critical sets from those zero
+sets wherever they share its deepest level's precision. No check
+samples: one pass per degree r up to 256 bins all smaller-degree zeros
+into Z_r, and
 decides at-most-one interlacing and the distance bound on every pair and
 triple of degrees.
 
@@ -72,7 +71,7 @@ from .exact import (
     min_gap_with_index,
 )
 from .geometry import branch_value_ladder, largest_gap, leftmost_length
-from .jacobi import JacobiMatrix, eigen_zero_sets
+from .jacobi import JacobiMatrix, _zero_table
 from .serialize import csv_text
 
 _PI_SQ_4 = math.pi ** 2 / 4.0
@@ -227,11 +226,16 @@ def _level(zero_set: ZeroSet) -> int:
     return m
 
 
-def _second_gap(zn) -> float:
-    """Minimum second-neighbour gap of a zero set, with 0 and 1 at its ends."""
-    aug = np.concatenate([[0], _points(zn), [1]])
+def _second_gaps(v: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The least second-neighbour gap of each set v[offsets[i]:offsets[i + 1]] of two points
+    or more, with 0 and 1 at its ends; gaps between Decimals are formed exactly."""
+    starts, ends = offsets[:-1], offsets[1:]
+    second = np.empty(v.size, dtype=v.dtype)  # a set's last two slots take its two end terms
     with localcontext(_EXACT):
-        return float(np.min(aug[2:] - aug[:-2]))
+        np.subtract(v[2:], v[:-2], out=second[:-2])
+        second[ends - 2] = 1 - v[ends - 2]
+        second[ends - 1] = v[starts + 1]
+    return np.minimum.reduceat(second, starts).astype(float)
 
 
 def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
@@ -291,14 +295,12 @@ def _dyadic_exponent(n: int) -> int | None:
     return None
 
 
-def _spacing(zs: ZeroSet, exact: list[ZeroSet]):
+def _spacing(n: int, m_eig: float, pair: int, exact: list[ZeroSet]):
     """M_n with provenance: exact at dyadic degrees, eigensolve elsewhere.
 
-    exact holds the zero sets of levels 1, 2, ...; at dyadic degrees both
-    routes are cross-checked before the exact value is used.
+    (m_eig, pair) is min_gap_with_index of the eigensolved zeros; exact holds
+    the zero sets of levels 1, 2, ..., cross-checked at dyadic degrees.
     """
-    n = zs.degree
-    m_eig, pair = zs.smallest_gap()
     m = _dyadic_exponent(n)
     if m is None:
         return m_eig, pair, "eigensolve"
@@ -338,11 +340,10 @@ def _declared_c(gamma, c) -> Fraction | None:
     return c_frac
 
 
-def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
-            exact: list[ZeroSet], c_frac: Fraction | None,
-            metadata: dict | None) -> SpacingReport:
-    """One row per zero set, in ascending degree; exact holds the zero sets
-    of every dyadic level among them, and c_frac is already checked."""
+def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
+            c_frac: Fraction | None, metadata: dict | None) -> SpacingReport:
+    """One row per degree of a zero table, from its smallest gaps; exact holds the zero
+    sets of every dyadic level among them, and c_frac is already checked."""
     gamma = fam.gamma
 
     @functools.cache
@@ -363,9 +364,9 @@ def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
         return eq1, (float(lo2), up2, _least_double_at_least(lo2))
 
     rows = []
-    for n, zs in zero_sets.items():
+    for n, m_eig, i in zip(table.degrees, table.min_gap.tolist(), table.min_index.tolist()):
         s = n.bit_length()
-        m_n, pair, source = _spacing(zs, exact)
+        m_n, pair, source = _spacing(n, m_eig, i, exact)
         (lower1, upper1, least1), eq2 = bounds(s)
         pass1 = m_n >= least1 and m_n <= upper1
         if eq2 is None:
@@ -382,7 +383,7 @@ def _report(fam: MapFamily, J: JacobiMatrix, zero_sets: dict[int, ZeroSet],
             margin_lo=(m_n / lower1 if lower1 > 0
                        else _to_double(Fraction(m_n) / gamma.delta_fraction(s + 2))),
             margin_hi=upper1 / m_n,
-            source=source, min_pair=(pair, pair + 1), escalated=zs.escalated,
+            source=source, min_pair=(pair, pair + 1), escalated=n in table.escalated,
         ))
     meta = {
         "gamma": gamma.descriptor(),
@@ -398,8 +399,9 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
                    metadata: dict | None = None) -> SpacingReport:
     """Spacing rows for the requested degrees, with bound verdicts.
 
-    All degrees come from one batched eigensolve, and the exact zero sets
-    of the dyadic degrees among them from one exact_zero_ladder.
+    All degrees come from one batched eigensolve, whose zero table gives
+    each M_n, and the exact zero sets of the dyadic degrees among them from
+    one exact_zero_ladder.
     Lower-bound comparisons are exact: the delta products are rationals,
     and M_n is compared against the least double at or above each, which
     decides M_n >= q without rounding. The pi^2-scaled upper bounds are
@@ -407,13 +409,9 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     wide. Both depend only on s, so each octave's bounds are formed once.
     """
     c_frac = _declared_c(fam.gamma, c)
-    ns = sorted({int(d) for d in degrees})
-    for n in ns:
-        if not 1 < n <= J.b.size:
-            raise DomainError(f"degree {n} outside (1, {J.b.size}]")
-    zero_sets = eigen_zero_sets(J, ns)
-    top = max((_dyadic_exponent(n) or 0 for n in ns), default=0)
-    return _report(fam, J, zero_sets, exact_zero_ladder(fam, top), c_frac, metadata)
+    table = _zero_table(J, degrees, least=2)
+    top = max((_dyadic_exponent(n) or 0 for n in table.degrees), default=0)
+    return _report(fam, J, table, exact_zero_ladder(fam, top), c_frac, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -438,46 +436,51 @@ class VerificationResult:
         }
 
 
-def _pair_pass(sets: dict) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Every (s, r), s < r, for which sets[s] breaks at-most-one interlacing
-    with sets[r], ordered by r and then s, and the set distance of sets[s]
-    and sets[r] at [r, s] of a matrix over the positions of the sorted keys.
+def _against(big: np.ndarray, small: np.ndarray, starts: np.ndarray):
+    """Per segment of small at starts: whether it breaks interlacing with big, and its distance."""
+    bins = np.searchsorted(big, small)
+    # a point crowds its predecessor in the same segment when both
+    # fall in one closed interval of consecutive big points
+    crowds = np.zeros(small.size, dtype=bool)
+    crowds[1:] = bins[1:] <= bins[:-1]
+    crowds[starts] = False
+    outside = (small[starts] <= big[0]) | (small[np.append(starts[1:], small.size) - 1] >= big[-1])
+    with localcontext(_EXACT):  # each point against its big neighbours
+        near = np.minimum(np.abs(small - big[np.maximum(bins - 1, 0)]),
+                          np.abs(big[np.minimum(bins, big.size - 1)] - small))
+    # rounding once to double is monotone, so it keeps each minimum
+    return (np.logical_or.reduceat(crowds, starts) | outside,
+            np.minimum.reduceat(near, starts).astype(float))
 
-    sets[s] interlaces at most once with sets[r] when its points lie
-    strictly between the extreme points of sets[r] and no two of them share
-    a closed interval of consecutive points of sets[r]. The points of all
-    sets are laid end to end once, in key order, and the pass of r bins the
-    prefix before sets[r] into it by one searchsorted, then decides both
-    requirements and the nearest distances per segment. The passes before
-    the first Decimal set read the doubles; from that pass on, every pass
-    reads all points in Decimal, so double, extended and mixed sets get the
-    per-pair results."""
-    keys = sorted(sets)
-    points = [_points(sets[k]) for k in keys]
-    offsets = np.cumsum([0] + [p.size for p in points])
-    first = next((i for i, p in enumerate(points) if p.dtype == object), len(points))
-    doubles = np.concatenate(points[:first]) if first else None
-    decimals = (np.concatenate([p if p.dtype == object else _TO_DECIMAL(p) for p in points])
-                if first < len(points) else None)
+
+def _pair_pass(keys: list, points: np.ndarray, offsets: np.ndarray,
+               extended: dict) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Every (s, r), s < r, for which set s breaks at-most-one interlacing
+    with set r, ordered by r and then s, and the set distance of sets s and
+    r at [r, s] of a matrix over the positions of keys.
+
+    Set keys[i] is points[offsets[i]:offsets[i + 1]], as in a zero table, and extended maps
+    the key of a Decimal set to its values, whose double view points holds. Set s interlaces
+    at most once with set r when its points lie strictly between the extreme points of set r
+    and no two share a closed interval of consecutive points of set r. The pass of r bins the
+    prefix before set r into it by one searchsorted and decides both per segment in double,
+    whose differences are the exact ones rounded once; what meets a Decimal set is decided
+    again in Decimal: the pass of a Decimal r, and a Decimal segment in any other."""
+    offsets = offsets[: len(keys) + 1]
+    exact = [i for i, k in enumerate(keys) if k in extended]
+    if exact:
+        decimals = _TO_DECIMAL(points[: offsets[-1]])
+        for i in exact:
+            decimals[offsets[i] : offsets[i + 1]] = extended[keys[i]]
     violations, distances = [], np.zeros((len(keys), len(keys)))
     for j in range(1, len(keys)):
-        flat = doubles if j < first else decimals
-        big, small = flat[offsets[j]:offsets[j + 1]], flat[:offsets[j]]
-        starts, ends = offsets[:j], offsets[1:j + 1]
-        bins = np.searchsorted(big, small)
-        # a point crowds its predecessor in the same segment when both
-        # fall in one closed interval of consecutive big points
-        crowds = np.zeros(small.size, dtype=bool)
-        crowds[1:] = bins[1:] <= bins[:-1]
-        crowds[starts] = False
-        crowded = np.logical_or.reduceat(crowds, starts)
-        outside = (small[starts] <= big[0]) | (small[ends - 1] >= big[-1])
-        violations += [(keys[i], keys[j]) for i in np.flatnonzero(crowded | outside)]
-        with localcontext(_EXACT):  # each point against its big neighbours
-            near = np.minimum(np.abs(small - big[np.maximum(bins - 1, 0)]),
-                              np.abs(big[np.minimum(bins, big.size - 1)] - small))
-        # rounding once to double is monotone, so it keeps each minimum
-        distances[j, :j] = np.minimum.reduceat(near.astype(float), starts)
+        flat = decimals if keys[j] in extended else points
+        big = flat[offsets[j] : offsets[j + 1]]
+        bad, distances[j, :j] = _against(big, flat[: offsets[j]], offsets[:j])
+        for i in [i for i in exact if i < j] if flat is points else []:
+            big, small = (decimals[offsets[k] : offsets[k + 1]] for k in (j, i))
+            (bad[i],), (distances[j, i],) = _against(big, small, offsets[:1])
+        violations += [(keys[i], keys[j]) for i in np.flatnonzero(bad)]
     return violations, distances
 
 
@@ -487,7 +490,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     informational checks, at the module's fixed sizes.
 
     Each point set the checks read is built once per call, before the
-    checks run: the zero sets of degrees 2..n_max from one batched
+    checks run: the zeros of degrees 2..n_max as one table from one batched
     eigensolve, the exact zero sets of every dyadic level the run reads
     from one exact_zero_ladder, the branch-lemma tables from one
     branch_value_ladder, and the critical sets of levels 1..8 from those
@@ -501,13 +504,14 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     exact = exact_zero_ladder(fam, max(n_max.bit_length() - 1, _RORO_MAX_LEVEL))
     tables = branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd")
     c_frac = _declared_c(fam.gamma, c)
-    zeros = eigen_zero_sets(J, range(2, n_max + 1))
-    report = _report(fam, J, zeros, exact, c_frac, metadata)
+    table = _zero_table(J, range(2, n_max + 1))  # degree n at n - 2
+    report = _report(fam, J, table, exact, c_frac, metadata)
     critical = [CriticalSet.from_zero_sets(critical_levels(fam, n, exact[:n - 1]))
                 for n in range(1, _RORO_MAX_LEVEL + 1)]
     top = min(_PAIRS_MAX, n_max)
-    violations, dist = _pair_pass({r: zeros[r] for r in range(2, top + 1)})
-    spacings = np.array([min_spacing(zeros[n]) for n in range(2, n_max + 1)])  # M_n at n - 2
+    violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets,
+                                  {n: zs.values for n, zs in table.escalated.items()})
+    spacings = table.min_gap  # M_n at n - 2
     entries: list[ReportEntry] = []
 
     def every_case(check, max_degree, cases, ratios, name, failed):
@@ -529,7 +533,9 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                np.column_stack([bad[hit[:, 0]], hit[:, 1]]) + 2)
 
     # M_r <= every second-neighbour gap of Z_n, 2 <= n <= r: each n against the largest M_r
-    second = np.array([_second_gap(zeros[n]) for n in range(2, n_max + 1)])
+    second = _second_gaps(table.values, table.offsets)
+    for n, zs in table.escalated.items():
+        second[n - 2] = _second_gaps(zs.values, np.array([0, n]))[0]
     every_case("second_neighbor_bound", n_max, math.comb(n_max, 2),
                np.maximum.accumulate(spacings[::-1])[::-1] / second,
                lambda n: (n + 2 + int(np.argmax(spacings[n:])), n + 2),
@@ -552,7 +558,8 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     for n in sorted(n for n in {4, n_max // 2, n_max} if 2 <= n <= n_max):
         level = math.ceil(math.log2(n))
         half_gap = 0.5 * largest_gap(fam.gamma, level)
-        max_zero_gap = float(np.max(np.diff(zeros[n].points)))
+        zn = table.values[table.offsets[n - 2] : table.offsets[n - 1]]
+        max_zero_gap = float(np.max(np.diff(zn)))
         gap_checks.append({"n": n, "max_zero_gap": max_zero_gap,
                            "half_largest_gap": half_gap,
                            "ok": max_zero_gap >= half_gap})

@@ -26,8 +26,9 @@ same quantities another way, and the tests compare the two:
 - at-most-one interlacing, the distance bound and the second-neighbour
   bound on one pair or triple of zero sets, from which the tests build
   the exhaustive entries of a full verification;
-- the zeros of one degree (``eigen_zero_sets`` of that degree alone) and
-  the critical set of one level (``critical_levels`` of that level alone).
+- the zeros of one degree (``eigen_zero_sets`` of that degree alone), the
+  spectrum of one degree from its singular values, and the critical set of
+  one level (``critical_levels`` of that level alone).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from cantorpoly.spacing import (
     ReportEntry,
     _points,
     _scales_ok,
-    _second_gap,
     min_spacing,
     set_distance,
 )
@@ -409,6 +409,13 @@ def verify_interlacing_bound(zl: ZeroSet, zm: ZeroSet, zn: ZeroSet) -> ReportEnt
     )
 
 
+def second_gap(zn) -> float:
+    """Minimum second-neighbour gap of a zero set, with 0 and 1 at its ends."""
+    aug = np.concatenate([[0], _points(zn), [1]])
+    with localcontext(EXACT):
+        return float(np.min(aug[2:] - aug[:-2]))
+
+
 def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
     """M_r <= min second-neighbour gap of the degree-n zeros.
 
@@ -417,7 +424,7 @@ def verify_second_neighbor_bound(zr: ZeroSet, zn: ZeroSet) -> ReportEntry:
     r, n = zr.degree, zn.degree
     if not (r > 1 and r >= n >= 1):
         raise DomainError(f"need r > 1 and r >= n >= 1, got {(r, n)}")
-    rhs = _second_gap(zn)
+    rhs = second_gap(zn)
     lhs = min_spacing(zr)
     return ReportEntry(
         check="second_neighbor_bound",
@@ -441,6 +448,21 @@ def eigen_zeros(J: JacobiMatrix, n: int) -> ZeroSet:
     zeros come out closer than 1e3 * eps * Gershgorin width.
     """
     return eigen_zero_sets(J, (n,))[n]
+
+
+def spectrum(d0: float, sigma: np.ndarray, n: int) -> np.ndarray:
+    """The eigenvalues of J_n, ascending, from the descending singular values sigma of B_n:
+    d0 - sigma, then d0 itself for odd n, then d0 + sigma, written into one array.
+
+    One degree at a time, the spectrum that ``jacobi._zero_table`` gathers
+    for every degree at once.
+    """
+    out = np.empty(n)
+    k = sigma.size
+    np.subtract(d0, sigma, out=out[:k])
+    out[k : n - k] = d0
+    np.add(d0, sigma[::-1], out=out[n - k :])
+    return out
 
 
 def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:

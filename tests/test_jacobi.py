@@ -3,6 +3,7 @@
 import ctypes
 import math
 import os
+import re
 import threading
 from fractions import Fraction
 
@@ -16,12 +17,11 @@ import cantorpoly as cp
 from cantorpoly import jacobi
 from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import (_HalfSizeSolver, _eigvals_bisect_decimal, _gershgorin_prefix,
-                               _spectrum)
+from cantorpoly.jacobi import _HalfSizeSolver, _eigvals_bisect_decimal, _gershgorin_prefix
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
 from reference import (DiscreteMeasure, eigen_zeros, gauss_measure, moments, opoly_eval,
-                       refinement_measure, sign_alternation_ok, stieltjes_lanczos)
+                       refinement_measure, sign_alternation_ok, spectrum, stieltjes_lanczos)
 
 
 class TestRefinementMeasure:
@@ -473,7 +473,7 @@ class TestDqdsKernel:
         _, J = jacobi_1024
         half = _HalfSizeSolver(J.a)
         for n in range(1, 1025):
-            got = _spectrum(J.b[0], half.sigma(n) if n > 1 else np.empty(0), n)
+            got = spectrum(J.b[0], half.sigma(n) if n > 1 else np.empty(0), n)
             assert np.max(np.abs(got - _dense_slice_zeros(J, n))) <= 32 * self.EPS, n
 
     def test_matches_decimal_bisection(self, jacobi_1024):
@@ -487,7 +487,7 @@ class TestDqdsKernel:
         for n in range(2, 65):
             want = np.asarray(_eigvals_bisect_decimal(J.b[:n], J.a[: n - 1], lo[n - 2], hi[n - 2]),
                               dtype=float)
-            got = _spectrum(J.b[0], half.sigma(n), n)
+            got = spectrum(J.b[0], half.sigma(n), n)
             assert np.max(np.abs(got - want)) <= bound, n
 
 
@@ -538,6 +538,20 @@ def _same_zero_set(a, b) -> bool:
             and a.points.dtype == b.points.dtype and a.points.tobytes() == b.points.tobytes())
 
 
+def _table_is_each_degree_alone(J, degrees):
+    # every degree's slice of the zero table, and its (M_n, index), as the degree solved alone
+    table = jacobi._zero_table(J, degrees)
+    assert table.degrees == sorted(set(degrees))
+    for k, n in enumerate(table.degrees):
+        alone = eigen_zeros(J, n)
+        got = table.values[table.offsets[k]:table.offsets[k + 1]]
+        assert got.tobytes() == alone.points.tobytes(), n
+        assert (n in table.escalated) is alone.escalated, n
+        if n > 1:
+            assert (table.min_gap[k], table.min_index[k]) == alone.smallest_gap(), n
+    return table
+
+
 class TestEigenZeroSets:
     """The batched eigensolve gives every degree the set it gets on its own."""
 
@@ -549,6 +563,7 @@ class TestEigenZeroSets:
         assert list(got) == sorted(set(degrees))
         for n, zs in got.items():
             assert _same_zero_set(zs, eigen_zeros(J, n)), n
+        _table_is_each_degree_alone(J, degrees)
         return got
 
     @pytest.mark.parametrize("desc", ["constant:1/6", "constant:1/4", "periodic:1/5,1/6",
@@ -582,6 +597,12 @@ class TestEigenZeroSets:
         J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
         got = self._check(J, [4, 2, 3, 4])
         assert got[4].escalated and not got[3].escalated
+        # three Decimal sets beside the table, and their rows marked escalated
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor("list:1/4,1/1000"))
+        J = cp.jacobi_for_gamma(fam, 64)
+        got = self._check(J, range(2, 65))
+        assert {n for n, zs in got.items() if zs.escalated} == {55, 63, 64}
+        assert cp.spacing_report(fam, J, range(2, 65)).escalated_degrees == (55, 63, 64)
 
     def test_each_set_keeps_its_smallest_gap(self, monkeypatch):
         # the escalation test's gap pass is the only one: M_n reads it back
@@ -617,8 +638,15 @@ class TestEigenZeroSets:
 
     def test_degree_range(self, jacobi_sixth_small):
         assert cp.eigen_zero_sets(jacobi_sixth_small, []) == {}
+        assert _table_is_each_degree_alone(jacobi_sixth_small, []).values.size == 0
+        self._check(jacobi_sixth_small, [11])
         for bad in ([0, 4], [4, 17]):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"degree (0|17) outside 1\.\.16$"):
+                cp.eigen_zero_sets(jacobi_sixth_small, bad)
+        # a degree is never truncated to an integer
+        for bad in ([2.7], [4, 2.0], [Fraction(5, 2)]):
+            message = f"degree {bad[-1]!r} is not an integer"
+            with pytest.raises(DomainError, match=re.escape(message)):
                 cp.eigen_zero_sets(jacobi_sixth_small, bad)
 
 
@@ -663,10 +691,18 @@ class TestThreadedSweep:
             assert _same_zero_set(threaded[n], serial[n]), n
         return threaded
 
-    @pytest.mark.parametrize("desc", ["constant:1/6", "constant:1/4", "periodic:1/6,1/5",
-                                      "constant:0.02"])
-    def test_threads_equal_one_thread(self, monkeypatch, desc):
-        self._check_same(monkeypatch, _jacobi(desc, 256), range(2, 257))
+    @pytest.mark.parametrize("desc, top, by_hand", [
+        *(pytest.param(desc, 256, False, id=desc)
+          for desc in ["constant:1/6", "constant:1/4", "periodic:1/6,1/5", "constant:0.02"]),
+        # an odd top degree that is not dyadic, and a matrix that holds level 1 only
+        pytest.param("periodic:2/9,1/4", 255, False, id="periodic:2/9,1/4 to 255"),
+        pytest.param("constant:1/6", 256, True, id="constant:1/6 by hand")])
+    def test_threads_equal_one_thread(self, monkeypatch, desc, top, by_hand):
+        J = _jacobi(desc, top)
+        if by_hand:
+            J = cp.JacobiMatrix(J.a, J.b)
+        self._check_same(monkeypatch, J, range(2, top + 1))
+        _table_is_each_degree_alone(J, range(2, top + 1))
 
     def test_constant_run_ending_inside_the_batch(self, monkeypatch):
         # the diagonal is checked before any solve, so such a batch starts no thread

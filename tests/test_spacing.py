@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorpoly as cp
-from cantorpoly import exact, spacing
+from cantorpoly import exact, jacobi, spacing
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import branch_value_table
 from cantorpoly.spacing import SpacingRow, full_verification
@@ -91,6 +91,23 @@ def _per_pair_violations(sets):
             if s < r and not interlacing_at_most_one(sets[s], sets[r])]
 
 
+def _pair_pass(sets):
+    # spacing._pair_pass on the sets laid end to end, as a zero table holds
+    # them: the double views in one array, the Decimal values beside it
+    keys = sorted(sets)
+    values = [spacing._points(sets[k]) for k in keys]
+    return spacing._pair_pass(keys, np.concatenate([v.astype(float) for v in values]),
+                              np.cumsum([0] + [v.size for v in values]),
+                              {k: v for k, v in zip(keys, values) if v.dtype == object})
+
+
+def _table(zs):
+    # a zero table that holds one unescalated zero set and its smallest gap
+    gap, i = zs.smallest_gap()
+    return jacobi._ZeroTable([zs.degree], np.array([0, zs.degree]), zs.points,
+                             np.array([gap]), np.array([i]), {})
+
+
 def _extended(values):
     # a ZeroSet whose working values are the given Decimals
     dd = tuple(Decimal(v) for v in values)
@@ -119,7 +136,7 @@ class TestBatchedInterlacing:
     @given(_SORTED_SETS, st.lists(st.sampled_from(_GRID[2:]), min_size=6, max_size=6))
     def test_matches_per_pair_reference(self, arrays, bounds):
         sets = {k: a for k, a in enumerate(arrays)}
-        violations, dist = spacing._pair_pass(sets)
+        violations, dist = _pair_pass(sets)
         assert violations == _per_pair_violations(sets)
         assert np.array_equal(dist, _per_pair_distances(sets))
         # a bound per smaller key: the same pairs break it
@@ -141,7 +158,7 @@ class TestBatchedInterlacing:
             }
         want = _per_pair_violations(sets)
         assert want == [(2, 4)]
-        violations, dist = spacing._pair_pass(sets)
+        violations, dist = _pair_pass(sets)
         assert violations == want
         # one pass reads Decimal and double sets: the distances are formed
         # exactly, where the double views would give 0 for each pair
@@ -160,8 +177,12 @@ class TestBatchedInterlacing:
         want = _per_pair_violations(sets)
         assert want
         assert entry.lhs == len(want)
-        assert spacing._pair_pass(sets)[0] == want
+        assert _pair_pass(sets)[0] == want
         assert entry.detail["violations"] == want[:20]
+        # the Decimal sets' second-neighbour gaps, beside the table's
+        second = next(e for e in result.entries if e.check == "second_neighbor_bound")
+        assert second == _every_case_entry("second_neighbor_bound", 64,
+                                           _second_neighbor_cases(sets, 64))
 
 
 class TestRunLocalCache:
@@ -398,8 +419,8 @@ class TestChecksOnPublicSets:
         raised = float(np.median(list(spacings.values())))
         real = spacing._pair_pass
 
-        def one_deep_pair(sets):
-            violations, dist = real(sets)
+        def one_deep_pair(*layout):
+            violations, dist = real(*layout)
             dist[22, 18] = raised
             return violations, dist
 
@@ -448,10 +469,13 @@ class TestSpacingReport:
             cp.spacing_report(fam_sixth, jacobi_sixth_small, [4], c=Fraction(1, 5))
 
     def test_degree_bounds_checked(self, fam_sixth, jacobi_sixth_small):
-        with pytest.raises(DomainError):
-            cp.spacing_report(fam_sixth, jacobi_sixth_small, [1])
-        with pytest.raises(DomainError):
-            cp.spacing_report(fam_sixth, jacobi_sixth_small, [17])
+        for bad in (1, 17):
+            with pytest.raises(DomainError, match=f"degree {bad} outside 2\\.\\.16$"):
+                cp.spacing_report(fam_sixth, jacobi_sixth_small, [bad])
+        # a degree is never truncated to an integer
+        with pytest.raises(DomainError, match="degree 2.5 is not an integer"):
+            cp.spacing_report(fam_sixth, jacobi_sixth_small, [2.5])
+        assert cp.spacing_report(fam_sixth, jacobi_sixth_small, []).rows == ()
 
     def test_dyadic_cross_check_and_sources(self, fam_sixth, jacobi_sixth_small):
         rows = {r.n: r for r in cp.spacing_report(fam_sixth, jacobi_sixth_small, [7, 8]).rows}
@@ -484,7 +508,8 @@ class TestSpacingReport:
         gamma = cp.GammaSequence.from_descriptor("list:1e-156,1e-156,1e-5,1/4")
         fam, c = cp.MapFamily(gamma), Fraction(1, 10 ** 156)
         ladder = exact.exact_zero_ladder(fam, 2)
-        report = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), {4: ladder[1]}, ladder, c, None)
+        report = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder, c,
+                                 None)
         row = report.rows[0]
         bound = Fraction(PI_SQ_4) * gamma.delta_fraction(3) / (c * c)
         assert row.s == 3 and 0 < row.upper_eq2 < 1e-4
@@ -498,8 +523,8 @@ class TestSpacingReport:
         # divided exactly, finite at 1e-70 and above the doubles at 1e-160
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         ladder = exact.exact_zero_ladder(fam, 2)
-        row = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), {4: ladder[1]}, ladder,
-                              None, None).rows[0]
+        row = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder, None,
+                              None).rows[0]
         assert row.s == 3 and row.lower_eq1 == 0.0 and row.pass_eq1
         quotient = Fraction(row.m_n) / fam.gamma.delta_fraction(5)
         if quotient > Fraction(sys.float_info.max):
