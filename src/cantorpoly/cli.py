@@ -178,9 +178,7 @@ def cmd_jacobi(cfg: RunConfig) -> int:
 def cmd_zeros(cfg: RunConfig) -> int:
     fam = MapFamily(cfg.gamma_sequence())
     out = Path(cfg.out)
-    top_m = int(math.floor(math.log2(cfg.degree_max)))
-    if 2 ** top_m > cfg.degree_max:
-        top_m -= 1
+    top_m = cfg.degree_max.bit_length() - 1
     if top_m < 1:
         raise DomainError("degree-max must be at least 2 for the zeros command")
     eps = sys.float_info.epsilon

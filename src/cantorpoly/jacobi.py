@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, RangeOverflowError
 from .exact import MapFamily, ZeroSet, min_gap_with_index
 from .geometry import GammaSequence, _level_table, _runs, branch_order, extended_context
-from .serialize import csv_text
+from .serialize import csv_text, render
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -60,7 +60,6 @@ _DD_ESCALATION_FACTOR = 1e3
 _UNFOLD_DIGITS = 50  # the unfolding starts at these digits and doubles them
 _UNFOLD_MAX_DIGITS = 1600  # up to this cap
 _THREAD_WORK = 1 << 16  # sum of (m//2)^2 from which a batch's dqds calls are threaded
-_CALL_WORK = 128  # the fixed cost of one dqds call, in units of (m//2)^2
 _DOUBLE = ("double", 0)  # the precision of a pullback: the eigenvalues are doubles
 
 
@@ -114,7 +113,7 @@ class JacobiMatrix:
     def to_csv(self) -> str:
         """One row per k; a_K does not exist, so the last a_k is empty."""
         K = self.b.size
-        return csv_text(["k", "a_k", "b_k"], [range(1, K + 1), self.a.tolist() + [None], self.b])
+        return csv_text(["k", "a_k", "b_k"], [range(1, K + 1), render(self.a) + [""], self.b])
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +323,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_share(solvers: dict, share: list, failures: dict) -> None:
-    # every job (n, j, m, out) of the share, ascending in n; a failure is kept for the caller
-    for n, j, m, out in share:
-        try:
-            out[:] = solvers[j].sigma(m, degree=n)
-        except Exception as exc:  # re-raised by _zero_table at the least failing degree
-            failures[n] = exc
-
-
 def _solve_all(solvers: dict, jobs: list) -> dict:
     """solvers[j].sigma(m) into out for every job (n, j, m, out), on up to one thread per
     CPU; the exception of each failing job, keyed by n.
 
     solvers maps j to the solver of level j + 1, and the jobs of every
-    level share one pool; each writes its own slice of one buffer. Each
-    dlasq1 call releases the interpreter lock, so the calls run in parallel.
-    The jobs are dealt largest first to the least-loaded share, a call
-    costing about (m//2)^2 plus a fixed overhead, and each share is solved
-    in ascending degree. The calling thread solves
-    the first share and one daemon helper each of the others, each helper
-    with a workspace of its own for every level; every helper is joined
+    level share one list, sorted by m; each writes its own slice of one
+    buffer. The calling thread and min(CPUs, jobs) - 1 daemon helpers, each
+    helper with a workspace of its own for every level, pop from the end of
+    that list until it is empty, so each thread takes the largest solve
+    left and no cost model is needed. Each dlasq1 call releases the
+    interpreter lock, so the calls run in parallel; every helper is joined
     before this returns. Below _THREAD_WORK in sum (m//2)^2, as for a verify
     run to degree 64, handing the lock between threads costs more than the
     second CPU saves, so the batch stays on the calling thread. dlasq1 keeps
@@ -352,27 +341,34 @@ def _solve_all(solvers: dict, jobs: list) -> dict:
     sigma depends on its job alone, so the result is the same for any
     number of threads.
     """
-    work = [(m // 2) ** 2 for _, _, m, _ in jobs]
-    count = min(_cpu_count(), len(jobs)) if sum(work) >= _THREAD_WORK else 1
-    loads = [0] * count
-    shares = [[] for _ in range(count)]
-    for w, job in sorted(zip(work, jobs), reverse=True):  # the degrees n break every tie
-        i = loads.index(min(loads))
-        loads[i] += w + _CALL_WORK
-        shares[i].append(job)
-    failures = [{} for _ in shares]
-    helpers = [threading.Thread(target=_solve_share, daemon=True,
-                                args=({j: s.twin() for j, s in solvers.items()}, sorted(share), out))
-               for share, out in zip(shares[1:], failures[1:])]
+    todo = sorted(jobs, key=lambda job: job[2])
+    failures = {}
+
+    def drain(solvers):
+        while True:
+            try:
+                n, j, m, out = todo.pop()  # the largest m left
+            except IndexError:
+                return
+            try:
+                out[:] = solvers[j].sigma(m, degree=n)
+            except Exception as exc:  # re-raised by _zero_table at the least failing degree
+                failures[n] = exc
+
+    work = sum((m // 2) ** 2 for _, _, m, _ in jobs)
+    count = min(_cpu_count(), len(jobs)) if work >= _THREAD_WORK else 1
+    helpers = [threading.Thread(target=drain, daemon=True,
+                                args=({j: s.twin() for j, s in solvers.items()},))
+               for _ in range(count - 1)]
     try:
         for thread in helpers:
             thread.start()
-        _solve_share(solvers, sorted(shares[0]), failures[0])
+        drain(solvers)
     finally:
         for thread in helpers:
             if thread.ident is not None:  # started
                 thread.join()
-    return {n: exc for out in failures for n, exc in out.items()}
+    return failures
 
 
 def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:

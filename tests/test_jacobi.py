@@ -4,6 +4,7 @@ import ctypes
 import math
 import os
 import re
+import sys
 import threading
 from fractions import Fraction
 
@@ -680,10 +681,10 @@ class TestThreadedSweep:
         monkeypatch.setattr(jacobi, "_cpu_count", lambda: cpus)
         return cp.eigen_zero_sets(J, degrees)
 
-    def _check_same(self, monkeypatch, J, degrees):
+    def _check_same(self, monkeypatch, J, degrees, cpus=3):
         serial = self._on_cpus(monkeypatch, J, degrees, 1)
         recorder = _ThreadRecorder(monkeypatch)
-        threaded = self._on_cpus(monkeypatch, J, degrees, 3)
+        threaded = self._on_cpus(monkeypatch, J, degrees, cpus)
         assert len(recorder.started) == 2
         recorder.assert_all_joined()
         assert list(threaded) == list(serial)
@@ -738,6 +739,37 @@ class TestThreadedSweep:
         self._on_cpus(monkeypatch, _jacobi("constant:1/6", 256), range(2, 257), 2)
         assert len(recorder.started) == 1
         recorder.assert_all_joined()
+
+    def test_each_solve_runs_once(self, monkeypatch):
+        # the threads drain one list: no job is solved twice, none is left out
+        real = jacobi._DLASQ1
+        if real is None:
+            pytest.skip("numpy's LAPACK has no dlasq1")
+        sizes = []
+
+        def counting(n_ptr, *args):
+            sizes.append(ctypes.c_int64.from_address(n_ptr).value)
+            real(n_ptr, *args)
+
+        monkeypatch.setattr(jacobi, "_DLASQ1", counting)
+        J = _jacobi("constant:1/6", 256)
+        recorder = _ThreadRecorder(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a waiting thread takes the lock after 1 us, not 5 ms
+        try:
+            self._on_cpus(monkeypatch, J, range(2, 257), 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(recorder.started) == 2
+        recorder.assert_all_joined()
+        ms = [jacobi._tower_step(J, n)[1] for n in range(2, 257)]
+        assert len(sizes) == 247  # every degree but the 8 dyadic ones
+        assert sorted(sizes) == sorted(m - m // 2 for m in ms if m > 1)
+
+    def test_helpers_are_capped_by_the_jobs(self, monkeypatch):
+        # 8 is dyadic and solves nothing; 3, 5 and 12 = 4 * 3 each make one job
+        monkeypatch.setattr(jacobi, "_THREAD_WORK", 0)
+        self._check_same(monkeypatch, _jacobi("constant:1/6", 64), [3, 5, 8, 12], cpus=8)
 
     def test_failure_names_the_serial_degree(self, monkeypatch):
         real = jacobi._DLASQ1
