@@ -479,9 +479,9 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     Degree degrees[i] holds values[offsets[i]:offsets[i + 1]], ascending, and min_gap[i],
     min_index[i] are their min_gap_with_index, from one np.diff of the table (inf for
     degree 1). An escalated degree n holds the double view of the ZeroSet escalated[n] and
-    its exact smallest gap. The solves write one buffer; one gather forms every spectrum
-    (-sigma, 0 for odd m, sigma); d_0 is added at level 1, and each deeper level is pulled
-    back in one doubling pass and placed by one gather (``branch_order``).
+    its exact smallest gap. The solves write one buffer; then each level in turn gathers its
+    spectra (-sigma, 0 for odd m, sigma), adds d_0 at level 1 or is pulled back in one
+    doubling pass, and is placed by one gather (``branch_order``).
     """
     ns = sorted(set(degrees))
     for n in ns:
@@ -512,23 +512,21 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     failures = _solve_all(solvers, jobs)
     if failures:
         raise failures[min(failures)]
-    toff, q = np.cumsum(np.append(0, m_o)), _runs(m_o)
-    lower = q < np.repeat(m_o // 2, m_o)
-    np.minimum(q, np.repeat(m_o - 1, m_o) - q, out=q)  # the middle of an odd m reads its 0
-    q += np.repeat(soff[:-1], m_o)
-    t = sigma[q]
-    np.minimum(t, 1.0, out=t, where=np.repeat(j_o > 0, m_o))  # the true sigma is below 1
-    np.subtract(0.0, t, out=t, where=lower)
-    del q, lower, sigma  # the table's large temporaries are freed as soon as they are read
     values = np.empty(offsets[-1])
     for j in sorted(set(j_o.tolist())):  # level 1 (j = 0), where n = m, adds d_0
         a, b = np.searchsorted(j_o, [j, j + 1])
-        ts = t[toff[a] : toff[b]]
+        m = m_o[a:b]
+        q = _runs(m)
+        lower = q < np.repeat(m // 2, m)
+        np.minimum(q, np.repeat(m - 1, m) - q, out=q)  # the middle of an odd m reads its 0
+        q += np.repeat(soff[a:b], m)
+        t = sigma[q]
+        np.minimum(t, 1.0, out=t, where=j > 0)  # the true sigma is below 1
+        np.subtract(0.0, t, out=t, where=lower)
         dest = _runs(n_o[a:b])
         dest += np.repeat(at[a:b], n_o[a:b])
-        values[dest] = (np.add(d[0], ts, out=ts) if j == 0 else
-                        branch_order(_level_table(J.gamma, j, ts, _DOUBLE)[1], m_o[a:b]))
-    del t
+        values[dest] = (np.add(d[0], t, out=t) if j == 0 else
+                        branch_order(_level_table(J.gamma, j, t, _DOUBLE)[1], m))
     gaps = np.empty(values.size)
     np.subtract(values[1:], values[:-1], out=gaps[:-1])
     gaps[offsets[1:] - 1] = np.inf

@@ -20,8 +20,9 @@ the stdlib's C encoder, and strict: a non-finite float (an infinite
 bound, say) is written as null, while the CSV keeps inf.
 
 Writes go through a temp file plus rename so readers never observe
-partial output; the file gets the permissions a plain open() would give
-under the process umask.
+partial output. The temp file is created with mode 0o666 and the kernel
+applies the umask, so the file gets the permissions a plain open() would
+give, and the process umask is never read or changed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from decimal import Decimal
 from itertools import chain
 from pathlib import Path
@@ -50,20 +50,19 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    while True:  # a fresh random name until one is free, as mkstemp does
+        tmp = path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

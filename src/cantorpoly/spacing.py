@@ -10,16 +10,15 @@ and, when inf gamma_k = c > 0 is declared,
 
     c^2 * delta_s  <=  M_n  <=  (pi^2 / (4 c^2)) * delta_s.
 
-The checks in this module compute each side independently (exact branch
-compositions at dyadic degrees, eigensolves elsewhere) and report the
-comparison outcome with scale-free ratio margins. The bounds change only
-once per octave s, so a report decides them once per octave, and it
-solves all its degrees in one batched eigensolve, each degree 2^j m at
-level j + 1 of the mapping tower (jacobi.eigen_zero_sets). A dyadic
-degree solves nothing there: its eigensolved zeros are the branch values
-at t = 0, which are the exact zeros wherever those work in double, so
-the two routes part only where the exact set is extended or the
-eigensolve escalates. Each rational lower
+The checks in this module compare M_n with both sides and report the
+outcome with scale-free ratio margins. The bounds change only once per
+octave s, so a report decides them once per octave, and it solves all
+its degrees in one batched eigensolve, each degree 2^j m at level j + 1
+of the mapping tower (jacobi.eigen_zero_sets). A dyadic degree 2^m
+solves nothing there: its zeros are the branch values at t = 0,
+exact_zeros bit for bit wherever level m works in double, so the report
+reads its M_n from the table, and checks it against the exact set only
+where that is extended or the degree escalated. Each rational lower
 bound q (a delta product) is decided through the least double t >= q:
 for a double M_n, M_n >= t holds exactly when M_n >= q, so the verdicts
 carry no rounding slack of their own. Gaps and distances between Decimal
@@ -295,22 +294,15 @@ def _dyadic_exponent(n: int) -> int | None:
     return None
 
 
-def _spacing(n: int, m_eig: float, pair: int, exact: list[ZeroSet]):
-    """M_n with provenance: exact at dyadic degrees, eigensolve elsewhere.
-
-    (m_eig, pair) is min_gap_with_index of the eigensolved zeros; exact holds
-    the zero sets of levels 1, 2, ..., cross-checked at dyadic degrees.
-    """
-    m = _dyadic_exponent(n)
-    if m is None:
-        return m_eig, pair, "eigensolve"
-    m_exact, pair_exact = exact[m - 1].smallest_gap()
-    if abs(m_exact - m_eig) > _EXACT_VS_EIGEN_TOL:
-        raise DomainError(
-            f"exact and eigensolve spacing disagree at degree {n}: "
-            f"{m_exact} vs {m_eig}"
-        )
-    return m_exact, pair_exact, "both"
+def _checked_levels(fam: MapFamily, J: JacobiMatrix, table) -> list[int]:
+    """The levels m of the dyadic degrees 2^m of a zero table whose zeros are not
+    exact_zeros(fam, m) bit for bit: the escalated ones, those of a level in extended
+    precision, and all of them when J's tower is not fam's."""
+    levels = [m for m in map(_dyadic_exponent, table.degrees) if m]
+    if J.gamma != fam.gamma:
+        return levels
+    return [m for m in levels
+            if 2 ** m in table.escalated or fam.gamma.precision(m)[0] != "double"]
 
 
 def _least_double_at_least(q: Fraction) -> float:
@@ -342,9 +334,11 @@ def _declared_c(gamma, c) -> Fraction | None:
 
 def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
             c_frac: Fraction | None, metadata: dict | None) -> SpacingReport:
-    """One row per degree of a zero table, from its smallest gaps; exact holds the zero
-    sets of every dyadic level among them, and c_frac is already checked."""
+    """One row per degree of a zero table, from its smallest gaps; c_frac is already checked.
+    A dyadic row reads the table, except at a level m of _checked_levels: there it takes the
+    smallest gap of exact[m - 1], the zero set of level m, once that agrees with the table's."""
     gamma = fam.gamma
+    checked = set(_checked_levels(fam, J, table))
 
     @functools.cache
     def bounds(s: int):
@@ -364,9 +358,14 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
         return eq1, (float(lo2), up2, _least_double_at_least(lo2))
 
     rows = []
-    for n, m_eig, i in zip(table.degrees, table.min_gap.tolist(), table.min_index.tolist()):
+    for n, m_n, pair in zip(table.degrees, table.min_gap.tolist(), table.min_index.tolist()):
         s = n.bit_length()
-        m_n, pair, source = _spacing(n, m_eig, i, exact)
+        m = _dyadic_exponent(n)
+        if m in checked:
+            m_eig, (m_n, pair) = m_n, exact[m - 1].smallest_gap()
+            if abs(m_n - m_eig) > _EXACT_VS_EIGEN_TOL:
+                raise DomainError(f"exact and eigensolve spacing disagree at degree {n}: "
+                                  f"{m_n} vs {m_eig}")
         (lower1, upper1, least1), eq2 = bounds(s)
         pass1 = m_n >= least1 and m_n <= upper1
         if eq2 is None:
@@ -383,7 +382,8 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
             margin_lo=(m_n / lower1 if lower1 > 0
                        else _to_double(Fraction(m_n) / gamma.delta_fraction(s + 2))),
             margin_hi=upper1 / m_n,
-            source=source, min_pair=(pair, pair + 1), escalated=n in table.escalated,
+            source="eigensolve" if m is None else "both", min_pair=(pair, pair + 1),
+            escalated=n in table.escalated,
         ))
     meta = {
         "gamma": gamma.descriptor(),
@@ -400,8 +400,8 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     """Spacing rows for the requested degrees, with bound verdicts.
 
     All degrees come from one batched eigensolve, whose zero table gives
-    each M_n, and the exact zero sets of the dyadic degrees among them from
-    one exact_zero_ladder.
+    each M_n; one exact_zero_ladder is built only when a dyadic degree has
+    a second computation to check against it (``_checked_levels``).
     Lower-bound comparisons are exact: the delta products are rationals,
     and M_n is compared against the least double at or above each, which
     decides M_n >= q without rounding. The pi^2-scaled upper bounds are
@@ -410,8 +410,9 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     """
     c_frac = _declared_c(fam.gamma, c)
     table = _zero_table(J, degrees, least=2)
-    top = max((_dyadic_exponent(n) or 0 for n in table.degrees), default=0)
-    return _report(fam, J, table, exact_zero_ladder(fam, top), c_frac, metadata)
+    levels = _checked_levels(fam, J, table)
+    exact = exact_zero_ladder(fam, levels[-1]) if levels else []
+    return _report(fam, J, table, exact, c_frac, metadata)
 
 
 # ---------------------------------------------------------------------------

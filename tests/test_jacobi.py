@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -574,6 +575,17 @@ class TestEigenZeroSets:
         self._check(J, self.DEGREES)
         self._check(J, range(2, 256))
 
+    def test_peak_memory_stays_near_the_table(self):
+        # one level placed at a time: no index array spans every level beside the table
+        J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 1024)
+        tracemalloc.start()
+        try:
+            table = jacobi._zero_table(J, range(2, 1025))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * table.values.nbytes
+
     def test_non_constant_diagonal(self):
         # only a constant diagonal is solved; the error names the first b_k that differs
         J = cp.jacobi_for_gamma(cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6))), 255)
@@ -624,7 +636,7 @@ class TestEigenZeroSets:
         monkeypatch.setattr(cp.exact, "min_gap_with_index",
                             lambda pts: calls.append(pts.size) or real(pts))
         cp.spacing_report(fam, J, range(2, 65))
-        assert sorted(calls) == [2, 4, 8, 16, 32, 64]  # the exact dyadic sets alone
+        assert calls == []  # the dyadic rows too read the table's gaps: no exact set is built
 
     def test_gershgorin_prefix_is_each_truncation_alone(self):
         rng = np.random.default_rng(11)

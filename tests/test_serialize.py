@@ -135,6 +135,37 @@ class TestWrittenFiles:
         assert (tmp_path / "t.csv").read_text() == "k\n1\n2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
 
+    def test_the_umask_is_left_alone(self, tmp_path, monkeypatch):
+        # reading the umask means setting it for the whole process: a file another
+        # thread creates meanwhile would get mode 0o666
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        write_csv(tmp_path / "t.csv", ["k"], [range(1, 3)])
+        write_json(tmp_path / "t.json", {"k": 1})
+        assert (tmp_path / "t.csv").read_text() == "k\n1\n2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+    def test_a_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        draws = iter([b"\0" * 6, b"\0" * 6, b"\1" * 6])
+        monkeypatch.setattr(os, "urandom", lambda k: next(draws))
+        taken = tmp_path / ("t.csv" + "00" * 6 + ".tmp")
+        taken.write_text("another writer's")
+        write_csv(tmp_path / "t.csv", ["k"], [range(1, 3)])
+        assert (tmp_path / "t.csv").read_text() == "k\n1\n2\n"
+        assert taken.read_text() == "another writer's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", taken.name]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            write_csv(tmp_path / "t.csv", ["k"], [range(1, 3)])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRenderAndJson:
     @pytest.mark.parametrize("column", [

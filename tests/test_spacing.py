@@ -588,6 +588,66 @@ class TestBatchedReport:
         assert report.escalated_degrees == ((55,) if desc.startswith("list") else ())
 
 
+def _family(desc):
+    return cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+
+
+class TestDyadicRowsFromTheTable:
+    """A dyadic row reads the zero table, and an exact set only where the two differ."""
+
+    @pytest.mark.parametrize("desc, top", [
+        *((desc, 256) for desc in ["constant:1/6", "constant:1/4", "constant:0.05",
+                                   "periodic:1/5,1/6"]),
+        ("constant:0.02", 64)])
+    def test_table_holds_the_exact_zeros_at_double_levels(self, desc, top):
+        fam = _family(desc)
+        J = cp.jacobi_for_gamma(fam, top)
+        table = jacobi._zero_table(J, range(2, top + 1))
+        read = [m for m in range(1, top.bit_length())
+                if 2 ** m not in table.escalated and fam.gamma.precision(m)[0] == "double"]
+        assert read == list(range(1, top.bit_length()))  # every dyadic level, here
+        assert spacing._checked_levels(fam, J, table) == []
+        for m in read:
+            zeros = table.values[table.offsets[2 ** m - 2] : table.offsets[2 ** m - 1]]
+            assert zeros.tobytes() == cp.exact_zeros(fam, m).values.tobytes(), m
+
+    @pytest.mark.parametrize("desc", ["list:1/4,1/1000", "periodic:1/1000000,1/4"])
+    def test_extended_and_escalated_rows_read_the_exact_set(self, desc):
+        fam = _family(desc)
+        report = cp.spacing_report(fam, cp.jacobi_for_gamma(fam, 64), range(2, 65))
+        escalated = [m for m in range(1, 7) if 2 ** m in report.escalated_degrees]
+        extended = [m for m in range(1, 7) if fam.gamma.precision(m)[0] != "double"]
+        assert escalated and extended
+        for m in sorted({*escalated, *extended}):
+            row = report.rows[2 ** m - 2]
+            gap, i = cp.exact_zeros(fam, m).smallest_gap()
+            assert (row.n, row.source, row.m_n, row.min_pair) == (2 ** m, "both", gap, (i, i + 1))
+
+    def test_a_matrix_built_by_hand_checks_every_dyadic_row(self, fam_sixth):
+        J = cp.jacobi_for_gamma(fam_sixth, 64)
+        by_hand = cp.JacobiMatrix(J.a, J.b)
+        table = jacobi._zero_table(by_hand, range(2, 65))
+        assert spacing._checked_levels(fam_sixth, by_hand, table) == [1, 2, 3, 4, 5, 6]
+        assert spacing._checked_levels(fam_sixth, J, table) == []
+        # its dyadic degrees solve at level 1, and the rows take the exact sets' gaps
+        dyadic = [2 ** m - 2 for m in range(1, 7)]
+        got, want = (cp.spacing_report(fam_sixth, Jx, range(2, 65)).rows for Jx in (by_hand, J))
+        assert [got[i] for i in dyadic] == [want[i] for i in dyadic]
+
+    @pytest.mark.parametrize("desc, top, ladders", [
+        # the benchmark's sweep inputs build no exact set; the escalated run builds one ladder
+        ("periodic:1/5,1/6", 256, []), ("constant:1/4", 256, []), ("list:1/4,1/1000", 64, [6])])
+    def test_exact_ladders_per_report(self, monkeypatch, desc, top, ladders):
+        fam = _family(desc)
+        J = cp.jacobi_for_gamma(fam, top)
+        calls = []
+        real = spacing.exact_zero_ladder
+        monkeypatch.setattr(spacing, "exact_zero_ladder",
+                            lambda fam, top, *args: calls.append(top) or real(fam, top, *args))
+        cp.spacing_report(fam, J, range(2, top + 1))
+        assert calls == ladders
+
+
 @st.composite
 def _tiny_to_moderate_fractions(draw):
     # q = (a / b) * 2^-e reaches from ~2^60 down past the smallest
