@@ -220,7 +220,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     write_json(out / "spacing_report.json", result.as_json())
     n_checks = len(result.entries)
     print(f"verify: {'PASS' if result.passed else 'FAIL'} "
-          f"({len(result.spacing.rows)} spacing rows, {n_checks} checks)")
+          f"({len(result.spacing.columns.n)} spacing rows, {n_checks} checks)")
     return EXIT_OK if result.passed else EXIT_NUMERICAL
 
 
@@ -238,9 +238,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        try:
+            cfg = config_from_args(args)
+        except (KeyError, TypeError) as exc:  # a config entry missing or of the wrong type
+            raise DomainError(exc) from exc
         return _COMMANDS[cfg.command](cfg)
-    except (DomainError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (DomainError, json.JSONDecodeError, OSError) as exc:
         print(f"cantorpoly: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ConvergenceError as exc:

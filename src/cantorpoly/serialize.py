@@ -41,7 +41,7 @@ _FLOAT_TYPES = frozenset({float, np.float64})
 
 def fmt(x) -> str:
     """Full-precision decimal rendering of a scalar."""
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")

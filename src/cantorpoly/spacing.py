@@ -11,18 +11,20 @@ and, when inf gamma_k = c > 0 is declared,
     c^2 * delta_s  <=  M_n  <=  (pi^2 / (4 c^2)) * delta_s.
 
 The checks in this module compare M_n with both sides and report the
-outcome with scale-free ratio margins. The bounds change only once per
-octave s, so a report decides them once per octave, and it solves all
-its degrees in one batched eigensolve, each degree 2^j m at level j + 1
-of the mapping tower (jacobi.eigen_zero_sets). A dyadic degree 2^m
-solves nothing there: its zeros are the branch values at t = 0,
-exact_zeros bit for bit wherever level m works in double, so the report
-reads its M_n from the table, and checks it against the exact set only
-where that is extended or the degree escalated. Each rational lower
-bound q (a delta product) is decided through the least double t >= q:
-for a double M_n, M_n >= t holds exactly when M_n >= q, so the verdicts
-carry no rounding slack of their own. Gaps and distances between Decimal
-points are formed exactly and rounded once, to double.
+outcome with scale-free ratio margins. A report solves all its degrees
+in one batched eigensolve, each degree 2^j m at level j + 1 of the
+mapping tower (jacobi.eigen_zero_sets), into one zero table that holds
+every M_n; the report is that table's columns, one list per field with
+one entry per degree, formed as whole arrays. The bounds change only
+once per octave s, so they are formed once per octave. A dyadic degree
+2^m solves nothing: its zeros are exact_zeros bit for bit wherever level
+m works in double, so the report reads its M_n from the table, and
+checks it against the exact set only where that is extended or the
+degree escalated. Each rational lower bound q (a delta product) is
+decided through the least double t >= q: for a double M_n, M_n >= t
+holds exactly when M_n >= q, so the verdicts carry no rounding slack of
+their own. Gaps and distances between Decimal points are formed exactly
+and rounded once, to double.
 
 A full verification run builds each point set it reads once, before its
 checks run, and the checks read each degree or level from them: the
@@ -32,11 +34,11 @@ branch-lemma tables of levels 1..8 from one branch ladder each
 (geometry.branch_value_ladder); and the critical sets from those zero
 sets wherever they share its deepest level's precision. No check
 samples: one pass per degree r up to 256 bins all smaller-degree zeros
-into Z_r, and
-decides at-most-one interlacing and the distance bound on every pair and
-triple of degrees.
+into Z_r, and decides at-most-one interlacing and the distance bound on
+every pair and triple of degrees.
 
-Besides the rows of both inequalities, a run's checks are:
+Besides the rows of both inequalities, a run's checks are below; each
+that reads M_n reads the report's M_n column, the value its row prints:
 
 - interlacing_distance_bound: d(Z_l, Z_m) <= M_n for every l > m > n > 1,
   l <= min(n_max, 256);
@@ -53,9 +55,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -153,31 +157,10 @@ class ReportEntry:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class SpacingRow:
-    """Per-degree spacing record."""
-
-    n: int
-    s: int
-    m_n: float
-    lower_eq1: float
-    upper_eq1: float
-    lower_eq2: float | None
-    upper_eq2: float | None
-    pass_eq1: bool
-    pass_eq2: bool | None
-    margin_lo: float
-    margin_hi: float
-    source: str
-    min_pair: tuple[int, int]
-    escalated: bool
-
-    def __post_init__(self):
-        if not self.lower_eq1 <= self.upper_eq1:
-            raise DomainError("lower bound exceeds upper bound")
-        if self.lower_eq2 is not None and not self.lower_eq2 <= self.upper_eq2:
-            raise DomainError("lower bound exceeds upper bound")
-
+# a record of the spacing of one degree, or, in SpacingReport.columns, the
+# column of each field, one entry per degree
+SpacingRow = namedtuple("SpacingRow", "n s m_n lower_eq1 upper_eq1 lower_eq2 upper_eq2 "
+                        "pass_eq1 pass_eq2 margin_lo margin_hi source min_pair escalated")
 
 _CSV_COLUMNS = ["n", "s", "M_n", "lower_eq1", "upper_eq1", "lower_eq2",
                 "upper_eq2", "pass_eq1", "pass_eq2", "margin_lo", "margin_hi"]
@@ -185,31 +168,37 @@ _CSV_COLUMNS = ["n", "s", "M_n", "lower_eq1", "upper_eq1", "lower_eq2",
 
 @dataclass(frozen=True)
 class SpacingReport:
-    """All spacing rows of a run plus the metadata needed to reproduce it."""
+    """The spacing columns of a run, one list per SpacingRow field with one entry per
+    degree, plus the metadata needed to reproduce it."""
 
-    rows: tuple[SpacingRow, ...]
+    columns: SpacingRow
     metadata: dict
+
+    @functools.cached_property
+    def rows(self) -> tuple[SpacingRow, ...]:
+        """One SpacingRow per degree, built on first read."""
+        return tuple(map(SpacingRow._make, zip(*self.columns)))
 
     @property
     def all_pass(self) -> bool:
-        return all(r.pass_eq1 and (r.pass_eq2 is not False) for r in self.rows)
+        return all(self.columns.pass_eq1) and False not in self.columns.pass_eq2
 
     @property
     def escalated_degrees(self) -> tuple[int, ...]:
-        return tuple(r.n for r in self.rows if r.escalated)
+        return tuple(compress(self.columns.n, self.columns.escalated))
 
     def to_csv(self) -> str:
         # each header name is its SpacingRow field in lower case (M_n is m_n)
         return csv_text(_CSV_COLUMNS,
-                        [[getattr(r, name.lower()) for r in self.rows] for name in _CSV_COLUMNS])
+                        [getattr(self.columns, name.lower()) for name in _CSV_COLUMNS])
 
     def as_json(self) -> dict:
         # one key per SpacingRow field, M_n for m_n as in the CSV
-        keys = [("M_n" if f.name == "m_n" else f.name, f.name) for f in fields(SpacingRow)]
+        keys = ["M_n" if name == "m_n" else name for name in SpacingRow._fields]
         return {
             "metadata": dict(self.metadata),
             "escalated_degrees": list(self.escalated_degrees),
-            "rows": [{key: getattr(r, name) for key, name in keys} for r in self.rows],
+            "rows": [dict(zip(keys, row)) for row in zip(*self.columns)],
         }
 
 
@@ -332,72 +321,71 @@ def _declared_c(gamma, c) -> Fraction | None:
     return c_frac
 
 
-def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
-            c_frac: Fraction | None, metadata: dict | None) -> SpacingReport:
-    """One row per degree of a zero table, from its smallest gaps; c_frac is already checked.
-    A dyadic row reads the table, except at a level m of _checked_levels: there it takes the
-    smallest gap of exact[m - 1], the zero set of level m, once that agrees with the table's."""
-    gamma = fam.gamma
-    checked = set(_checked_levels(fam, J, table))
-
-    @functools.cache
-    def bounds(s: int):
-        # (lower, upper, least double >= the rational lower bound) of
-        # each inequality; None for the second when no c is declared
-        d_lo = gamma.delta_fraction(s + 2)
-        eq1 = (float(d_lo), _PI_SQ_4 * float(gamma.delta_fraction(s - 2)),
-               _least_double_at_least(d_lo))
-        if c_frac is None:
-            return eq1, None
+def _octave_bounds(gamma, s: int, c_frac: Fraction | None) -> list[tuple]:
+    """(lower, upper, least double >= the rational lower bound) of eq. 1 in octave s, then
+    of eq. 2 when c_frac is declared; DomainError if a lower bound exceeds its upper one."""
+    d_lo = gamma.delta_fraction(s + 2)
+    eqs = [(float(d_lo), _PI_SQ_4 * float(gamma.delta_fraction(s - 2)),
+            _least_double_at_least(d_lo))]
+    if c_frac is not None:
         d_s, c_sq = gamma.delta_fraction(s), c_frac * c_frac
         lo2 = c_sq * d_s
         if float(c_sq) >= sys.float_info.min:
             up2 = _PI_SQ_4 / float(c_sq) * float(d_s)
         else:  # c^2 is no normal double: divide exactly, then round once
             up2 = _PI_SQ_4 * _to_double(d_s / c_sq)
-        return eq1, (float(lo2), up2, _least_double_at_least(lo2))
+        eqs.append((float(lo2), up2, _least_double_at_least(lo2)))
+    if not all(lower <= upper for lower, upper, _ in eqs):
+        raise DomainError("lower bound exceeds upper bound")
+    return eqs
 
-    rows = []
-    for n, m_n, pair in zip(table.degrees, table.min_gap.tolist(), table.min_index.tolist()):
-        s = n.bit_length()
-        m = _dyadic_exponent(n)
-        if m in checked:
-            m_eig, (m_n, pair) = m_n, exact[m - 1].smallest_gap()
-            if abs(m_n - m_eig) > _EXACT_VS_EIGEN_TOL:
-                raise DomainError(f"exact and eigensolve spacing disagree at degree {n}: "
-                                  f"{m_n} vs {m_eig}")
-        (lower1, upper1, least1), eq2 = bounds(s)
-        pass1 = m_n >= least1 and m_n <= upper1
-        if eq2 is None:
-            lower2 = upper2 = pass2 = None
-        else:
-            lower2, upper2, least2 = eq2
-            pass2 = m_n >= least2 and m_n <= upper2
-        rows.append(SpacingRow(
-            n=n, s=s, m_n=m_n,
-            lower_eq1=lower1, upper_eq1=upper1,
-            lower_eq2=lower2, upper_eq2=upper2,
-            pass_eq1=pass1, pass_eq2=pass2,
-            # a lower bound below the doubles rounds to 0: divide exactly
-            margin_lo=(m_n / lower1 if lower1 > 0
-                       else _to_double(Fraction(m_n) / gamma.delta_fraction(s + 2))),
-            margin_hi=upper1 / m_n,
-            source="eigensolve" if m is None else "both", min_pair=(pair, pair + 1),
-            escalated=n in table.escalated,
-        ))
-    meta = {
-        "gamma": gamma.descriptor(),
-        "c": None if c_frac is None else str(c_frac),
-        "valid_length": J.b.size,
-    }
-    if metadata:
-        meta.update(metadata)
-    return SpacingReport(rows=tuple(rows), metadata=meta)
+
+def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
+            c_frac: Fraction | None, metadata: dict | None) -> SpacingReport:
+    """The spacing columns of a zero table's degrees, as whole arrays; c_frac is already
+    checked. A dyadic degree reads the table, except at a level m of _checked_levels: there
+    it takes the smallest gap of exact[m - 1], the zero set of level m, once that agrees with
+    the table's. The bounds are formed once per octave s and gathered to the degrees by s."""
+    gamma, degrees = fam.gamma, table.degrees
+    m_n, pair = table.min_gap.copy(), table.min_index.copy()
+    for m in _checked_levels(fam, J, table):
+        i = degrees.index(2 ** m)
+        gap, index = exact[m - 1].smallest_gap()
+        if abs(gap - m_n[i]) > _EXACT_VS_EIGEN_TOL:
+            raise DomainError(f"exact and eigensolve spacing disagree at degree {2 ** m}: "
+                              f"{gap} vs {m_n[i]}")
+        m_n[i], pair[i] = gap, index
+    s = np.array([n.bit_length() for n in degrees], dtype=np.int64)
+    octaves = sorted(set(s.tolist()))
+    eqs = np.array([_octave_bounds(gamma, k, c_frac) for k in octaves], dtype=float)
+    # each [equation, degree]: eq. 1, then eq. 2 when c is declared
+    lower, upper, least = eqs.reshape(len(octaves), 1 + (c_frac is not None), 3)[
+        np.searchsorted(octaves, s)].transpose(2, 1, 0)
+    margin_lo = np.divide(m_n, lower[0], out=np.zeros_like(m_n), where=lower[0] > 0)
+    # a lower bound below the doubles rounds to 0: divide exactly
+    for i in np.flatnonzero(lower[0] == 0).tolist():
+        margin_lo[i] = _to_double(Fraction(float(m_n[i])) / gamma.delta_fraction(int(s[i]) + 2))
+    margin_hi = upper[0] / m_n
+    # one more column of None, eq. 2's when no c is declared
+    lower, upper, passed = (x.tolist() + [[None] * len(degrees)]
+                            for x in (lower, upper, (m_n >= least) & (m_n <= upper)))
+    columns = SpacingRow(
+        n=list(degrees), s=s.tolist(), m_n=m_n.tolist(),
+        lower_eq1=lower[0], upper_eq1=upper[0], lower_eq2=lower[1], upper_eq2=upper[1],
+        pass_eq1=passed[0], pass_eq2=passed[1],
+        margin_lo=margin_lo.tolist(), margin_hi=margin_hi.tolist(),
+        source=["eigensolve" if _dyadic_exponent(n) is None else "both" for n in degrees],
+        min_pair=list(zip(pair.tolist(), (pair + 1).tolist())),
+        escalated=[n in table.escalated for n in degrees],
+    )
+    meta = {"gamma": gamma.descriptor(), "c": None if c_frac is None else str(c_frac),
+            "valid_length": J.b.size, **(metadata or {})}
+    return SpacingReport(columns=columns, metadata=meta)
 
 
 def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
                    metadata: dict | None = None) -> SpacingReport:
-    """Spacing rows for the requested degrees, with bound verdicts.
+    """Spacing columns for the requested degrees, with bound verdicts.
 
     All degrees come from one batched eigensolve, whose zero table gives
     each M_n; one exact_zero_ladder is built only when a dyadic degree has
@@ -496,8 +484,9 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     from one exact_zero_ladder, the branch-lemma tables from one
     branch_value_ladder, and the critical sets of levels 1..8 from those
     exact zero sets wherever they share a level's precision. The spacing
-    report reads the same sets. No check samples: the bounds on pairs and
-    triples of degrees are decided on every case, listing 20 violations.
+    report reads the same sets, and every check on M_n reads the report's
+    M_n column. No check samples: the bounds on pairs and triples of
+    degrees are decided on every case, listing 20 violations.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
@@ -512,7 +501,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     top = min(_PAIRS_MAX, n_max)
     violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets,
                                   {n: zs.values for n, zs in table.escalated.items()})
-    spacings = table.min_gap  # M_n at n - 2
+    spacings = np.array(report.columns.m_n)  # M_n at n - 2, as its row prints it
     entries: list[ReportEntry] = []
 
     def every_case(check, max_degree, cases, ratios, name, failed):
@@ -574,7 +563,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     ))
 
     # informational: M at dyadic degrees should collapse monotonically
-    dyadic = [min_spacing(zs) for zs in exact[:n_max.bit_length() - 1]]
+    dyadic = [report.columns.m_n[2 ** m - 2] for m in range(1, n_max.bit_length())]
     collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
     entries.append(ReportEntry(
         check="dyadic_spacing_collapse",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cantorpoly as cp
+from cantorpoly import cli
 from cantorpoly.cli import main
 from cantorpoly.serialize import csv_text
 
@@ -353,6 +354,12 @@ PINNED_OUTPUTS = {
         ["verify", "--gamma", "constant:1/6", "--degree-max", "16"],
         {"spacing_report.csv": "03fa8e46485510cad1bd33db58a283e3319242516843b8dc2d6b49956a83b5d6"},
     ),
+    # with c declared, so that the eq. 2 columns are filled too; taken before the
+    # report held columns in place of one record per degree
+    "verify_c": (
+        ["verify", "--gamma", "constant:1/6", "--degree-max", "256", "--depth", "10", "--c", "1/6"],
+        {"spacing_report.csv": "4ec63f24c69f53c5659e74fc0abd65676679e73e32b82c14d5703c6e699a3956"},
+    ),
 }
 
 
@@ -541,6 +548,18 @@ class TestConfigHandling:
         assert main(["verify", "--gamma", "constant:1/6", "--c", c, "--degree-max", "8",
                      "--depth", "6", "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_an_error_inside_a_command_propagates(self, monkeypatch, tmp_path, error):
+        # only the config's KeyError and TypeError mean invalid input; raised inside a
+        # command they are a fault of the program and propagate
+        def broken(cfg):
+            raise error("inside the command")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+        with pytest.raises(error, match="inside the command"):
+            main(["verify", "--gamma", "constant:1/6", "--degree-max", "8", "--depth", "6",
+                  "--out", str(tmp_path)])
 
     def test_safety_margin_enforced(self, tmp_path):
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "20",

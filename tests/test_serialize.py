@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cantorpoly import SpacingReport, serialize
 from cantorpoly.serialize import csv_text, fmt, render, write_csv, write_json
+from cantorpoly.spacing import SpacingRow
 
 
 def rowwise_reference(header, columns) -> str:
@@ -45,6 +46,7 @@ GOLDEN = [
       "0.9999999999999999999999999999999989994982464907914434"]),
     ("None", [0.25, None], ["0.25", ""]),
     ("bool", [True, False], ["true", "false"]),
+    ("bool array", np.array([True, False]), ["true", "false"]),
     ("bool and None", [True, False, None], ["true", "false", ""]),
     ("mixed float and Decimal", [1, 0.02, Decimal("2.56E-14")], ["1", "0.02", "2.56E-14"]),
 ]
@@ -60,7 +62,8 @@ class TestGoldenBytes:
     def test_zero_rows_give_the_header_alone(self):
         assert csv_text(["n", "s", "M_n"], [[], [], []]) == "n,s,M_n\n"
         assert csv_text(["k"], [np.array([])]) == "k\n"
-        assert SpacingReport((), {}).to_csv() == (
+        columns = SpacingRow._make([] for _ in SpacingRow._fields)
+        assert SpacingReport(columns, {}).to_csv() == (
             "n,s,M_n,lower_eq1,upper_eq1,lower_eq2,upper_eq2,pass_eq1,pass_eq2,"
             "margin_lo,margin_hi\n")
 

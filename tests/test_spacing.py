@@ -495,12 +495,43 @@ class TestSpacingReport:
         assert report.all_pass
         assert report.as_json()["rows"][0]["n"] == 2
 
-    def test_row_validation(self):
-        with pytest.raises(DomainError):
-            SpacingRow(n=2, s=2, m_n=0.5, lower_eq1=1.0, upper_eq1=0.5,
-                       lower_eq2=None, upper_eq2=None, pass_eq1=True,
-                       pass_eq2=None, margin_lo=1.0, margin_hi=1.0,
-                       source="both", min_pair=(0, 1), escalated=False)
+    def test_row_validation(self, monkeypatch, fam_sixth, jacobi_sixth_small):
+        # the bounds are formed and checked lower <= upper once per octave: degrees 2..16
+        # span octaves 2..5; with pi^2/4 patched below gamma^4 = 1/1296 every upper bound
+        # of both inequalities falls below its lower bound
+        octaves = []
+        real = spacing._octave_bounds
+        monkeypatch.setattr(spacing, "_octave_bounds",
+                            lambda gamma, s, c: octaves.append(s) or real(gamma, s, c))
+        cp.spacing_report(fam_sixth, jacobi_sixth_small, range(2, 17), c=Fraction(1, 6))
+        assert octaves == [2, 3, 4, 5]
+        monkeypatch.setattr(spacing, "_PI_SQ_4", 1e-4)
+        for c in (None, Fraction(1, 6)):
+            with pytest.raises(DomainError, match="^lower bound exceeds upper bound$"):
+                cp.spacing_report(fam_sixth, jacobi_sixth_small, range(2, 17), c=c)
+
+    def test_no_row_is_built_until_rows_is_read(self, monkeypatch, fam_sixth):
+        # the report holds one list per field; the per-degree rows are built on first read
+        J = cp.jacobi_for_gamma(fam_sixth, 32)
+        built = []
+        real = spacing.SpacingRow
+
+        def counted(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(spacing, "SpacingRow", counted)
+        reports = [cp.spacing_report(fam_sixth, J, range(2, 33), c=Fraction(1, 6)),
+                   full_verification(fam_sixth, J, n_max=32, c=Fraction(1, 6)).spacing]
+        assert [r.columns for r in reports] == built
+        assert all(type(column) is list and len(column) == 31 for r in built for column in r)
+        assert all("rows" not in vars(r) for r in reports)
+        monkeypatch.undo()
+        for report in reports:
+            rows = report.rows
+            assert report.rows is rows and len(rows) == 31
+            assert all(type(row) is SpacingRow for row in rows)
+            assert [list(column) for column in zip(*rows)] == list(report.columns)
 
     def test_subnormal_c_squared_bound_from_the_exact_quotient(self):
         # c^2 = 1e-312 is subnormal, and pi^2/4 / c^2 alone overflows, but
@@ -633,6 +664,25 @@ class TestDyadicRowsFromTheTable:
         dyadic = [2 ** m - 2 for m in range(1, 7)]
         got, want = (cp.spacing_report(fam_sixth, Jx, range(2, 65)).rows for Jx in (by_hand, J))
         assert [got[i] for i in dyadic] == [want[i] for i in dyadic]
+
+    def test_the_checks_read_the_printed_m_n(self, fam_quarter):
+        # every dyadic row of a matrix built by hand prints the exact set's M_n, 7.4e-13
+        # relative off the table's at n = 256; that row binds the second-neighbour bound,
+        # which reads the printed M_n, as the dyadic collapse does
+        J = cp.jacobi_for_gamma(fam_quarter, 256)
+        by_hand = cp.JacobiMatrix(J.a, J.b)
+        result = full_verification(fam_quarter, by_hand, n_max=256)
+        printed = [row.m_n for row in result.spacing.rows]
+        table = jacobi._zero_table(by_hand, range(2, 257))
+        assert printed[254] != table.min_gap[254]
+        entries = {e.check: e for e in result.entries}
+        entry = entries["second_neighbor_bound"]
+        z = table.values[table.offsets[254] :]
+        second = min(float(np.min(z[2:] - z[:-2])), 1 - z[-2], z[1])
+        assert entry.detail["worst_case"] == (256, 256)
+        assert entry.detail["worst_ratio"] == printed[254] / second
+        assert entries["dyadic_spacing_collapse"].detail["values"] == [
+            cp.min_spacing(zs) for zs in exact.exact_zero_ladder(fam_quarter, 8)]
 
     @pytest.mark.parametrize("desc, top, ladders", [
         # the benchmark's sweep inputs build no exact set; the escalated run builds one ladder
