@@ -26,14 +26,15 @@ that numpy's linalg extension links (the scipy-openblas of numpy's
 wheels). Where that LAPACK lacks it, the bidiagonal of each degree is
 assembled densely for ``numpy.linalg.svd``. These solves release the
 interpreter lock, so a batch large enough to repay the hand-offs is
-split across threads, one per CPU of the process's affinity mask;
-dlasq1 is reentrant, and the zeros do not depend on the number of
-threads. The zeros of every degree of a call form one flat table
-(``_zero_table``), built, checked and reduced as whole arrays. Only
-when neighbouring zeros approach the double-precision resolution limit
-is a degree escalated to a Sturm-count bisection of the full level-1
-matrix in 34-digit ``decimal``; its zero set, kept beside the table,
-holds the Decimal values, and the table their double view.
+split across threads, one per CPU of the process's affinity mask, each
+with one dqds workspace; dlasq1 is reentrant, and the zeros do not
+depend on the number of threads. The zeros of every degree of a call
+form one flat table (``_zero_table``), built, checked and reduced as
+whole arrays. Only when neighbouring zeros approach the double-precision
+resolution limit is a degree escalated to a Sturm-count bisection of the
+full level-1 matrix in 34-digit ``decimal``, each count shifting the
+constant diagonal once; its zero set, kept beside the table, holds the
+Decimal values, and the table their double view.
 """
 
 from __future__ import annotations
@@ -199,19 +200,11 @@ def _unfold(gamma, needs: list, digits: int) -> tuple[list, list, str | None]:
 # constant-diagonal eigensolve: dqds fast path, decimal Sturm escalation
 # ---------------------------------------------------------------------------
 
-def _gershgorin_prefix(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gershgorin bounds of every leading truncation J_n, n >= 2, at index n - 2.
-
-    Rows 0..n-2 of J_n have the radii of the full matrix; its last row
-    has only |e_{n-2}|. Radii are summed in the same order for every n,
-    so each bound is the one of J_n assembled on its own.
-    """
-    rad = np.zeros_like(d)
-    rad[:-1] += np.abs(e)
-    rad[1:] += np.abs(e)
-    lo = np.minimum(np.minimum.accumulate(d - rad)[:-1], d[1:] - np.abs(e))
-    hi = np.maximum(np.maximum.accumulate(d + rad)[:-1], d[1:] + np.abs(e))
-    return lo, hi
+def _gershgorin_radius(e: np.ndarray) -> np.ndarray:
+    """The largest row radius R of every leading truncation J_n, n >= 2, at n - 2; rounding
+    is monotone, so on a constant diagonal d_0 - R and d_0 + R are J_n's Gershgorin bounds."""
+    r = np.abs(e)
+    return np.maximum.accumulate(r + np.append(0.0, r[:-1]))
 
 
 def _find_dlasq1():
@@ -239,65 +232,39 @@ def _find_dlasq1():
 _DLASQ1 = _find_dlasq1()
 
 
-class _HalfSizeSolver:
-    """Singular values of the half-size bidiagonal of every J_n - d_0 I, n <= e.size + 1.
+def _sigma(diag: np.ndarray, sub: np.ndarray, n: int, work: np.ndarray, io: np.ndarray,
+           degree: int) -> np.ndarray:
+    """The n//2 singular values of B_n, descending; errors name degree.
 
-    e is the off-diagonal of the largest truncation. The bidiagonal B_n of
-    J_n is its odd rows against its even columns: n - n//2 rows, n//2
-    columns, e_1, e_3, ... on the diagonal and e_2, e_4, ... below it, so
-    every n reads leading entries of the same two diagonals. For odd n, B_n
-    has one row more than columns; a 0 appended to its diagonal makes it
-    square and adds the singular value 0 and nothing else.
-
-    Each solve is one call of dlasq1 (dqds; Fernando and Parlett, Numer.
-    Math. 67, 1994) on the two diagonals, O(n^2), in buffers and a
-    workspace allocated once per solver. Where numpy's LAPACK has no
+    B_n, n - n//2 rows by n//2 columns, is the odd rows of J_n - d_0 I
+    against its even columns: the leading entries of diag = e_1, e_3,
+    ... and, below it, sub = e_2, e_4, .... For odd n, a 0 appended to its
+    diagonal makes it square and adds the singular value 0 and nothing else.
+    One dlasq1 call (dqds; Fernando and Parlett, Numer. Math. 67, 1994),
+    O(n^2), runs in work (6 (n - n//2) doubles or more) and io (int64 N,
+    INFO), and the values are a view of work. Where numpy's LAPACK has no
     dlasq1, B_n is assembled densely and handed to ``numpy.linalg.svd``.
     """
-
-    def __init__(self, e: np.ndarray):
-        self.n_max = e.size + 1
-        self.diag = np.ascontiguousarray(e[0::2])
-        self.sub = np.ascontiguousarray(e[1::2])
-        self._allocate()
-
-    def _allocate(self):
-        self.size = size = self.diag.size + 1
-        self.buf = np.empty(6 * size)  # dlasq1's D, E and 4 * size WORK
-        self.io = np.zeros(2, dtype=np.int64)  # N, INFO
-        d_ptr, io_ptr = self.buf.ctypes.data, self.io.ctypes.data
-        self.args = (io_ptr, d_ptr, d_ptr + 8 * size, d_ptr + 16 * size, io_ptr + 8)
-
-    def twin(self) -> "_HalfSizeSolver":
-        """A solver that reads the same two diagonals, with a workspace of its own."""
-        other = object.__new__(_HalfSizeSolver)
-        other.n_max, other.diag, other.sub = self.n_max, self.diag, self.sub
-        other._allocate()
-        return other
-
-    def sigma(self, n: int, degree: int | None = None) -> np.ndarray:
-        """The n//2 singular values of B_n, descending, valid until the next call; errors name
-        degree (n by default)."""
-        if not 2 <= n <= self.n_max:
-            raise DomainError(f"degree {n} outside 2..{self.n_max} of this bidiagonal")
-        m = n // 2
-        k = n - m
-        dlasq1 = _DLASQ1
-        if dlasq1 is None:
-            B = np.zeros((k, m))
-            flat = B.reshape(-1)
-            flat[:: m + 1] = self.diag[:m]
-            flat[m :: m + 1] = self.sub[: k - 1]
-            return np.linalg.svd(B, compute_uv=False)
-        buf, size = self.buf, self.size
-        buf[:m] = self.diag[:m]
-        buf[m:k] = 0.0
-        buf[size : size + k - 1] = self.sub[: k - 1]
-        self.io[0] = k
-        dlasq1(*self.args)
-        if self.io[1]:
-            raise ConvergenceError(f"dlasq1 returned INFO = {self.io[1]} at degree {degree or n}")
-        return buf[:m]  # for odd n, drops the appended 0, the smallest
+    m = n // 2
+    k = n - m
+    dlasq1 = _DLASQ1
+    if dlasq1 is None:
+        B = np.zeros((k, m))
+        flat = B.reshape(-1)
+        flat[:: m + 1] = diag[:m]
+        flat[m :: m + 1] = sub[: k - 1]
+        return np.linalg.svd(B, compute_uv=False)
+    work[:m] = diag[:m]
+    work[m:k] = 0.0
+    work[k : 2 * k - 1] = sub[: k - 1]
+    io[0] = k
+    # ~1 us each, a third of ndarray.ctypes.data: the smallest solves take a few us
+    d_ptr = ctypes.addressof(ctypes.c_char.from_buffer(work))
+    io_ptr = ctypes.addressof(ctypes.c_char.from_buffer(io))
+    dlasq1(io_ptr, d_ptr, d_ptr + 8 * k, d_ptr + 16 * k, io_ptr + 8)
+    if io[1]:
+        raise ConvergenceError(f"dlasq1 returned INFO = {io[1]} at degree {degree}")
+    return work[:m]  # for odd n, drops the appended 0, the smallest
 
 
 def _tower_step(J: JacobiMatrix, n: int) -> tuple[int, int]:
@@ -323,47 +290,47 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_all(solvers: dict, jobs: list) -> dict:
-    """solvers[j].sigma(m) into out for every job (n, j, m, out), on up to one thread per
-    CPU; the exception of each failing job, keyed by n.
+def _solve_all(jobs: list) -> dict:
+    """_sigma(diag, sub, m) into out for every job (n, diag, sub, m, out), on up to one thread
+    per CPU; the exception of each failing job, keyed by n.
 
-    solvers maps j to the solver of level j + 1, and the jobs of every
-    level share one list, sorted by m; each writes its own slice of one
-    buffer. The calling thread and min(CPUs, jobs) - 1 daemon helpers, each
-    helper with a workspace of its own for every level, pop from the end of
-    that list until it is empty, so each thread takes the largest solve
-    left and no cost model is needed. Each dlasq1 call releases the
-    interpreter lock, so the calls run in parallel; every helper is joined
-    before this returns. Below _THREAD_WORK in sum (m//2)^2, as for a verify
-    run to degree 64, handing the lock between threads costs more than the
-    second CPU saves, so the batch stays on the calling thread. dlasq1 keeps
-    no state between calls (no SAVE variables since LAPACK 3.2), and each
+    The jobs of every level share one list, sorted by m; each writes its
+    own slice of one buffer. The calling thread and min(CPUs, jobs) - 1
+    daemon helpers pop from the end of that list until it is empty, so
+    each thread takes the largest solve left and no cost model is needed.
+    Each thread has one dqds workspace, sized for the largest m of the
+    batch, whatever its level. Each dlasq1 call releases the interpreter
+    lock, so the calls run in parallel; every helper is joined before this
+    returns. Below _THREAD_WORK in sum (m//2)^2, as for a verify run to
+    degree 64, handing the lock between threads costs more than the second
+    CPU saves, so the batch stays on the calling thread. dlasq1 keeps no
+    state between calls (no SAVE variables since LAPACK 3.2), and each
     sigma depends on its job alone, so the result is the same for any
     number of threads.
     """
-    todo = sorted(jobs, key=lambda job: job[2])
+    todo = sorted(jobs, key=lambda job: job[3])
+    top = todo[-1][3] if todo else 0
     failures = {}
 
-    def drain(solvers):
+    def drain():
+        work, io = np.empty(6 * (top - top // 2)), np.zeros(2, dtype=np.int64)
         while True:
             try:
-                n, j, m, out = todo.pop()  # the largest m left
+                n, diag, sub, m, out = todo.pop()  # the largest m left
             except IndexError:
                 return
             try:
-                out[:] = solvers[j].sigma(m, degree=n)
+                out[:] = _sigma(diag, sub, m, work, io, n)
             except Exception as exc:  # re-raised by _zero_table at the least failing degree
                 failures[n] = exc
 
-    work = sum((m // 2) ** 2 for _, _, m, _ in jobs)
-    count = min(_cpu_count(), len(jobs)) if work >= _THREAD_WORK else 1
-    helpers = [threading.Thread(target=drain, daemon=True,
-                                args=({j: s.twin() for j, s in solvers.items()},))
-               for _ in range(count - 1)]
+    cost = sum((job[3] // 2) ** 2 for job in jobs)
+    count = min(_cpu_count(), len(jobs)) if cost >= _THREAD_WORK else 1
+    helpers = [threading.Thread(target=drain, daemon=True) for _ in range(count - 1)]
     try:
         for thread in helpers:
             thread.start()
-        drain(solvers)
+        drain()
     finally:
         for thread in helpers:
             if thread.ident is not None:  # started
@@ -371,13 +338,14 @@ def _solve_all(solvers: dict, jobs: list) -> dict:
     return failures
 
 
-def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
-    q = d[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
+def _sturm_count(d0: Decimal, esq: list, x: Decimal, pivmin: Decimal) -> int:
+    """How many eigenvalues of the matrix with diagonal d0 and squared off-diagonals esq lie
+    below x."""
+    shift = d0 - x
+    q = -pivmin if abs(shift) < pivmin else shift
     cnt = 1 if q < 0 else 0
-    for k in range(1, len(d)):
-        q = (d[k] - x) - esq[k - 1] / q
+    for c in esq:
+        q = shift - c / q
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0:
@@ -385,27 +353,27 @@ def _sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
     return cnt
 
 
-def _eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray, glo: float, ghi: float) -> list:
-    """All eigenvalues by Sturm-count bisection in 34-digit decimal, one at a time.
+def _eigvals_bisect_decimal(d0: float, e_f: np.ndarray, glo: float, ghi: float) -> list:
+    """All eigenvalues of the matrix with constant diagonal d0 and off-diagonal e_f, by
+    Sturm-count bisection in 34-digit decimal, one at a time.
 
     [glo, ghi] is the Gershgorin hull of the matrix. The coefficients are
     taken exactly; the digits beyond double let the brackets resolve
     spacings far below the double-precision resolution of the spectral
     width, down to 1e-29 times that width.
     """
-    n = d_f.size
     out = []
     with localcontext(extended_context()):
-        d = [Decimal(v) for v in d_f]
+        d0 = Decimal(d0)
         esq = [Decimal(v) * Decimal(v) for v in e_f]
         pivmin = Decimal(_TINY)
         target = Decimal("1e-29") * Decimal(ghi - glo)
-        for i in range(n):
+        for i in range(e_f.size + 1):
             lo = Decimal(glo)
             hi = Decimal(ghi)
             for _ in range(220):
                 mid = (lo + hi) / 2
-                if _sturm_count(d, esq, mid, pivmin) > i:
+                if _sturm_count(d0, esq, mid, pivmin) > i:
                     hi = mid
                 else:
                     lo = mid
@@ -451,7 +419,8 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     The truncations J_n are leading blocks of J_N, and those of one level
     of the tower are leading blocks of its largest, so the set-up is done
     once for all degrees: the two diagonals of each level's bidiagonal,
-    and the Gershgorin bounds of every J_n, from one prefix pass. Each
+    and the Gershgorin bounds d_0 - R and d_0 + R of every J_n, R the
+    running maximum of the row radii (``_gershgorin_radius``). Each
     degree then costs one dqds call, or none, and large batches split the
     calls across threads (``_solve_all``); a failed solve raises at the
     least failing degree, as in a serial run. The zeros of all degrees are
@@ -497,7 +466,8 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
         k = int(np.argmax(varies))
         raise DomainError(f"diagonal b_{k + 1} = {float(d[k])} differs from b_1 = {float(d[0])}; "
                           "only a constant diagonal is solved")
-    glo, ghi = _gershgorin_prefix(d, e)
+    R = _gershgorin_radius(e)
+    glo, ghi = d[0] - R, d[0] + R
     offsets = np.cumsum([0, *ns])
     # every degree's (j, n, m) and where it starts in the table, by level, then degree
     j_o, n_o, m_o = np.array(sorted((j, n, m) for n in ns for j, m in [_tower_step(J, n)]),
@@ -505,11 +475,12 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     at = offsets[np.searchsorted(ns, n_o)]
     soff = np.cumsum(np.append(0, m_o // 2 + 1))
     sigma = np.zeros(soff[-1])  # each degree's singular values, then the 0 of an odd m
-    jobs = [(n, j, m, sigma[a : b - 1]) for j, n, m, a, b in zip(
+    # the two diagonals of the bidiagonal of each level that solves, split once
+    halves = {j: (c[0::2], c[1::2]) for j in set(j_o[m_o > 1].tolist())
+              for c in [e if j == 0 else np.sqrt(J.deeper[j - 1])]}
+    jobs = [(n, *halves[j], m, sigma[a : b - 1]) for j, n, m, a, b in zip(
         j_o.tolist(), n_o.tolist(), m_o.tolist(), soff[:-1].tolist(), soff[1:].tolist()) if m > 1]
-    solvers = {j: _HalfSizeSolver(e if j == 0 else np.sqrt(J.deeper[j - 1]))
-               for j in {j for _, j, _, _ in jobs}}
-    failures = _solve_all(solvers, jobs)
+    failures = _solve_all(jobs)
     if failures:
         raise failures[min(failures)]
     values = np.empty(offsets[-1])
@@ -542,7 +513,7 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     min_index = hits[np.searchsorted(hits, starts)] - starts
     escalated = {}
     for k, n in ((k, ns[k]) for k in np.flatnonzero(escalate).tolist()):
-        ext = _eigvals_bisect_decimal(d[:n], e[: n - 1], float(glo[n - 2]), float(ghi[n - 2]))
+        ext = _eigvals_bisect_decimal(d[0], e[: n - 1], float(glo[n - 2]), float(ghi[n - 2]))
         zs = escalated[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
         values[offsets[k] : offsets[k + 1]] = zs.points
         min_gap[k], min_index[k] = min_gap_with_index(zs.values)

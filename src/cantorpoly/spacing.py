@@ -120,22 +120,13 @@ def min_spacing(zero_set) -> float:
 
 
 def set_distance(A, B) -> float:
-    """min |a - b| over the two point sets, via a sorted merge."""
+    """min |a - b| over the two point sets: each a against its neighbours in B (``_against``)."""
     a, b = _points(A), _points(B)
     if a.dtype != b.dtype:  # a double set against an extended one
         a, b = _TO_DECIMAL(a), _TO_DECIMAL(b)
     if a.size == 0 or b.size == 0:
         raise DomainError("set distance needs nonempty sets")
-    pos = np.searchsorted(b, a)
-    best = np.inf
-    right = pos < b.size
-    left = pos > 0
-    with localcontext(_EXACT):
-        if np.any(right):
-            best = min(best, float(np.min(np.abs(b[pos[right]] - a[right]))))
-        if np.any(left):
-            best = min(best, float(np.min(np.abs(b[pos[left] - 1] - a[left]))))
-    return best
+    return float(_against(b, a, np.array([0]))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +471,9 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
 
     Each point set the checks read is built once per call, before the
     checks run: the zeros of degrees 2..n_max as one table from one batched
-    eigensolve, the exact zero sets of every dyadic level the run reads
-    from one exact_zero_ladder, the branch-lemma tables from one
+    eigensolve, then the exact zero sets of the branch lemma's levels and of
+    every dyadic level the report checks (``_checked_levels``) from one
+    exact_zero_ladder, the branch-lemma tables from one
     branch_value_ladder, and the critical sets of levels 1..8 from those
     exact zero sets wherever they share a level's precision. The spacing
     report reads the same sets, and every check on M_n reads the report's
@@ -490,11 +482,11 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
-    # the run reads the dyadic levels up to n_max and up to the branch lemma's
-    exact = exact_zero_ladder(fam, max(n_max.bit_length() - 1, _RORO_MAX_LEVEL))
     tables = branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd")
     c_frac = _declared_c(fam.gamma, c)
     table = _zero_table(J, range(2, n_max + 1))  # degree n at n - 2
+    # the run reads the dyadic levels of the branch lemma and those the report checks
+    exact = exact_zero_ladder(fam, max([_RORO_MAX_LEVEL, *_checked_levels(fam, J, table)]))
     report = _report(fam, J, table, exact, c_frac, metadata)
     critical = [CriticalSet.from_zero_sets(critical_levels(fam, n, exact[:n - 1]))
                 for n in range(1, _RORO_MAX_LEVEL + 1)]

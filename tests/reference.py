@@ -28,13 +28,16 @@ same quantities another way, and the tests compare the two:
   the exhaustive entries of a full verification;
 - the zeros of one degree (``eigen_zero_sets`` of that degree alone), the
   spectrum of one degree from its singular values, and the critical set of
-  one level (``critical_levels`` of that level alone).
+  one level (``critical_levels`` of that level alone);
+- the Gershgorin bounds of every leading truncation and the decimal
+  Sturm-count bisection of a tridiagonal with any diagonal, against which
+  the package's constant-diagonal forms are checked bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -47,6 +50,7 @@ from cantorpoly.geometry import (
     _pull,
     _scalar,
     all_branch_values,
+    extended_context,
     leftmost_length,
     level_intervals,
     u_map,
@@ -62,6 +66,7 @@ from cantorpoly.spacing import (
 )
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _LANCZOS_BREAKDOWN = 256.0 * _EPS
 
 
@@ -476,3 +481,63 @@ def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
     if n < 1:
         raise DomainError("level must be >= 1")
     return CriticalSet.from_zero_sets(critical_levels(fam, n, mode=mode))
+
+
+# ---------------------------------------------------------------------------
+# a tridiagonal with any diagonal: Gershgorin bounds and decimal bisection
+# ---------------------------------------------------------------------------
+
+def gershgorin_prefix(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gershgorin bounds of every leading truncation J_n, n >= 2, at index n - 2.
+
+    Rows 0..n-2 of J_n have the radii of the full matrix; its last row
+    has only |e_{n-2}|. Radii are summed in the same order for every n,
+    so each bound is the one of J_n assembled on its own.
+    """
+    rad = np.zeros_like(d)
+    rad[:-1] += np.abs(e)
+    rad[1:] += np.abs(e)
+    lo = np.minimum(np.minimum.accumulate(d - rad)[:-1], d[1:] - np.abs(e))
+    hi = np.maximum(np.maximum.accumulate(d + rad)[:-1], d[1:] + np.abs(e))
+    return lo, hi
+
+
+def sturm_count(d: list, esq: list, x: Decimal, pivmin: Decimal) -> int:
+    """Eigenvalues below x of the tridiagonal with diagonal d and squared off-diagonals esq."""
+    q = d[0] - x
+    if abs(q) < pivmin:
+        q = -pivmin
+    cnt = 1 if q < 0 else 0
+    for k in range(1, len(d)):
+        q = (d[k] - x) - esq[k - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0:
+            cnt += 1
+    return cnt
+
+
+def eigvals_bisect_decimal(d_f: np.ndarray, e_f: np.ndarray, glo: float, ghi: float) -> list:
+    """All eigenvalues of the tridiagonal with diagonal d_f and off-diagonal e_f, by
+    Sturm-count bisection in 34-digit decimal inside its Gershgorin hull [glo, ghi]."""
+    out = []
+    with localcontext(extended_context()):
+        d = [Decimal(v) for v in d_f]
+        esq = [Decimal(v) * Decimal(v) for v in e_f]
+        pivmin = Decimal(_TINY)
+        target = Decimal("1e-29") * Decimal(ghi - glo)
+        for i in range(d_f.size):
+            lo = Decimal(glo)
+            hi = Decimal(ghi)
+            for _ in range(220):
+                mid = (lo + hi) / 2
+                if sturm_count(d, esq, mid, pivmin) > i:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= target:
+                    break
+            else:
+                raise ConvergenceError("decimal bisection exhausted its iteration budget")
+            out.append((lo + hi) / 2)
+    return out

@@ -19,11 +19,12 @@ import cantorpoly as cp
 from cantorpoly import jacobi
 from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import _HalfSizeSolver, _eigvals_bisect_decimal, _gershgorin_prefix
+from cantorpoly.jacobi import _eigvals_bisect_decimal, _gershgorin_radius, _sigma
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
-from reference import (DiscreteMeasure, eigen_zeros, gauss_measure, moments, opoly_eval,
-                       refinement_measure, sign_alternation_ok, spectrum, stieltjes_lanczos)
+from reference import (DiscreteMeasure, eigen_zeros, eigvals_bisect_decimal, gauss_measure,
+                       gershgorin_prefix, moments, opoly_eval, refinement_measure,
+                       sign_alternation_ok, spectrum, stieltjes_lanczos)
 
 
 class TestRefinementMeasure:
@@ -471,11 +472,16 @@ class TestDqdsKernel:
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(request.param))
         return request.param, cp.jacobi_for_gamma(fam, 1024)
 
+    @staticmethod
+    def _solve(e, n, work, io):
+        # the two diagonals of e's bidiagonal, in a workspace of the caller's
+        return _sigma(e[0::2], e[1::2], n, work, io, n) if n > 1 else np.empty(0)
+
     def test_matches_dense_svd(self, jacobi_1024):
         _, J = jacobi_1024
-        half = _HalfSizeSolver(J.a)
+        work, io = np.empty(6 * 512), np.zeros(2, dtype=np.int64)
         for n in range(1, 1025):
-            got = spectrum(J.b[0], half.sigma(n) if n > 1 else np.empty(0), n)
+            got = spectrum(J.b[0], self._solve(J.a, n, work, io), n)
             assert np.max(np.abs(got - _dense_slice_zeros(J, n))) <= 32 * self.EPS, n
 
     def test_matches_decimal_bisection(self, jacobi_1024):
@@ -484,13 +490,31 @@ class TestDqdsKernel:
         # multiple of m eps for dqds: 12.6 eps there (the dense SVD: 9 eps)
         desc, J = jacobi_1024
         bound = (16 if desc == "list:1/4,1/1000" else 4) * self.EPS
-        half = _HalfSizeSolver(J.a[:63])
-        lo, hi = _gershgorin_prefix(J.b[:64], J.a[:63])
+        work, io = np.empty(6 * 32), np.zeros(2, dtype=np.int64)
+        lo, hi = gershgorin_prefix(J.b[:64], J.a[:63])
         for n in range(2, 65):
-            want = np.asarray(_eigvals_bisect_decimal(J.b[:n], J.a[: n - 1], lo[n - 2], hi[n - 2]),
+            want = np.asarray(_eigvals_bisect_decimal(J.b[0], J.a[: n - 1], lo[n - 2], hi[n - 2]),
                               dtype=float)
-            got = spectrum(J.b[0], half.sigma(n), n)
+            got = spectrum(J.b[0], self._solve(J.a[:63], n, work, io), n)
             assert np.max(np.abs(got - want)) <= bound, n
+
+    def test_gershgorin_bounds_match_the_general_prefix(self, jacobi_1024):
+        # d_0 -+ R, bit for bit the bounds of the general-diagonal prefix pass
+        _, J = jacobi_1024
+        R = _gershgorin_radius(J.a)
+        lo, hi = gershgorin_prefix(J.b, J.a)
+        assert (J.b[0] - R).tobytes() == lo.tobytes()
+        assert (J.b[0] + R).tobytes() == hi.tobytes()
+
+    @pytest.mark.parametrize("case", ["near-degenerate 4x4", "list:1/4,1/1000 degree 55"])
+    def test_bisection_matches_the_general_diagonal(self, case):
+        if case == "near-degenerate 4x4":
+            J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
+        else:
+            J = _jacobi("list:1/4,1/1000", 55)
+        lo, hi = gershgorin_prefix(J.b, J.a)
+        args = J.a, float(lo[-1]), float(hi[-1])
+        assert _eigvals_bisect_decimal(J.b[0], *args) == eigvals_bisect_decimal(J.b, *args)
 
 
 class TestDqdsLookup:
@@ -640,14 +664,14 @@ class TestEigenZeroSets:
 
     def test_gershgorin_prefix_is_each_truncation_alone(self):
         rng = np.random.default_rng(11)
-        d = rng.uniform(0.2, 0.8, 40)
+        d0 = rng.uniform(0.2, 0.8)
         e = rng.uniform(-0.3, 0.3, 39)
-        lo, hi = _gershgorin_prefix(d, e)
+        R = _gershgorin_radius(e)
         for n in range(2, 41):
             rad = np.zeros(n)
             rad[:-1] += np.abs(e[: n - 1])
             rad[1:] += np.abs(e[: n - 1])
-            assert lo[n - 2] == np.min(d[:n] - rad) and hi[n - 2] == np.max(d[:n] + rad), n
+            assert d0 - R[n - 2] == np.min(d0 - rad) and d0 + R[n - 2] == np.max(d0 + rad), n
 
     def test_degree_range(self, jacobi_sixth_small):
         assert cp.eigen_zero_sets(jacobi_sixth_small, []) == {}
@@ -777,6 +801,18 @@ class TestThreadedSweep:
         ms = [jacobi._tower_step(J, n)[1] for n in range(2, 257)]
         assert len(sizes) == 247  # every degree but the 8 dyadic ones
         assert sorted(sizes) == sorted(m - m // 2 for m in ms if m > 1)
+
+    def test_largest_solve_on_a_deeper_level(self, monkeypatch):
+        # 254 = 2 * 127 solves m = 127 at level 2, the largest solve of the batch, beside
+        # m = 3 and 5 at level 1: each thread's one workspace must hold it
+        J = _jacobi("constant:1/6", 256)
+        degrees = [3, 5, 254]
+        assert [jacobi._tower_step(J, n) for n in degrees] == [(0, 3), (0, 5), (1, 127)]
+        _table_is_each_degree_alone(J, degrees)  # below _THREAD_WORK: serial
+        monkeypatch.setattr(jacobi, "_THREAD_WORK", 0)
+        threaded = self._check_same(monkeypatch, J, degrees)
+        for n in degrees:
+            assert _same_zero_set(threaded[n], eigen_zeros(J, n)), n
 
     def test_helpers_are_capped_by_the_jobs(self, monkeypatch):
         # 8 is dyadic and solves nothing; 3, 5 and 12 = 4 * 3 each make one job

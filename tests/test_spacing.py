@@ -697,6 +697,21 @@ class TestDyadicRowsFromTheTable:
         cp.spacing_report(fam, J, range(2, top + 1))
         assert calls == ladders
 
+    @pytest.mark.parametrize("by_hand, ladders", [(False, [8]), (True, [9])])
+    def test_exact_ladder_per_verification(self, monkeypatch, by_hand, ladders):
+        # the branch lemma reads levels 1..8; a level above is built only where the report
+        # checks it, as every dyadic level of a matrix built by hand
+        fam = _family("constant:1/6")
+        J = cp.jacobi_for_gamma(fam, 512)
+        if by_hand:
+            J = cp.JacobiMatrix(J.a, J.b)
+        calls = []
+        real = spacing.exact_zero_ladder
+        monkeypatch.setattr(spacing, "exact_zero_ladder",
+                            lambda fam, top, *args: calls.append(top) or real(fam, top, *args))
+        cp.full_verification(fam, J, n_max=512)
+        assert calls == ladders
+
 
 @st.composite
 def _tiny_to_moderate_fractions(draw):
