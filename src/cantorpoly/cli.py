@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ class RunConfig:
     seed: int = 20240601
 
     def validate(self):
-        if self.command not in ("geometry", "jacobi", "zeros", "verify"):
+        if self.command not in _COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
         for name in ("levels", "degree_max", "depth", "seed"):
             value = getattr(self, name)
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cantorpoly",
         description="Cantor-set orthogonal polynomials and zero-spacing checks",
     )
-    parser.add_argument("command", choices=["geometry", "jacobi", "zeros", "verify"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override its entries")
     parser.add_argument("--gamma", help="descriptor string (kind:v1,v2,...) or JSON file")
     parser.add_argument("--levels", type=int, help="maximum pre-Cantor level")
@@ -121,7 +121,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise DomainError(f"config file {args.config} must hold a JSON object")
         settings.update(loaded)
-    for key in ("gamma", "levels", "degree_max", "depth", "precision", "c", "out", "seed"):
+    for key in [f.name for f in fields(RunConfig) if f.name != "command"]:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -211,6 +211,8 @@ def _sample_grid(m: int):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.degree_max < 2:  # before jacobi_for_gamma sizes J by it
+        raise DomainError("degree-max must be at least 2 for the verify command")
     fam = MapFamily(cfg.gamma_sequence())
     out = Path(cfg.out)
     J = jacobi_for_gamma(fam, cfg.degree_max)

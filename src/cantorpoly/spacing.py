@@ -20,11 +20,14 @@ once per octave s, so they are formed once per octave. A dyadic degree
 2^m solves nothing: its zeros are exact_zeros bit for bit wherever level
 m works in double, so the report reads its M_n from the table, and
 checks it against the exact set only where that is extended or the
-degree escalated. Each rational lower bound q (a delta product) is
-decided through the least double t >= q: for a double M_n, M_n >= t
-holds exactly when M_n >= q, so the verdicts carry no rounding slack of
-their own. Gaps and distances between Decimal points are formed exactly
-and rounded once, to double.
+degree escalated. Both entry points take the table, these checked
+levels, the exact zero ladder and the M_n array from one step, _spacing,
+which alone decides the ladder's depth: the deepest checked level, at
+least 8 in a full verification. Each rational lower bound q (a delta
+product) is decided through the least double t >= q: for a double M_n,
+M_n >= t holds exactly when M_n >= q, so the verdicts carry no rounding
+slack of their own. Gaps and distances between Decimal points are formed
+exactly and rounded once, to double.
 
 A full verification run builds each point set it reads once, before its
 checks run, and the checks read each degree or level from them: the
@@ -274,17 +277,6 @@ def _dyadic_exponent(n: int) -> int | None:
     return None
 
 
-def _checked_levels(fam: MapFamily, J: JacobiMatrix, table) -> list[int]:
-    """The levels m of the dyadic degrees 2^m of a zero table whose zeros are not
-    exact_zeros(fam, m) bit for bit: the escalated ones, those of a level in extended
-    precision, and all of them when J's tower is not fam's."""
-    levels = [m for m in map(_dyadic_exponent, table.degrees) if m]
-    if J.gamma != fam.gamma:
-        return levels
-    return [m for m in levels
-            if 2 ** m in table.escalated or fam.gamma.precision(m)[0] != "double"]
-
-
 def _least_double_at_least(q: Fraction) -> float:
     """The least double t >= q: for every double x, x >= t exactly when x >= q."""
     t = float(q)  # correctly rounded, also into the subnormals and to 0
@@ -331,15 +323,15 @@ def _octave_bounds(gamma, s: int, c_frac: Fraction | None) -> list[tuple]:
     return eqs
 
 
-def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
-            c_frac: Fraction | None, metadata: dict | None) -> SpacingReport:
-    """The spacing columns of a zero table's degrees, as whole arrays; c_frac is already
-    checked. A dyadic degree reads the table, except at a level m of _checked_levels: there
-    it takes the smallest gap of exact[m - 1], the zero set of level m, once that agrees with
-    the table's. The bounds are formed once per octave s and gathered to the degrees by s."""
+def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels: list[int],
+            c_frac: Fraction | None, metadata: dict | None) -> tuple[np.ndarray, SpacingReport]:
+    """The M_n array and the spacing columns of a zero table's degrees, as whole arrays; c_frac
+    is already checked. A dyadic degree reads the table, except at a checked level m of levels:
+    there it takes the smallest gap of exact[m - 1], the zero set of level m, once that agrees
+    with the table's. The bounds are formed once per octave s and gathered to the degrees by s."""
     gamma, degrees = fam.gamma, table.degrees
     m_n, pair = table.min_gap.copy(), table.min_index.copy()
-    for m in _checked_levels(fam, J, table):
+    for m in levels:
         i = degrees.index(2 ** m)
         gap, index = exact[m - 1].smallest_gap()
         if abs(gap - m_n[i]) > _EXACT_VS_EIGEN_TOL:
@@ -371,7 +363,22 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet],
     )
     meta = {"gamma": gamma.descriptor(), "c": None if c_frac is None else str(c_frac),
             "valid_length": J.b.size, **(metadata or {})}
-    return SpacingReport(columns=columns, metadata=meta)
+    return m_n, SpacingReport(columns=columns, metadata=meta)
+
+
+def _spacing(fam: MapFamily, J: JacobiMatrix, degrees, c, metadata: dict | None, floor: int):
+    """The zero table of degrees, the exact zero sets of levels 1..L, the M_n array (degree
+    table.degrees[i] at i) and the report, built in this order once c is checked. Level m is
+    checked (``_report``) where the zeros of 2^m are not exact_zeros(fam, m) bit for bit: an
+    escalated degree, a level in extended precision, any level when J's tower is not fam's. L
+    is the largest of floor and the checked levels; no ladder is built when L is 0."""
+    c_frac = _declared_c(fam.gamma, c)
+    table = _zero_table(J, degrees, least=2)
+    levels = [m for m in map(_dyadic_exponent, table.degrees) if m and (
+        J.gamma != fam.gamma or 2 ** m in table.escalated or fam.gamma.precision(m)[0] != "double")]
+    depth = max([floor, *levels])
+    exact = exact_zero_ladder(fam, depth) if depth else []
+    return table, exact, *_report(fam, J, table, exact, levels, c_frac, metadata)
 
 
 def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
@@ -380,18 +387,15 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
 
     All degrees come from one batched eigensolve, whose zero table gives
     each M_n; one exact_zero_ladder is built only when a dyadic degree has
-    a second computation to check against it (``_checked_levels``).
+    a second computation to check against it, to the deepest such level
+    (``_spacing``, with no floor).
     Lower-bound comparisons are exact: the delta products are rationals,
     and M_n is compared against the least double at or above each, which
     decides M_n >= q without rounding. The pi^2-scaled upper bounds are
     evaluated in double, where their margins are many orders of magnitude
     wide. Both depend only on s, so each octave's bounds are formed once.
     """
-    c_frac = _declared_c(fam.gamma, c)
-    table = _zero_table(J, degrees, least=2)
-    levels = _checked_levels(fam, J, table)
-    exact = exact_zero_ladder(fam, levels[-1]) if levels else []
-    return _report(fam, J, table, exact, c_frac, metadata)
+    return _spacing(fam, J, degrees, c, metadata, 0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -470,30 +474,26 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     informational checks, at the module's fixed sizes.
 
     Each point set the checks read is built once per call, before the
-    checks run: the zeros of degrees 2..n_max as one table from one batched
-    eigensolve, then the exact zero sets of the branch lemma's levels and of
-    every dyadic level the report checks (``_checked_levels``) from one
-    exact_zero_ladder, the branch-lemma tables from one
-    branch_value_ladder, and the critical sets of levels 1..8 from those
-    exact zero sets wherever they share a level's precision. The spacing
-    report reads the same sets, and every check on M_n reads the report's
-    M_n column. No check samples: the bounds on pairs and triples of
-    degrees are decided on every case, listing 20 violations.
+    checks run: the branch-lemma tables from one branch_value_ladder; the
+    zeros of degrees 2..n_max as one table and one exact_zero_ladder from
+    ``_spacing``, as in spacing_report, but with the ladder's depth at least
+    the branch lemma's 8 levels; and the critical sets of levels 1..8 from
+    those exact zero sets wherever they share a level's precision. Every
+    check on M_n reads the M_n array that the report prints. No check
+    samples: the bounds on pairs and triples of degrees are decided on
+    every case, listing 20 violations.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
     tables = branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd")
-    c_frac = _declared_c(fam.gamma, c)
-    table = _zero_table(J, range(2, n_max + 1))  # degree n at n - 2
-    # the run reads the dyadic levels of the branch lemma and those the report checks
-    exact = exact_zero_ladder(fam, max([_RORO_MAX_LEVEL, *_checked_levels(fam, J, table)]))
-    report = _report(fam, J, table, exact, c_frac, metadata)
+    # degree n at n - 2 of the table and of spacings, M_n as its row prints it
+    table, exact, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata,
+                                              _RORO_MAX_LEVEL)
     critical = [CriticalSet.from_zero_sets(critical_levels(fam, n, exact[:n - 1]))
                 for n in range(1, _RORO_MAX_LEVEL + 1)]
     top = min(_PAIRS_MAX, n_max)
     violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets,
                                   {n: zs.values for n, zs in table.escalated.items()})
-    spacings = np.array(report.columns.m_n)  # M_n at n - 2, as its row prints it
     entries: list[ReportEntry] = []
 
     def every_case(check, max_degree, cases, ratios, name, failed):
@@ -555,7 +555,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     ))
 
     # informational: M at dyadic degrees should collapse monotonically
-    dyadic = [report.columns.m_n[2 ** m - 2] for m in range(1, n_max.bit_length())]
+    dyadic = spacings[[2 ** m - 2 for m in range(1, n_max.bit_length())]].tolist()
     collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
     entries.append(ReportEntry(
         check="dyadic_spacing_collapse",

@@ -309,6 +309,13 @@ class TestVerifyCommand:
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", degree_max,
                      "--depth", depth, "--out", str(tmp_path)]) == 0
 
+    def test_degree_max_one_is_refused_before_the_matrix(self, tmp_path, capsys):
+        assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "1",
+                     "--depth", "4", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("cantorpoly: invalid input: degree-max must be at "
+                                           "least 2 for the verify command\n")
+        assert not any(tmp_path.iterdir())
+
 
 # sha256 of every CSV a small run writes, taken before the CSV writer became
 # columnar; run.json is left out because it embeds --out. critical_l11.csv

@@ -390,6 +390,19 @@ class TestChecksOnPublicSets:
         interlacing = next(e for e in result.entries if e.check == "interlacing_at_most_one")
         assert interlacing.lhs == len(_per_pair_violations(z)) == 0
 
+    @pytest.mark.parametrize("desc, top, c, by_hand", [
+        # by hand, every dyadic level is checked and the ladder reaches level 8 either way
+        ("constant:1/6", 256, Fraction(1, 6), True),
+        # the extended and escalated levels set the ladder's depth: 6, or 8 under the lemma
+        ("list:1/4,1/1000", 64, None, False)])
+    def test_verification_prints_the_spacing_report(self, desc, top, c, by_hand):
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        J = cp.jacobi_for_gamma(fam, top)
+        if by_hand:
+            J = cp.JacobiMatrix(J.a, J.b)
+        result = full_verification(fam, J, n_max=top, c=c)
+        assert result.spacing.rows == cp.spacing_report(fam, J, range(2, top + 1), c).rows
+
     @pytest.mark.parametrize("desc", ["constant:1/6", "periodic:1/6,1/5"])
     def test_every_triple_and_pair_by_the_public_checks(self, desc):
         # all 1,771 triples through verify_interlacing_bound and all 276
@@ -539,8 +552,9 @@ class TestSpacingReport:
         gamma = cp.GammaSequence.from_descriptor("list:1e-156,1e-156,1e-5,1/4")
         fam, c = cp.MapFamily(gamma), Fraction(1, 10 ** 156)
         ladder = exact.exact_zero_ladder(fam, 2)
-        report = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder, c,
-                                 None)
+        # level 2 works in extended precision, so the report checks it against the ladder
+        _, report = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder,
+                                    [2], c, None)
         row = report.rows[0]
         bound = Fraction(PI_SQ_4) * gamma.delta_fraction(3) / (c * c)
         assert row.s == 3 and 0 < row.upper_eq2 < 1e-4
@@ -554,8 +568,8 @@ class TestSpacingReport:
         # divided exactly, finite at 1e-70 and above the doubles at 1e-160
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         ladder = exact.exact_zero_ladder(fam, 2)
-        row = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder, None,
-                              None).rows[0]
+        row = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder, [2],
+                              None, None)[1].rows[0]
         assert row.s == 3 and row.lower_eq1 == 0.0 and row.pass_eq1
         quotient = Fraction(row.m_n) / fam.gamma.delta_fraction(5)
         if quotient > Fraction(sys.float_info.max):
@@ -623,6 +637,15 @@ def _family(desc):
     return cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
 
 
+def _checked_levels(monkeypatch, fam, J, degrees):
+    # the dyadic levels that the spacing step hands the report to check against the ladder
+    seen, real = [], spacing._report
+    monkeypatch.setattr(spacing, "_report", lambda *args: seen.append(args[4]) or real(*args))
+    spacing._spacing(fam, J, degrees, None, None, 0)
+    monkeypatch.undo()
+    return seen.pop()
+
+
 class TestDyadicRowsFromTheTable:
     """A dyadic row reads the zero table, and an exact set only where the two differ."""
 
@@ -630,14 +653,14 @@ class TestDyadicRowsFromTheTable:
         *((desc, 256) for desc in ["constant:1/6", "constant:1/4", "constant:0.05",
                                    "periodic:1/5,1/6"]),
         ("constant:0.02", 64)])
-    def test_table_holds_the_exact_zeros_at_double_levels(self, desc, top):
+    def test_table_holds_the_exact_zeros_at_double_levels(self, monkeypatch, desc, top):
         fam = _family(desc)
         J = cp.jacobi_for_gamma(fam, top)
         table = jacobi._zero_table(J, range(2, top + 1))
         read = [m for m in range(1, top.bit_length())
                 if 2 ** m not in table.escalated and fam.gamma.precision(m)[0] == "double"]
         assert read == list(range(1, top.bit_length()))  # every dyadic level, here
-        assert spacing._checked_levels(fam, J, table) == []
+        assert _checked_levels(monkeypatch, fam, J, range(2, top + 1)) == []
         for m in read:
             zeros = table.values[table.offsets[2 ** m - 2] : table.offsets[2 ** m - 1]]
             assert zeros.tobytes() == cp.exact_zeros(fam, m).values.tobytes(), m
@@ -654,12 +677,11 @@ class TestDyadicRowsFromTheTable:
             gap, i = cp.exact_zeros(fam, m).smallest_gap()
             assert (row.n, row.source, row.m_n, row.min_pair) == (2 ** m, "both", gap, (i, i + 1))
 
-    def test_a_matrix_built_by_hand_checks_every_dyadic_row(self, fam_sixth):
+    def test_a_matrix_built_by_hand_checks_every_dyadic_row(self, monkeypatch, fam_sixth):
         J = cp.jacobi_for_gamma(fam_sixth, 64)
         by_hand = cp.JacobiMatrix(J.a, J.b)
-        table = jacobi._zero_table(by_hand, range(2, 65))
-        assert spacing._checked_levels(fam_sixth, by_hand, table) == [1, 2, 3, 4, 5, 6]
-        assert spacing._checked_levels(fam_sixth, J, table) == []
+        assert _checked_levels(monkeypatch, fam_sixth, by_hand, range(2, 65)) == [1, 2, 3, 4, 5, 6]
+        assert _checked_levels(monkeypatch, fam_sixth, J, range(2, 65)) == []
         # its dyadic degrees solve at level 1, and the rows take the exact sets' gaps
         dyadic = [2 ** m - 2 for m in range(1, 7)]
         got, want = (cp.spacing_report(fam_sixth, Jx, range(2, 65)).rows for Jx in (by_hand, J))
@@ -755,6 +777,10 @@ class TestFullVerification:
         payload = result.as_json()
         assert payload["passed"] is True
         assert len(payload["spacing"]["rows"]) == 15
+
+    def test_n_max_below_two_is_outside_the_degrees(self, fam_sixth, jacobi_sixth_small):
+        with pytest.raises(DomainError, match=r"^n_max 1 outside \[2, 16\]$"):
+            full_verification(fam_sixth, jacobi_sixth_small, n_max=1)
 
     def test_informational_entries_present(self, fam_periodic):
         J = cp.jacobi_for_gamma(fam_periodic, 16)
