@@ -32,10 +32,11 @@ exactly and rounded once, to double.
 A full verification run builds each point set it reads once, before its
 checks run, and the checks read each degree or level from them: the
 eigensolved zeros of every degree as one table from one batched solve,
-whose difference array gives each M_n; the dyadic zero sets and the
-branch-lemma tables of levels 1..8 from one branch ladder each
-(geometry.branch_value_ladder); and the critical sets from those zero
-sets wherever they share its deepest level's precision. No check
+whose difference array gives each M_n; the dyadic zero sets of levels
+1..8 from one branch ladder (geometry.branch_value_ladder), and the
+critical sets from those zero sets wherever they share its deepest
+level's precision. The branch lemma reads each level's separations in
+double, from geometry._separation_table, with no cushion. No check
 samples: one pass per degree r up to 256 bins all smaller-degree zeros
 into Z_r, and decides at-most-one interlacing and the distance bound on
 every pair and triple of degrees.
@@ -76,31 +77,18 @@ from .exact import (
     exact_zero_ladder,
     min_gap_with_index,
 )
-from .geometry import branch_value_ladder, largest_gap, leftmost_length
+from .geometry import _leftmost_double, _separation_table, largest_gap, leftmost_length
 from .jacobi import JacobiMatrix, _zero_table
 from .serialize import csv_text
 
 _PI_SQ_4 = math.pi ** 2 / 4.0
 _EXACT_VS_EIGEN_TOL = 1e-9
 _TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
-# branch values carry rounding at the ~1e-34 scale of their O(1) size and
-# a separation keeps it as an absolute error, so the tie cushion is
-# absolute; 1e-29 sits far below every genuine scale in range
-_TIE_CUSHION = Decimal("1e-29")
 # the sizes of a full verification: the branch lemma at levels 1..8, and
 # the pairs of degrees up to 256 for at-most-one interlacing and the
 # distance bound
 _RORO_MAX_LEVEL = 8
 _PAIRS_MAX = 256
-# the branch lemma's parameters: anchors (t = 0) and both endpoints
-_LEMMA_TS = (0.0, 1.0, -1.0)
-
-
-def _scales_ok(chain, l_next, d_next) -> bool:
-    # chain = l_{1,n+1} when gamma_{n+1} = 1/4, but the two round apart
-    # (decimal halving is inexact), so that tie gets a relative cushion
-    with localcontext(_EXACT):
-        return chain >= l_next * (1 - _TIE_CUSHION) and l_next >= d_next
 
 
 def _points(obj) -> np.ndarray:
@@ -228,43 +216,27 @@ def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
     separation must dominate the all-L chain value, which in turn
     dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
     2^n must dominate the minimum separation over all words and
-    endpoints. table is the level's branch-value table over the
-    parameters (0, 1, -1) in extended precision, one row per word: the
-    anchors (t = 0) and both endpoints (t = +-1). z and y are the zero
-    and critical sets of level n. The word-independent terms are
-    computed once.
+    endpoints. table is the level's ``geometry._separation_table``; z and
+    y are the zero and critical sets of level n. No tie needs a cushion:
+    the all-L words at t = +1 equal the chain bit for bit, and so does
+    l_{1,n+1}, pulled in double by the chain's own steps, where
+    gamma_{n+1} = 1/4. Only l_{1,n+1} >= delta_{n+1} is decided in decimal.
     """
     n = _level(z)
     if y.level != n:
         raise DomainError(f"critical set of level {y.level} against zeros of level {n}")
-    if np.shape(table) != (2 ** n, len(_LEMMA_TS)):
-        raise DomainError(f"level {n} needs a {2 ** n} x {len(_LEMMA_TS)} branch table, "
-                          f"got shape {np.shape(table)}")
-    gamma = fam.gamma
-    anchors = table[:, 0]
-    chain = anchors[0]
-    l_next = leftmost_length(gamma, n + 1, "dd")
-    d_next = gamma.delta(n + 1, "dd")
-    scales_ok = _scales_ok(chain, l_next, d_next)
-    # words whose inner letters are all L tie with the chain, and the
-    # reflected branches compute the tied sides through different
-    # expressions: hence the absolute tie cushion
-    with localcontext(_EXACT):
-        seps = abs(table[:, 1:] - anchors[:, None])
-        failures = int(np.count_nonzero(chain - seps > _TIE_CUSHION)) if scales_ok else seps.size
+    if np.shape(table) != (2 ** n, 3):
+        raise DomainError(f"level {n} needs a {2 ** n} x 3 separation table, got {np.shape(table)}")
+    chain, seps, gamma = table[0, 0], np.abs(table[:, 1:]), fam.gamma
+    scales_ok = (chain >= _leftmost_double(gamma, n + 1)
+                 and leftmost_length(gamma, n + 1, "dd") >= gamma.delta(n + 1, "dd"))
+    failures = int(np.count_nonzero(seps < chain)) if scales_ok else seps.size
     min_sep = float(seps.min())
-    min_margin = min_sep / float(chain) if float(chain) > 0 else math.inf
     dzy = set_distance(z, y)
-    chain_ok = failures == 0
-    dzy_ok = dzy >= min_sep
-    return ReportEntry(
-        check="branch_separation_chain",
-        passed=chain_ok and dzy_ok,
-        lhs=dzy,
-        rhs=min_sep,
-        detail={"n": n, "words": 2 ** n, "chain_failures": failures,
-                "min_margin": min_margin, "critical_distance_ok": dzy_ok},
-    )
+    return ReportEntry("branch_separation_chain", failures == 0 and dzy >= min_sep, dzy, min_sep, {
+        "n": n, "words": 2 ** n, "chain_failures": failures,
+        "min_margin": min_sep / float(chain) if float(chain) > 0 else math.inf,
+        "critical_distance_ok": dzy >= min_sep})
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +446,17 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     informational checks, at the module's fixed sizes.
 
     Each point set the checks read is built once per call, before the
-    checks run: the branch-lemma tables from one branch_value_ladder; the
-    zeros of degrees 2..n_max as one table and one exact_zero_ladder from
-    ``_spacing``, as in spacing_report, but with the ladder's depth at least
-    the branch lemma's 8 levels; and the critical sets of levels 1..8 from
-    those exact zero sets wherever they share a level's precision. Every
-    check on M_n reads the M_n array that the report prints. No check
-    samples: the bounds on pairs and triples of degrees are decided on
-    every case, listing 20 violations.
+    checks run: the zeros of degrees 2..n_max as one table and one
+    exact_zero_ladder from ``_spacing``, as in spacing_report, but with the
+    ladder's depth at least the branch lemma's 8 levels; and the critical
+    sets of levels 1..8 from those exact zero sets wherever they share a
+    level's precision. Each lemma level reads geometry._separation_table.
+    Every check on M_n reads the M_n array that the report prints. No
+    check samples: the bounds on pairs and triples of degrees are decided
+    on every case, listing 20 violations.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
-    tables = branch_value_ladder(fam.gamma, _RORO_MAX_LEVEL, _LEMMA_TS, "dd")
     # degree n at n - 2 of the table and of spacings, M_n as its row prints it
     table, exact, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata,
                                               _RORO_MAX_LEVEL)
@@ -524,7 +495,8 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                np.argwhere(np.tril(spacings[:, None] > second)) + 2)
 
     for n in range(1, _RORO_MAX_LEVEL + 1):
-        entries.append(verify_branch_lemma(fam, tables[n - 1], exact[n - 1], critical[n - 1]))
+        entries.append(verify_branch_lemma(fam, _separation_table(fam.gamma, n), exact[n - 1],
+                                           critical[n - 1]))
 
     entries.append(ReportEntry(
         check="interlacing_at_most_one",

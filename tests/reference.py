@@ -1,7 +1,7 @@
 """Independent cross-check oracles that only the tests use.
 
 The package computes the coefficients of mu_gamma by the polynomial-mapping
-unfolding (``jacobi_for_gamma``) and checks the branch lemma from one branch
+unfolding (``jacobi_for_gamma``) and checks the branch lemma from one separation
 table per level (``spacing.verify_branch_lemma``). The routes here reach the
 same quantities another way, and the tests compare the two:
 
@@ -15,7 +15,8 @@ same quantities another way, and the tests compare the two:
 - the power moments of a Jacobi matrix and the sign alternation of P_n
   across computed zeros;
 - the separation chain of the branch lemma for one word, from scalar
-  branch compositions;
+  branch compositions, and the branch lemma's table of one level in
+  decimal: the oracle of the double separation kernel;
 - discrete measures, the Gauss rule of a Jacobi matrix (Golub-Welsch) and
   P_n by the three-term recurrence;
 - the scalar branch composition, which walks one word of letters L and R
@@ -36,6 +37,7 @@ same quantities another way, and the tests compare the two:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import product
@@ -47,6 +49,7 @@ from cantorpoly.exact import EXACT, CriticalSet, MapFamily, ZeroSet, critical_le
 from cantorpoly.geometry import (
     GammaSequence,
     _as_fraction,
+    _level_table,
     _pull,
     _scalar,
     all_branch_values,
@@ -56,14 +59,7 @@ from cantorpoly.geometry import (
     u_map,
 )
 from cantorpoly.jacobi import JacobiMatrix, eigen_zero_sets
-from cantorpoly.spacing import (
-    _TIE_CUSHION,
-    ReportEntry,
-    _points,
-    _scales_ok,
-    min_spacing,
-    set_distance,
-)
+from cantorpoly.spacing import ReportEntry, _points, min_spacing, set_distance
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -348,6 +344,31 @@ def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
 # the branch lemma, one word at a time
 # ---------------------------------------------------------------------------
 
+# branch values carry rounding at the ~1e-34 scale of their O(1) size and
+# a separation keeps it as an absolute error, so the tie cushion is
+# absolute; 1e-29 sits far below every genuine scale in range
+_TIE_CUSHION = Decimal("1e-29")
+
+
+def _scales_ok(chain, l_next, d_next) -> bool:
+    # chain = l_{1,n+1} when gamma_{n+1} = 1/4, but the two round apart
+    # (decimal halving is inexact), so that tie gets a relative cushion
+    with localcontext(EXACT):
+        return chain >= l_next * (1 - _TIE_CUSHION) and l_next >= d_next
+
+
+def separation_table(gamma: GammaSequence, n: int) -> np.ndarray:
+    """The oracle of ``geometry._separation_table``: [x(0), x(+1) - x(0), x(-1) - x(0)] per word
+    of level n, from the decimal doubling pass at max(60, ceil(-log10 delta_{n+1}) + 20)
+    digits, each difference formed exactly. Its separations, about delta_{n+1} at their
+    least, keep at least 20 digits."""
+    d = gamma.delta_fraction(n + 1)
+    digits = max(60, math.ceil(math.log10(d.denominator) - math.log10(d.numerator)) + 20)
+    table = _level_table(gamma, n, (0.0, 1.0, -1.0), ("dd", digits))[1]
+    with localcontext(EXACT):
+        return np.column_stack([table[:, 0], table[:, 1:] - table[:, :1]])
+
+
 def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     """The three chained quantities for one word and inner endpoint.
 
@@ -366,7 +387,7 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     d_next = gamma.delta(n + 1, "dd")
     # words whose inner letters are all L attain sep == chain exactly at
     # t_tilde = 0, and the reflected branches compute the tied sides
-    # through different expressions: see spacing._TIE_CUSHION
+    # through different expressions: hence _TIE_CUSHION
     with localcontext(EXACT):
         sep = abs(value - anchor)
         sep_ok = chain - sep <= _TIE_CUSHION

@@ -265,6 +265,15 @@ class TestVerifyCommand:
                          "--out", str(out)]) == 0
         assert (a / "spacing_report.csv").read_bytes() == (b / "spacing_report.csv").read_bytes()
 
+    def test_separations_below_the_doubles_are_a_numerical_failure(self, tmp_path, capsys):
+        # degree 2 solves at gamma_1 = 1/4, but the branch lemma's separations of
+        # level 5 are about 1e-401: the double kernel refuses them, and no entry
+        # passes on a separation rounded to 0
+        assert main(["verify", "--gamma", "list:1/4,1e-100", "--degree-max", "2", "--depth", "3",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == ("cantorpoly: numerical failure: a branch separation "
+                                           "of level 5 leaves the normal doubles\n")
+
     def test_tiny_declared_c_passes(self, tmp_path):
         # c = 1e-200 lies in (0, inf gamma]; c^2 underflows to 0 in double, and
         # delta_s / c^2 lies above the double range, so each upper bound is inf
@@ -370,7 +379,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "63f5c58cc1cdcadd19dd8d13bbe6b4a89a6069b30709bc75f9226255caf91adc"
+VERIFY_JSON_SHA256 = "0f1976934140f966c9311b0d02ec2128b5a189452ffd53b7e0d12c9104122946"
 
 
 class TestPinnedOutputBytes:
@@ -397,7 +406,11 @@ class TestPinnedOutputBytes:
         # pair that min_pair names at n = 10, and the distance bound's worst
         # ratio, which the moved zeros give), and when the 15
         # critical_distance_bound entries went (json.loads of the old bytes
-        # less those entries equals the new); config.out is normalised
+        # less those entries equals the new), and when the branch lemma's
+        # separations came from the double kernel (the rhs of levels 2..8
+        # moved, each by at most 6.3e-16 relative of the decimal one, and
+        # json.loads of the old and new bytes with those rhs set equal are
+        # equal); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

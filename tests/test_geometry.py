@@ -10,19 +10,23 @@ from hypothesis import example, given, strategies as st
 
 import cantorpoly as cp
 from cantorpoly import geometry
-from cantorpoly.errors import DomainError
+from cantorpoly.errors import DomainError, RangeOverflowError
+from cantorpoly.exact import EXACT
 from cantorpoly.geometry import (
     GammaSequence,
+    _leftmost_double,
+    _separation_table,
     all_branch_values,
     branch_value_ladder,
     branch_value_table,
     largest_gap,
+    leftmost_length,
     level_intervals,
     scale_rows,
     u_map,
 )
 
-from reference import basic_interval, branch_value, level_gaps, words
+from reference import basic_interval, branch_value, level_gaps, separation_table, words
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -497,3 +501,53 @@ class TestBranchValueLadder:
         pulled.clear()
         branch_value_ladder(gamma, 12, (0.0,))
         assert sum(pulled) == 254 + 256 + 512 + 1024 + 2048
+
+
+_KERNEL_INPUTS = ["constant:1/6", "constant:1/4", "constant:0.05", "constant:0.02",
+                  "constant:0.001", "constant:0.0001", "constant:1/100000000", "list:1/4,1/1000",
+                  "periodic:1/1000000,1/4", "periodic:1/4,1/100000000", "periodic:2/9,1/4"]
+
+
+class TestSeparationKernel:
+    @pytest.mark.parametrize("desc", _KERNEL_INPUTS)
+    def test_matches_the_decimal_oracle(self, desc):
+        # every anchor and signed separation of levels 1..8 within 4e-15
+        # relative; at 1e-8, level 8, the separations are about 1e-64
+        gamma = GammaSequence.from_descriptor(desc)
+        for n in range(1, 9):
+            table, want = _separation_table(gamma, n), separation_table(gamma, n)
+            assert table.shape == (2 ** n, 3) and table.dtype == float
+            with localcontext(EXACT):
+                err = np.frompyfunc(Decimal, 1, 1)(table) - want
+            rel = np.abs(err / want).astype(float)
+            assert rel.max() <= 4e-15, (desc, n, rel.max())
+
+    def test_ties_hold_bit_for_bit(self):
+        # the all-L words at t = +1 (level-1 letter L or R) against the chain,
+        # and the chain against l_{1,n+1} wherever gamma_{n+1} = 1/4
+        quarter_ties = 0
+        for desc in _KERNEL_INPUTS:
+            gamma = GammaSequence.from_descriptor(desc)
+            for n in range(1, 9):
+                table = _separation_table(gamma, n)
+                chain = table[0, 0]
+                assert -table[0, 1] == chain and table[2 ** (n - 1), 1] == chain, (desc, n)
+                if gamma.value(n + 1) == Fraction(1, 4):
+                    assert _leftmost_double(gamma, n + 1) == chain, (desc, n)
+                    quarter_ties += 1
+        assert quarter_ties == 20
+
+    def test_leftmost_length_in_double(self):
+        # the double l_{1,s} is leftmost_length where that works in double
+        for desc in ("constant:1/6", "periodic:2/9,1/4", "constant:0.02"):
+            gamma = GammaSequence.from_descriptor(desc)
+            for s in range(1, 7):
+                want = leftmost_length(gamma, s, "dd")
+                assert abs(_leftmost_double(gamma, s) - float(want)) <= 4e-15 * float(want)
+
+    def test_no_value_below_the_normal_doubles(self):
+        # level 4's separations are about 1e-301; level 5's would be 1e-401
+        gamma = GammaSequence.from_descriptor("list:1/4,1e-100")
+        assert abs(_separation_table(gamma, 4)[:, 1:]).min() > 1e-302
+        with pytest.raises(RangeOverflowError, match="level 5"):
+            _separation_table(gamma, 5)

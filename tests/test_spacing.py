@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import cantorpoly as cp
 from cantorpoly import exact, jacobi, spacing
 from cantorpoly.errors import DomainError
-from cantorpoly.geometry import branch_value_table
+from cantorpoly.geometry import _leftmost_double, _separation_table
 from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
@@ -189,8 +189,8 @@ class TestRunLocalCache:
     @staticmethod
     def _count_branch_passes(monkeypatch):
         # every binding that reaches a branch doubling pass: exact_zeros
-        # (all_branch_values), largest_gap's level intervals, and the
-        # ladders of the run's zero sets and lemma tables
+        # (all_branch_values), largest_gap's level intervals, the ladder of
+        # the run's zero sets, and the separation kernel of each lemma level
         calls = Counter()
         for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table")):
             real = getattr(module, name)
@@ -200,15 +200,18 @@ class TestRunLocalCache:
                 return _real(gamma, n, t, mode)
 
             monkeypatch.setattr(module, name, counted)
-        for module in (exact, spacing):
-            real = module.branch_value_ladder
+        real_ladder, real_kernel = exact.branch_value_ladder, spacing._separation_table
 
-            def counted_ladder(gamma, top, ts, mode="auto", depth=None, _real=real,
-                               _where=module.__name__):
-                calls[(_where, "ladder", top, ts, mode, depth)] += 1
-                return _real(gamma, top, ts, mode, depth)
+        def counted_ladder(gamma, top, ts, mode="auto", depth=None):
+            calls[("cantorpoly.exact", "ladder", top, ts, mode, depth)] += 1
+            return real_ladder(gamma, top, ts, mode, depth)
 
-            monkeypatch.setattr(module, "branch_value_ladder", counted_ladder)
+        def counted_kernel(gamma, n):
+            calls[("cantorpoly.spacing", "kernel", n)] += 1
+            return real_kernel(gamma, n)
+
+        monkeypatch.setattr(exact, "branch_value_ladder", counted_ladder)
+        monkeypatch.setattr(spacing, "_separation_table", counted_kernel)
         return calls
 
     def test_each_dyadic_level_built_once_per_run(self, monkeypatch, fam_sixth):
@@ -219,22 +222,22 @@ class TestRunLocalCache:
         for _ in range(2):
             calls.clear()
             full_verification(fam_sixth, J, n_max=64, c=Fraction(1, 6))
-            # one ladder gives the zeros of levels 1..8, one the lemma tables;
-            # every critical set reuses the zeros, which are all double
+            # one ladder gives the zeros of levels 1..8, and the separation
+            # kernel each lemma table; every critical set reuses the zeros,
+            # which are all double
             ladders = {key: k for key, k in calls.items() if key[1] == "ladder"}
-            assert ladders == {("cantorpoly.exact", "ladder", 8, (0.0,), "auto", None): 1,
-                               ("cantorpoly.spacing", "ladder", 8, (0.0, 1.0, -1.0), "dd",
-                                None): 1}
+            assert ladders == {("cantorpoly.exact", "ladder", 8, (0.0,), "auto", None): 1}
+            kernels = {key: k for key, k in calls.items() if key[1] == "kernel"}
+            assert kernels == {("cantorpoly.spacing", "kernel", n): 1 for n in range(1, 9)}
             assert not [key for key in calls if key[0] == "cantorpoly.exact" and key not in ladders]
-            assert not [key for key in calls if key[0] == "cantorpoly.spacing"
-                        and key not in ladders]
             totals.append(sum(calls.values()))
         assert totals[0] == totals[1]
 
 
-def _lemma(fam, n, ts=spacing._LEMMA_TS):
-    """verify_branch_lemma at level n on sets from the public producers."""
-    table = branch_value_table(fam.gamma, n, ts, "dd")
+def _lemma(fam, n, table=None):
+    """verify_branch_lemma at level n on sets from the public producers, and the
+    separation kernel's table unless one is given."""
+    table = _separation_table(fam.gamma, n) if table is None else table
     return cp.verify_branch_lemma(fam, table, cp.exact_zeros(fam, n), critical_set(fam, n))
 
 
@@ -276,13 +279,13 @@ class TestVerifyOps:
     def test_mismatched_levels_raise(self, fam_sixth):
         z = {m: cp.exact_zeros(fam_sixth, m) for m in (1, 3)}
         y = {m: critical_set(fam_sixth, m) for m in (2, 3)}
-        table = branch_value_table(fam_sixth.gamma, 3, spacing._LEMMA_TS, "dd")
+        table = _separation_table(fam_sixth.gamma, 3)
         assert cp.verify_branch_lemma(fam_sixth, table, z[3], y[3]).passed
         with pytest.raises(DomainError, match="critical set of level 2"):
             cp.verify_branch_lemma(fam_sixth, table, z[3], y[2])
-        with pytest.raises(DomainError, match="branch table"):
+        with pytest.raises(DomainError, match="separation table"):
             cp.verify_branch_lemma(fam_sixth, table[:4], z[3], y[3])
-        with pytest.raises(DomainError, match="branch table"):
+        with pytest.raises(DomainError, match="separation table"):
             cp.verify_branch_lemma(fam_sixth, table[:, :2], z[3], y[3])
         # an eigensolved set of a non-dyadic degree has no level
         odd = eigen_zeros(cp.jacobi_for_gamma(fam_sixth, 8), 7)
@@ -296,8 +299,8 @@ class TestVerifyOps:
         assert float(res["separation"]) == float(res["chain"])
 
     def test_branch_lemma_levels(self):
-        # the doubling pass must agree with the per-word reference on
-        # every word and both inner endpoints
+        # the separation kernel must agree with the per-word decimal reference
+        # on every word and both inner endpoints, within its relative bound
         for desc in ("constant:1/6", "periodic:1/6,1/5", "constant:1/4", "constant:0.02"):
             fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
             for n in range(1, 7):
@@ -309,7 +312,7 @@ class TestVerifyOps:
                 gn = fam.gamma.gamma(n, "dd")
                 want = min(float(branch_separation_chain(fam, w, t)["separation"])
                            for w in words(n) for t in (0.0, gn))
-                assert entry.rhs == want, (desc, n)
+                assert abs(entry.rhs - want) <= 4e-15 * want, (desc, n)
         # at tiny gamma d(Z, Y) needs the dd zero and critical sets: their
         # extreme points round to 0 and 1 in double
         for desc in ("constant:0.01", "constant:0.005"):
@@ -318,21 +321,30 @@ class TestVerifyOps:
             assert entry.detail["chain_failures"] == 0
 
     def test_branch_lemma_tie_at_quarter(self):
-        # with gamma_8 = 1/4 the chain value equals l_{1,8}; in decimal the
-        # two round apart, which must not count as 2^8 chain failures
+        # with gamma_8 = 1/4 the chain value equals l_{1,8}: both are pulled in
+        # double by the same steps, so they are equal bit for bit, and no word
+        # counts as a chain failure
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor("periodic:1/1000000,1/4"))
         entry = _lemma(fam, 7)
         assert entry.passed and entry.detail["chain_failures"] == 0
+        assert _separation_table(fam.gamma, 7)[0, 0] == _leftmost_double(fam.gamma, 8)
         gn = fam.gamma.gamma(7, "dd")
         assert branch_separation_chain(fam, "L" * 7, gn)["ok"]
 
+    # the chain falls to about 5e-49 at constant 1e-8, level 6, and to 2e-35 at
+    # periodic:1/4,1e-8, level 8: no cushion may hide a separation of 0 there
+    @pytest.mark.parametrize("desc, n", [("constant:1/6", 3), ("constant:1/100000000", 6),
+                                         ("periodic:1/4,1/100000000", 8)])
     @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_branch_lemma_checks_both_endpoints(self, fam_sixth, side):
+    def test_branch_lemma_checks_both_endpoints(self, desc, n, side):
         # collapse one endpoint family onto the zeros: each of its words
         # then has separation 0 < chain and must be counted as a failure
-        entry = _lemma(fam_sixth, 3, [0.0 if t == side else t for t in spacing._LEMMA_TS])
+        fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
+        table = _separation_table(fam.gamma, n)
+        table[:, 1 if side == 1.0 else 2] = 0.0
+        entry = _lemma(fam, n, table)
         assert not entry.passed
-        assert entry.detail["chain_failures"] == 8
+        assert entry.detail["chain_failures"] == 2 ** n
 
 
 def _every_case_entry(check, max_degree, cases):
