@@ -411,37 +411,54 @@ def _sep_pull(g: Fraction, v, reflected):
     return g2 * np.where(reflected, 1 - v, v) / (1 + s), s
 
 
-def _separation_table(gamma: GammaSequence, n: int) -> np.ndarray:
-    """The branch lemma's table of level n in double: per word, in word-bit order, the
-    anchor x(0) of its branch value x(t) and the signed separations x(+1) - x(0), x(-1) - x(0).
+def _separation_ladder(gamma: GammaSequence, top: int) -> list[tuple[np.ndarray, float]]:
+    """The branch lemma's tables of levels 1..top in double, each with l_{1,n+1}, from one
+    doubling pass. Level n's table has one row per word, in word-bit order: the anchor x(0)
+    of its branch value x(t), the signed separations x(+1) - x(0) and x(-1) - x(0), and at
+    column 3 + j the signed distance from x(0) to the centre of its level-(n - 1 - j)
+    ancestor (level 0 is [0, 1], centre 1/2). The centres of levels 1..n - 1 are the zeros
+    of F_1, ..., F_{n-1}; with 1/2 they are the critical points of F_n.
 
-    One doubling pass, from u(gamma_n y) at y = (1 - t) / 2 (L on 1/2 and 0, R on 0), pulls
-    each difference by u(a) - u(b) = 2(a - b) / (sqrt(1 - 4a) + sqrt(1 - 4b)) with the roots
-    of the values' own pull, so no step cancels. To first order in u = 2^-53 a pull takes a
-    value's relative error e to 1.25 e + 6.25 u and adds e / 2 + 6.5 u to a difference's, so
-    a separation of level n is within 50 (1.25^n - 1) u relative (2.8e-14 at n = 8; the tests
-    hold 4e-15) while every value and difference stays a normal double; RangeOverflowError
-    otherwise. The all-L words at t = +1 equal the all-L anchor, the chain, bit for bit.
+    Level n starts from u(gamma_n y) at y = (1 - t) / 2 (L on 1/2 and 0, R on 0); where
+    gamma has period p, it continues level n - p's arrays by p pulls instead, as
+    branch_value_ladder does, bit for bit a fresh pass. Each pull takes a difference by
+    u(a) - u(b) = 2(a - b) / (sqrt(1 - 4a) + sqrt(1 - 4b)) with the roots of the values' own
+    pull (``_sep_pull``), so no step cancels, and starts the centre column of the level
+    below, y = 1/2, at 1/2 - u(t) = sqrt(1 - 4t) / 2 from the anchor's root. To first order
+    in u = 2^-53 a pull takes a value's relative error e to 1.25 e + 6.25 u and adds
+    e / 2 + 6.5 u to a difference's, and a centre difference starts within e / 2 + 2 u, so
+    every difference of level n is within 50 (1.25^n - 1) u relative (2.8e-14 at n = 8; the
+    tests hold 4e-15 and 1e-15) while every value and difference of levels 1..top stays a
+    normal double; RangeOverflowError otherwise. l_{1,n+1} is level n + 1's all-L value at
+    t = -1, its row pulled alone and unchecked for n = top. The all-L words at t = +1 equal
+    the chain, the all-L anchor, bit for bit, and so does l_{1,n+1} where gamma_{n+1} = 1/4.
     """
-    v, d, reflected = np.array([[0.5, 0.0, 0.0]]), np.array([[-0.5, 0.5]]), [False, False, True]
-    for k in range(n, 0, -1):
-        v, s = _sep_pull(gamma.value(k), v, reflected)
-        d = 2 * float(gamma.value(k)) * d / (s[:, 1:] + s[:, :1])
-        # the all-L anchor is the least nonzero value
-        if not (np.abs(d).min() >= sys.float_info.min and v[0, 0] >= sys.float_info.min):
-            raise RangeOverflowError(f"a branch separation of level {n} leaves the normal doubles")
-        # each word's letter L, then R, at level k - 1 (the reflection at level 1)
-        v, d = np.concatenate([v, v]), np.concatenate([d, -d])
-        reflected = np.repeat([False, True], len(d) // 2)[:, None]
-    return np.column_stack([np.where(reflected, 1 - v, v)[:, 0], d])
-
-
-def _leftmost_double(gamma: GammaSequence, s: int) -> float:
-    """l_{1,s} by the kernel's steps: where gamma_s = 1/4, the all-L anchor of level s - 1."""
-    v = _sep_pull(gamma.value(s), 0.0, True)[0]
-    for k in range(s - 1, 0, -1):
-        v = _sep_pull(gamma.value(k), v, False)[0]
-    return float(v)
+    p, states, tables, leftmost = gamma.period, {}, [], []
+    for n in range(1, top + 2):
+        rows = None if n <= top else 1  # level top + 1: the all-L row alone, unchecked
+        state = states.pop(n - p, None) if p else None
+        if state is None:
+            v, d = np.array([[0.5, 0.0, 0.0]]), np.array([[-0.5, 0.5]])
+            reflected = [False, False, True]
+        else:
+            v, d, reflected = (x[:rows] for x in state)
+        for k in range(n if state is None else p, 0, -1):
+            v, s = _sep_pull(gamma.value(k), v, reflected)
+            d = 2 * float(gamma.value(k)) * d / (s[:, 1:] + s[:, :1])
+            # the all-L anchor is the least nonzero value
+            if rows is None and not (np.abs(d).min() >= sys.float_info.min
+                                     and v[0, 0] >= sys.float_info.min):
+                raise RangeOverflowError(
+                    f"a branch separation of level {n} leaves the normal doubles")
+            v, d = np.column_stack([v, np.full(len(v), 0.5)]), np.column_stack([d, s[:, 0] / 2])
+            # each word's letter L, then R, at level k - 1 (the reflection at level 1)
+            reflected = np.repeat([False, True], len(v))[:rows, None]
+            v, d = np.concatenate([v, v])[:rows], np.concatenate([d, -d])[:rows]
+        if p:
+            states[n] = v, d, reflected
+        leftmost.append(float(v[0, 2]))
+        tables.append(np.column_stack([np.where(reflected, 1 - v, v)[:, 0], d]))
+    return list(zip(tables[:-1], leftmost[1:]))
 
 
 def _runs(sizes) -> np.ndarray:

@@ -135,4 +135,8 @@ def _finite(obj):
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(_finite(obj), sort_keys=True, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:  # a float that is not finite: walk the object to make each None
+        text = json.dumps(_finite(obj), sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")

@@ -20,26 +20,26 @@ once per octave s, so they are formed once per octave. A dyadic degree
 2^m solves nothing: its zeros are exact_zeros bit for bit wherever level
 m works in double, so the report reads its M_n from the table, and
 checks it against the exact set only where that is extended or the
-degree escalated. Both entry points take the table, these checked
-levels, the exact zero ladder and the M_n array from one step, _spacing,
-which alone decides the ladder's depth: the deepest checked level, at
-least 8 in a full verification. Each rational lower bound q (a delta
-product) is decided through the least double t >= q: for a double M_n,
-M_n >= t holds exactly when M_n >= q, so the verdicts carry no rounding
-slack of their own. Gaps and distances between Decimal points are formed
-exactly and rounded once, to double.
+degree escalated. Both entry points take the table, the M_n array and
+the report from one step, _spacing, which builds an exact zero ladder
+only to the deepest checked level, and none when no level is checked.
+Each rational lower bound q (a delta product) is decided through the
+least double t >= q: for a double M_n, M_n >= t holds exactly when
+M_n >= q, so the verdicts carry no rounding slack of their own. Gaps and
+distances between Decimal points are formed exactly and rounded once, to
+double.
 
-A full verification run builds each point set it reads once, before its
-checks run, and the checks read each degree or level from them: the
-eigensolved zeros of every degree as one table from one batched solve,
-whose difference array gives each M_n; the dyadic zero sets of levels
-1..8 from one branch ladder (geometry.branch_value_ladder), and the
-critical sets from those zero sets wherever they share its deepest
-level's precision. The branch lemma reads each level's separations in
-double, from geometry._separation_table, with no cushion. No check
-samples: one pass per degree r up to 256 bins all smaller-degree zeros
-into Z_r, and decides at-most-one interlacing and the distance bound on
-every pair and triple of degrees.
+A full verification run builds each point set it reads once, and the
+checks read each degree or level from them: the eigensolved zeros of
+every degree as one table from one batched solve, whose difference
+array gives each M_n, and the branch lemma's tables of levels 1..8 from
+one separation ladder (geometry._separation_ladder), in double. Each
+table holds every word's separations and its distances to the centres
+of its ancestors, which are the critical points of F_n, so the lemma
+reads d(Z, Y) there too, and no zero or critical set of F_n is built
+for it. No check samples: one pass per degree r up to 256 bins all
+smaller-degree zeros into Z_r, and decides at-most-one interlacing and
+the distance bound on every pair and triple of degrees.
 
 Besides the rows of both inequalities, a run's checks are below; each
 that reads M_n reads the report's M_n column, the value its row prints:
@@ -73,11 +73,10 @@ from .exact import (
     CriticalSet,
     MapFamily,
     ZeroSet,
-    critical_levels,
     exact_zero_ladder,
     min_gap_with_index,
 )
-from .geometry import _leftmost_double, _separation_table, largest_gap, leftmost_length
+from .geometry import _separation_ladder, largest_gap, leftmost_length
 from .jacobi import JacobiMatrix, _zero_table
 from .serialize import csv_text
 
@@ -188,14 +187,6 @@ class SpacingReport:
 # verified inequalities
 # ---------------------------------------------------------------------------
 
-def _level(zero_set: ZeroSet) -> int:
-    """m for the zero set of a dyadic degree 2^m; DomainError otherwise."""
-    m = _dyadic_exponent(zero_set.degree)
-    if m is None:
-        raise DomainError(f"degree {zero_set.degree} is not a dyadic degree")
-    return m
-
-
 def _second_gaps(v: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The least second-neighbour gap of each set v[offsets[i]:offsets[i + 1]] of two points
     or more, with 0 and 1 at its ends; gaps between Decimals are formed exactly."""
@@ -208,31 +199,33 @@ def _second_gaps(v: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(second, starts).astype(float)
 
 
-def verify_branch_lemma(fam: MapFamily, table: np.ndarray, z: ZeroSet,
-                        y: CriticalSet) -> ReportEntry:
-    """Exhaustive check of the separation chain at level n.
+def verify_branch_lemma(fam: MapFamily, table: tuple[np.ndarray, float]) -> ReportEntry:
+    """Exhaustive check of the separation chain at level n, and of d(Z, Y) at degree 2^n.
 
-    For every one of the 2^n words and both inner endpoints the branch
-    separation must dominate the all-L chain value, which in turn
-    dominates l_{1,n+1} and delta_{n+1}. Additionally d(Z, Y) at degree
-    2^n must dominate the minimum separation over all words and
-    endpoints. table is the level's ``geometry._separation_table``; z and
-    y are the zero and critical sets of level n. No tie needs a cushion:
-    the all-L words at t = +1 equal the chain bit for bit, and so does
-    l_{1,n+1}, pulled in double by the chain's own steps, where
-    gamma_{n+1} = 1/4. Only l_{1,n+1} >= delta_{n+1} is decided in decimal.
+    table is level n of ``geometry._separation_ladder``: its (2^n, n + 3) array, per word the
+    anchor, its signed separations at t = +1 and -1 and its signed distances to the centres
+    of its ancestors, and l_{1,n+1} in double. For every word and both
+    inner endpoints the separation must dominate the all-L chain value, which in turn
+    dominates l_{1,n+1} and delta_{n+1}. And d(Z, Y), from the zeros Z of F_n to its
+    critical points Y, must dominate the least separation. Y is 1/2 and the zeros of F_1,
+    ..., F_{n-1}: the centres of the level-k intervals, k < n. Every gap between
+    neighbouring level-n intervals lies inside their deepest common ancestor and holds its
+    centre, so both critical points next to a zero are centres of its own ancestors, and
+    d(Z, Y) is the least centre distance, formed in double with no subtraction. No tie needs
+    a cushion: the all-L words at t = +1 equal the chain bit for bit, and so does l_{1,n+1},
+    pulled by the chain's own steps, where gamma_{n+1} = 1/4. Only l_{1,n+1} >= delta_{n+1}
+    is decided in decimal.
     """
-    n = _level(z)
-    if y.level != n:
-        raise DomainError(f"critical set of level {y.level} against zeros of level {n}")
-    if np.shape(table) != (2 ** n, 3):
-        raise DomainError(f"level {n} needs a {2 ** n} x 3 separation table, got {np.shape(table)}")
-    chain, seps, gamma = table[0, 0], np.abs(table[:, 1:]), fam.gamma
-    scales_ok = (chain >= _leftmost_double(gamma, n + 1)
+    words, leftmost = table
+    n = len(words).bit_length() - 1
+    if n < 1 or np.shape(words) != (2 ** n, n + 3):
+        raise DomainError(f"level {n} needs a {2 ** n} x {n + 3} separation table, "
+                          f"got {np.shape(words)}")
+    chain, seps, gamma = words[0, 0], np.abs(words[:, 1:3]), fam.gamma
+    scales_ok = (chain >= leftmost
                  and leftmost_length(gamma, n + 1, "dd") >= gamma.delta(n + 1, "dd"))
     failures = int(np.count_nonzero(seps < chain)) if scales_ok else seps.size
-    min_sep = float(seps.min())
-    dzy = set_distance(z, y)
+    min_sep, dzy = float(seps.min()), float(np.abs(words[:, 3:]).min())
     return ReportEntry("branch_separation_chain", failures == 0 and dzy >= min_sep, dzy, min_sep, {
         "n": n, "words": 2 ** n, "chain_failures": failures,
         "min_margin": min_sep / float(chain) if float(chain) > 0 else math.inf,
@@ -338,19 +331,18 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels
     return m_n, SpacingReport(columns=columns, metadata=meta)
 
 
-def _spacing(fam: MapFamily, J: JacobiMatrix, degrees, c, metadata: dict | None, floor: int):
-    """The zero table of degrees, the exact zero sets of levels 1..L, the M_n array (degree
-    table.degrees[i] at i) and the report, built in this order once c is checked. Level m is
-    checked (``_report``) where the zeros of 2^m are not exact_zeros(fam, m) bit for bit: an
-    escalated degree, a level in extended precision, any level when J's tower is not fam's. L
-    is the largest of floor and the checked levels; no ladder is built when L is 0."""
+def _spacing(fam: MapFamily, J: JacobiMatrix, degrees, c, metadata: dict | None):
+    """The zero table of degrees, the M_n array (degree table.degrees[i] at i) and the report,
+    built in this order once c is checked. Level m is checked (``_report``) where the zeros of
+    2^m are not exact_zeros(fam, m) bit for bit: an escalated degree, a level in extended
+    precision, any level when J's tower is not fam's. One exact_zero_ladder is built, to the
+    deepest checked level, only when there is one."""
     c_frac = _declared_c(fam.gamma, c)
     table = _zero_table(J, degrees, least=2)
     levels = [m for m in map(_dyadic_exponent, table.degrees) if m and (
         J.gamma != fam.gamma or 2 ** m in table.escalated or fam.gamma.precision(m)[0] != "double")]
-    depth = max([floor, *levels])
-    exact = exact_zero_ladder(fam, depth) if depth else []
-    return table, exact, *_report(fam, J, table, exact, levels, c_frac, metadata)
+    exact = exact_zero_ladder(fam, max(levels)) if levels else []
+    return table, *_report(fam, J, table, exact, levels, c_frac, metadata)
 
 
 def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
@@ -360,14 +352,14 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     All degrees come from one batched eigensolve, whose zero table gives
     each M_n; one exact_zero_ladder is built only when a dyadic degree has
     a second computation to check against it, to the deepest such level
-    (``_spacing``, with no floor).
+    (``_spacing``).
     Lower-bound comparisons are exact: the delta products are rationals,
     and M_n is compared against the least double at or above each, which
     decides M_n >= q without rounding. The pi^2-scaled upper bounds are
     evaluated in double, where their margins are many orders of magnitude
     wide. Both depend only on s, so each octave's bounds are formed once.
     """
-    return _spacing(fam, J, degrees, c, metadata, 0)[-1]
+    return _spacing(fam, J, degrees, c, metadata)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +437,11 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     """Run every verified inequality up to degree n_max plus the
     informational checks, at the module's fixed sizes.
 
-    Each point set the checks read is built once per call, before the
-    checks run: the zeros of degrees 2..n_max as one table and one
-    exact_zero_ladder from ``_spacing``, as in spacing_report, but with the
-    ladder's depth at least the branch lemma's 8 levels; and the critical
-    sets of levels 1..8 from those exact zero sets wherever they share a
-    level's precision. Each lemma level reads geometry._separation_table.
+    Each point set the checks read is built once per call: the zeros of
+    degrees 2..n_max as one table from ``_spacing``, as in spacing_report,
+    with an exact_zero_ladder only to the deepest dyadic level the report
+    checks; and the branch lemma's levels 1..8, separations and d(Z, Y),
+    from one geometry._separation_ladder, checked one level at a time.
     Every check on M_n reads the M_n array that the report prints. No
     check samples: the bounds on pairs and triples of degrees are decided
     on every case, listing 20 violations.
@@ -458,10 +449,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
     # degree n at n - 2 of the table and of spacings, M_n as its row prints it
-    table, exact, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata,
-                                              _RORO_MAX_LEVEL)
-    critical = [CriticalSet.from_zero_sets(critical_levels(fam, n, exact[:n - 1]))
-                for n in range(1, _RORO_MAX_LEVEL + 1)]
+    table, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata)
     top = min(_PAIRS_MAX, n_max)
     violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets,
                                   {n: zs.values for n, zs in table.escalated.items()})
@@ -494,9 +482,8 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                lambda n: (n + 2 + int(np.argmax(spacings[n:])), n + 2),
                np.argwhere(np.tril(spacings[:, None] > second)) + 2)
 
-    for n in range(1, _RORO_MAX_LEVEL + 1):
-        entries.append(verify_branch_lemma(fam, _separation_table(fam.gamma, n), exact[n - 1],
-                                           critical[n - 1]))
+    entries += [verify_branch_lemma(fam, level)
+                for level in _separation_ladder(fam.gamma, _RORO_MAX_LEVEL)]
 
     entries.append(ReportEntry(
         check="interlacing_at_most_one",

@@ -2,8 +2,9 @@
 
 The package computes the coefficients of mu_gamma by the polynomial-mapping
 unfolding (``jacobi_for_gamma``) and checks the branch lemma from one separation
-table per level (``spacing.verify_branch_lemma``). The routes here reach the
-same quantities another way, and the tests compare the two:
+table per level (``spacing.verify_branch_lemma``), all levels from one ladder.
+The routes here reach the same quantities another way, and the tests compare
+the two:
 
 - the forward maps f_n, their leading coefficients and the forward
   composition F_n, evaluated directly;
@@ -15,8 +16,9 @@ same quantities another way, and the tests compare the two:
 - the power moments of a Jacobi matrix and the sign alternation of P_n
   across computed zeros;
 - the separation chain of the branch lemma for one word, from scalar
-  branch compositions, and the branch lemma's table of one level in
-  decimal: the oracle of the double separation kernel;
+  branch compositions, and the branch lemma's table of one level and
+  its d(Z, Y) over every critical point, in decimal: the oracles of the
+  double separation ladder;
 - discrete measures, the Gauss rule of a Jacobi matrix (Golub-Welsch) and
   P_n by the three-term recurrence;
 - the scalar branch composition, which walks one word of letters L and R
@@ -357,16 +359,32 @@ def _scales_ok(chain, l_next, d_next) -> bool:
         return chain >= l_next * (1 - _TIE_CUSHION) and l_next >= d_next
 
 
-def separation_table(gamma: GammaSequence, n: int) -> np.ndarray:
-    """The oracle of ``geometry._separation_table``: [x(0), x(+1) - x(0), x(-1) - x(0)] per word
-    of level n, from the decimal doubling pass at max(60, ceil(-log10 delta_{n+1}) + 20)
-    digits, each difference formed exactly. Its separations, about delta_{n+1} at their
-    least, keep at least 20 digits."""
+def _oracle_digits(gamma: GammaSequence, n: int) -> int:
+    """max(60, ceil(-log10 delta_{n+1}) + 20): the separations of level n, about
+    delta_{n+1} at their least, keep at least 20 digits."""
     d = gamma.delta_fraction(n + 1)
-    digits = max(60, math.ceil(math.log10(d.denominator) - math.log10(d.numerator)) + 20)
-    table = _level_table(gamma, n, (0.0, 1.0, -1.0), ("dd", digits))[1]
+    return max(60, math.ceil(math.log10(d.denominator) - math.log10(d.numerator)) + 20)
+
+
+def separation_table(gamma: GammaSequence, n: int) -> np.ndarray:
+    """The oracle of the first three columns of ``geometry._separation_ladder``'s level n:
+    [x(0), x(+1) - x(0), x(-1) - x(0)] per word, from the decimal doubling pass at
+    ``_oracle_digits``, each difference formed exactly."""
+    table = _level_table(gamma, n, (0.0, 1.0, -1.0), ("dd", _oracle_digits(gamma, n)))[1]
     with localcontext(EXACT):
         return np.column_stack([table[:, 0], table[:, 1:] - table[:, :1]])
+
+
+def critical_distance(gamma: GammaSequence, n: int) -> Decimal:
+    """The oracle of the ladder's d(Z, Y) at level n: the least |z - y| over the zeros Z of
+    F_n and every critical point y of F_n, 1/2 and the zeros of F_1, ..., F_{n-1}, each set
+    from the decimal doubling pass at ``_oracle_digits``, each difference formed exactly."""
+    digits = _oracle_digits(gamma, n)
+    z, *shallower = (_level_table(gamma, k, (0.0,), ("dd", digits))[1][:, 0]
+                     for k in range(n, 0, -1))
+    y = np.concatenate([[Decimal("0.5")], *shallower])
+    with localcontext(EXACT):
+        return np.abs(z[:, None] - y[None, :]).min()
 
 
 def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:

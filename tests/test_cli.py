@@ -274,6 +274,14 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == ("cantorpoly: numerical failure: a branch separation "
                                            "of level 5 leaves the normal doubles\n")
 
+    @pytest.mark.parametrize("gamma", ["list:1/4,1e-43", "list:1/4,1e-42"])
+    def test_level_nine_is_not_range_checked(self, tmp_path, capsys, gamma):
+        # the lemma's levels 1..8 keep normal doubles, level 9's separations would
+        # not (about 1e-345 and 1e-337): only its all-L l_{1,9} is pulled, unchecked
+        assert main(["verify", "--gamma", gamma, "--degree-max", "2", "--depth", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_tiny_declared_c_passes(self, tmp_path):
         # c = 1e-200 lies in (0, inf gamma]; c^2 underflows to 0 in double, and
         # delta_s / c^2 lies above the double range, so each upper bound is inf
@@ -379,7 +387,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "0f1976934140f966c9311b0d02ec2128b5a189452ffd53b7e0d12c9104122946"
+VERIFY_JSON_SHA256 = "dfc280e86bb5ab8cf0e193d069f269c4352b951193d1593b0c2a21b5c3acab4b"
 
 
 class TestPinnedOutputBytes:
@@ -410,6 +418,10 @@ class TestPinnedOutputBytes:
         # separations came from the double kernel (the rhs of levels 2..8
         # moved, each by at most 6.3e-16 relative of the decimal one, and
         # json.loads of the old and new bytes with those rhs set equal are
+        # equal), and when d(Z, Y) came from the separation ladder's centre
+        # distances (the lhs of levels 2..8 moved, each to within 1e-15
+        # relative of the decimal d(Z, Y), against up to 1.1e-11 before, and
+        # json.loads of the old and new bytes with those lhs set equal are
         # equal); config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0

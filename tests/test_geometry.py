@@ -14,8 +14,7 @@ from cantorpoly.errors import DomainError, RangeOverflowError
 from cantorpoly.exact import EXACT
 from cantorpoly.geometry import (
     GammaSequence,
-    _leftmost_double,
-    _separation_table,
+    _separation_ladder,
     all_branch_values,
     branch_value_ladder,
     branch_value_table,
@@ -26,7 +25,8 @@ from cantorpoly.geometry import (
     u_map,
 )
 
-from reference import basic_interval, branch_value, level_gaps, separation_table, words
+from reference import (basic_interval, branch_value, critical_distance, level_gaps,
+                       separation_table, words)
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -514,13 +514,35 @@ class TestSeparationKernel:
         # every anchor and signed separation of levels 1..8 within 4e-15
         # relative; at 1e-8, level 8, the separations are about 1e-64
         gamma = GammaSequence.from_descriptor(desc)
-        for n in range(1, 9):
-            table, want = _separation_table(gamma, n), separation_table(gamma, n)
-            assert table.shape == (2 ** n, 3) and table.dtype == float
+        for n, (table, _) in enumerate(_separation_ladder(gamma, 8), 1):
+            want = separation_table(gamma, n)
+            assert table.shape == (2 ** n, n + 3) and table.dtype == float
             with localcontext(EXACT):
-                err = np.frompyfunc(Decimal, 1, 1)(table) - want
+                err = np.frompyfunc(Decimal, 1, 1)(table[:, :3]) - want
             rel = np.abs(err / want).astype(float)
             assert rel.max() <= 4e-15, (desc, n, rel.max())
+
+    @pytest.mark.parametrize("desc", _KERNEL_INPUTS)
+    def test_critical_distance_matches_the_decimal_oracle(self, desc):
+        # d(Z, Y), the least centre distance, against the least |z - y| over
+        # every zero and every critical point of each level 1..8
+        gamma = GammaSequence.from_descriptor(desc)
+        for n, (table, _) in enumerate(_separation_ladder(gamma, 8), 1):
+            got, want = np.abs(table[:, 3:]).min(), critical_distance(gamma, n)
+            with localcontext(EXACT):
+                err = abs(Decimal(got) - want)
+            assert float(err) <= 1e-15 * float(want), (desc, n, float(err) / float(want))
+
+    @pytest.mark.parametrize("desc, values", [("constant:1/6", ["1/6"]),
+                                              ("periodic:1/6,1/5", ["1/6", "1/5"]),
+                                              ("periodic:1/1000000,1/4", ["1/1000000", "1/4"])])
+    def test_carried_levels_are_fresh_passes(self, desc, values):
+        # a list has no period, so each of its levels is a fresh pass; the
+        # periodic levels continue their predecessors' arrays bit for bit
+        carried = _separation_ladder(GammaSequence.from_descriptor(desc), 8)
+        fresh = _separation_ladder(GammaSequence.from_list(values * 9), 8)
+        for (table, leftmost), (want, want_leftmost) in zip(carried, fresh):
+            assert table.tobytes() == want.tobytes() and leftmost == want_leftmost
 
     def test_ties_hold_bit_for_bit(self):
         # the all-L words at t = +1 (level-1 letter L or R) against the chain,
@@ -528,12 +550,11 @@ class TestSeparationKernel:
         quarter_ties = 0
         for desc in _KERNEL_INPUTS:
             gamma = GammaSequence.from_descriptor(desc)
-            for n in range(1, 9):
-                table = _separation_table(gamma, n)
+            for n, (table, leftmost) in enumerate(_separation_ladder(gamma, 8), 1):
                 chain = table[0, 0]
                 assert -table[0, 1] == chain and table[2 ** (n - 1), 1] == chain, (desc, n)
                 if gamma.value(n + 1) == Fraction(1, 4):
-                    assert _leftmost_double(gamma, n + 1) == chain, (desc, n)
+                    assert leftmost == chain, (desc, n)
                     quarter_ties += 1
         assert quarter_ties == 20
 
@@ -541,13 +562,15 @@ class TestSeparationKernel:
         # the double l_{1,s} is leftmost_length where that works in double
         for desc in ("constant:1/6", "periodic:2/9,1/4", "constant:0.02"):
             gamma = GammaSequence.from_descriptor(desc)
-            for s in range(1, 7):
+            for s, (_, leftmost) in enumerate(_separation_ladder(gamma, 6), 2):
                 want = leftmost_length(gamma, s, "dd")
-                assert abs(_leftmost_double(gamma, s) - float(want)) <= 4e-15 * float(want)
+                assert abs(leftmost - float(want)) <= 4e-15 * float(want)
 
     def test_no_value_below_the_normal_doubles(self):
-        # level 4's separations are about 1e-301; level 5's would be 1e-401
+        # level 4's separations are about 1e-301; level 5's would be 1e-401,
+        # and l_{1,5} of the top level, pulled unchecked, rounds to 0
         gamma = GammaSequence.from_descriptor("list:1/4,1e-100")
-        assert abs(_separation_table(gamma, 4)[:, 1:]).min() > 1e-302
+        (table, leftmost), = _separation_ladder(gamma, 4)[3:]
+        assert abs(table[:, 1:]).min() > 1e-302 and leftmost == 0.0
         with pytest.raises(RangeOverflowError, match="level 5"):
-            _separation_table(gamma, 5)
+            _separation_ladder(gamma, 5)

@@ -194,3 +194,17 @@ class TestRenderAndJson:
         write_json(tmp_path / "o.json", obj)
         text = (tmp_path / "o.json").read_text()
         assert text == '{"a": [null, [null, 2.5]], "b": {"c": null}, "d": 1}\n'
+
+    def test_finite_objects_write_the_walked_bytes_without_the_walk(self, tmp_path, monkeypatch):
+        obj = {"z": (0.1, [1 / 3, {"y": np.float64(1e-300), "x": (2.5, -0.0)}]), "a": [[1e300], ()]}
+        walked = json.dumps(serialize._finite(obj), sort_keys=True, allow_nan=False) + "\n"
+        calls = []
+        real = serialize._finite
+        monkeypatch.setattr(serialize, "_finite", lambda o: calls.append(o) or real(o))
+        write_json(tmp_path / "o.json", obj)
+        assert (tmp_path / "o.json").read_text() == walked and calls == []
+        # an inf anywhere is refused by the strict encoder, and the walk makes it null
+        obj["z"][1][1]["x"] = (math.inf, 2.5)
+        write_json(tmp_path / "o.json", obj)
+        assert (tmp_path / "o.json").read_text() == walked.replace("[2.5, -0.0]", "[null, 2.5]")
+        assert calls[0] is obj  # the walk recurses through the patched name too

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import cantorpoly as cp
 from cantorpoly import exact, jacobi, spacing
 from cantorpoly.errors import DomainError
-from cantorpoly.geometry import _leftmost_double, _separation_table
+from cantorpoly.geometry import _separation_ladder
 from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
-from reference import (branch_separation_chain, critical_set, eigen_zeros,
+from reference import (branch_separation_chain, critical_distance, critical_set, eigen_zeros,
                        interlacing_at_most_one, verify_interlacing_bound,
                        verify_second_neighbor_bound, words)
 
@@ -189,8 +189,8 @@ class TestRunLocalCache:
     @staticmethod
     def _count_branch_passes(monkeypatch):
         # every binding that reaches a branch doubling pass: exact_zeros
-        # (all_branch_values), largest_gap's level intervals, the ladder of
-        # the run's zero sets, and the separation kernel of each lemma level
+        # (all_branch_values), largest_gap's level intervals, a ladder of
+        # exact zero sets, and the separation ladder of the lemma levels
         calls = Counter()
         for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table")):
             real = getattr(module, name)
@@ -200,18 +200,18 @@ class TestRunLocalCache:
                 return _real(gamma, n, t, mode)
 
             monkeypatch.setattr(module, name, counted)
-        real_ladder, real_kernel = exact.branch_value_ladder, spacing._separation_table
+        real_ladder, real_kernel = exact.branch_value_ladder, spacing._separation_ladder
 
         def counted_ladder(gamma, top, ts, mode="auto", depth=None):
             calls[("cantorpoly.exact", "ladder", top, ts, mode, depth)] += 1
             return real_ladder(gamma, top, ts, mode, depth)
 
-        def counted_kernel(gamma, n):
-            calls[("cantorpoly.spacing", "kernel", n)] += 1
-            return real_kernel(gamma, n)
+        def counted_kernel(gamma, top):
+            calls[("cantorpoly.spacing", "kernel", top)] += 1
+            return real_kernel(gamma, top)
 
         monkeypatch.setattr(exact, "branch_value_ladder", counted_ladder)
-        monkeypatch.setattr(spacing, "_separation_table", counted_kernel)
+        monkeypatch.setattr(spacing, "_separation_ladder", counted_kernel)
         return calls
 
     def test_each_dyadic_level_built_once_per_run(self, monkeypatch, fam_sixth):
@@ -222,23 +222,20 @@ class TestRunLocalCache:
         for _ in range(2):
             calls.clear()
             full_verification(fam_sixth, J, n_max=64, c=Fraction(1, 6))
-            # one ladder gives the zeros of levels 1..8, and the separation
-            # kernel each lemma table; every critical set reuses the zeros,
-            # which are all double
-            ladders = {key: k for key, k in calls.items() if key[1] == "ladder"}
-            assert ladders == {("cantorpoly.exact", "ladder", 8, (0.0,), "auto", None): 1}
+            # the zero table holds every dyadic level, which all work in
+            # double, so no exact zero set is built; one separation ladder
+            # gives the tables of the lemma levels 1..8
             kernels = {key: k for key, k in calls.items() if key[1] == "kernel"}
-            assert kernels == {("cantorpoly.spacing", "kernel", n): 1 for n in range(1, 9)}
-            assert not [key for key in calls if key[0] == "cantorpoly.exact" and key not in ladders]
+            assert kernels == {("cantorpoly.spacing", "kernel", 8): 1}
+            assert not [key for key in calls if key[0] == "cantorpoly.exact"]
             totals.append(sum(calls.values()))
         assert totals[0] == totals[1]
 
 
 def _lemma(fam, n, table=None):
-    """verify_branch_lemma at level n on sets from the public producers, and the
-    separation kernel's table unless one is given."""
-    table = _separation_table(fam.gamma, n) if table is None else table
-    return cp.verify_branch_lemma(fam, table, cp.exact_zeros(fam, n), critical_set(fam, n))
+    """verify_branch_lemma at level n, on the separation ladder's level n unless a table
+    is given."""
+    return cp.verify_branch_lemma(fam, table or _separation_ladder(fam.gamma, n)[-1])
 
 
 class TestVerifyOps:
@@ -277,20 +274,15 @@ class TestVerifyOps:
             bound(jacobi_sixth_small, 1, 1)
 
     def test_mismatched_levels_raise(self, fam_sixth):
-        z = {m: cp.exact_zeros(fam_sixth, m) for m in (1, 3)}
-        y = {m: critical_set(fam_sixth, m) for m in (2, 3)}
-        table = _separation_table(fam_sixth.gamma, 3)
-        assert cp.verify_branch_lemma(fam_sixth, table, z[3], y[3]).passed
-        with pytest.raises(DomainError, match="critical set of level 2"):
-            cp.verify_branch_lemma(fam_sixth, table, z[3], y[2])
+        # the rows name the level, 2^n, and the columns must then be its n + 3
+        table, leftmost = _separation_ladder(fam_sixth.gamma, 3)[-1]
+        assert cp.verify_branch_lemma(fam_sixth, (table, leftmost)).detail["n"] == 3
+        with pytest.raises(DomainError, match=r"level 2 needs a 4 x 5 separation table"):
+            cp.verify_branch_lemma(fam_sixth, (table[:4], leftmost))
+        with pytest.raises(DomainError, match=r"level 3 needs a 8 x 6 separation table"):
+            cp.verify_branch_lemma(fam_sixth, (table[:, :5], leftmost))
         with pytest.raises(DomainError, match="separation table"):
-            cp.verify_branch_lemma(fam_sixth, table[:4], z[3], y[3])
-        with pytest.raises(DomainError, match="separation table"):
-            cp.verify_branch_lemma(fam_sixth, table[:, :2], z[3], y[3])
-        # an eigensolved set of a non-dyadic degree has no level
-        odd = eigen_zeros(cp.jacobi_for_gamma(fam_sixth, 8), 7)
-        with pytest.raises(DomainError, match="not a dyadic degree"):
-            cp.verify_branch_lemma(fam_sixth, table, odd, y[3])
+            cp.verify_branch_lemma(fam_sixth, (table[:6], leftmost))
 
     def test_branch_chain_equality_case(self, fam_sixth):
         # all-L word at the inner endpoint 0 attains the chain value exactly
@@ -299,8 +291,9 @@ class TestVerifyOps:
         assert float(res["separation"]) == float(res["chain"])
 
     def test_branch_lemma_levels(self):
-        # the separation kernel must agree with the per-word decimal reference
-        # on every word and both inner endpoints, within its relative bound
+        # the separation ladder must agree with the per-word decimal reference
+        # on every word and both inner endpoints, within its relative bound, and
+        # d(Z, Y) with the least distance over every zero and critical point
         for desc in ("constant:1/6", "periodic:1/6,1/5", "constant:1/4", "constant:0.02"):
             fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
             for n in range(1, 7):
@@ -313,8 +306,9 @@ class TestVerifyOps:
                 want = min(float(branch_separation_chain(fam, w, t)["separation"])
                            for w in words(n) for t in (0.0, gn))
                 assert abs(entry.rhs - want) <= 4e-15 * want, (desc, n)
-        # at tiny gamma d(Z, Y) needs the dd zero and critical sets: their
-        # extreme points round to 0 and 1 in double
+                assert abs(entry.lhs - float(critical_distance(fam.gamma, n))) <= 1e-15 * entry.lhs
+        # at tiny gamma the extreme zeros and critical points round to 0 and 1
+        # in double, but their distances are pulled back, not subtracted
         for desc in ("constant:0.01", "constant:0.005"):
             entry = _lemma(cp.MapFamily(cp.GammaSequence.from_descriptor(desc)), 8)
             assert entry.passed and entry.detail["critical_distance_ok"], desc
@@ -327,7 +321,8 @@ class TestVerifyOps:
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor("periodic:1/1000000,1/4"))
         entry = _lemma(fam, 7)
         assert entry.passed and entry.detail["chain_failures"] == 0
-        assert _separation_table(fam.gamma, 7)[0, 0] == _leftmost_double(fam.gamma, 8)
+        table, leftmost = _separation_ladder(fam.gamma, 7)[-1]
+        assert table[0, 0] == leftmost
         gn = fam.gamma.gamma(7, "dd")
         assert branch_separation_chain(fam, "L" * 7, gn)["ok"]
 
@@ -340,9 +335,9 @@ class TestVerifyOps:
         # collapse one endpoint family onto the zeros: each of its words
         # then has separation 0 < chain and must be counted as a failure
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
-        table = _separation_table(fam.gamma, n)
+        table, leftmost = _separation_ladder(fam.gamma, n)[-1]
         table[:, 1 if side == 1.0 else 2] = 0.0
-        entry = _lemma(fam, n, table)
+        entry = _lemma(fam, n, (table, leftmost))
         assert not entry.passed
         assert entry.detail["chain_failures"] == 2 ** n
 
@@ -396,6 +391,9 @@ class TestChecksOnPublicSets:
             if entry.check in want:
                 assert entry == want[entry.check](entry.detail), entry
                 checked[entry.check] += 1
+            if entry.check == "branch_separation_chain":  # d(Z, Y) against the decimal oracle
+                dzy = float(critical_distance(fam.gamma, entry.detail["n"]))
+                assert abs(entry.lhs - dzy) <= 1e-15 * dzy, entry
         assert checked == {"interlacing_distance_bound": 1, "second_neighbor_bound": 1,
                            "branch_separation_chain": 8}
         assert result.spacing.rows == cp.spacing_report(fam, J, range(2, 65), Fraction(1, 6)).rows
@@ -653,7 +651,7 @@ def _checked_levels(monkeypatch, fam, J, degrees):
     # the dyadic levels that the spacing step hands the report to check against the ladder
     seen, real = [], spacing._report
     monkeypatch.setattr(spacing, "_report", lambda *args: seen.append(args[4]) or real(*args))
-    spacing._spacing(fam, J, degrees, None, None, 0)
+    spacing._spacing(fam, J, degrees, None, None)
     monkeypatch.undo()
     return seen.pop()
 
@@ -731,10 +729,10 @@ class TestDyadicRowsFromTheTable:
         cp.spacing_report(fam, J, range(2, top + 1))
         assert calls == ladders
 
-    @pytest.mark.parametrize("by_hand, ladders", [(False, [8]), (True, [9])])
+    @pytest.mark.parametrize("by_hand, ladders", [(False, []), (True, [9])])
     def test_exact_ladder_per_verification(self, monkeypatch, by_hand, ladders):
-        # the branch lemma reads levels 1..8; a level above is built only where the report
-        # checks it, as every dyadic level of a matrix built by hand
+        # the branch lemma reads the separation ladder alone; an exact level is built only
+        # where the report checks it, as every dyadic level of a matrix built by hand
         fam = _family("constant:1/6")
         J = cp.jacobi_for_gamma(fam, 512)
         if by_hand:
