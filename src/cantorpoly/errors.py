@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class RangeOverflowError(ArithmeticError):
-    """An iterated map evaluation left the representable range."""
+    """A computed value that its precision cannot hold: a numerical failure, never bad input."""
 
 
 class ConvergenceError(RuntimeError):

@@ -27,8 +27,9 @@ the levels together cost about as much as the deepest one alone.
 branch_order places a table's values in increasing order by a fixed
 Gray-code permutation of the words. The basic intervals of a level are
 its table at t = -1 and 1 in that order, as [lo, hi] rows, and the
-leftmost length l_{1,s} is the all-L branch at t = -1, pulled alone:
-the doubling pass is the one branch evaluator.
+leftmost length l_{1,s} is the all-L branch at t = -1, pulled alone.
+Every pass, the branch lemma's separation ladder too, pulls by one
+subtraction-free step in both precisions (``_inner_kernel``, ``_pull``).
 """
 
 from __future__ import annotations
@@ -285,19 +286,17 @@ def u_map(t):
 
 
 def _pull(g: Fraction, v, reflected: bool, mode: str):
-    """u(g y) for y = v (letter L) or y = 1 - v (letter R), elementwise.
+    """u(g y) for y = v (letter L) or y = 1 - v (letter R), elementwise, and its root
+    sqrt(1 - 4g y): the one pull step of every doubling pass, in either precision.
 
-    In extended precision the reflected root argument 1 - 4g(1 - v) is
-    formed as (1 - 4g) + 4g v, a sum of non-negative terms: the plain form
-    cancels half the digits where g y nears 1/4.
+    No root argument cancels, as v lies in [0, 1/2]: for L it is 1 - 4g v >= 1/2, and for R
+    it is (1 - 4g) + 4g v, 1 - 4g rounded once from the exact g, where 1 - 4g (1 - v) would
+    cancel next to f_k's critical point. In double, 2g and 4g scale the double g exactly.
     """
-    if mode == "double":  # u_map, less its range check: g y lies in [0, g]
-        y = float(g) * (1 - v if reflected else v)
-        return 2 * y / (1 + np.sqrt(1 - 4 * y))
-    two_g, four_g = as_decimal(2 * g), as_decimal(4 * g)
-    if reflected:
-        return two_g * (1 - v) / (1 + np.sqrt(as_decimal(1 - 4 * g) + four_g * v))
-    return two_g * v / (1 + np.sqrt(1 - four_g * v))
+    two_g, four_g = ((2 * float(g), 4 * float(g)) if mode == "double"
+                     else (as_decimal(2 * g), as_decimal(4 * g)))
+    root = np.sqrt(_scalar(1 - 4 * g, mode) + four_g * v if reflected else 1 - four_g * v)
+    return two_g * (1 - v if reflected else v) / (1 + root), root
 
 
 def _check_ts(ts) -> tuple:
@@ -308,42 +307,39 @@ def _check_ts(ts) -> tuple:
     return ts
 
 
-def _inner_kernel(g: Fraction, t: np.ndarray) -> np.ndarray:
-    """u(t_inner) with t_inner = g (1 - t) / 2, for an array of doubles t in [-1, 1].
+def _inner_kernel(g: Fraction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u(t_inner) and its root sqrt(1 - 4 t_inner), t_inner = g (1 - t) / 2, for an array of
+    doubles t in [-1, 1]: the double first step of every doubling pass.
 
-    t_inner is formed as one array operation, (g / 2) (1 - t), the factor
-    rounded once. The root argument 1 - 4 t_inner is formed from t where
-    t < 0, as (1 - 4g) + 2g (1 + t): 1 + t is exact there, while t_inner,
-    which nears g as t nears -1, would drop t's last bit, and at g = 1/4
-    the square root amplifies that loss. At t = 0, 1 and -1 both give the
-    bits of u_map of the correctly rounded t_inner.
+    t_inner is formed as one array operation, (g / 2) (1 - t), the factor rounded once.
+    Where t < 0 the root argument is formed from t, as (1 - 4g) + 2g (1 + t) with 1 - 4g
+    rounded once, as ``_pull`` forms letter R's: 1 + t is exact there, while t_inner, which
+    nears g as t nears -1, would drop t's last bit, and at g = 1/4 the square root amplifies
+    that loss. At t = 0 and 1 the value is u_map of the correctly rounded t_inner, bit for bit.
     """
     g_half = float(g / 2)
     t_inner = g_half * (1 - t)
-    root_arg = np.where(t < 0, (1 - 4 * float(g)) + 2 * float(g) * (1 + t), 1 - 4 * t_inner)
-    return 2 * t_inner / (1 + np.sqrt(root_arg))
+    root = np.sqrt(np.where(t < 0, float(1 - 4 * g) + 2 * float(g) * (1 + t), 1 - 4 * t_inner))
+    return 2 * t_inner / (1 + root), root
 
 
 def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, int],
                  carried: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The doubling array of level n and its table, in the given precision.
 
-    The doubling array holds the values of every word whose level-1
-    letter is L; index bits read the level-2 letter first (0 = L), and
-    the parameter varies fastest: entry w * len(ts) + j is word w at
-    ts[j]. Without carried it starts from u(t_inner) and pulls through
-    gamma_{n-1}, ..., gamma_1; in double, ts may be any array of doubles
-    in [-1, 1], and the first step is ``_inner_kernel``. With carried,
-    the doubling array of level n - p in the same precision, where p is
-    the period of gamma, it pulls only through gamma_p, ..., gamma_1: the
-    inner steps would repeat level n - p's with the same scales, arguments
-    and rounding. The table appends the level-1 reflection and has one row
-    per word.
+    The doubling array holds the values of every word whose level-1 letter is L; index bits
+    read the level-2 letter first (0 = L), and the parameter varies fastest: entry
+    w * len(ts) + j is word w at ts[j]. Without carried it starts from u(t_inner), in double
+    by ``_inner_kernel``, where ts may be any array of doubles in [-1, 1], and pulls through
+    gamma_{n-1}, ..., gamma_1 by ``_pull``. With carried, the doubling array of level n - p
+    in the same precision, p the period of gamma, it pulls only through gamma_p, ...,
+    gamma_1: the inner steps would repeat level n - p's with the same scales, arguments and
+    rounding. The table appends the level-1 reflection and has one row per word.
     """
     mode, digits = precision
     with localcontext(extended_context(digits)) if digits else contextlib.nullcontext():
         if carried is None and mode == "double":
-            v, k_top = _inner_kernel(gamma.value(n), np.asarray(ts, dtype=float)), n - 1
+            v, k_top = _inner_kernel(gamma.value(n), np.asarray(ts, dtype=float))[0], n - 1
         elif carried is None:
             t_inner = np.array([_scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode)
                                 for t in ts])
@@ -352,7 +348,7 @@ def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, 
             v, k_top = carried, gamma.period
         for k in range(k_top, 0, -1):
             g = gamma.value(k)
-            v = np.concatenate([_pull(g, v, False, mode), _pull(g, v, True, mode)])
+            v = np.concatenate([_pull(g, v, False, mode)[0], _pull(g, v, True, mode)[0]])
         return v, np.concatenate([v, 1 - v]).reshape(-1, len(ts))
 
 
@@ -403,14 +399,6 @@ def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"
     return x.tolist() if x.dtype == object else x
 
 
-def _sep_pull(g: Fraction, v, reflected):
-    """u(g y) in double for y = v (letter L) or 1 - v (R, where reflected), v in [0, 1/2], and
-    the root s of 1 - 4g y, formed as 1 - 4g v >= 1/2 for L and as (1 - 4g) + 4g v for R."""
-    g2 = 2 * float(g)
-    s = np.sqrt(np.where(reflected, float(1 - 4 * g) + 2 * g2 * v, 1 - 2 * g2 * v))
-    return g2 * np.where(reflected, 1 - v, v) / (1 + s), s
-
-
 def _separation_ladder(gamma: GammaSequence, top: int) -> list[tuple[np.ndarray, float]]:
     """The branch lemma's tables of levels 1..top in double, each with l_{1,n+1}, from one
     doubling pass. Level n's table has one row per word, in word-bit order: the anchor x(0)
@@ -419,46 +407,50 @@ def _separation_ladder(gamma: GammaSequence, top: int) -> list[tuple[np.ndarray,
     ancestor (level 0 is [0, 1], centre 1/2). The centres of levels 1..n - 1 are the zeros
     of F_1, ..., F_{n-1}; with 1/2 they are the critical points of F_n.
 
-    Level n starts from u(gamma_n y) at y = (1 - t) / 2 (L on 1/2 and 0, R on 0); where
-    gamma has period p, it continues level n - p's arrays by p pulls instead, as
-    branch_value_ladder does, bit for bit a fresh pass. Each pull takes a difference by
-    u(a) - u(b) = 2(a - b) / (sqrt(1 - 4a) + sqrt(1 - 4b)) with the roots of the values' own
-    pull (``_sep_pull``), so no step cancels, and starts the centre column of the level
-    below, y = 1/2, at 1/2 - u(t) = sqrt(1 - 4t) / 2 from the anchor's root. To first order
+    The values are the branch tables' bit for bit (the anchors are branch_value_table(gamma,
+    n, (0.0,)) in double): level n starts with ``_inner_kernel`` and pulls its L and R halves
+    by ``_pull``, as ``_level_table`` does, or, where gamma has period p, continues level
+    n - p's arrays by p pulls. Each pull takes a difference by u(a) - u(b) = 2(a - b) /
+    (sqrt(1 - 4a) + sqrt(1 - 4b)) with the roots of the values' own pull, so no step
+    cancels, and starts the centre column of the level below, y = 1/2, at 1/2 - u(t) =
+    sqrt(1 - 4t) / 2 from the anchor's root. To first order
     in u = 2^-53 a pull takes a value's relative error e to 1.25 e + 6.25 u and adds
     e / 2 + 6.5 u to a difference's, and a centre difference starts within e / 2 + 2 u, so
     every difference of level n is within 50 (1.25^n - 1) u relative (2.8e-14 at n = 8; the
     tests hold 4e-15 and 1e-15) while every value and difference of levels 1..top stays a
-    normal double; RangeOverflowError otherwise. l_{1,n+1} is level n + 1's all-L value at
-    t = -1, its row pulled alone and unchecked for n = top. The all-L words at t = +1 equal
-    the chain, the all-L anchor, bit for bit, and so does l_{1,n+1} where gamma_{n+1} = 1/4.
+    normal double, checked after every pull; RangeOverflowError otherwise. l_{1,n+1} is
+    level n + 1's all-L value at t = -1, its row pulled alone and unchecked for n = top. The
+    all-L words at t = +1 equal the chain, the all-L anchor, bit for bit, as does l_{1,n+1}
+    where gamma_{n+1} = 1/4.
     """
-    p, states, tables, leftmost = gamma.period, {}, [], []
+    p, states, tables, leftmost, ts = gamma.period, {}, [], [], np.array([[0.0, 1.0, -1.0]])
     for n in range(1, top + 2):
         rows = None if n <= top else 1  # level top + 1: the all-L row alone, unchecked
         state = states.pop(n - p, None) if p else None
-        if state is None:
-            v, d = np.array([[0.5, 0.0, 0.0]]), np.array([[-0.5, 0.5]])
-            reflected = [False, False, True]
-        else:
-            v, d, reflected = (x[:rows] for x in state)
+        v, d = (None, None) if state is None else [x[:rows] for x in state]
         for k in range(n if state is None else p, 0, -1):
-            v, s = _sep_pull(gamma.value(k), v, reflected)
-            d = 2 * float(gamma.value(k)) * d / (s[:, 1:] + s[:, :1])
+            g = gamma.value(k)
+            if v is None:  # the first step: t_inner - g / 2 = -g t / 2
+                v, s = _inner_kernel(g, ts)
+                d = -float(g) * ts[:, 1:] / (s[:, 1:] + s[:, :1])
+            else:  # letter R pulls y = 1 - v, whose differences are -d
+                halves = [_pull(g, v, reflected, "double") for reflected in (False, True)[:rows]]
+                d = np.concatenate([sign * 2 * float(g) * d / (root[:, 1:] + root[:, :1])
+                                    for sign, (_, root) in zip((1, -1), halves)])
+                v, s = map(np.concatenate, zip(*halves))
             # the all-L anchor is the least nonzero value
             if rows is None and not (np.abs(d).min() >= sys.float_info.min
                                      and v[0, 0] >= sys.float_info.min):
                 raise RangeOverflowError(
                     f"a branch separation of level {n} leaves the normal doubles")
             v, d = np.column_stack([v, np.full(len(v), 0.5)]), np.column_stack([d, s[:, 0] / 2])
-            # each word's letter L, then R, at level k - 1 (the reflection at level 1)
-            reflected = np.repeat([False, True], len(v))[:rows, None]
-            v, d = np.concatenate([v, v])[:rows], np.concatenate([d, -d])[:rows]
         if p:
-            states[n] = v, d, reflected
+            states[n] = v, d
         leftmost.append(float(v[0, 2]))
-        tables.append(np.column_stack([np.where(reflected, 1 - v, v)[:, 0], d]))
-    return list(zip(tables[:-1], leftmost[1:]))
+        if rows is None:  # the level-1 reflection
+            tables.append(np.column_stack([np.concatenate([v[:, 0], 1 - v[:, 0]]),
+                                           np.concatenate([d, -d])]))
+    return list(zip(tables, leftmost[1:]))
 
 
 def _runs(sizes) -> np.ndarray:
@@ -535,8 +527,8 @@ def largest_gap(gamma: GammaSequence, n: int) -> float:
 def leftmost_length(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
     """Length of the leftmost level-s basic interval (1 for s = 0).
 
-    Equals the fully nested kernel value u(gamma_1 * u(... * u(gamma_s))),
-    the all-L branch at t = -1, and satisfies delta_s <= l <= (pi^2/4) delta_s.
+    Equals the fully nested kernel value u(gamma_1 * u(... * u(gamma_s))), the all-L branch
+    at t = -1, bit for bit in double, and satisfies delta_s <= l <= (pi^2/4) delta_s.
     """
     if s < 0:
         raise DomainError("level must be >= 0")
@@ -544,9 +536,10 @@ def leftmost_length(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
     if s == 0:
         return Decimal(1) if mode == "dd" else 1.0
     with localcontext(gamma.context(s)):
-        v = u_map(_scalar(gamma.value(s), mode))
+        v = (_inner_kernel(gamma.value(s), np.float64(-1.0))[0] if mode == "double"
+             else u_map(_scalar(gamma.value(s), mode)))
         for k in range(s - 1, 0, -1):
-            v = _pull(gamma.value(k), v, False, mode)
+            v = _pull(gamma.value(k), v, False, mode)[0]
         return v
 
 

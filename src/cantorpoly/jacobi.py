@@ -443,7 +443,8 @@ _ZeroTable = namedtuple("_ZeroTable", "degrees offsets values min_gap min_index 
 
 def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     """The zeros of eigen_zero_sets(J, degrees) as one table; DomainError names a degree that
-    is not an integer or lies outside least..K.
+    is not an integer or lies outside least..K, RangeOverflowError (a program fault) the
+    first degree whose zeros, double or escalated, are not strictly increasing in (0, 1).
 
     Degree degrees[i] holds values[offsets[i]:offsets[i + 1]], ascending, and min_gap[i],
     min_index[i] are their min_gap_with_index, from one np.diff of the table (inf for
@@ -505,16 +506,20 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     min_gap = np.minimum.reduceat(gaps, starts)
     # a tie or a misplaced value gives a gap <= 0: it escalates; degree 1 reads the appended 0
     escalate = min_gap < _DD_ESCALATION_FACTOR * _EPS * np.append(ghi - glo, 0.0)[counts - 2]
-    if not np.logical_and.reduceat(gaps > 0, starts)[~escalate].all():
-        raise DomainError("zeros must be strictly increasing")
-    if not ((values[starts] > 0.0) & (values[offsets[1:] - 1] < 1.0))[~escalate].all():
-        raise DomainError("zeros must lie strictly inside (0, 1)")
+    bad = ~escalate & ~(np.logical_and.reduceat(gaps > 0, starts)
+                        & (values[starts] > 0.0) & (values[offsets[1:] - 1] < 1.0))
+    if bad.any():
+        raise RangeOverflowError(f"the zeros of degree {ns[int(np.argmax(bad))]} are not "
+                                 "strictly increasing inside (0, 1) in double")
     hits = np.flatnonzero(gaps == np.repeat(min_gap, counts))
     min_index = hits[np.searchsorted(hits, starts)] - starts
     escalated = {}
     for k, n in ((k, ns[k]) for k in np.flatnonzero(escalate).tolist()):
         ext = _eigvals_bisect_decimal(d[0], e[: n - 1], float(glo[n - 2]), float(ghi[n - 2]))
-        zs = escalated[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
+        try:
+            zs = escalated[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
+        except DomainError as exc:
+            raise RangeOverflowError(f"the escalated zeros of degree {n}: {exc}") from exc
         values[offsets[k] : offsets[k + 1]] = zs.points
         min_gap[k], min_index[k] = min_gap_with_index(zs.values)
     return _ZeroTable(ns, offsets, values, min_gap, min_index, escalated)

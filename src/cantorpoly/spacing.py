@@ -110,7 +110,8 @@ def min_spacing(zero_set) -> float:
 
 
 def set_distance(A, B) -> float:
-    """min |a - b| over the two point sets: each a against its neighbours in B (``_against``)."""
+    """min |a - b| over the two point sets: each a against its neighbours in B (``_against``);
+    its error is the points' own, absolute (about an ulp of 1 in double), not relative."""
     a, b = _points(A), _points(B)
     if a.dtype != b.dtype:  # a double set against an extended one
         a, b = _TO_DECIMAL(a), _TO_DECIMAL(b)

@@ -301,14 +301,20 @@ def branch_composition(gamma: GammaSequence, word: str, t_inner, mode: str = "au
 
     Each g_k is u (letter L) or 1 - u (letter R); t_inner must lie in
     [0, gamma_n]. This is the common core of branch values, interval
-    endpoints, and the separation quantities built from them.
+    endpoints, and the separation quantities built from them. In double,
+    a t_inner above gamma_n / 2 (t < 0) starts as the table does, from
+    the root argument (1 - 4 gamma_n) + 4 gamma_n (1 - t_inner / gamma_n).
     """
     n = len(word)
     mode = gamma.resolve_mode(n, mode)
+    g = gamma.value(n)
     with localcontext(gamma.context(n)):
-        v = u_map(_scalar(t_inner, mode))
+        if mode == "double" and t_inner > g / 2:
+            v = _pull(g, float(1 - t_inner / g), True, mode)[0]
+        else:
+            v = u_map(_scalar(t_inner, mode))
         for k in range(n - 1, 0, -1):
-            v = _pull(gamma.value(k), v, word[k] == "R", mode)
+            v = _pull(gamma.value(k), v, word[k] == "R", mode)[0]
         return 1 - v if word[0] == "R" else v
 
 

@@ -428,6 +428,23 @@ class TestAllBranchValues:
         vals_dd = sorted(float(v) for v in all_branch_values(gamma_sixth, 5, -1.0, "dd"))
         assert np.allclose(vals_d, vals_dd, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("desc", ["constant:1/4", "periodic:2/9,1/4", "list:1/4,1/1000",
+                                      "periodic:1/4,1/10000", "periodic:1/4,1/100000000"])
+    def test_double_tables_match_80_digits(self, desc):
+        # every double level <= 10 at t = 0, +1 and -1 within 2e-16 absolute of an
+        # 80-digit pass: formed as 1 - 4g (1 - v), a letter R's root argument cancels
+        # next to f_k's critical point, to 4.0e-13 off at list:1/4,1/1000
+        gamma = GammaSequence.from_descriptor(desc)
+        ts = (0.0, 1.0, -1.0)
+        levels = [n for n in range(1, 11) if gamma.precision(n)[0] == "double"]
+        assert len(levels) >= 3
+        for n in levels:
+            got = branch_value_table(gamma, n, ts)
+            want = geometry._level_table(gamma, n, ts, ("dd", 80))[1]
+            with localcontext(EXACT):
+                err = np.abs(np.frompyfunc(Decimal, 1, 1)(got) - want).astype(float)
+            assert err.max() <= 2e-16, (n, err.max())
+
 
 class TestInnerKernel:
     """The double first step of a doubling pass over an array of parameters t."""
@@ -435,9 +452,15 @@ class TestInnerKernel:
     @pytest.mark.parametrize("g", [Fraction(1, 4), Fraction(1, 6), Fraction(2, 9),
                                    Fraction(1, 20), Fraction(1, 1000), Fraction(1, 10 ** 6)])
     def test_endpoints_and_anchor_are_the_exact_t_inner(self, g):
-        # at t = -1, 0, 1 the bits of u_map of the correctly rounded g (1 - t) / 2
-        want = np.array([u_map(float(g * (1 - t) / 2)) for t in (-1, 0, 1)])
-        assert geometry._inner_kernel(g, np.array([-1.0, 0.0, 1.0])).tobytes() == want.tobytes()
+        # at t = 0 and 1 the bits of u_map of the correctly rounded g (1 - t) / 2 and its
+        # root; at t = -1 the root of the correctly rounded 1 - 4g, not of 1 - 4 float(g)
+        value, root = geometry._inner_kernel(g, np.array([-1.0, 0.0, 1.0]))
+        t_inner = np.array([float(g / 2), 0.0])
+        assert value[1:].tobytes() == u_map(t_inner).tobytes()
+        assert root[1:].tobytes() == np.sqrt(1 - 4 * t_inner).tobytes()
+        assert root[0] == np.sqrt(float(1 - 4 * g)) and value[0] == 2 * float(g) / (1 + root[0])
+        if g == Fraction(2, 9):  # u(2/9) = 1/3, and 1 - 4 float(g) is 4 units above 1/9
+            assert value[0] == 1 / 3 != u_map(float(g))
 
     def test_keeps_one_plus_t_near_minus_one(self):
         # at g = 1/4 the root argument is (1 + t) / 2: formed from 1 + t, exact
@@ -446,7 +469,7 @@ class TestInnerKernel:
         mp = mpmath.mp.clone()
         mp.dps = 50
         t = -1 + np.array([2.0 ** -k + 2.0 ** -53 for k in range(2, 50)])  # t's last bit set
-        got = geometry._inner_kernel(Fraction(1, 4), t)
+        got = geometry._inner_kernel(Fraction(1, 4), t)[0]
         want = [(1 - mp.mpf(x)) / 4 / (1 + mp.sqrt((1 + mp.mpf(x)) / 2)) for x in t]
         err = max(abs(mp.mpf(u) - w) / w for u, w in zip(got, want))
         assert err <= 4 * np.finfo(float).eps
@@ -557,6 +580,22 @@ class TestSeparationKernel:
                     assert leftmost == chain, (desc, n)
                     quarter_ties += 1
         assert quarter_ties == 20
+
+    @pytest.mark.parametrize("desc", _KERNEL_INPUTS)
+    def test_pulls_as_the_branch_tables_do(self, desc):
+        # one pull step, in double at levels 1..10: the anchors are the table at t = 0,
+        # and l_{1,s}, the table's all-L value at t = -1 and, where it works in double,
+        # leftmost_length are one value
+        gamma = GammaSequence.from_descriptor(desc)
+        double = ("double", 0)
+        for n, (table, leftmost) in enumerate(_separation_ladder(gamma, 10), 1):
+            anchors = geometry._level_table(gamma, n, (0.0,), double)[1][:, 0]
+            assert table[:, 0].tobytes() == anchors.tobytes(), (desc, n)
+            s = n + 1
+            assert leftmost == geometry._level_table(gamma, s, (-1.0,), double)[1][0, 0], s
+            if gamma.precision(s)[0] == "double":
+                assert leftmost_length(gamma, s) == leftmost, (desc, s)
+                assert branch_value_table(gamma, s, (-1.0,))[0, 0] == leftmost, (desc, s)
 
     def test_leftmost_length_in_double(self):
         # the double l_{1,s} is leftmost_length where that works in double
