@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class RangeOverflowError(ArithmeticError):
-    """A computed value that its precision cannot hold: a numerical failure, never bad input."""
+    """A numerical failure, never bad input: a computed value that its precision cannot hold,
+    or two computations of one quantity that disagree."""
 
 
 class ConvergenceError(RuntimeError):

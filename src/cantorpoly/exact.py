@@ -223,31 +223,32 @@ def _zero_set(m: int, table: np.ndarray) -> ZeroSet:
 
 
 def exact_zeros(fam: MapFamily, m: int, mode: str = "auto") -> ZeroSet:
-    """The 2^m zeros of the degree-2^m orthogonal polynomial.
+    """The 2^m zeros of the degree-2^m orthogonal polynomial, in level m's precision.
 
     They are the preimages of 0 under F_m, i.e. the branch values at t = 0
     over all words of length m; equivalently the pullbacks of the two
     roots of f_m through the level-(m-1) branches. One zero lies in each
     level-m basic interval. In extended precision the values are Decimals,
-    and their order is checked exactly.
+    and their order is checked exactly. mode accepts only "auto".
     """
     if m < 1:
         raise DomainError("degree exponent must be >= 1")
-    return _zero_set(m, np.asarray(all_branch_values(fam.gamma, m, 0.0, mode))[:, None])
+    if mode != "auto":
+        raise DomainError(f"unknown precision mode {mode!r} (only 'auto')")
+    return _zero_set(m, np.asarray(all_branch_values(fam.gamma, m, 0.0))[:, None])
 
 
-def exact_zero_ladder(fam: MapFamily, top: int, mode: str = "auto",
-                      depth: int | None = None) -> list[ZeroSet]:
-    """exact_zeros(fam, m, mode) for m = 1..top, from one branch_value_ladder.
+def exact_zero_ladder(fam: MapFamily, top: int, depth: int | None = None) -> list[ZeroSet]:
+    """exact_zeros(fam, m) for m = 1..top, from one branch_value_ladder.
 
     With depth, every level is computed in level depth's precision
     instead of its own.
     """
-    tables = branch_value_ladder(fam.gamma, top, (0.0,), mode, depth)
+    tables = branch_value_ladder(fam.gamma, top, (0.0,), depth)
     return [_zero_set(m, table) for m, table in enumerate(tables, start=1)]
 
 
-def critical_levels(fam: MapFamily, n: int, zero_sets=None, mode: str = "auto") -> list[ZeroSet]:
+def critical_levels(fam: MapFamily, n: int, zero_sets=None) -> list[ZeroSet]:
     """The zero sets of levels 1..n-1, all in the precision of level n - 1.
 
     zero_sets, when given, are the zero sets of levels 1..n-1 each in its
@@ -259,8 +260,8 @@ def critical_levels(fam: MapFamily, n: int, zero_sets=None, mode: str = "auto") 
     """
     gamma = fam.gamma
     if zero_sets is None:
-        return exact_zero_ladder(fam, n - 1, mode, depth=n - 1)
-    deepest = gamma.precision(n - 1, mode)
-    j = max((k for k in range(1, n) if gamma.precision(k, mode) != deepest), default=0)
-    redone = exact_zero_ladder(fam, j, mode, depth=n - 1) if j else []
+        return exact_zero_ladder(fam, n - 1, depth=n - 1)
+    deepest = gamma.precision(n - 1)
+    j = max((k for k in range(1, n) if gamma.precision(k) != deepest), default=0)
+    redone = exact_zero_ladder(fam, j, depth=n - 1) if j else []
     return redone + list(zero_sets)[j:]

@@ -11,11 +11,11 @@ composed from the inside out with per-level scale factors gamma_k. The
 fundamental scale of level s is delta_s = gamma_1 * ... * gamma_s.
 
 Every function here is pure and works on floats, numpy arrays or
-Decimals. The ``mode`` argument of the higher-level operations is
-"auto" (the default): double while delta at the requested depth is at
-least 1e-12, below it extended precision (stdlib ``decimal``, in the
-private context ``GammaSequence.context(depth)``); or "dd", always
-extended. No mode forces double (the zero spacing falls with delta), but
+Decimals. Precision is the level's, by one rule (``GammaSequence.precision``):
+level n works in double while delta_n is at least 1e-12, below it extended
+(stdlib ``decimal``, in the private context ``GammaSequence.context(n)``).
+The one override is the ``depth`` of the two ladders, for critical sets. No
+level is forced to double (the zero spacing falls with delta), but
 differences carried subtraction-free stay relatively accurate in double.
 
 The branch values of every word of one level come from one doubling
@@ -50,7 +50,7 @@ from .errors import DomainError, RangeOverflowError
 Scalar = Union[float, Decimal]
 
 _QUARTER = Fraction(1, 4)
-_AUTO_EXTENDED_THRESHOLD = 1e-12
+_EXTENDED_BELOW = 1e-12
 _MIN_DIGITS = 34  # the decimal128 width
 _GUARD_DIGITS = 10
 
@@ -150,10 +150,6 @@ class GammaSequence:
             return self.values[min(k, len(self.values)) - 1]
         return self.values[(k - 1) % len(self.values)]
 
-    def gamma(self, k: int, mode: str = "auto") -> Scalar:
-        with localcontext(self.context(k)):
-            return _scalar(self.value(k), self.resolve_mode(k, mode))
-
     @property
     def period(self) -> int | None:
         """The p with gamma_{k+p} = gamma_k for every k >= 1: 1 for a
@@ -178,28 +174,20 @@ class GammaSequence:
             deltas.append(deltas[-1] * self.value(len(deltas)))
         return deltas[s]
 
-    def delta(self, s: int, mode: str = "auto") -> Scalar:
-        """The level-s scale delta_s = gamma_1 * ... * gamma_s (delta_0 = 1)."""
+    def delta(self, s: int) -> Scalar:
+        """delta_s = gamma_1 * ... * gamma_s (delta_0 = 1), rounded once in level s's precision."""
         with localcontext(self.context(s)):
-            return _scalar(self.delta_fraction(s), self.resolve_mode(s, mode))
+            d = self.delta_fraction(s)
+            return as_decimal(d) if self.precision(s)[0] == "dd" else float(d)
 
     def infimum(self) -> Fraction:
         """inf over k of gamma_k; exact because the descriptor is finite."""
         return min(self.values)
 
-    def resolve_mode(self, depth: int, mode: str) -> str:
-        """The working precision, "double" or "dd": "auto" is "dd" once
-        delta_depth < 1e-12; any mode but "auto" and "dd" raises."""
-        if mode == "auto":
-            return "dd" if float(self.delta_fraction(depth)) < _AUTO_EXTENDED_THRESHOLD else "double"
-        if mode != "dd":
-            raise DomainError(f"unknown precision mode {mode!r} (use 'auto' or 'dd')")
-        return mode
-
     def context(self, depth: int) -> Context:
-        """The decimal context of extended work down to level depth: the one
-        precision rule. Its digits resolve delta_{depth+2}, the lower bound
-        on the zero spacing at degree 2^depth, with a guard; at least 34."""
+        """The decimal context of extended work down to level depth. Its
+        digits resolve delta_{depth+2}, the lower bound on the zero spacing
+        at degree 2^depth, with a guard; at least 34."""
         digits = self._digits.get(depth)
         if digits is None:
             d = self.delta_fraction(depth + 2)
@@ -207,12 +195,13 @@ class GammaSequence:
             digits = self._digits[depth] = max(_MIN_DIGITS, decades + _GUARD_DIGITS)
         return extended_context(digits)
 
-    def precision(self, depth: int, mode: str = "auto") -> tuple[str, int]:
-        """The working precision of level depth as (mode, digits): digits is
-        the context's precision in "dd" and 0 in "double", which reads no
-        context. Two levels of one precision round every operation alike."""
-        mode = self.resolve_mode(depth, mode)
-        return mode, self.context(depth).prec if mode == "dd" else 0
+    def precision(self, depth: int) -> tuple[str, int]:
+        """Level depth's working precision, the one rule, as (mode, digits):
+        ("dd", context(depth)'s digits) once delta_depth < 1e-12, else
+        ("double", 0). Two levels of one precision round every operation alike."""
+        if float(self.delta_fraction(depth)) < _EXTENDED_BELOW:
+            return "dd", self.context(depth).prec
+        return "double", 0
 
     # -- informational diagnostics ----------------------------------------
 
@@ -253,10 +242,6 @@ def _as_fraction(v) -> Fraction:
     raise DomainError(f"cannot interpret {v!r} as a finite rational")
 
 
-def _scalar(x, mode: str) -> Scalar:
-    return as_decimal(x) if mode == "dd" else float(x)
-
-
 def _fraction_str(v: Fraction) -> str:
     # exact decimal when the denominator is 2^a * 5^b, else "p/q"
     den = v.denominator
@@ -295,8 +280,16 @@ def _pull(g: Fraction, v, reflected: bool, mode: str):
     """
     two_g, four_g = ((2 * float(g), 4 * float(g)) if mode == "double"
                      else (as_decimal(2 * g), as_decimal(4 * g)))
-    root = np.sqrt(_scalar(1 - 4 * g, mode) + four_g * v if reflected else 1 - four_g * v)
+    root = np.sqrt(_one_minus_4g(g, mode) + four_g * v if reflected else 1 - four_g * v)
     return two_g * (1 - v if reflected else v) / (1 + root), root
+
+
+def _one_minus_4g(g: Fraction, mode: str) -> Scalar:
+    """1 - 4g rounded once. In double it is formed from g's integers, as int / int rounds
+    correctly: float(1 - 4 * g) bit for bit, with no Fraction arithmetic."""
+    if mode == "double":
+        return (g.denominator - 4 * g.numerator) / g.denominator
+    return as_decimal(1 - 4 * g)
 
 
 def _check_ts(ts) -> tuple:
@@ -316,10 +309,12 @@ def _inner_kernel(g: Fraction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounded once, as ``_pull`` forms letter R's: 1 + t is exact there, while t_inner, which
     nears g as t nears -1, would drop t's last bit, and at g = 1/4 the square root amplifies
     that loss. At t = 0 and 1 the value is u_map of the correctly rounded t_inner, bit for bit.
+    g / 2, like 1 - 4g, is rounded from g's integers: float(g / 2) bit for bit.
     """
-    g_half = float(g / 2)
+    g_half = g.numerator / (2 * g.denominator)
     t_inner = g_half * (1 - t)
-    root = np.sqrt(np.where(t < 0, float(1 - 4 * g) + 2 * float(g) * (1 + t), 1 - 4 * t_inner))
+    base = _one_minus_4g(g, "double")
+    root = np.sqrt(np.where(t < 0, base + 2 * float(g) * (1 + t), 1 - 4 * t_inner))
     return 2 * t_inner / (1 + root), root
 
 
@@ -341,7 +336,7 @@ def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, 
         if carried is None and mode == "double":
             v, k_top = _inner_kernel(gamma.value(n), np.asarray(ts, dtype=float))[0], n - 1
         elif carried is None:
-            t_inner = np.array([_scalar(gamma.value(n) * (1 - _as_fraction(t)) / 2, mode)
+            t_inner = np.array([as_decimal(gamma.value(n) * (1 - _as_fraction(t)) / 2)
                                 for t in ts])
             v, k_top = u_map(t_inner), n - 1
         else:
@@ -352,27 +347,27 @@ def _level_table(gamma: GammaSequence, n: int, ts: tuple, precision: tuple[str, 
         return v, np.concatenate([v, 1 - v]).reshape(-1, len(ts))
 
 
-def branch_value_table(gamma: GammaSequence, n: int, ts, mode: str = "auto") -> np.ndarray:
+def branch_value_table(gamma: GammaSequence, n: int, ts) -> np.ndarray:
     """The branch value of every word of length n at every t in ts.
 
     The branch value of a word at t in [-1, 1] is its composed inverse
     branch at t_inner = gamma_n * (1 - t) / 2. One row per word in
     word-bit order (level-1 letter first, 0 = L) and one column per t,
-    from one doubling pass over all the parameters; an object array of
-    Decimals if extended. The total work is O(2^n) per
-    parameter. This is a one-level branch_value_ladder, with nothing
-    carried.
+    from one doubling pass in level n's precision; an object array of
+    Decimals if extended. The total work is O(2^n) per parameter. This is
+    a one-level branch_value_ladder, with nothing carried.
     """
-    return _level_table(gamma, n, _check_ts(ts), gamma.precision(n, mode))[1]
+    return _level_table(gamma, n, _check_ts(ts), gamma.precision(n))[1]
 
 
-def branch_value_ladder(gamma: GammaSequence, top: int, ts, mode: str = "auto",
+def branch_value_ladder(gamma: GammaSequence, top: int, ts,
                         depth: int | None = None) -> list[np.ndarray]:
-    """branch_value_table(gamma, n, ts, mode) for n = 1..top, in one run.
+    """branch_value_table(gamma, n, ts) for n = 1..top, in one run.
 
     Level n works in its own precision, or in level depth's for every n
-    when depth is given (the levels of a critical set). When gamma repeats
-    with period p and level n works in the precision of level n - p, it
+    when depth is given (the levels of a critical set), the one override
+    of the rule. When gamma repeats with period p and level n works in the
+    precision of level n - p, it
     continues level n - p's doubling array by p pull steps instead of
     restarting. Every table is bit for bit the fresh one, and a constant
     sequence in one precision pays about 2^top pulls per parameter for all
@@ -383,7 +378,7 @@ def branch_value_ladder(gamma: GammaSequence, top: int, ts, mode: str = "auto",
     arrays: dict[int, tuple] = {}  # the last p levels: n -> (precision, doubling array)
     tables = []
     for n in range(1, top + 1):
-        precision = gamma.precision(n if depth is None else depth, mode)
+        precision = gamma.precision(n if depth is None else depth)
         prior = arrays.pop(n - p, None) if p else None
         carried = prior[1] if prior is not None and prior[0] == precision else None
         v, table = _level_table(gamma, n, ts, precision, carried)
@@ -393,9 +388,9 @@ def branch_value_ladder(gamma: GammaSequence, top: int, ts, mode: str = "auto",
     return tables
 
 
-def all_branch_values(gamma: GammaSequence, n: int, t: float, mode: str = "auto"):
+def all_branch_values(gamma: GammaSequence, n: int, t: float):
     """Every word's branch value at t, level n, in word-bit order (a list if extended)."""
-    x = branch_value_table(gamma, n, (t,), mode)[:, 0]
+    x = branch_value_table(gamma, n, (t,))[:, 0]
     return x.tolist() if x.dtype == object else x
 
 
@@ -499,12 +494,12 @@ def _interval_rows(table: np.ndarray) -> np.ndarray:
     return ivs
 
 
-def level_intervals(gamma: GammaSequence, n: int, mode: str = "auto") -> np.ndarray:
+def level_intervals(gamma: GammaSequence, n: int) -> np.ndarray:
     """All 2^n level-n basic intervals, left to right, as a (2^n, 2) array
     of [lo, hi] rows; an object array of Decimals if extended."""
     if n == 0:
         return np.array([[0.0, 1.0]])
-    return _interval_rows(branch_value_table(gamma, n, _INTERVAL_ENDS, mode))
+    return _interval_rows(branch_value_table(gamma, n, _INTERVAL_ENDS))
 
 
 def _interval_ladder(gamma: GammaSequence, top: int) -> list[np.ndarray]:
@@ -524,30 +519,30 @@ def largest_gap(gamma: GammaSequence, n: int) -> float:
 # scale quantities
 # ---------------------------------------------------------------------------
 
-def leftmost_length(gamma: GammaSequence, s: int, mode: str = "auto") -> Scalar:
-    """Length of the leftmost level-s basic interval (1 for s = 0).
+def leftmost_length(gamma: GammaSequence, s: int) -> Scalar:
+    """Length of the leftmost level-s basic interval (1 for s = 0), in level s's precision.
 
     Equals the fully nested kernel value u(gamma_1 * u(... * u(gamma_s))), the all-L branch
     at t = -1, bit for bit in double, and satisfies delta_s <= l <= (pi^2/4) delta_s.
     """
     if s < 0:
         raise DomainError("level must be >= 0")
-    mode = gamma.resolve_mode(s, mode)
-    if s == 0:
-        return Decimal(1) if mode == "dd" else 1.0
+    if s == 0:  # delta_0 = 1: double
+        return 1.0
+    mode = gamma.precision(s)[0]
     with localcontext(gamma.context(s)):
         v = (_inner_kernel(gamma.value(s), np.float64(-1.0))[0] if mode == "double"
-             else u_map(_scalar(gamma.value(s), mode)))
+             else u_map(as_decimal(gamma.value(s))))
         for k in range(s - 1, 0, -1):
             v = _pull(gamma.value(k), v, False, mode)[0]
         return v
 
 
-def scale_rows(gamma: GammaSequence, s_max: int, mode: str = "auto") -> list[tuple]:
-    """(s, delta_s, l_{1,s}, ratio) rows for s = 0 .. s_max."""
+def scale_rows(gamma: GammaSequence, s_max: int) -> list[tuple]:
+    """(s, delta_s, l_{1,s}, ratio) rows for s = 0 .. s_max, each in level s's precision."""
     rows = []
     for s in range(s_max + 1):
-        d = gamma.delta(s, mode)
-        l = leftmost_length(gamma, s, mode)
+        d = gamma.delta(s)
+        l = leftmost_length(gamma, s)
         rows.append((s, d, l, float(l) / float(d)))
     return rows

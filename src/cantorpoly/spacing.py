@@ -67,7 +67,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeOverflowError
 from .exact import EXACT as _EXACT
 from .exact import (
     CriticalSet,
@@ -214,8 +214,11 @@ def verify_branch_lemma(fam: MapFamily, table: tuple[np.ndarray, float]) -> Repo
     centre, so both critical points next to a zero are centres of its own ancestors, and
     d(Z, Y) is the least centre distance, formed in double with no subtraction. No tie needs
     a cushion: the all-L words at t = +1 equal the chain bit for bit, and so does l_{1,n+1},
-    pulled by the chain's own steps, where gamma_{n+1} = 1/4. Only l_{1,n+1} >= delta_{n+1}
-    is decided in decimal.
+    pulled by the chain's own steps, where gamma_{n+1} = 1/4. l_{1,n+1} >= delta_{n+1} is
+    decided in level n + 1's precision, as every level's: where that is double, u(x) / x >=
+    1 + x gives l / delta >= 1 + gamma_{n+1}, and gamma_{n+1} = delta_{n+1} / delta_n >= 1e-12
+    * 4^n, over 100 times the rounding of delta_{n+1} and of l, whose relative error e a pull
+    takes to at most 1.25 e + 6.25 u (u = 2^-53).
     """
     words, leftmost = table
     n = len(words).bit_length() - 1
@@ -223,8 +226,7 @@ def verify_branch_lemma(fam: MapFamily, table: tuple[np.ndarray, float]) -> Repo
         raise DomainError(f"level {n} needs a {2 ** n} x {n + 3} separation table, "
                           f"got {np.shape(words)}")
     chain, seps, gamma = words[0, 0], np.abs(words[:, 1:3]), fam.gamma
-    scales_ok = (chain >= leftmost
-                 and leftmost_length(gamma, n + 1, "dd") >= gamma.delta(n + 1, "dd"))
+    scales_ok = chain >= leftmost and leftmost_length(gamma, n + 1) >= gamma.delta(n + 1)
     failures = int(np.count_nonzero(seps < chain)) if scales_ok else seps.size
     min_sep, dzy = float(seps.min()), float(np.abs(words[:, 3:]).min())
     return ReportEntry("branch_separation_chain", failures == 0 and dzy >= min_sep, dzy, min_sep, {
@@ -300,9 +302,9 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels
     for m in levels:
         i = degrees.index(2 ** m)
         gap, index = exact[m - 1].smallest_gap()
-        if abs(gap - m_n[i]) > _EXACT_VS_EIGEN_TOL:
-            raise DomainError(f"exact and eigensolve spacing disagree at degree {2 ** m}: "
-                              f"{gap} vs {m_n[i]}")
+        if abs(gap - m_n[i]) > _EXACT_VS_EIGEN_TOL:  # two computations of one set: a fault
+            raise RangeOverflowError(f"exact and eigensolve spacing disagree at degree "
+                                     f"{2 ** m}: {gap} vs {m_n[i]}")
         m_n[i], pair[i] = gap, index
     s = np.array([n.bit_length() for n in degrees], dtype=np.int64)
     octaves = sorted(set(s.tolist()))

@@ -21,8 +21,11 @@ the two:
   double separation ladder;
 - discrete measures, the Gauss rule of a Jacobi matrix (Golub-Welsch) and
   P_n by the three-term recurrence;
+- a level's branch table and zeros from the decimal doubling pass, the
+  reference for a level that works in double;
 - the scalar branch composition, which walks one word of letters L and R
-  from the inside out: the independent oracle of the doubling table
+  from the inside out, in a level's own precision or in decimal: the
+  independent oracle of the doubling table
   (``geometry.branch_value_table``) and of ``leftmost_length``;
 - one branch value and one basic interval, each from that walk, and the
   gaps of a level;
@@ -39,6 +42,7 @@ the two:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -53,10 +57,9 @@ from cantorpoly.geometry import (
     _as_fraction,
     _level_table,
     _pull,
-    _scalar,
     all_branch_values,
+    as_decimal,
     extended_context,
-    leftmost_length,
     level_intervals,
     u_map,
 )
@@ -296,29 +299,50 @@ def words(n: int) -> list[str]:
     return ["".join(w) for w in product("LR", repeat=n)]
 
 
-def branch_composition(gamma: GammaSequence, word: str, t_inner, mode: str = "auto"):
+def decimal(gamma: GammaSequence, depth: int) -> tuple[str, int]:
+    """The precision of a decimal pass at the digits of gamma.context(depth): level depth's
+    own precision where that is extended, a decimal reference where it is double."""
+    return "dd", gamma.context(depth).prec
+
+
+def decimal_table(gamma: GammaSequence, n: int, ts) -> np.ndarray:
+    """Level n's branch table from the decimal doubling pass at the digits of
+    gamma.context(n): branch_value_table's where level n works extended, a decimal
+    reference where it works in double."""
+    return _level_table(gamma, n, tuple(ts), decimal(gamma, n))[1]
+
+
+def decimal_zeros(gamma: GammaSequence, m: int) -> np.ndarray:
+    """The 2^m zeros of degree 2^m from ``decimal_table`` at t = 0, sorted: exact_zeros'
+    values where level m works extended."""
+    return np.array(sorted(decimal_table(gamma, m, (0.0,))[:, 0]))
+
+
+def branch_composition(gamma: GammaSequence, word: str, t_inner, precision=None):
     """Evaluate g_1(gamma_1 * g_2(... gamma_{n-1} * g_n(t_inner))).
 
     Each g_k is u (letter L) or 1 - u (letter R); t_inner must lie in
     [0, gamma_n]. This is the common core of branch values, interval
-    endpoints, and the separation quantities built from them. In double,
-    a t_inner above gamma_n / 2 (t < 0) starts as the table does, from
-    the root argument (1 - 4 gamma_n) + 4 gamma_n (1 - t_inner / gamma_n).
+    endpoints, and the separation quantities built from them. The walk
+    runs in precision, (mode, digits) as gamma.precision gives it, level
+    n's own by default. In double, a t_inner above gamma_n / 2 (t < 0)
+    starts as the table does, from the root argument (1 - 4 gamma_n) +
+    4 gamma_n (1 - t_inner / gamma_n).
     """
     n = len(word)
-    mode = gamma.resolve_mode(n, mode)
+    mode, digits = gamma.precision(n) if precision is None else precision
     g = gamma.value(n)
-    with localcontext(gamma.context(n)):
+    with localcontext(extended_context(digits)) if digits else contextlib.nullcontext():
         if mode == "double" and t_inner > g / 2:
             v = _pull(g, float(1 - t_inner / g), True, mode)[0]
         else:
-            v = u_map(_scalar(t_inner, mode))
+            v = u_map(float(t_inner) if mode == "double" else as_decimal(t_inner))
         for k in range(n - 1, 0, -1):
             v = _pull(gamma.value(k), v, word[k] == "R", mode)[0]
         return 1 - v if word[0] == "R" else v
 
 
-def branch_value(gamma: GammaSequence, word: str, t, mode: str = "auto"):
+def branch_value(gamma: GammaSequence, word: str, t, precision=None):
     """Value of the composed inverse branch addressed by ``word`` at t.
 
     t ranges over [-1, 1]; the innermost substitution is
@@ -327,24 +351,24 @@ def branch_value(gamma: GammaSequence, word: str, t, mode: str = "auto"):
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"branch parameter {t} outside [-1, 1]")
     t_inner = gamma.value(len(word)) * (1 - _as_fraction(t)) / 2
-    return branch_composition(gamma, word, t_inner, mode)
+    return branch_composition(gamma, word, t_inner, precision)
 
 
-def basic_interval(gamma: GammaSequence, word: str, mode: str = "auto") -> tuple:
+def basic_interval(gamma: GammaSequence, word: str) -> tuple:
     """The level-n basic interval addressed by a word of length n, as (lo, hi)."""
-    a = branch_value(gamma, word, 1.0, mode)
-    b = branch_value(gamma, word, -1.0, mode)
+    a = branch_value(gamma, word, 1.0)
+    b = branch_value(gamma, word, -1.0)
     return (a, b) if a < b else (b, a)
 
 
-def level_gaps(gamma: GammaSequence, n: int, mode: str = "auto") -> list[tuple]:
+def level_gaps(gamma: GammaSequence, n: int) -> list[tuple]:
     """The 2^n open gaps removed inside the level-n parents.
 
     Derived from the level-(n+1) intervals rather than stored; entries are
     (lo, hi) pairs and may be degenerate (lo == hi) in the boundary case
     gamma_k = 1/4.
     """
-    ivs = level_intervals(gamma, n + 1, mode)
+    ivs = level_intervals(gamma, n + 1)
     return [(ivs[2 * j, 1], ivs[2 * j + 1, 0]) for j in range(2 ** n)]
 
 
@@ -403,12 +427,13 @@ def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:
     """
     gamma = fam.gamma
     n = len(word)
-    half = gamma.value(n) / 2
-    anchor = branch_composition(gamma, word, half, "dd")
-    value = branch_composition(gamma, word, t_tilde, "dd")
-    chain = branch_composition(gamma, "L" * n, half, "dd")
-    l_next = leftmost_length(gamma, n + 1, "dd")
-    d_next = gamma.delta(n + 1, "dd")
+    half, here, below = gamma.value(n) / 2, decimal(gamma, n), decimal(gamma, n + 1)
+    anchor = branch_composition(gamma, word, half, here)
+    value = branch_composition(gamma, word, t_tilde, here)
+    chain = branch_composition(gamma, "L" * n, half, here)
+    l_next = branch_composition(gamma, "L" * (n + 1), gamma.value(n + 1), below)
+    with localcontext(extended_context(below[1])):
+        d_next = as_decimal(gamma.delta_fraction(n + 1))
     # words whose inner letters are all L attain sep == chain exactly at
     # t_tilde = 0, and the reflected branches compute the tied sides
     # through different expressions: hence _TIE_CUSHION
@@ -515,7 +540,7 @@ def spectrum(d0: float, sigma: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
+def critical_set(fam: MapFamily, n: int) -> CriticalSet:
     """Critical points of F_n: {1/2} together with all shallower zero sets.
 
     The chain rule factors F_n' over f_1' (vanishing at 1/2) and
@@ -525,7 +550,7 @@ def critical_set(fam: MapFamily, n: int, mode: str = "auto") -> CriticalSet:
     """
     if n < 1:
         raise DomainError("level must be >= 1")
-    return CriticalSet.from_zero_sets(critical_levels(fam, n, mode=mode))
+    return CriticalSet.from_zero_sets(critical_levels(fam, n))
 
 
 # ---------------------------------------------------------------------------

@@ -141,16 +141,12 @@ def test_criterion_09_leftmost_length_bounds(gamma_sixth, gamma_periodic):
     sequences = (gamma_sixth, gamma_periodic, cp.GammaSequence.constant("0.24"))
     for gamma in sequences:
         for s in range(0, 25):
-            mode = "dd" if s > 14 else "auto"  # auto is double up to s = 14 here
             d = gamma.delta_fraction(s)
-            l = cp.leftmost_length(gamma, s, mode)
-            if mode == "dd":
-                assert Fraction(l) >= d
-                assert float(l) <= PI_SQ_4 * float(d)
-            else:
-                assert Fraction(l) >= d
-                assert l <= PI_SQ_4 * float(d)
-    _announce(9, "delta_s <= l_{1,s} <= (pi^2/4) delta_s for s <= 24, three sequences, dd beyond 14")
+            l = cp.leftmost_length(gamma, s)  # in level s's precision, decimal once d < 1e-12
+            assert Fraction(l) >= d
+            assert float(l) <= PI_SQ_4 * float(d)
+    _announce(9, "delta_s <= l_{1,s} <= (pi^2/4) delta_s for s <= 24, three sequences, "
+              "each level in its own precision")
 
 
 def test_criterion_10_gauss_self_consistency(sweep_sixth):

@@ -192,9 +192,9 @@ class TestZerosCommand:
         calls = []
         real = cp.exact.branch_value_ladder
 
-        def counting(gamma, top, ts, mode="auto", depth=None):
+        def counting(gamma, top, ts, depth=None):
             calls.append((top, depth))
-            return real(gamma, top, ts, mode, depth)
+            return real(gamma, top, ts, depth)
 
         monkeypatch.setattr(cp.exact, "branch_value_ladder", counting)
         rc = main(["zeros", "--gamma", "constant:0.02", "--degree-max", "2048",
@@ -285,6 +285,18 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("cantorpoly: numerical failure: ") and "invalid input" not in err
         assert f"degree {degree}" in err
+
+    def test_disagreeing_cross_check_is_a_numerical_failure(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # level 5 of constant 0.001 works in decimal, so degree 32 is checked against its
+        # exact set, with no escalation: two computations of one M_n that disagree are a
+        # fault of the program, not of the input
+        monkeypatch.setattr(cp.spacing, "_EXACT_VS_EIGEN_TOL", -1.0)
+        assert main(["verify", "--gamma", "constant:0.001", "--degree-max", "32", "--depth", "7",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cantorpoly: numerical failure: ") and "invalid input" not in err
+        assert "degree 32" in err
 
     @pytest.mark.parametrize("gamma", ["list:1/4,1e-43", "list:1/4,1e-42"])
     def test_level_nine_is_not_range_checked(self, tmp_path, capsys, gamma):

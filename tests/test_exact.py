@@ -163,7 +163,11 @@ class TestExactZeros:
             assert float(res.max()) <= 2 ** m * EPS * scale
 
     def test_dd_mode_scalars(self, fam_sixth):
-        pts = cp.exact_zeros(fam_sixth, 3, "dd").values
+        # exact_zeros has no precision to choose: level 3 works in double, and only "auto"
+        # is a mode; the decimal reference pass agrees with the double zeros
+        with pytest.raises(DomainError, match="precision mode"):
+            cp.exact_zeros(fam_sixth, 3, "dd")
+        pts = ref.decimal_zeros(fam_sixth.gamma, 3)
         assert len(pts) == 8
         floats = cp.exact_zeros(fam_sixth, 3).points
         assert np.allclose([float(p) for p in pts], floats, atol=1e-15)
@@ -172,13 +176,13 @@ class TestExactZeros:
         # at gamma = 0.02, m = 11 neighbouring dd zeros share a double
         # rounding, so ordering them by float leaves pairs reversed
         fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
-        pts = cp.exact_zeros(fam, 11, "dd").values
+        pts = cp.exact_zeros(fam, 11).values
         assert len(pts) == 2 ** 11
         assert all(x < y for x, y in zip(pts, pts[1:]))
-        # in auto mode the set keeps its dd values from m = 10 on, where the
+        # the set keeps its dd values from m = 10 on, where the
         # top zero (1 - 5.2e-18) rounds to 1.0 and neighbours tie in double
         for m in (10, 11, 12):
-            pts = cp.exact_zeros(fam, m, "auto").values
+            pts = cp.exact_zeros(fam, m).values
             assert len(pts) == 2 ** m
             assert all(x < y for x, y in zip(pts, pts[1:]))
             assert pts[0] > 0.0 and pts[-1] < 1.0
@@ -191,7 +195,7 @@ class TestExactZeros:
         # 1e-36 of 0 and 1; the precision rule gives 52 digits there
         fam = cp.MapFamily(cp.GammaSequence.constant("0.001"))
         assert fam.gamma.context(12).prec == 52
-        zs = cp.exact_zeros(fam, 12, "auto")
+        zs = cp.exact_zeros(fam, 12)
         pts = zs.values
         assert len(pts) == 2 ** 12
         assert all(x < y for x, y in zip(pts, pts[1:]))
@@ -259,14 +263,14 @@ class TestCriticalSet:
                 assert cp.set_distance(zk, ys) == 0.0
 
     def test_levels_share_the_deepest_precision(self):
-        # at gamma = 0.02 levels 1..7 are double and 8..10 dd in auto mode;
+        # at gamma = 0.02 levels 1..7 are double and 8..10 dd;
         # the critical set of level 11 computes all of 1..10 in level 10's
         # precision (a double level promoted to 34 digits is off by ~1e-16)
         gamma = cp.GammaSequence.constant("0.02")
         fam = cp.MapFamily(gamma)
-        zero_sets = [cp.exact_zeros(fam, k, "auto") for k in range(1, 11)]
+        zero_sets = [cp.exact_zeros(fam, k) for k in range(1, 11)]
         assert [zs.values.dtype == object for zs in zero_sets] == [False] * 7 + [True] * 3
-        ys = ref.critical_set(fam, 11, "auto")
+        ys = ref.critical_set(fam, 11)
         assert ys.values.dtype == object
         assert worst_relative_error(ys.values, mpmath_critical_points(gamma, 11)) <= 1e-30
         levels = exact_zero_ladder(fam, 10, depth=10)
@@ -316,8 +320,8 @@ class TestCriticalSet:
 
     def test_working_view_built_once(self):
         fam = cp.MapFamily(cp.GammaSequence.constant("0.02"))
-        zs = cp.exact_zeros(fam, 9, "auto")
-        ys = ref.critical_set(fam, 9, "auto")
+        zs = cp.exact_zeros(fam, 9)
+        ys = ref.critical_set(fam, 9)
         for s in (zs, ys):
             assert s.values is s.values
             assert s.values.dtype == object and not s.values.flags.writeable

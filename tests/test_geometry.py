@@ -25,8 +25,8 @@ from cantorpoly.geometry import (
     u_map,
 )
 
-from reference import (basic_interval, branch_value, critical_distance, level_gaps,
-                       separation_table, words)
+from reference import (basic_interval, branch_value, critical_distance, decimal, decimal_table,
+                       level_gaps, separation_table, words)
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -162,10 +162,11 @@ class TestGammaSequence:
         assert GammaSequence.constant("0.25").descriptor()["values"] == ["0.25"]
 
     def test_dd_materialization(self):
+        # delta_20 = 6^-20 < 1e-12: a Decimal, rounded once at level 20's digits
         g = GammaSequence.constant("1/6")
-        v = g.gamma(1, "dd")
+        v, want = g.delta(20), Fraction(1, 6) ** 20
         assert isinstance(v, Decimal)
-        assert abs(Fraction(v) - Fraction(1, 6)) < Fraction(1, 6) / 2 ** 100
+        assert abs(Fraction(v) - want) < want / 2 ** 100
 
     @pytest.mark.parametrize("desc,depth,digits", [
         ("constant:1/6", 8, 34), ("constant:0.02", 12, 34), ("constant:0.05", 12, 34),
@@ -176,14 +177,12 @@ class TestGammaSequence:
         assert GammaSequence.from_descriptor(desc).context(depth).prec == digits
 
     def test_auto_mode_resolution(self):
+        # the one rule: decimal once delta_depth < 1e-12, at context(depth)'s digits
         g = GammaSequence.constant("1/6")
-        assert g.resolve_mode(4, "auto") == "double"
-        assert g.resolve_mode(20, "auto") == "dd"
-        assert isinstance(g.gamma(20), Decimal) and isinstance(g.delta(20), Decimal)
-        assert isinstance(g.gamma(4), float) and isinstance(g.delta(4), float)
-        for forced in ("quad", "double"):  # only auto and dd are modes
-            with pytest.raises(DomainError):
-                g.resolve_mode(4, forced)
+        assert g.precision(4) == ("double", 0) and g.precision(15) == ("double", 0)
+        assert g.precision(16) == ("dd", g.context(16).prec) == ("dd", 34)
+        assert isinstance(g.delta(16), Decimal) and isinstance(g.delta(15), float)
+        assert g.precision(0) == ("double", 0) and g.delta(0) == 1.0
 
 
 class TestBranchValue:
@@ -279,7 +278,7 @@ class TestBasicInterval:
         # at gamma = 0.001 the level-6 intervals next to 1 tie in double;
         # in auto precision they stay distinct and ordered
         g = GammaSequence.constant("0.001")
-        ivs = level_intervals(g, 6, "auto")
+        ivs = level_intervals(g, 6)
         assert ivs.dtype == object
         assert np.all(ivs[:, 0] < ivs[:, 1]) and np.all(ivs[:-1, 1] < ivs[1:, 0])
         assert largest_gap(g, 6) == pytest.approx(1 - 2 * cp.u_map(0.001), rel=1e-14)
@@ -337,7 +336,7 @@ class TestScaleQuantities:
     def test_two_sided_bound_dd_deep(self, gamma_sixth):
         for s in (16, 20, 24):
             d = gamma_sixth.delta_fraction(s)
-            l = cp.leftmost_length(gamma_sixth, s, "dd")
+            l = cp.leftmost_length(gamma_sixth, s)  # delta_s < 1e-12: decimal
             assert isinstance(l, Decimal)
             assert Fraction(l) >= d
             assert float(l) <= PI_SQ_4 * float(d)
@@ -346,16 +345,21 @@ class TestScaleQuantities:
     @pytest.mark.parametrize("desc", ["constant:1/4", "constant:1/6", "constant:0.001",
                                       "periodic:2/9,1/4", "list:1/4,1/1000"])
     def test_is_the_scalar_all_left_branch(self, desc, mode):
-        # the all-L branch at t = -1, bit for bit and in type
+        # the all-L branch at t = -1, walked in level s's own precision ("auto"): bit for bit
+        # and in type; walked in decimal ("dd"): bit for bit where level s is decimal, and
+        # within 4e-15 relative where it works in double (1.2e-15 measured, s <= 24)
         gamma = GammaSequence.from_descriptor(desc)
         for s in range(1, 25):
-            got = cp.leftmost_length(gamma, s, mode)
-            want = branch_value(gamma, "L" * s, -1.0, mode)
-            assert type(got) is type(want) and got == want, s
+            got = cp.leftmost_length(gamma, s)
+            want = branch_value(gamma, "L" * s, -1.0, decimal(gamma, s) if mode == "dd" else None)
+            if type(got) is type(want):
+                assert got == want, s
+            else:
+                assert mode == "dd" and abs(got - float(want)) <= 4e-15 * float(want), s
 
     def test_auto_mode_escalates(self, gamma_sixth):
-        assert isinstance(cp.leftmost_length(gamma_sixth, 20, "auto"), Decimal)
-        assert isinstance(cp.leftmost_length(gamma_sixth, 5, "auto"), float)
+        assert isinstance(cp.leftmost_length(gamma_sixth, 20), Decimal)
+        assert isinstance(cp.leftmost_length(gamma_sixth, 5), float)
 
     def test_scale_rows(self, gamma_quarter):
         rows = scale_rows(gamma_quarter, 3)
@@ -398,34 +402,36 @@ class TestAllBranchValues:
                     x = v + [1 - y for y in v]
                     v = [u(g(k) * y) for y in x]
                 want = v + [1 - y for y in v]
-                got = all_branch_values(gamma, m, float(t), "dd")
+                got = decimal_table(gamma, m, (float(t),))[:, 0]
                 err = max(abs(mp.mpf(str(a)) - b) for a, b in zip(got, want))
                 assert err <= bound, (m, t, err)
 
     @pytest.mark.parametrize("prec", [28, 100])
     def test_extended_values_ignore_the_callers_context(self, prec):
         gamma = GammaSequence.from_descriptor("constant:0.001")
-        want = all_branch_values(gamma, 9, 0.0, "dd")
+        want = all_branch_values(gamma, 9, 0.0)  # delta_9 = 1e-27: decimal
         with localcontext() as ctx:
             ctx.prec = prec
-            assert all_branch_values(gamma, 9, 0.0, "dd") == want
-            assert tuple(cp.exact_zeros(cp.MapFamily(gamma), 9, "dd").values) == tuple(sorted(want))
+            assert all_branch_values(gamma, 9, 0.0) == want
+            assert tuple(cp.exact_zeros(cp.MapFamily(gamma), 9).values) == tuple(sorted(want))
 
     @pytest.mark.parametrize("mode", ["auto", "dd"])
     def test_table_columns_are_the_single_passes(self, gamma_periodic, mode):
-        # one doubling over several parameters, in (word, parameter) order
+        # one doubling over several parameters, in (word, parameter) order: in each level's
+        # own precision ("auto", double here), and in the decimal reference pass ("dd")
         ts = (0.0, 1.0, -1.0, 0.25)
+        table_of = branch_value_table if mode == "auto" else decimal_table
         for n in (1, 2, 5, 8):
-            table = branch_value_table(gamma_periodic, n, ts, mode)
+            table = table_of(gamma_periodic, n, ts)
             assert table.shape == (2 ** n, len(ts))
             for j, t in enumerate(ts):
-                assert list(table[:, j]) == list(all_branch_values(gamma_periodic, n, t, mode))
+                assert list(table[:, j]) == list(table_of(gamma_periodic, n, (t,))[:, 0])
         with pytest.raises(DomainError):
             branch_value_table(gamma_periodic, 3, (0.0, 1.5))
 
     def test_dd_mode_agrees_with_double(self, gamma_sixth):
         vals_d = sorted(all_branch_values(gamma_sixth, 5, -1.0))
-        vals_dd = sorted(float(v) for v in all_branch_values(gamma_sixth, 5, -1.0, "dd"))
+        vals_dd = sorted(float(v) for v in decimal_table(gamma_sixth, 5, (-1.0,))[:, 0])
         assert np.allclose(vals_d, vals_dd, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("desc", ["constant:1/4", "periodic:2/9,1/4", "list:1/4,1/1000",
@@ -461,6 +467,20 @@ class TestInnerKernel:
         assert root[0] == np.sqrt(float(1 - 4 * g)) and value[0] == 2 * float(g) / (1 + root[0])
         if g == Fraction(2, 9):  # u(2/9) = 1/3, and 1 - 4 float(g) is 4 units above 1/9
             assert value[0] == 1 / 3 != u_map(float(g))
+
+    @given(g=st.fractions(min_value=0, max_value=Fraction(1, 4)).filter(bool))
+    @example(g=Fraction(1, 4))
+    @example(g=Fraction(2, 9))
+    @example(g=Fraction(1, 6))
+    @example(g=Fraction(1, 10 ** 100))
+    def test_terms_from_the_integers_round_once(self, g):
+        # 1 - 4g and g / 2, formed from g's numerator and denominator, are the correctly
+        # rounded float(1 - 4 * g) and float(g / 2): at t = 0 t_inner is g / 2 itself
+        assert geometry._one_minus_4g(g, "double") == float(1 - 4 * g)
+        value, root = geometry._inner_kernel(g, np.array([0.0]))
+        t_inner = np.array([float(g / 2)])
+        assert value.tobytes() == u_map(t_inner).tobytes()
+        assert root.tobytes() == np.sqrt(1 - 4 * t_inner).tobytes()
 
     def test_keeps_one_plus_t_near_minus_one(self):
         # at g = 1/4 the root argument is (1 + t) / 2: formed from 1 + t, exact
@@ -499,7 +519,8 @@ class TestBranchValueLadder:
         tables = branch_value_ladder(gamma, 10, (0.0,), depth=10)
         assert all(t.dtype == object for t in tables)
         for n in (1, 5, 8, 10):  # levels 8..10 already work at level 10's 34 digits
-            assert tables[n - 1].tolist() == branch_value_table(gamma, n, (0.0,), "dd").tolist()
+            want = geometry._level_table(gamma, n, (0.0,), gamma.precision(10))[1]
+            assert tables[n - 1].tolist() == want.tolist()
         assert branch_value_ladder(gamma, 0, (0.0,)) == []
         with pytest.raises(DomainError):
             branch_value_ladder(gamma, 3, (0.0, 1.5))
@@ -602,7 +623,7 @@ class TestSeparationKernel:
         for desc in ("constant:1/6", "periodic:2/9,1/4", "constant:0.02"):
             gamma = GammaSequence.from_descriptor(desc)
             for s, (_, leftmost) in enumerate(_separation_ladder(gamma, 6), 2):
-                want = leftmost_length(gamma, s, "dd")
+                want = branch_value(gamma, "L" * s, -1.0, decimal(gamma, s))
                 assert abs(leftmost - float(want)) <= 4e-15 * float(want)
 
     def test_no_value_below_the_normal_doubles(self):

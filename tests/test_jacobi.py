@@ -22,9 +22,9 @@ from cantorpoly.geometry import level_intervals
 from cantorpoly.jacobi import _eigvals_bisect_decimal, _gershgorin_radius, _sigma
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
-from reference import (DiscreteMeasure, eigen_zeros, eigvals_bisect_decimal, gauss_measure,
-                       gershgorin_prefix, moments, opoly_eval, refinement_measure,
-                       sign_alternation_ok, spectrum, stieltjes_lanczos)
+from reference import (DiscreteMeasure, decimal_zeros, eigen_zeros, eigvals_bisect_decimal,
+                       gauss_measure, gershgorin_prefix, moments, opoly_eval,
+                       refinement_measure, sign_alternation_ok, spectrum, stieltjes_lanczos)
 
 
 class TestRefinementMeasure:
@@ -151,15 +151,15 @@ class TestJacobiForGamma:
                                       "constant:0.05", "constant:0.02",
                                       "list:1/4,1/1000", "list:1/4,1/4,1/1000"])
     def test_eigenvalues_match_exact_zeros(self, desc):
-        # the dd branch values, rounded once, are the oracle: at gamma = 0.02
-        # the double-mode exact_zeros cannot represent the top zero at m = 10
+        # the decimal branch values, rounded once, are the oracle: at gamma = 0.02
+        # a double pass could not represent the top zero at m = 10
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         J = cp.jacobi_for_gamma(fam, 1024)
         for m in range(1, 11):
             n = 2 ** m
             got = np.linalg.eigvalsh(np.diag(J.b[:n]) + np.diag(J.a[: n - 1], 1)
                                      + np.diag(J.a[: n - 1], -1))
-            want = cp.exact_zeros(fam, m, "dd").points
+            want = decimal_zeros(fam.gamma, m).astype(float)
             assert np.max(np.abs(got - want)) <= 1e-14, m
 
     @pytest.mark.parametrize("N", [6, 8, 10])

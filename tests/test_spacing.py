@@ -15,11 +15,12 @@ import cantorpoly as cp
 from cantorpoly import exact, jacobi, spacing
 from cantorpoly.errors import DomainError
 from cantorpoly.geometry import _separation_ladder
+from cantorpoly.geometry import as_decimal, extended_context
 from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
-from reference import (branch_separation_chain, critical_distance, critical_set, eigen_zeros,
-                       interlacing_at_most_one, verify_interlacing_bound,
+from reference import (branch_separation_chain, branch_value, critical_distance, critical_set,
+                       eigen_zeros, interlacing_at_most_one, verify_interlacing_bound,
                        verify_second_neighbor_bound, words)
 
 PI_SQ_4 = math.pi ** 2 / 4.0
@@ -195,16 +196,16 @@ class TestRunLocalCache:
         for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table")):
             real = getattr(module, name)
 
-            def counted(gamma, n, t, mode="auto", _real=real, _where=module.__name__):
-                calls[(_where, n, t, mode)] += 1
-                return _real(gamma, n, t, mode)
+            def counted(gamma, n, t, _real=real, _where=module.__name__):
+                calls[(_where, n, t)] += 1
+                return _real(gamma, n, t)
 
             monkeypatch.setattr(module, name, counted)
         real_ladder, real_kernel = exact.branch_value_ladder, spacing._separation_ladder
 
-        def counted_ladder(gamma, top, ts, mode="auto", depth=None):
-            calls[("cantorpoly.exact", "ladder", top, ts, mode, depth)] += 1
-            return real_ladder(gamma, top, ts, mode, depth)
+        def counted_ladder(gamma, top, ts, depth=None):
+            calls[("cantorpoly.exact", "ladder", top, ts, depth)] += 1
+            return real_ladder(gamma, top, ts, depth)
 
         def counted_kernel(gamma, top):
             calls[("cantorpoly.spacing", "kernel", top)] += 1
@@ -230,6 +231,18 @@ class TestRunLocalCache:
             assert not [key for key in calls if key[0] == "cantorpoly.exact"]
             totals.append(sum(calls.values()))
         assert totals[0] == totals[1]
+
+
+# the 24 inputs of the validity grid, and the 16 pairs periodic:p,q over {1/6, 1/5, 2/9, 1/4}
+_VALIDITY_GRID = (
+    [f"constant:{g}" for g in ("1/4", "1/5", "1/6", "0.1", "0.05", "0.02", "0.01", "0.001",
+                               "0.0001", "0.000001", "0.00000001")]
+    + [f"periodic:{p}" for q in ("1/100", "1/10000", "1/1000000", "1/100000000")
+       for p in (f"1/4,{q}", f"{q},1/4")]
+    + ["list:1/4,1/1000", "list:1/4,1/100000000", "list:1/1000,1/4", "periodic:1/6,1/5",
+       "periodic:2/9,1/4"])
+_PAIRS = [f"periodic:{p},{q}" for p in ("1/6", "1/5", "2/9", "1/4")
+          for q in ("1/6", "1/5", "2/9", "1/4")]
 
 
 def _lemma(fam, n, table=None):
@@ -302,7 +315,7 @@ class TestVerifyOps:
                 assert entry.detail["words"] == 2 ** n
                 assert entry.detail["chain_failures"] == 0
                 assert entry.detail["min_margin"] >= 1.0
-                gn = fam.gamma.gamma(n, "dd")
+                gn = fam.gamma.value(n)
                 want = min(float(branch_separation_chain(fam, w, t)["separation"])
                            for w in words(n) for t in (0.0, gn))
                 assert abs(entry.rhs - want) <= 4e-15 * want, (desc, n)
@@ -323,7 +336,7 @@ class TestVerifyOps:
         assert entry.passed and entry.detail["chain_failures"] == 0
         table, leftmost = _separation_ladder(fam.gamma, 7)[-1]
         assert table[0, 0] == leftmost
-        gn = fam.gamma.gamma(7, "dd")
+        gn = fam.gamma.value(7)
         assert branch_separation_chain(fam, "L" * 7, gn)["ok"]
 
     # the chain falls to about 5e-49 at constant 1e-8, level 6, and to 2e-35 at
@@ -340,6 +353,18 @@ class TestVerifyOps:
         entry = _lemma(fam, n, (table, leftmost))
         assert not entry.passed
         assert entry.detail["chain_failures"] == 2 ** n
+
+    @pytest.mark.parametrize("desc", _VALIDITY_GRID + _PAIRS + ["periodic:1/4,1/10000000000000000"])
+    def test_scale_decision_matches_60_digits(self, desc):
+        # the lemma decides l_{1,s} >= delta_s in level s's precision, double while
+        # delta_s >= 1e-12; a 60-digit pass decides it the same way at levels 1..14. The
+        # reference l_{1,s} is the all-L walk at t = -1, the decimal table's all-L value
+        gamma = cp.GammaSequence.from_descriptor(desc)
+        for s in range(1, 15):
+            want = branch_value(gamma, "L" * s, -1.0, ("dd", 60))
+            with localcontext(extended_context(60)):
+                decided = want >= as_decimal(gamma.delta_fraction(s))
+            assert (cp.leftmost_length(gamma, s) >= gamma.delta(s)) == decided, (desc, s)
 
 
 def _every_case_entry(check, max_degree, cases):
@@ -603,7 +628,7 @@ def _reference_rows(fam, J, degrees, c):
         m_n, pair = zs.smallest_gap()
         source = "eigensolve"
         if n & (n - 1) == 0:
-            m_exact, pair_exact = cp.exact_zeros(fam, n.bit_length() - 1, "auto").smallest_gap()
+            m_exact, pair_exact = cp.exact_zeros(fam, n.bit_length() - 1).smallest_gap()
             assert abs(m_exact - m_n) <= 1e-9
             m_n, pair, source = m_exact, pair_exact, "both"
         s = n.bit_length()
