@@ -13,6 +13,5 @@ class RangeOverflowError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """An iterative procedure exhausted its budget without converging.
 
-    Raised by the decimal bisection and by a nonzero INFO from LAPACK's
-    dqds (dlasq1).
+    Raised on a nonzero INFO from LAPACK's dqds (dlasq1).
     """

@@ -105,8 +105,8 @@ class _PointSet:
 class ZeroSet(_PointSet):
     """Sorted zeros of one orthogonal polynomial, strictly inside (0, 1).
 
-    Extended-precision branch zeros and escalated eigensolves hold
-    Decimal values. min_gap is (gap, i) of min_gap_with_index on values;
+    Extended-precision branch zeros hold Decimal values; eigensolved
+    zeros are double. min_gap is (gap, i) of min_gap_with_index on values;
     a builder that already has the difference array np.diff(values) passes
     it as gaps, and both the strict-increase check and min_gap are read
     from it. Otherwise smallest_gap computes min_gap on first use.
@@ -130,11 +130,6 @@ class ZeroSet(_PointSet):
 
     def __len__(self):
         return self.degree
-
-    @property
-    def escalated(self) -> bool:
-        """Whether an eigensolve fell back to decimal bisection."""
-        return self.provenance == "eigensolve" and self.values.dtype == object
 
     def smallest_gap(self) -> tuple[float, int]:
         """min_gap_with_index of the zeros, computed once."""

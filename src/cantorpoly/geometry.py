@@ -539,10 +539,12 @@ def leftmost_length(gamma: GammaSequence, s: int) -> Scalar:
 
 
 def scale_rows(gamma: GammaSequence, s_max: int) -> list[tuple]:
-    """(s, delta_s, l_{1,s}, ratio) rows for s = 0 .. s_max, each in level s's precision."""
+    """(s, delta_s, l_{1,s}, ratio) rows for s = 0 .. s_max, each in level s's precision; the
+    ratio is the exact quotient l_{1,s} / delta_s rounded once, so a delta_s below the doubles
+    leaves it finite."""
     rows = []
     for s in range(s_max + 1):
         d = gamma.delta(s)
         l = leftmost_length(gamma, s)
-        rows.append((s, d, l, float(l) / float(d)))
+        rows.append((s, d, l, float(Fraction(l) / Fraction(d))))
     return rows

@@ -30,11 +30,9 @@ split across threads, one per CPU of the process's affinity mask, each
 with one dqds workspace; dlasq1 is reentrant, and the zeros do not
 depend on the number of threads. The zeros of every degree of a call
 form one flat table (``_zero_table``), built, checked and reduced as
-whole arrays. Only when neighbouring zeros approach the double-precision
-resolution limit is a degree escalated to a Sturm-count bisection of the
-full level-1 matrix in 34-digit ``decimal``, each count shifting the
-constant diagonal once; its zero set, kept beside the table, holds the
-Decimal values, and the table their double view.
+whole arrays, all in double. A degree whose zeros come out tied,
+misordered or on an end of (0, 1) is a numerical failure: the table
+names the first such degree, and no other precision is tried.
 """
 
 from __future__ import annotations
@@ -45,19 +43,16 @@ import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeOverflowError
-from .exact import MapFamily, ZeroSet, min_gap_with_index
-from .geometry import GammaSequence, _level_table, _runs, branch_order, extended_context
+from .exact import MapFamily, ZeroSet
+from .geometry import GammaSequence, _level_table, _runs, branch_order
 from .serialize import csv_text, render
 
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-_DD_ESCALATION_FACTOR = 1e3
 _UNFOLD_DIGITS = 50  # the unfolding starts at these digits and doubles them
 _UNFOLD_MAX_DIGITS = 1600  # up to this cap
 _THREAD_WORK = 1 << 16  # sum of (m//2)^2 from which a batch's dqds calls are threaded
@@ -197,15 +192,8 @@ def _unfold(gamma, needs: list, digits: int) -> tuple[list, list, str | None]:
 
 
 # ---------------------------------------------------------------------------
-# constant-diagonal eigensolve: dqds fast path, decimal Sturm escalation
+# constant-diagonal eigensolve: dqds on the half-size bidiagonal
 # ---------------------------------------------------------------------------
-
-def _gershgorin_radius(e: np.ndarray) -> np.ndarray:
-    """The largest row radius R of every leading truncation J_n, n >= 2, at n - 2; rounding
-    is monotone, so on a constant diagonal d_0 - R and d_0 + R are J_n's Gershgorin bounds."""
-    r = np.abs(e)
-    return np.maximum.accumulate(r + np.append(0.0, r[:-1]))
-
 
 def _find_dlasq1():
     """LAPACK's dlasq1 (dqds) from the LAPACK that numpy's linalg extension links, or None.
@@ -338,53 +326,6 @@ def _solve_all(jobs: list) -> dict:
     return failures
 
 
-def _sturm_count(d0: Decimal, esq: list, x: Decimal, pivmin: Decimal) -> int:
-    """How many eigenvalues of the matrix with diagonal d0 and squared off-diagonals esq lie
-    below x."""
-    shift = d0 - x
-    q = -pivmin if abs(shift) < pivmin else shift
-    cnt = 1 if q < 0 else 0
-    for c in esq:
-        q = shift - c / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0:
-            cnt += 1
-    return cnt
-
-
-def _eigvals_bisect_decimal(d0: float, e_f: np.ndarray, glo: float, ghi: float) -> list:
-    """All eigenvalues of the matrix with constant diagonal d0 and off-diagonal e_f, by
-    Sturm-count bisection in 34-digit decimal, one at a time.
-
-    [glo, ghi] is the Gershgorin hull of the matrix. The coefficients are
-    taken exactly; the digits beyond double let the brackets resolve
-    spacings far below the double-precision resolution of the spectral
-    width, down to 1e-29 times that width.
-    """
-    out = []
-    with localcontext(extended_context()):
-        d0 = Decimal(d0)
-        esq = [Decimal(v) * Decimal(v) for v in e_f]
-        pivmin = Decimal(_TINY)
-        target = Decimal("1e-29") * Decimal(ghi - glo)
-        for i in range(e_f.size + 1):
-            lo = Decimal(glo)
-            hi = Decimal(ghi)
-            for _ in range(220):
-                mid = (lo + hi) / 2
-                if _sturm_count(d0, esq, mid, pivmin) > i:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= target:
-                    break
-            else:
-                raise ConvergenceError("decimal bisection exhausted its iteration budget")
-            out.append((lo + hi) / 2)
-    return out
-
-
 def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
     """Zeros of P_n for each requested integer degree n in 1..K, keyed by n in ascending order.
 
@@ -418,38 +359,33 @@ def eigen_zero_sets(J: JacobiMatrix, degrees) -> dict[int, ZeroSet]:
 
     The truncations J_n are leading blocks of J_N, and those of one level
     of the tower are leading blocks of its largest, so the set-up is done
-    once for all degrees: the two diagonals of each level's bidiagonal,
-    and the Gershgorin bounds d_0 - R and d_0 + R of every J_n, R the
-    running maximum of the row radii (``_gershgorin_radius``). Each
-    degree then costs one dqds call, or none, and large batches split the
-    calls across threads (``_solve_all``); a failed solve raises at the
+    once for all degrees: the two diagonals of each level's bidiagonal.
+    Each degree then costs one dqds call, or none, and large batches split
+    the calls across threads (``_solve_all``); a failed solve raises at the
     least failing degree, as in a serial run. The zeros of all degrees are
     one table (``_zero_table``), built, checked and reduced as whole
-    arrays, and each set returned is a view of its slice. If consecutive
-    zeros come out closer than 1e3 * eps * Gershgorin width of J_n, or out
-    of order, that degree is solved again by decimal Sturm-count bisection
-    of J_n and its set holds the Decimal values, which makes it escalated.
-    Every set is bit for bit the one its degree would get alone.
+    arrays, and each set returned is a view of its slice. Every set is
+    double, and bit for bit the one its degree would get alone. A degree
+    whose zeros are not strictly increasing inside (0, 1) in double is
+    unresolved: RangeOverflowError names the first such degree.
     """
     t = _zero_table(J, degrees)
-    return {n: t.escalated[n] if n in t.escalated else
-            ZeroSet(degree=n, values=t.values[a:b], provenance="eigensolve",
-                    gaps=np.diff(t.values[a:b]) if n > 1 else None)
+    return {n: ZeroSet(degree=n, values=t.values[a:b], provenance="eigensolve",
+                       gaps=np.diff(t.values[a:b]) if n > 1 else None)
             for n, a, b in zip(t.degrees, t.offsets[:-1].tolist(), t.offsets[1:].tolist())}
 
 
-_ZeroTable = namedtuple("_ZeroTable", "degrees offsets values min_gap min_index escalated")
+_ZeroTable = namedtuple("_ZeroTable", "degrees offsets values min_gap min_index")
 
 
 def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     """The zeros of eigen_zero_sets(J, degrees) as one table; DomainError names a degree that
-    is not an integer or lies outside least..K, RangeOverflowError (a program fault) the
-    first degree whose zeros, double or escalated, are not strictly increasing in (0, 1).
+    is not an integer or lies outside least..K, RangeOverflowError (a numerical failure) the
+    first degree whose double zeros are not strictly increasing inside (0, 1).
 
     Degree degrees[i] holds values[offsets[i]:offsets[i + 1]], ascending, and min_gap[i],
     min_index[i] are their min_gap_with_index, from one np.diff of the table (inf for
-    degree 1). An escalated degree n holds the double view of the ZeroSet escalated[n] and
-    its exact smallest gap. The solves write one buffer; then each level in turn gathers its
+    degree 1). The solves write one buffer; then each level in turn gathers its
     spectra (-sigma, 0 for odd m, sigma), adds d_0 at level 1 or is pulled back in one
     doubling pass, and is placed by one gather (``branch_order``).
     """
@@ -467,8 +403,6 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
         k = int(np.argmax(varies))
         raise DomainError(f"diagonal b_{k + 1} = {float(d[k])} differs from b_1 = {float(d[0])}; "
                           "only a constant diagonal is solved")
-    R = _gershgorin_radius(e)
-    glo, ghi = d[0] - R, d[0] + R
     offsets = np.cumsum([0, *ns])
     # every degree's (j, n, m) and where it starts in the table, by level, then degree
     j_o, n_o, m_o = np.array(sorted((j, n, m) for n in ns for j, m in [_tower_step(J, n)]),
@@ -504,22 +438,11 @@ def _zero_table(J: JacobiMatrix, degrees, least: int = 1) -> _ZeroTable:
     gaps[offsets[1:] - 1] = np.inf
     starts, counts = offsets[:-1], np.diff(offsets)
     min_gap = np.minimum.reduceat(gaps, starts)
-    # a tie or a misplaced value gives a gap <= 0: it escalates; degree 1 reads the appended 0
-    escalate = min_gap < _DD_ESCALATION_FACTOR * _EPS * np.append(ghi - glo, 0.0)[counts - 2]
-    bad = ~escalate & ~(np.logical_and.reduceat(gaps > 0, starts)
-                        & (values[starts] > 0.0) & (values[offsets[1:] - 1] < 1.0))
+    # a tie or a misplaced value gives a gap <= 0, and NaN fails every test; degree 1 reads inf
+    bad = ~((min_gap > 0) & (values[starts] > 0.0) & (values[offsets[1:] - 1] < 1.0))
     if bad.any():
         raise RangeOverflowError(f"the zeros of degree {ns[int(np.argmax(bad))]} are not "
                                  "strictly increasing inside (0, 1) in double")
     hits = np.flatnonzero(gaps == np.repeat(min_gap, counts))
     min_index = hits[np.searchsorted(hits, starts)] - starts
-    escalated = {}
-    for k, n in ((k, ns[k]) for k in np.flatnonzero(escalate).tolist()):
-        ext = _eigvals_bisect_decimal(d[0], e[: n - 1], float(glo[n - 2]), float(ghi[n - 2]))
-        try:
-            zs = escalated[n] = ZeroSet(degree=n, values=ext, provenance="eigensolve")
-        except DomainError as exc:
-            raise RangeOverflowError(f"the escalated zeros of degree {n}: {exc}") from exc
-        values[offsets[k] : offsets[k + 1]] = zs.points
-        min_gap[k], min_index[k] = min_gap_with_index(zs.values)
-    return _ZeroTable(ns, offsets, values, min_gap, min_index, escalated)
+    return _ZeroTable(ns, offsets, values, min_gap, min_index)

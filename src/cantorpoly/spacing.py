@@ -19,10 +19,12 @@ one entry per degree, formed as whole arrays. The bounds change only
 once per octave s, so they are formed once per octave. A dyadic degree
 2^m solves nothing: its zeros are exact_zeros bit for bit wherever level
 m works in double, so the report reads its M_n from the table, and
-checks it against the exact set only where that is extended or the
-degree escalated. Both entry points take the table, the M_n array and
-the report from one step, _spacing, which builds an exact zero ladder
-only to the deepest checked level, and none when no level is checked.
+checks it against the exact set only where that is extended. Every
+eigensolved zero is double: a degree that double cannot resolve stops
+the run as a numerical failure (jacobi._zero_table). Both entry points
+take the table, the M_n array and the report from one step, _spacing,
+which builds an exact zero ladder only to the deepest checked level,
+and none when no level is checked.
 Each rational lower bound q (a delta product) is decided through the
 least double t >= q: for a double M_n, M_n >= t holds exactly when
 M_n >= q, so the verdicts carry no rounding slack of their own. Gaps and
@@ -63,7 +65,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -142,7 +143,7 @@ class ReportEntry:
 # a record of the spacing of one degree, or, in SpacingReport.columns, the
 # column of each field, one entry per degree
 SpacingRow = namedtuple("SpacingRow", "n s m_n lower_eq1 upper_eq1 lower_eq2 upper_eq2 "
-                        "pass_eq1 pass_eq2 margin_lo margin_hi source min_pair escalated")
+                        "pass_eq1 pass_eq2 margin_lo margin_hi source min_pair")
 
 _CSV_COLUMNS = ["n", "s", "M_n", "lower_eq1", "upper_eq1", "lower_eq2",
                 "upper_eq2", "pass_eq1", "pass_eq2", "margin_lo", "margin_hi"]
@@ -165,10 +166,6 @@ class SpacingReport:
     def all_pass(self) -> bool:
         return all(self.columns.pass_eq1) and False not in self.columns.pass_eq2
 
-    @property
-    def escalated_degrees(self) -> tuple[int, ...]:
-        return tuple(compress(self.columns.n, self.columns.escalated))
-
     def to_csv(self) -> str:
         # each header name is its SpacingRow field in lower case (M_n is m_n)
         return csv_text(_CSV_COLUMNS,
@@ -179,7 +176,6 @@ class SpacingReport:
         keys = ["M_n" if name == "m_n" else name for name in SpacingRow._fields]
         return {
             "metadata": dict(self.metadata),
-            "escalated_degrees": list(self.escalated_degrees),
             "rows": [dict(zip(keys, row)) for row in zip(*self.columns)],
         }
 
@@ -190,14 +186,13 @@ class SpacingReport:
 
 def _second_gaps(v: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The least second-neighbour gap of each set v[offsets[i]:offsets[i + 1]] of two points
-    or more, with 0 and 1 at its ends; gaps between Decimals are formed exactly."""
+    or more, with 0 and 1 at its ends."""
     starts, ends = offsets[:-1], offsets[1:]
-    second = np.empty(v.size, dtype=v.dtype)  # a set's last two slots take its two end terms
-    with localcontext(_EXACT):
-        np.subtract(v[2:], v[:-2], out=second[:-2])
-        second[ends - 2] = 1 - v[ends - 2]
-        second[ends - 1] = v[starts + 1]
-    return np.minimum.reduceat(second, starts).astype(float)
+    second = np.empty(v.size)  # a set's last two slots take its two end terms
+    np.subtract(v[2:], v[:-2], out=second[:-2])
+    second[ends - 2] = 1 - v[ends - 2]
+    second[ends - 1] = v[starts + 1]
+    return np.minimum.reduceat(second, starts)
 
 
 def verify_branch_lemma(fam: MapFamily, table: tuple[np.ndarray, float]) -> ReportEntry:
@@ -327,7 +322,6 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels
         margin_lo=margin_lo.tolist(), margin_hi=margin_hi.tolist(),
         source=["eigensolve" if _dyadic_exponent(n) is None else "both" for n in degrees],
         min_pair=list(zip(pair.tolist(), (pair + 1).tolist())),
-        escalated=[n in table.escalated for n in degrees],
     )
     meta = {"gamma": gamma.descriptor(), "c": None if c_frac is None else str(c_frac),
             "valid_length": J.b.size, **(metadata or {})}
@@ -337,13 +331,13 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels
 def _spacing(fam: MapFamily, J: JacobiMatrix, degrees, c, metadata: dict | None):
     """The zero table of degrees, the M_n array (degree table.degrees[i] at i) and the report,
     built in this order once c is checked. Level m is checked (``_report``) where the zeros of
-    2^m are not exact_zeros(fam, m) bit for bit: an escalated degree, a level in extended
-    precision, any level when J's tower is not fam's. One exact_zero_ladder is built, to the
+    2^m are not exact_zeros(fam, m) bit for bit: a level in extended precision, any level
+    when J's tower is not fam's. One exact_zero_ladder is built, to the
     deepest checked level, only when there is one."""
     c_frac = _declared_c(fam.gamma, c)
     table = _zero_table(J, degrees, least=2)
     levels = [m for m in map(_dyadic_exponent, table.degrees) if m and (
-        J.gamma != fam.gamma or 2 ** m in table.escalated or fam.gamma.precision(m)[0] != "double")]
+        J.gamma != fam.gamma or fam.gamma.precision(m)[0] != "double")]
     exact = exact_zero_ladder(fam, max(levels)) if levels else []
     return table, *_report(fam, J, table, exact, levels, c_frac, metadata)
 
@@ -404,33 +398,22 @@ def _against(big: np.ndarray, small: np.ndarray, starts: np.ndarray):
             np.minimum.reduceat(near, starts).astype(float))
 
 
-def _pair_pass(keys: list, points: np.ndarray, offsets: np.ndarray,
-               extended: dict) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _pair_pass(keys: list, points: np.ndarray,
+               offsets: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Every (s, r), s < r, for which set s breaks at-most-one interlacing
     with set r, ordered by r and then s, and the set distance of sets s and
     r at [r, s] of a matrix over the positions of keys.
 
-    Set keys[i] is points[offsets[i]:offsets[i + 1]], as in a zero table, and extended maps
-    the key of a Decimal set to its values, whose double view points holds. Set s interlaces
+    Set keys[i] is points[offsets[i]:offsets[i + 1]], as in a zero table. Set s interlaces
     at most once with set r when its points lie strictly between the extreme points of set r
     and no two share a closed interval of consecutive points of set r. The pass of r bins the
     prefix before set r into it by one searchsorted and decides both per segment in double,
-    whose differences are the exact ones rounded once; what meets a Decimal set is decided
-    again in Decimal: the pass of a Decimal r, and a Decimal segment in any other."""
+    whose differences are the exact ones rounded once."""
     offsets = offsets[: len(keys) + 1]
-    exact = [i for i, k in enumerate(keys) if k in extended]
-    if exact:
-        decimals = _TO_DECIMAL(points[: offsets[-1]])
-        for i in exact:
-            decimals[offsets[i] : offsets[i + 1]] = extended[keys[i]]
     violations, distances = [], np.zeros((len(keys), len(keys)))
     for j in range(1, len(keys)):
-        flat = decimals if keys[j] in extended else points
-        big = flat[offsets[j] : offsets[j + 1]]
-        bad, distances[j, :j] = _against(big, flat[: offsets[j]], offsets[:j])
-        for i in [i for i in exact if i < j] if flat is points else []:
-            big, small = (decimals[offsets[k] : offsets[k + 1]] for k in (j, i))
-            (bad[i],), (distances[j, i],) = _against(big, small, offsets[:1])
+        big = points[offsets[j] : offsets[j + 1]]
+        bad, distances[j, :j] = _against(big, points[: offsets[j]], offsets[:j])
         violations += [(keys[i], keys[j]) for i in np.flatnonzero(bad)]
     return violations, distances
 
@@ -454,8 +437,7 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     # degree n at n - 2 of the table and of spacings, M_n as its row prints it
     table, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata)
     top = min(_PAIRS_MAX, n_max)
-    violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets,
-                                  {n: zs.values for n, zs in table.escalated.items()})
+    violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets)
     entries: list[ReportEntry] = []
 
     def every_case(check, max_degree, cases, ratios, name, failed):
@@ -478,8 +460,6 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
 
     # M_r <= every second-neighbour gap of Z_n, 2 <= n <= r: each n against the largest M_r
     second = _second_gaps(table.values, table.offsets)
-    for n, zs in table.escalated.items():
-        second[n - 2] = _second_gaps(zs.values, np.array([0, n]))[0]
     every_case("second_neighbor_bound", n_max, math.comb(n_max, 2),
                np.maximum.accumulate(spacings[::-1])[::-1] / second,
                lambda n: (n + 2 + int(np.argmax(spacings[n:])), n + 2),

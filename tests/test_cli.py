@@ -48,6 +48,15 @@ class TestGeometryCommand:
         assert len(rows) == 1
         assert [float(v) for v in rows[0][:3]] == [0.0, 1.0, 1.0]
 
+    def test_scales_below_the_doubles(self, tmp_path):
+        # delta_s and l_1s of s >= 5 lie near 1e-401 and below, under the doubles: the
+        # ratio is their exact quotient rounded once, 1 + ~1e-100, so 1.0
+        assert main(["geometry", "--gamma", "list:1/4,1e-100", "--levels", "8",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "scales.csv")
+        assert [int(r[0]) for r in rows] == list(range(9))
+        assert [float(r[3]) for r in rows[5:]] == [1.0] * 4
+
     def test_malformed_gamma_exits_2(self, tmp_path):
         out = tmp_path / "sub"
         rc = main(["geometry", "--gamma", "constant:0.3", "--out", str(out)])
@@ -275,11 +284,13 @@ class TestVerifyCommand:
                                            "of level 5 leaves the normal doubles\n")
 
     @pytest.mark.parametrize("gamma, degree", [("constant:0.0001", 16),
-                                               ("periodic:1/4,1/1000000", 43)])
+                                               ("periodic:1/4,1/1000000", 43),
+                                               ("constant:0.001", 64),
+                                               ("periodic:1/1000000,1/4", 22)])
     def test_zeros_off_the_doubles_are_a_numerical_failure(self, tmp_path, capsys, gamma,
                                                             degree):
-        # a valid gamma whose computed zeros fail the checks after the solve: the
-        # table's range check at 1e-4, the escalated ZeroSet's at 1/4,1e-6
+        # a valid gamma whose computed zeros fail the zero table's range check after the
+        # solve: the first degree whose double zeros are not strictly increasing in (0, 1)
         assert main(["verify", "--gamma", gamma, "--degree-max", "64", "--depth", "8",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -289,7 +300,7 @@ class TestVerifyCommand:
     def test_disagreeing_cross_check_is_a_numerical_failure(self, tmp_path, capsys,
                                                              monkeypatch):
         # level 5 of constant 0.001 works in decimal, so degree 32 is checked against its
-        # exact set, with no escalation: two computations of one M_n that disagree are a
+        # exact set: two computations of one M_n that disagree are a
         # fault of the program, not of the input
         monkeypatch.setattr(cp.spacing, "_EXACT_VS_EIGEN_TOL", -1.0)
         assert main(["verify", "--gamma", "constant:0.001", "--degree-max", "32", "--depth", "7",
@@ -367,7 +378,10 @@ class TestVerifyCommand:
 # pull formed its root argument without cancelling: only double levels moved.
 # Against a 60-digit pass, 39 of the 41 moved zeros came closer and two moved
 # within 1.02 ulps (no level's worst error changed), and all 7 moved interval
-# ends came closer (at most 3.5e-18 off before, 1.1e-18 after)
+# ends came closer (at most 3.5e-18 off before, 1.1e-18 after). scales.csv was
+# re-pinned when its ratio became the exact quotient l_1s / delta_s rounded
+# once: only the ratio of s = 8, a decimal level, moved, by one ulp, from 0.62
+# to 0.38 ulps off the exact quotient
 PINNED_OUTPUTS = {
     "zeros": (
         ["zeros", "--gamma", "constant:0.05", "--degree-max", "2048", "--depth", "13",
@@ -395,7 +409,7 @@ PINNED_OUTPUTS = {
         ["geometry", "--gamma", "constant:0.02", "--levels", "8", "--precision", "auto"],
         {
             "intervals.csv": "be794047c0ae887c2fec06c167ac8f7956aa762dd732a3b97e850b324cf6f9b4",
-            "scales.csv": "94c720d2ad4193b54b009a66d85b9f98f07190ffa80fddcd71ffdb979bf08b9a",
+            "scales.csv": "8aa57c51bb05187d4e6964aff3bee50b1d19dd2b8e60117bc1bcc01cec2e44f8",
         },
     ),
     # M_n at non-dyadic n comes from the dqds singular values (dlasq1) of
@@ -416,7 +430,7 @@ PINNED_OUTPUTS = {
 }
 
 
-VERIFY_JSON_SHA256 = "dfc280e86bb5ab8cf0e193d069f269c4352b951193d1593b0c2a21b5c3acab4b"
+VERIFY_JSON_SHA256 = "14de77e8befebe15c95425dcfbcb9d1e7cae28d29ff3278b81af940b3ac3ab91"
 
 
 class TestPinnedOutputBytes:
@@ -451,7 +465,9 @@ class TestPinnedOutputBytes:
         # distances (the lhs of levels 2..8 moved, each to within 1e-15
         # relative of the decimal d(Z, Y), against up to 1.1e-11 before, and
         # json.loads of the old and new bytes with those lhs set equal are
-        # equal); config.out is normalised
+        # equal), and when the escalated_degrees key and each row's escalated
+        # field went (json.loads of the old bytes less those equals the new);
+        # config.out is normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

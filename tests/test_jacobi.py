@@ -19,7 +19,7 @@ import cantorpoly as cp
 from cantorpoly import jacobi
 from cantorpoly.errors import ConvergenceError, DomainError, RangeOverflowError
 from cantorpoly.geometry import level_intervals
-from cantorpoly.jacobi import _eigvals_bisect_decimal, _gershgorin_radius, _sigma
+from cantorpoly.jacobi import _sigma
 
 from conftest import chebyshev_zeros_unit, read_jacobi_csv
 from reference import (DiscreteMeasure, decimal_zeros, eigen_zeros, eigvals_bisect_decimal,
@@ -322,13 +322,12 @@ class TestEigenZeros:
     def test_double_double_escalation(self):
         # a pair split by ~5e-16 around 0.5 inside a wide spectrum: its
         # bidiagonal [[1e-8, 0], [0.4, 1e-8]] has the singular values 0.4
-        # and 2.5e-16, below double resolution, so the decimal re-run must kick in
+        # and 2.5e-16, and the two zeros 0.5 -+ 2.5e-16 stay apart in double,
+        # so the set is double, as every eigensolved set is
         J = cp.JacobiMatrix(np.array([1e-8, 0.4, 1e-8]), np.full(4, 0.5))
         zs = eigen_zeros(J, 4)
-        assert zs.escalated
-        assert zs.values.dtype == object
-        gap = cp.min_spacing(zs)
-        assert 0.0 < gap < 1e-14
+        assert zs.values.dtype == np.float64
+        assert cp.min_spacing(zs) == pytest.approx(5.0e-16, rel=0.01)
 
     def test_provenance(self, jacobi_sixth_small):
         assert eigen_zeros(jacobi_sixth_small, 4).provenance == "eigensolve"
@@ -337,7 +336,6 @@ class TestEigenZeros:
     def test_matches_exact_dyadic_zeros(self, fam_jacobi_256, m):
         fam, J = fam_jacobi_256
         zs = eigen_zeros(J, 2 ** m)
-        assert not zs.escalated
         assert np.max(np.abs(zs.points - cp.exact_zeros(fam, m).points)) <= 1e-14
 
     def test_strictly_ascending(self, fam_jacobi_256):
@@ -363,7 +361,6 @@ class TestTowerDescent:
     def test_matches_full_size_eigvalsh(self, fam_jacobi_128):
         _, J = fam_jacobi_128
         for n, zs in cp.eigen_zero_sets(J, range(2, 129)).items():
-            assert not zs.escalated, n
             assert np.max(np.abs(zs.points - self._full_size(J, n))) <= 1e-13, n
 
     def test_dyadic_degrees_are_the_exact_zeros(self, fam_jacobi_128):
@@ -431,7 +428,6 @@ class TestHalfSizeSplit:
         J = jacobi_255
         for n in self.SIZES:
             zs = eigen_zeros(J, n)
-            assert not zs.escalated, n
             want = eigh_tridiagonal(J.b[:n], J.a[: n - 1], eigvals_only=True)
             assert np.max(np.abs(zs.points - np.sort(want))) <= 4e-15, n
 
@@ -441,12 +437,17 @@ class TestHalfSizeSplit:
             assert eigen_zeros(J, n).points[n // 2] == J.b[0], n
 
     def test_near_degenerate_pair_escalates(self):
-        # two 2x2 blocks with eigenvalues 0.5 +- 0.3, coupled by 1e-16
+        # two 2x2 blocks with eigenvalues 0.5 +- 0.3, coupled by 1e-16: each
+        # pair stays apart in double, four ulps at 0.2, and the set is double
         J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
         zs = eigen_zeros(J, 4)
-        assert zs.escalated
-        assert zs.values.dtype == object
+        assert zs.values.dtype == np.float64
         assert np.allclose(zs.points, [0.2, 0.2, 0.8, 0.8], atol=1e-15)
+        assert cp.min_spacing(zs) == pytest.approx(1.1e-16, rel=0.01)
+        # coupled by 1e-20, each pair ties in double: degree 4 is unresolved
+        tie = cp.JacobiMatrix(np.array([0.3, 1e-20, 0.3]), np.full(4, 0.5))
+        with pytest.raises(RangeOverflowError, match="zeros of degree 4 are not strictly"):
+            eigen_zeros(tie, 4)
 
 
 def _dense_slice_zeros(J, n):
@@ -493,28 +494,10 @@ class TestDqdsKernel:
         work, io = np.empty(6 * 32), np.zeros(2, dtype=np.int64)
         lo, hi = gershgorin_prefix(J.b[:64], J.a[:63])
         for n in range(2, 65):
-            want = np.asarray(_eigvals_bisect_decimal(J.b[0], J.a[: n - 1], lo[n - 2], hi[n - 2]),
+            want = np.asarray(eigvals_bisect_decimal(J.b[:n], J.a[: n - 1], lo[n - 2], hi[n - 2]),
                               dtype=float)
             got = spectrum(J.b[0], self._solve(J.a[:63], n, work, io), n)
             assert np.max(np.abs(got - want)) <= bound, n
-
-    def test_gershgorin_bounds_match_the_general_prefix(self, jacobi_1024):
-        # d_0 -+ R, bit for bit the bounds of the general-diagonal prefix pass
-        _, J = jacobi_1024
-        R = _gershgorin_radius(J.a)
-        lo, hi = gershgorin_prefix(J.b, J.a)
-        assert (J.b[0] - R).tobytes() == lo.tobytes()
-        assert (J.b[0] + R).tobytes() == hi.tobytes()
-
-    @pytest.mark.parametrize("case", ["near-degenerate 4x4", "list:1/4,1/1000 degree 55"])
-    def test_bisection_matches_the_general_diagonal(self, case):
-        if case == "near-degenerate 4x4":
-            J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
-        else:
-            J = _jacobi("list:1/4,1/1000", 55)
-        lo, hi = gershgorin_prefix(J.b, J.a)
-        args = J.a, float(lo[-1]), float(hi[-1])
-        assert _eigvals_bisect_decimal(J.b[0], *args) == eigvals_bisect_decimal(J.b, *args)
 
 
 class TestDqdsLookup:
@@ -560,7 +543,7 @@ class TestDqdsLookup:
 
 def _same_zero_set(a, b) -> bool:
     return (a.degree == b.degree and a.provenance == b.provenance
-            and a.escalated == b.escalated and np.array_equal(a.values, b.values)
+            and np.array_equal(a.values, b.values)
             and a.points.dtype == b.points.dtype and a.points.tobytes() == b.points.tobytes())
 
 
@@ -572,7 +555,6 @@ def _table_is_each_degree_alone(J, degrees):
         alone = eigen_zeros(J, n)
         got = table.values[table.offsets[k]:table.offsets[k + 1]]
         assert got.tobytes() == alone.points.tobytes(), n
-        assert (n in table.escalated) is alone.escalated, n
         if n > 1:
             assert (table.min_gap[k], table.min_index[k]) == alone.smallest_gap(), n
     return table
@@ -631,18 +613,25 @@ class TestEigenZeroSets:
                 cp.eigen_zero_sets(varying, degrees)
 
     def test_escalated_degree_in_a_batch(self):
+        # no degree of a batch leaves double: a near tie is a double set, an exact tie a
+        # numerical failure that names its degree, whatever the batch around it
         J = cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5))
         got = self._check(J, [4, 2, 3, 4])
-        assert got[4].escalated and not got[3].escalated
-        # three Decimal sets beside the table, and their rows marked escalated
+        assert all(zs.values.dtype == np.float64 for zs in got.values())
+        tie = cp.JacobiMatrix(np.array([0.3, 1e-20, 0.3]), np.full(4, 0.5))
+        with pytest.raises(RangeOverflowError, match="degree 4 "):
+            cp.eigen_zero_sets(tie, [2, 3, 4])
+        # degrees 55, 63 and 64 of list:1/4,1/1000 resolve in double, and the report
+        # has no escalation field
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor("list:1/4,1/1000"))
         J = cp.jacobi_for_gamma(fam, 64)
         got = self._check(J, range(2, 65))
-        assert {n for n, zs in got.items() if zs.escalated} == {55, 63, 64}
-        assert cp.spacing_report(fam, J, range(2, 65)).escalated_degrees == (55, 63, 64)
+        assert all(zs.values.dtype == np.float64 for zs in got.values())
+        report = cp.spacing_report(fam, J, range(2, 65)).as_json()
+        assert "escalated_degrees" not in report and "escalated" not in report["rows"][0]
 
     def test_each_set_keeps_its_smallest_gap(self, monkeypatch):
-        # the escalation test's gap pass is the only one: M_n reads it back
+        # the range check's gap pass is the only one: M_n reads it back
         fam = cp.MapFamily(cp.GammaSequence.constant(Fraction(1, 6)))
         J = cp.jacobi_for_gamma(fam, 64)
         for n, zs in cp.eigen_zero_sets(J, range(1, 65)).items():
@@ -652,26 +641,14 @@ class TestEigenZeroSets:
             gaps = np.diff(zs.points)
             i = int(np.argmin(gaps))
             assert zs.min_gap == (float(gaps[i]), i) and isinstance(zs.min_gap[0], float)
-        escalated = eigen_zeros(cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5)), 4)
-        assert escalated.escalated and escalated.min_gap is None
-        assert escalated.smallest_gap() == cp.exact.min_gap_with_index(escalated.values)
+        near = eigen_zeros(cp.JacobiMatrix(np.array([0.3, 1e-16, 0.3]), np.full(4, 0.5)), 4)
+        assert near.min_gap == near.smallest_gap() == cp.exact.min_gap_with_index(near.values)
         calls = []
         real = cp.exact.min_gap_with_index
         monkeypatch.setattr(cp.exact, "min_gap_with_index",
                             lambda pts: calls.append(pts.size) or real(pts))
         cp.spacing_report(fam, J, range(2, 65))
         assert calls == []  # the dyadic rows too read the table's gaps: no exact set is built
-
-    def test_gershgorin_prefix_is_each_truncation_alone(self):
-        rng = np.random.default_rng(11)
-        d0 = rng.uniform(0.2, 0.8)
-        e = rng.uniform(-0.3, 0.3, 39)
-        R = _gershgorin_radius(e)
-        for n in range(2, 41):
-            rad = np.zeros(n)
-            rad[:-1] += np.abs(e[: n - 1])
-            rad[1:] += np.abs(e[: n - 1])
-            assert d0 - R[n - 2] == np.min(d0 - rad) and d0 + R[n - 2] == np.max(d0 + rad), n
 
     def test_degree_range(self, jacobi_sixth_small):
         assert cp.eigen_zero_sets(jacobi_sixth_small, []) == {}
@@ -755,9 +732,10 @@ class TestThreadedSweep:
         assert got[199].points[99] == 0.5
 
     def test_escalated_degrees_from_threaded_solves(self, monkeypatch):
+        # the near ties of list:1/4,1/1000 come out of the threads as double sets, as serially
         monkeypatch.setattr(jacobi, "_THREAD_WORK", 0)
         got = self._check_same(monkeypatch, _jacobi("list:1/4,1/1000", 64), range(2, 65))
-        assert {n for n, zs in got.items() if zs.escalated} == {55, 63, 64}
+        assert all(zs.values.dtype == np.float64 for zs in got.values())
 
     def test_small_batches_start_no_thread(self, monkeypatch):
         recorder = _ThreadRecorder(monkeypatch)

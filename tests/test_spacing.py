@@ -93,20 +93,18 @@ def _per_pair_violations(sets):
 
 
 def _pair_pass(sets):
-    # spacing._pair_pass on the sets laid end to end, as a zero table holds
-    # them: the double views in one array, the Decimal values beside it
+    # spacing._pair_pass on the double sets laid end to end, as a zero table holds them
     keys = sorted(sets)
     values = [spacing._points(sets[k]) for k in keys]
-    return spacing._pair_pass(keys, np.concatenate([v.astype(float) for v in values]),
-                              np.cumsum([0] + [v.size for v in values]),
-                              {k: v for k, v in zip(keys, values) if v.dtype == object})
+    return spacing._pair_pass(keys, np.concatenate(values),
+                              np.cumsum([0] + [v.size for v in values]))
 
 
 def _table(zs):
-    # a zero table that holds one unescalated zero set and its smallest gap
+    # a zero table that holds one zero set and its smallest gap
     gap, i = zs.smallest_gap()
     return jacobi._ZeroTable([zs.degree], np.array([0, zs.degree]), zs.points,
-                             np.array([gap]), np.array([i]), {})
+                             np.array([gap]), np.array([i]))
 
 
 def _extended(values):
@@ -157,19 +155,21 @@ class TestBatchedInterlacing:
                 3: np.array([0.25, 0.5, 0.75]),
                 4: _extended([Decimal("0.2"), half - 2 * eps, half + 2 * eps, Decimal("0.8")]),
             }
-        want = _per_pair_violations(sets)
-        assert want == [(2, 4)]
-        violations, dist = _pair_pass(sets)
-        assert violations == want
-        # one pass reads Decimal and double sets: the distances are formed
+        assert _per_pair_violations(sets) == [(2, 4)]
+        # set_distance takes a Decimal set beside a double one and forms each distance
         # exactly, where the double views would give 0 for each pair
-        assert np.array_equal(dist, _per_pair_distances(sets))
+        dist = _per_pair_distances(sets)
         assert (dist[1, 0], dist[2, 0], dist[2, 1]) == (1e-40, 1e-40, 2e-40)
+        # the pair pass reads a zero table, which is double: there the views tie
+        doubles = {k: spacing._points(v).astype(float) for k, v in sets.items()}
+        violations, dist = _pair_pass(doubles)
+        assert violations == _per_pair_violations(doubles)
+        assert np.array_equal(dist, _per_pair_distances(doubles))
+        assert (dist[1, 0], dist[2, 0], dist[2, 1]) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("desc", ["list:1/4,1/1000", "constant:0.01"])
     def test_full_verification_lists_every_violation(self, desc):
-        # both inputs have known false violations at degree 64, and
-        # list:1/4,1/1000 escalates degrees 55, 63 and 64 to Decimal
+        # both inputs have known false violations at degree 64
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
         J = cp.jacobi_for_gamma(fam, 64)
         result = full_verification(fam, J, n_max=64)
@@ -428,7 +428,7 @@ class TestChecksOnPublicSets:
     @pytest.mark.parametrize("desc, top, c, by_hand", [
         # by hand, every dyadic level is checked and the ladder reaches level 8 either way
         ("constant:1/6", 256, Fraction(1, 6), True),
-        # the extended and escalated levels set the ladder's depth: 6, or 8 under the lemma
+        # the extended levels set the ladder's depth: 6, or 8 under the lemma
         ("list:1/4,1/1000", 64, None, False)])
     def test_verification_prints_the_spacing_report(self, desc, top, c, by_hand):
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
@@ -645,7 +645,7 @@ def _reference_rows(fam, J, degrees, c):
             lower_eq2=lower2, upper_eq2=upper2,
             pass_eq1=Fraction(m_n) >= d_lo and m_n <= upper1, pass_eq2=pass2,
             margin_lo=m_n / lower1, margin_hi=upper1 / m_n,
-            source=source, min_pair=(pair, pair + 1), escalated=zs.escalated))
+            source=source, min_pair=(pair, pair + 1)))
     return tuple(rows)
 
 
@@ -665,7 +665,6 @@ class TestBatchedReport:
         want = _reference_rows(fam, J, degrees, c)
         assert report.rows == want
         assert [r.m_n.hex() for r in report.rows] == [r.m_n.hex() for r in want]
-        assert report.escalated_degrees == ((55,) if desc.startswith("list") else ())
 
 
 def _family(desc):
@@ -692,8 +691,7 @@ class TestDyadicRowsFromTheTable:
         fam = _family(desc)
         J = cp.jacobi_for_gamma(fam, top)
         table = jacobi._zero_table(J, range(2, top + 1))
-        read = [m for m in range(1, top.bit_length())
-                if 2 ** m not in table.escalated and fam.gamma.precision(m)[0] == "double"]
+        read = [m for m in range(1, top.bit_length()) if fam.gamma.precision(m)[0] == "double"]
         assert read == list(range(1, top.bit_length()))  # every dyadic level, here
         assert _checked_levels(monkeypatch, fam, J, range(2, top + 1)) == []
         for m in read:
@@ -702,12 +700,14 @@ class TestDyadicRowsFromTheTable:
 
     @pytest.mark.parametrize("desc", ["list:1/4,1/1000", "periodic:1/1000000,1/4"])
     def test_extended_and_escalated_rows_read_the_exact_set(self, desc):
+        # each to its last degree that resolves in double: periodic:1/1000000,1/4 fails at 22
+        top = 64 if desc.startswith("list") else 21
         fam = _family(desc)
-        report = cp.spacing_report(fam, cp.jacobi_for_gamma(fam, 64), range(2, 65))
-        escalated = [m for m in range(1, 7) if 2 ** m in report.escalated_degrees]
-        extended = [m for m in range(1, 7) if fam.gamma.precision(m)[0] != "double"]
-        assert escalated and extended
-        for m in sorted({*escalated, *extended}):
+        report = cp.spacing_report(fam, cp.jacobi_for_gamma(fam, top), range(2, top + 1))
+        extended = [m for m in range(1, top.bit_length())
+                    if fam.gamma.precision(m)[0] != "double"]
+        assert extended == ([5, 6] if desc.startswith("list") else [3, 4])
+        for m in extended:
             row = report.rows[2 ** m - 2]
             gap, i = cp.exact_zeros(fam, m).smallest_gap()
             assert (row.n, row.source, row.m_n, row.min_pair) == (2 ** m, "both", gap, (i, i + 1))
@@ -742,7 +742,7 @@ class TestDyadicRowsFromTheTable:
             cp.min_spacing(zs) for zs in exact.exact_zero_ladder(fam_quarter, 8)]
 
     @pytest.mark.parametrize("desc, top, ladders", [
-        # the benchmark's sweep inputs build no exact set; the escalated run builds one ladder
+        # the benchmark's sweep inputs build no exact set; the extended run builds one ladder
         ("periodic:1/5,1/6", 256, []), ("constant:1/4", 256, []), ("list:1/4,1/1000", 64, [6])])
     def test_exact_ladders_per_report(self, monkeypatch, desc, top, ladders):
         fam = _family(desc)
