@@ -400,7 +400,8 @@ def _separation_ladder(gamma: GammaSequence, top: int) -> list[tuple[np.ndarray,
     of its branch value x(t), the signed separations x(+1) - x(0) and x(-1) - x(0), and at
     column 3 + j the signed distance from x(0) to the centre of its level-(n - 1 - j)
     ancestor (level 0 is [0, 1], centre 1/2). The centres of levels 1..n - 1 are the zeros
-    of F_1, ..., F_{n-1}; with 1/2 they are the critical points of F_n.
+    of F_1, ..., F_{n-1}; with 1/2 they are the critical points of F_n, and every gap
+    between neighbouring zeros of F_n is the sum of two centre distances (spacing._ladder_gaps).
 
     The values are the branch tables' bit for bit (the anchors are branch_value_table(gamma,
     n, (0.0,)) in double): level n starts with ``_inner_kernel`` and pulls its L and R halves

@@ -13,18 +13,17 @@ and, when inf gamma_k = c > 0 is declared,
 The checks in this module compare M_n with both sides and report the
 outcome with scale-free ratio margins. A report solves all its degrees
 in one batched eigensolve, each degree 2^j m at level j + 1 of the
-mapping tower (jacobi.eigen_zero_sets), into one zero table that holds
-every M_n; the report is that table's columns, one list per field with
-one entry per degree, formed as whole arrays. The bounds change only
+mapping tower (jacobi.eigen_zero_sets), into one zero table whose gaps
+give M_n; the report is its columns, one list per field with one entry
+per degree, formed as whole arrays. The bounds change only
 once per octave s, so they are formed once per octave. A dyadic degree
-2^m solves nothing: its zeros are exact_zeros bit for bit wherever level
-m works in double, so the report reads its M_n from the table, and
-checks it against the exact set only where that is extended. Every
-eigensolved zero is double: a degree that double cannot resolve stops
-the run as a numerical failure (jacobi._zero_table). Both entry points
-take the table, the M_n array and the report from one step, _spacing,
-which builds an exact zero ladder only to the deepest checked level,
-and none when no level is checked.
+2^m solves nothing, and its M_n is no difference of rounded zeros: each
+gap of level m is the sum of two distances to a centre, carried with no
+subtraction by one separation ladder (geometry._separation_ladder) in
+double at every level. Every eigensolved zero is double: a degree that
+double cannot resolve stops the run as a numerical failure
+(jacobi._zero_table). Both entry points take the table, the ladder, the
+M_n array and the report from one step, _spacing.
 Each rational lower bound q (a delta product) is decided through the
 least double t >= q: for a double M_n, M_n >= t holds exactly when
 M_n >= q, so the verdicts carry no rounding slack of their own. Gaps and
@@ -33,15 +32,15 @@ double.
 
 A full verification run builds each point set it reads once, and the
 checks read each degree or level from them: the eigensolved zeros of
-every degree as one table from one batched solve, whose difference
-array gives each M_n, and the branch lemma's tables of levels 1..8 from
-one separation ladder (geometry._separation_ladder), in double. Each
-table holds every word's separations and its distances to the centres
-of its ancestors, which are the critical points of F_n, so the lemma
-reads d(Z, Y) there too, and no zero or critical set of F_n is built
-for it. No check samples: one pass per degree r up to 256 bins all
-smaller-degree zeros into Z_r, and decides at-most-one interlacing and
-the distance bound on every pair and triple of degrees.
+every degree as one table from one batched solve, and the separation
+ladder of the report, built to level 8 at least, whose levels 1..8 are
+the branch lemma's tables. Each table holds every word's separations and
+its distances to the centres of its ancestors, which are the critical
+points of F_n, so the lemma reads d(Z, Y) there too, and no zero or
+critical set of F_n is built for it. No check samples: one pass per
+degree r up to 256 bins all smaller-degree zeros into Z_r, and decides
+at-most-one interlacing and the distance bound on every pair and triple
+of degrees.
 
 Besides the rows of both inequalities, a run's checks are below; each
 that reads M_n reads the report's M_n column, the value its row prints:
@@ -58,6 +57,7 @@ that reads M_n reads the report's M_n column, the value its row prints:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -68,21 +68,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RangeOverflowError
+from .errors import DomainError
 from .exact import EXACT as _EXACT
-from .exact import (
-    CriticalSet,
-    MapFamily,
-    ZeroSet,
-    exact_zero_ladder,
-    min_gap_with_index,
-)
+from .exact import CriticalSet, MapFamily, ZeroSet, min_gap_with_index
 from .geometry import _separation_ladder, largest_gap, leftmost_length
 from .jacobi import JacobiMatrix, _zero_table
 from .serialize import csv_text
 
 _PI_SQ_4 = math.pi ** 2 / 4.0
-_EXACT_VS_EIGEN_TOL = 1e-9
 _TO_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 # the sizes of a full verification: the branch lemma at levels 1..8, and
 # the pairs of degrees up to 256 for at-most-one interlacing and the
@@ -286,21 +279,29 @@ def _octave_bounds(gamma, s: int, c_frac: Fraction | None) -> list[tuple]:
     return eqs
 
 
-def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels: list[int],
-            c_frac: Fraction | None, metadata: dict | None) -> tuple[np.ndarray, SpacingReport]:
-    """The M_n array and the spacing columns of a zero table's degrees, as whole arrays; c_frac
-    is already checked. A dyadic degree reads the table, except at a checked level m of levels:
-    there it takes the smallest gap of exact[m - 1], the zero set of level m, once that agrees
-    with the table's. The bounds are formed once per octave s and gathered to the degrees by s."""
-    gamma, degrees = fam.gamma, table.degrees
-    m_n, pair = table.min_gap.copy(), table.min_index.copy()
-    for m in levels:
-        i = degrees.index(2 ** m)
-        gap, index = exact[m - 1].smallest_gap()
-        if abs(gap - m_n[i]) > _EXACT_VS_EIGEN_TOL:  # two computations of one set: a fault
-            raise RangeOverflowError(f"exact and eigensolve spacing disagree at degree "
-                                     f"{2 ** m}: {gap} vs {m_n[i]}")
-        m_n[i], pair[i] = gap, index
+def _ladder_gaps(words: np.ndarray) -> np.ndarray:
+    """The 2^n - 1 gaps between neighbouring zeros of F_n, left to right, from level n of
+    ``geometry._separation_ladder``, with no subtraction.
+
+    The zeros are the anchors in Gray-code order, word i ^ (i >> 1) at position i, as
+    ``geometry.branch_order`` places them. The words at positions i - 1 and i differ in the
+    letter of level n - j alone, j the trailing zeros of i, so they share their level-(n - 1
+    - j) ancestor, whose centre lies between them: the gap is the sum of both words' centre
+    distances in column 3 + j, each relatively accurate, rounded once. A word and its mirror
+    carry one distance negated, so mirror gaps are equal bit for bit.
+    """
+    i = np.arange(1, len(words))
+    col = 3 + np.log2(i & -i).astype(np.int64)  # exact: i & -i is a power of two
+    return np.abs(words[(i - 1) ^ ((i - 1) >> 1), col]) + np.abs(words[i ^ (i >> 1), col])
+
+
+def _report(fam: MapFamily, J: JacobiMatrix, degrees: list[int], m_n: np.ndarray,
+            pair: np.ndarray, c_frac: Fraction | None,
+            metadata: dict | None) -> SpacingReport:
+    """The spacing columns of the degrees, each with its M_n and the first index of its
+    least gap, as whole arrays; c_frac is already checked. The bounds are formed once per
+    octave s and gathered to the degrees by s."""
+    gamma = fam.gamma
     s = np.array([n.bit_length() for n in degrees], dtype=np.int64)
     octaves = sorted(set(s.tolist()))
     eqs = np.array([_octave_bounds(gamma, k, c_frac) for k in octaves], dtype=float)
@@ -325,21 +326,26 @@ def _report(fam: MapFamily, J: JacobiMatrix, table, exact: list[ZeroSet], levels
     )
     meta = {"gamma": gamma.descriptor(), "c": None if c_frac is None else str(c_frac),
             "valid_length": J.b.size, **(metadata or {})}
-    return m_n, SpacingReport(columns=columns, metadata=meta)
+    return SpacingReport(columns=columns, metadata=meta)
 
 
-def _spacing(fam: MapFamily, J: JacobiMatrix, degrees, c, metadata: dict | None):
-    """The zero table of degrees, the M_n array (degree table.degrees[i] at i) and the report,
-    built in this order once c is checked. Level m is checked (``_report``) where the zeros of
-    2^m are not exact_zeros(fam, m) bit for bit: a level in extended precision, any level
-    when J's tower is not fam's. One exact_zero_ladder is built, to the
-    deepest checked level, only when there is one."""
+def _spacing(fam: MapFamily, J: JacobiMatrix, degrees, c, metadata: dict | None,
+             top: int = 0):
+    """The zero table of degrees, fam's separation ladder to the deepest of top and their
+    dyadic levels, the M_n array (degree table.degrees[i] at i) and the report, built in this
+    order once c is checked. A dyadic row 2^m takes its M_n and pair from the gaps of the
+    ladder's level m (``_ladder_gaps``), also for a matrix built by hand, whose degrees all
+    solve at level 1; every other row takes the table's."""
     c_frac = _declared_c(fam.gamma, c)
     table = _zero_table(J, degrees, least=2)
-    levels = [m for m in map(_dyadic_exponent, table.degrees) if m and (
-        J.gamma != fam.gamma or fam.gamma.precision(m)[0] != "double")]
-    exact = exact_zero_ladder(fam, max(levels)) if levels else []
-    return table, *_report(fam, J, table, exact, levels, c_frac, metadata)
+    dyadic = {m: i for i, m in enumerate(map(_dyadic_exponent, table.degrees)) if m}
+    ladder = _separation_ladder(fam.gamma, max([top, *dyadic]))
+    m_n, pair = table.min_gap.copy(), table.min_index.copy()
+    for m, i in dyadic.items():
+        gaps = _ladder_gaps(ladder[m - 1][0])
+        pair[i] = np.argmin(gaps)
+        m_n[i] = gaps[pair[i]]
+    return table, ladder, m_n, _report(fam, J, table.degrees, m_n, pair, c_frac, metadata)
 
 
 def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
@@ -347,9 +353,9 @@ def spacing_report(fam: MapFamily, J: JacobiMatrix, degrees, c=None,
     """Spacing columns for the requested degrees, with bound verdicts.
 
     All degrees come from one batched eigensolve, whose zero table gives
-    each M_n; one exact_zero_ladder is built only when a dyadic degree has
-    a second computation to check against it, to the deepest such level
-    (``_spacing``).
+    the M_n of every degree that is not dyadic; a dyadic degree 2^m reads
+    its M_n from level m of one separation ladder, built to the deepest
+    dyadic level, as a sum of two distances to a centre (``_spacing``).
     Lower-bound comparisons are exact: the delta products are rationals,
     and M_n is compared against the least double at or above each, which
     decides M_n >= q without rounding. The pi^2-scaled upper bounds are
@@ -390,7 +396,8 @@ def _against(big: np.ndarray, small: np.ndarray, starts: np.ndarray):
     crowds[1:] = bins[1:] <= bins[:-1]
     crowds[starts] = False
     outside = (small[starts] <= big[0]) | (small[np.append(starts[1:], small.size) - 1] >= big[-1])
-    with localcontext(_EXACT):  # each point against its big neighbours
+    # each point against its big neighbours, exactly where they are Decimals
+    with localcontext(_EXACT) if small.dtype == object else contextlib.nullcontext():
         near = np.minimum(np.abs(small - big[np.maximum(bins - 1, 0)]),
                           np.abs(big[np.minimum(bins, big.size - 1)] - small))
     # rounding once to double is monotone, so it keeps each minimum
@@ -423,19 +430,20 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
     """Run every verified inequality up to degree n_max plus the
     informational checks, at the module's fixed sizes.
 
-    Each point set the checks read is built once per call: the zeros of
-    degrees 2..n_max as one table from ``_spacing``, as in spacing_report,
-    with an exact_zero_ladder only to the deepest dyadic level the report
-    checks; and the branch lemma's levels 1..8, separations and d(Z, Y),
-    from one geometry._separation_ladder, checked one level at a time.
-    Every check on M_n reads the M_n array that the report prints. No
-    check samples: the bounds on pairs and triples of degrees are decided
-    on every case, listing 20 violations.
+    Each point set the checks read is built once per call, by ``_spacing``
+    as in spacing_report: the zeros of degrees 2..n_max as one table, and
+    one geometry._separation_ladder, to level 8 or the deepest dyadic
+    level if deeper. The ladder gives the report its dyadic M_n and the
+    branch lemma its levels 1..8, separations and d(Z, Y), checked one
+    level at a time. Every check on M_n reads the M_n array that the
+    report prints. No check samples: the bounds on pairs and triples of
+    degrees are decided on every case, listing 20 violations.
     """
     if not 2 <= n_max <= J.b.size:
         raise DomainError(f"n_max {n_max} outside [2, {J.b.size}]")
     # degree n at n - 2 of the table and of spacings, M_n as its row prints it
-    table, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata)
+    table, ladder, spacings, report = _spacing(fam, J, range(2, n_max + 1), c, metadata,
+                                               _RORO_MAX_LEVEL)
     top = min(_PAIRS_MAX, n_max)
     violations, dist = _pair_pass(table.degrees[:top - 1], table.values, table.offsets)
     entries: list[ReportEntry] = []
@@ -465,47 +473,28 @@ def full_verification(fam: MapFamily, J: JacobiMatrix, *, n_max: int,
                lambda n: (n + 2 + int(np.argmax(spacings[n:])), n + 2),
                np.argwhere(np.tril(spacings[:, None] > second)) + 2)
 
-    entries += [verify_branch_lemma(fam, level)
-                for level in _separation_ladder(fam.gamma, _RORO_MAX_LEVEL)]
+    entries += [verify_branch_lemma(fam, level) for level in ladder[:_RORO_MAX_LEVEL]]
 
-    entries.append(ReportEntry(
-        check="interlacing_at_most_one",
-        passed=not violations,
-        lhs=float(len(violations)),
-        rhs=0.0,
-        detail={"max_degree": top, "violations": violations[:20]},
-    ))
+    entries.append(ReportEntry("interlacing_at_most_one", not violations, float(len(violations)),
+                               0.0, {"max_degree": top, "violations": violations[:20]}))
 
     # informational: max consecutive-zero gap versus half the largest gap
     # of the matching pre-Cantor level
     gap_checks = []
     for n in sorted(n for n in {4, n_max // 2, n_max} if 2 <= n <= n_max):
-        level = math.ceil(math.log2(n))
-        half_gap = 0.5 * largest_gap(fam.gamma, level)
+        half_gap = 0.5 * largest_gap(fam.gamma, math.ceil(math.log2(n)))
         zn = table.values[table.offsets[n - 2] : table.offsets[n - 1]]
         max_zero_gap = float(np.max(np.diff(zn)))
-        gap_checks.append({"n": n, "max_zero_gap": max_zero_gap,
-                           "half_largest_gap": half_gap,
+        gap_checks.append({"n": n, "max_zero_gap": max_zero_gap, "half_largest_gap": half_gap,
                            "ok": max_zero_gap >= half_gap})
-    entries.append(ReportEntry(
-        check="max_gap_sanity",
-        passed=all(g["ok"] for g in gap_checks),
-        lhs=float(len([g for g in gap_checks if not g["ok"]])),
-        rhs=0.0,
-        detail={"cases": gap_checks},
-        severity="info",
-    ))
+    failed = [g for g in gap_checks if not g["ok"]]
+    entries.append(ReportEntry("max_gap_sanity", not failed, float(len(failed)), 0.0,
+                               {"cases": gap_checks}, "info"))
 
     # informational: M at dyadic degrees should collapse monotonically
     dyadic = spacings[[2 ** m - 2 for m in range(1, n_max.bit_length())]].tolist()
-    collapse_ok = all(b <= a for a, b in zip(dyadic[1:], dyadic[2:]))
-    entries.append(ReportEntry(
-        check="dyadic_spacing_collapse",
-        passed=collapse_ok,
-        lhs=float(len(dyadic)),
-        rhs=0.0,
-        detail={"values": dyadic},
-        severity="info",
-    ))
+    entries.append(ReportEntry("dyadic_spacing_collapse",
+                               all(b <= a for a, b in zip(dyadic[1:], dyadic[2:])),
+                               float(len(dyadic)), 0.0, {"values": dyadic}, "info"))
 
     return VerificationResult(spacing=report, entries=tuple(entries))

@@ -16,9 +16,11 @@ the two:
 - the power moments of a Jacobi matrix and the sign alternation of P_n
   across computed zeros;
 - the separation chain of the branch lemma for one word, from scalar
-  branch compositions, and the branch lemma's table of one level and
-  its d(Z, Y) over every critical point, in decimal: the oracles of the
-  double separation ladder;
+  branch compositions, and the branch lemma's table of one level, its
+  d(Z, Y) over every critical point and every gap between neighbouring
+  zeros, in decimal: the oracles of the double separation ladder; and
+  the ladder's own neighbour gaps read by sorting its anchors, beside
+  the package's Gray-code reading (``spacing._ladder_gaps``);
 - discrete measures, the Gauss rule of a Jacobi matrix (Golub-Welsch) and
   P_n by the three-term recurrence;
 - a level's branch table and zeros from the decimal doubling pass, the
@@ -415,6 +417,38 @@ def critical_distance(gamma: GammaSequence, n: int) -> Decimal:
     y = np.concatenate([[Decimal("0.5")], *shallower])
     with localcontext(EXACT):
         return np.abs(z[:, None] - y[None, :]).min()
+
+
+def zero_gaps(gamma: GammaSequence, n: int) -> np.ndarray:
+    """The oracle of every gap between neighbouring zeros of F_n, left to right: the zeros
+    from the decimal doubling pass at ten digits more than ``_oracle_digits`` gives level
+    n + 1, sorted, each difference formed exactly. The gaps of level n are about
+    delta_{n+1} at their least, and keep at least 30 digits."""
+    digits = _oracle_digits(gamma, n + 1) + 10
+    z = np.sort(_level_table(gamma, n, (0.0,), ("dd", digits))[1][:, 0])
+    with localcontext(EXACT):
+        return z[1:] - z[:-1]
+
+
+def ladder_gaps(table: np.ndarray) -> np.ndarray:
+    """The neighbour gaps that level n of ``geometry._separation_ladder`` carries, found
+    another way than ``spacing._ladder_gaps``: the words sorted by their anchors, and each
+    neighbour pair's deepest common ancestor from the highest bit in which the two word
+    indices differ (bit b, from the right, is the letter of level n - b), its column then
+    3 + b."""
+    order = np.argsort(table[:, 0], kind="stable")
+    gaps = []
+    for w, v in zip(order[:-1].tolist(), order[1:].tolist()):
+        col = 3 + (w ^ v).bit_length() - 1
+        gaps.append(abs(table[w, col]) + abs(table[v, col]))
+    return np.array(gaps)
+
+
+def relative_error(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """|got - want| / want for doubles against Decimals, the differences formed exactly."""
+    with localcontext(EXACT):
+        err = np.abs(np.frompyfunc(Decimal, 1, 1)(got) - want)
+    return (err / want).astype(float)
 
 
 def branch_separation_chain(fam: MapFamily, word, t_tilde) -> dict:

@@ -297,18 +297,6 @@ class TestVerifyCommand:
         assert err.startswith("cantorpoly: numerical failure: ") and "invalid input" not in err
         assert f"degree {degree}" in err
 
-    def test_disagreeing_cross_check_is_a_numerical_failure(self, tmp_path, capsys,
-                                                             monkeypatch):
-        # level 5 of constant 0.001 works in decimal, so degree 32 is checked against its
-        # exact set: two computations of one M_n that disagree are a
-        # fault of the program, not of the input
-        monkeypatch.setattr(cp.spacing, "_EXACT_VS_EIGEN_TOL", -1.0)
-        assert main(["verify", "--gamma", "constant:0.001", "--degree-max", "32", "--depth", "7",
-                     "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("cantorpoly: numerical failure: ") and "invalid input" not in err
-        assert "degree 32" in err
-
     @pytest.mark.parametrize("gamma", ["list:1/4,1e-43", "list:1/4,1e-42"])
     def test_level_nine_is_not_range_checked(self, tmp_path, capsys, gamma):
         # the lemma's levels 1..8 keep normal doubles, level 9's separations would
@@ -416,21 +404,29 @@ PINNED_OUTPUTS = {
     # the half-size bidiagonal, so its last ~2 digits follow that solve;
     # re-pinned when each even degree moved to its own level of the tower:
     # M_6, M_10, M_12 and M_14 moved, each closer to a 60-digit reference
-    # (M_12 from 2.2e-15 to 3.7e-17 relative), and no other row changed
+    # (M_12 from 2.2e-15 to 3.7e-17 relative), and no other row changed;
+    # re-pinned when each dyadic M_n became the least neighbour gap of the
+    # separation ladder: M_4, M_8 and M_16 moved with their margins, each
+    # closer to an 80-digit mpmath doubling (relative error 1.1e-16 -> 4.9e-17,
+    # 1.5e-16 -> 3.0e-17 and 5.0e-15 -> 6.6e-17), and no verdict moved
     "verify": (
         ["verify", "--gamma", "constant:1/6", "--degree-max", "16"],
-        {"spacing_report.csv": "03fa8e46485510cad1bd33db58a283e3319242516843b8dc2d6b49956a83b5d6"},
+        {"spacing_report.csv": "94238696cc0bb8fc1b3a8b4840dc7e131490788c06594b445b615e5717f86db2"},
     ),
     # with c declared, so that the eq. 2 columns are filled too; taken before the
-    # report held columns in place of one record per degree
+    # report held columns in place of one record per degree; re-pinned when each
+    # dyadic M_n became the least neighbour gap of the separation ladder: M_4, M_8,
+    # M_16, M_32, M_128 and M_256 moved with their margins, each closer to an
+    # 80-digit mpmath doubling (M_256 from 6.9e-12 to 2.0e-16 relative, M_128 from
+    # 2.4e-12 to 2.6e-16), M_2 and M_64 kept their bits, and no verdict moved
     "verify_c": (
         ["verify", "--gamma", "constant:1/6", "--degree-max", "256", "--depth", "10", "--c", "1/6"],
-        {"spacing_report.csv": "4ec63f24c69f53c5659e74fc0abd65676679e73e32b82c14d5703c6e699a3956"},
+        {"spacing_report.csv": "cac60302f1acb3fa5b2d1140503eee519bd10579cded9c706b5814cadd40c071"},
     ),
 }
 
 
-VERIFY_JSON_SHA256 = "14de77e8befebe15c95425dcfbcb9d1e7cae28d29ff3278b81af940b3ac3ab91"
+VERIFY_JSON_SHA256 = "ea655b173d2d5534bf815ea7894332b9030d54f575f44e8b00db312ef6822d11"
 
 
 class TestPinnedOutputBytes:
@@ -466,8 +462,14 @@ class TestPinnedOutputBytes:
         # relative of the decimal d(Z, Y), against up to 1.1e-11 before, and
         # json.loads of the old and new bytes with those lhs set equal are
         # equal), and when the escalated_degrees key and each row's escalated
-        # field went (json.loads of the old bytes less those equals the new);
-        # config.out is normalised
+        # field went (json.loads of the old bytes less those equals the new),
+        # and when each dyadic M_n became the least neighbour gap of the
+        # separation ladder (M_4, M_8 and M_16 moved, each closer to an
+        # 80-digit mpmath doubling, with their margin_lo, M_16's margin_hi and
+        # the dyadic collapse's values; M_16's min_pair moved from the top
+        # edge's (14, 15) to its bit-equal mirror (0, 1); json.loads of the
+        # old and new bytes with those set equal are equal); config.out is
+        # normalised
         assert main(["verify", "--gamma", "constant:1/6", "--degree-max", "16",
                      "--out", str(tmp_path)]) == 0
         raw = (tmp_path / "spacing_report.json").read_bytes()

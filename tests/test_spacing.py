@@ -20,8 +20,9 @@ from cantorpoly.spacing import SpacingRow, full_verification
 
 from conftest import chebyshev_min_gap, chebyshev_zeros_unit
 from reference import (branch_separation_chain, branch_value, critical_distance, critical_set,
-                       eigen_zeros, interlacing_at_most_one, verify_interlacing_bound,
-                       verify_second_neighbor_bound, words)
+                       eigen_zeros, interlacing_at_most_one, ladder_gaps, relative_error,
+                       verify_interlacing_bound, verify_second_neighbor_bound, words,
+                       zero_gaps)
 
 PI_SQ_4 = math.pi ** 2 / 4.0
 
@@ -100,11 +101,12 @@ def _pair_pass(sets):
                               np.cumsum([0] + [v.size for v in values]))
 
 
-def _table(zs):
-    # a zero table that holds one zero set and its smallest gap
-    gap, i = zs.smallest_gap()
-    return jacobi._ZeroTable([zs.degree], np.array([0, zs.degree]), zs.points,
-                             np.array([gap]), np.array([i]))
+def _exact_row(fam, m, c):
+    # the report row of degree 2^m on the exact set's M_n, formed exactly and rounded once:
+    # at 1e-160 the gaps of level 2 lie in the subnormals, which the separation ladder refuses
+    gap, i = cp.exact_zeros(fam, m).smallest_gap()
+    return spacing._report(fam, cp.jacobi_for_gamma(fam, 2 ** m), [2 ** m], np.array([gap]),
+                           np.array([i]), c, None).rows[0]
 
 
 def _extended(values):
@@ -191,7 +193,7 @@ class TestRunLocalCache:
     def _count_branch_passes(monkeypatch):
         # every binding that reaches a branch doubling pass: exact_zeros
         # (all_branch_values), largest_gap's level intervals, a ladder of
-        # exact zero sets, and the separation ladder of the lemma levels
+        # exact zero sets, and the separation ladder of the report and the lemma
         calls = Counter()
         for module, name in ((exact, "all_branch_values"), (cp.geometry, "branch_value_table")):
             real = getattr(module, name)
@@ -225,7 +227,7 @@ class TestRunLocalCache:
             full_verification(fam_sixth, J, n_max=64, c=Fraction(1, 6))
             # the zero table holds every dyadic level, which all work in
             # double, so no exact zero set is built; one separation ladder
-            # gives the tables of the lemma levels 1..8
+            # gives the dyadic rows and the tables of the lemma levels 1..8
             kernels = {key: k for key, k in calls.items() if key[1] == "kernel"}
             assert kernels == {("cantorpoly.spacing", "kernel", 8): 1}
             assert not [key for key in calls if key[0] == "cantorpoly.exact"]
@@ -426,9 +428,9 @@ class TestChecksOnPublicSets:
         assert interlacing.lhs == len(_per_pair_violations(z)) == 0
 
     @pytest.mark.parametrize("desc, top, c, by_hand", [
-        # by hand, every dyadic level is checked and the ladder reaches level 8 either way
+        # by hand, every dyadic row reads fam's ladder, to level 8 either way
         ("constant:1/6", 256, Fraction(1, 6), True),
-        # the extended levels set the ladder's depth: 6, or 8 under the lemma
+        # the extended levels 5 and 6 read the ladder too: to level 6, or 8 under the lemma
         ("list:1/4,1/1000", 64, None, False)])
     def test_verification_prints_the_spacing_report(self, desc, top, c, by_hand):
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
@@ -586,11 +588,8 @@ class TestSpacingReport:
         # delta_3 / c^2 = 1e-5: the upper bound is small and finite
         gamma = cp.GammaSequence.from_descriptor("list:1e-156,1e-156,1e-5,1/4")
         fam, c = cp.MapFamily(gamma), Fraction(1, 10 ** 156)
-        ladder = exact.exact_zero_ladder(fam, 2)
-        # level 2 works in extended precision, so the report checks it against the ladder
-        _, report = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder,
-                                    [2], c, None)
-        row = report.rows[0]
+        # M_4 of the exact set, whose level 2 works in extended precision
+        row = _exact_row(fam, 2, c)
         bound = Fraction(PI_SQ_4) * gamma.delta_fraction(3) / (c * c)
         assert row.s == 3 and 0 < row.upper_eq2 < 1e-4
         assert abs(Fraction(row.upper_eq2) - bound) <= bound * Fraction(1, 2 ** 52)
@@ -602,9 +601,7 @@ class TestSpacingReport:
         # bound of eq. 1 rounds to 0; the margin M_4 / delta_5 = gamma^-4 is
         # divided exactly, finite at 1e-70 and above the doubles at 1e-160
         fam = cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
-        ladder = exact.exact_zero_ladder(fam, 2)
-        row = spacing._report(fam, cp.jacobi_for_gamma(fam, 4), _table(ladder[1]), ladder, [2],
-                              None, None)[1].rows[0]
+        row = _exact_row(fam, 2, None)
         assert row.s == 3 and row.lower_eq1 == 0.0 and row.pass_eq1
         quotient = Fraction(row.m_n) / fam.gamma.delta_fraction(5)
         if quotient > Fraction(sys.float_info.max):
@@ -620,7 +617,10 @@ class TestSpacingReport:
 
 
 def _reference_rows(fam, J, degrees, c):
-    """Rows built one degree at a time, with exact rational lower-bound verdicts."""
+    """Rows built one degree at a time, with exact rational lower-bound verdicts. A dyadic
+    row 2^m takes the least gap of level m of a separation ladder built to m alone, read by
+    sorting (reference.ladder_gaps), once it agrees to 1e-9 with the exact set's gap and
+    with the eigensolved zeros' gap."""
     gamma = fam.gamma
     rows = []
     for n in degrees:
@@ -628,9 +628,11 @@ def _reference_rows(fam, J, degrees, c):
         m_n, pair = zs.smallest_gap()
         source = "eigensolve"
         if n & (n - 1) == 0:
-            m_exact, pair_exact = cp.exact_zeros(fam, n.bit_length() - 1).smallest_gap()
-            assert abs(m_exact - m_n) <= 1e-9
-            m_n, pair, source = m_exact, pair_exact, "both"
+            gaps = ladder_gaps(_separation_ladder(gamma, n.bit_length() - 1)[-1][0])
+            m_exact = cp.exact_zeros(fam, n.bit_length() - 1).smallest_gap()[0]
+            pair = int(np.argmin(gaps))
+            assert abs(m_exact - gaps[pair]) <= 1e-9 and abs(m_n - gaps[pair]) <= 1e-9
+            m_n, source = float(gaps[pair]), "both"
         s = n.bit_length()
         d_lo, d_hi = gamma.delta_fraction(s + 2), gamma.delta_fraction(s - 2)
         lower1, upper1 = float(d_lo), PI_SQ_4 * float(d_hi)
@@ -671,36 +673,27 @@ def _family(desc):
     return cp.MapFamily(cp.GammaSequence.from_descriptor(desc))
 
 
-def _checked_levels(monkeypatch, fam, J, degrees):
-    # the dyadic levels that the spacing step hands the report to check against the ladder
-    seen, real = [], spacing._report
-    monkeypatch.setattr(spacing, "_report", lambda *args: seen.append(args[4]) or real(*args))
-    spacing._spacing(fam, J, degrees, None, None)
-    monkeypatch.undo()
-    return seen.pop()
-
-
 class TestDyadicRowsFromTheTable:
-    """A dyadic row reads the zero table, and an exact set only where the two differ."""
+    """A dyadic row reads its zeros from the table and its M_n from the separation ladder."""
 
     @pytest.mark.parametrize("desc, top", [
         *((desc, 256) for desc in ["constant:1/6", "constant:1/4", "constant:0.05",
                                    "periodic:1/5,1/6"]),
         ("constant:0.02", 64)])
-    def test_table_holds_the_exact_zeros_at_double_levels(self, monkeypatch, desc, top):
+    def test_table_holds_the_exact_zeros_at_double_levels(self, desc, top):
         fam = _family(desc)
         J = cp.jacobi_for_gamma(fam, top)
         table = jacobi._zero_table(J, range(2, top + 1))
         read = [m for m in range(1, top.bit_length()) if fam.gamma.precision(m)[0] == "double"]
         assert read == list(range(1, top.bit_length()))  # every dyadic level, here
-        assert _checked_levels(monkeypatch, fam, J, range(2, top + 1)) == []
         for m in read:
             zeros = table.values[table.offsets[2 ** m - 2] : table.offsets[2 ** m - 1]]
             assert zeros.tobytes() == cp.exact_zeros(fam, m).values.tobytes(), m
 
     @pytest.mark.parametrize("desc", ["list:1/4,1/1000", "periodic:1/1000000,1/4"])
-    def test_extended_and_escalated_rows_read_the_exact_set(self, desc):
-        # each to its last degree that resolves in double: periodic:1/1000000,1/4 fails at 22
+    def test_extended_rows_read_the_ladder(self, desc):
+        # each to its last degree that resolves in double: periodic:1/1000000,1/4 fails at 22;
+        # the exact set's gap is formed exactly from its Decimals and rounded once
         top = 64 if desc.startswith("list") else 21
         fam = _family(desc)
         report = cp.spacing_report(fam, cp.jacobi_for_gamma(fam, top), range(2, top + 1))
@@ -709,23 +702,27 @@ class TestDyadicRowsFromTheTable:
         assert extended == ([5, 6] if desc.startswith("list") else [3, 4])
         for m in extended:
             row = report.rows[2 ** m - 2]
-            gap, i = cp.exact_zeros(fam, m).smallest_gap()
-            assert (row.n, row.source, row.m_n, row.min_pair) == (2 ** m, "both", gap, (i, i + 1))
+            gaps = ladder_gaps(_separation_ladder(fam.gamma, m)[-1][0])
+            assert (row.n, row.source, row.m_n) == (2 ** m, "both", gaps.min())
+            assert row.min_pair == (int(np.argmin(gaps)), int(np.argmin(gaps)) + 1)
+            exact_gap = cp.exact_zeros(fam, m).smallest_gap()[0]
+            assert abs(row.m_n - exact_gap) <= 2e-15 * exact_gap, m
 
-    def test_a_matrix_built_by_hand_checks_every_dyadic_row(self, monkeypatch, fam_sixth):
+    def test_a_matrix_built_by_hand_reads_the_ladder(self, fam_sixth):
+        # its degrees all solve at level 1, but its dyadic rows read fam's ladder, as a
+        # matrix with the tower does: the same rows, whatever the zeros' route
         J = cp.jacobi_for_gamma(fam_sixth, 64)
         by_hand = cp.JacobiMatrix(J.a, J.b)
-        assert _checked_levels(monkeypatch, fam_sixth, by_hand, range(2, 65)) == [1, 2, 3, 4, 5, 6]
-        assert _checked_levels(monkeypatch, fam_sixth, J, range(2, 65)) == []
-        # its dyadic degrees solve at level 1, and the rows take the exact sets' gaps
         dyadic = [2 ** m - 2 for m in range(1, 7)]
         got, want = (cp.spacing_report(fam_sixth, Jx, range(2, 65)).rows for Jx in (by_hand, J))
         assert [got[i] for i in dyadic] == [want[i] for i in dyadic]
+        assert [got[i].m_n for i in dyadic] == [
+            ladder_gaps(table).min() for table, _ in _separation_ladder(fam_sixth.gamma, 6)]
 
     def test_the_checks_read_the_printed_m_n(self, fam_quarter):
-        # every dyadic row of a matrix built by hand prints the exact set's M_n, 7.4e-13
-        # relative off the table's at n = 256; that row binds the second-neighbour bound,
-        # which reads the printed M_n, as the dyadic collapse does
+        # every dyadic row prints the ladder's M_n, 1.6e-12 relative off the gap of the
+        # zeros of a matrix built by hand at n = 256; that row binds the second-neighbour
+        # bound, which reads the printed M_n, as the dyadic collapse does
         J = cp.jacobi_for_gamma(fam_quarter, 256)
         by_hand = cp.JacobiMatrix(J.a, J.b)
         result = full_verification(fam_quarter, by_hand, n_max=256)
@@ -739,35 +736,85 @@ class TestDyadicRowsFromTheTable:
         assert entry.detail["worst_case"] == (256, 256)
         assert entry.detail["worst_ratio"] == printed[254] / second
         assert entries["dyadic_spacing_collapse"].detail["values"] == [
-            cp.min_spacing(zs) for zs in exact.exact_zero_ladder(fam_quarter, 8)]
+            ladder_gaps(table).min() for table, _ in _separation_ladder(fam_quarter.gamma, 8)]
+
+    @staticmethod
+    def _count_ladders(monkeypatch):
+        # every exact zero ladder and every separation ladder built, by its top level
+        calls = []
+        real_exact, real_kernel = exact.exact_zero_ladder, spacing._separation_ladder
+        monkeypatch.setattr(exact, "exact_zero_ladder", lambda fam, top, *args: calls.append(
+            ("exact", top)) or real_exact(fam, top, *args))
+        monkeypatch.setattr(spacing, "_separation_ladder", lambda gamma, top: calls.append(
+            ("separation", top)) or real_kernel(gamma, top))
+        return calls
 
     @pytest.mark.parametrize("desc, top, ladders", [
-        # the benchmark's sweep inputs build no exact set; the extended run builds one ladder
-        ("periodic:1/5,1/6", 256, []), ("constant:1/4", 256, []), ("list:1/4,1/1000", 64, [6])])
+        # one separation ladder, to the deepest dyadic level, and no exact zero set
+        ("periodic:1/5,1/6", 256, [8]), ("constant:1/4", 256, [8]), ("list:1/4,1/1000", 64, [6])])
     def test_exact_ladders_per_report(self, monkeypatch, desc, top, ladders):
         fam = _family(desc)
         J = cp.jacobi_for_gamma(fam, top)
-        calls = []
-        real = spacing.exact_zero_ladder
-        monkeypatch.setattr(spacing, "exact_zero_ladder",
-                            lambda fam, top, *args: calls.append(top) or real(fam, top, *args))
+        calls = self._count_ladders(monkeypatch)
         cp.spacing_report(fam, J, range(2, top + 1))
-        assert calls == ladders
+        assert calls == [("separation", t) for t in ladders]
+        calls.clear()
+        cp.spacing_report(fam, J, [3, 5, 7])  # no dyadic degree: the ladder holds no level
+        assert calls == [("separation", 0)]
 
-    @pytest.mark.parametrize("by_hand, ladders", [(False, []), (True, [9])])
+    @pytest.mark.parametrize("by_hand, ladders", [(False, [9]), (True, [9])])
     def test_exact_ladder_per_verification(self, monkeypatch, by_hand, ladders):
-        # the branch lemma reads the separation ladder alone; an exact level is built only
-        # where the report checks it, as every dyadic level of a matrix built by hand
+        # one separation ladder gives the report its dyadic rows and the branch lemma its
+        # levels 1..8, whatever the matrix; no exact zero set is built
         fam = _family("constant:1/6")
         J = cp.jacobi_for_gamma(fam, 512)
         if by_hand:
             J = cp.JacobiMatrix(J.a, J.b)
-        calls = []
-        real = spacing.exact_zero_ladder
-        monkeypatch.setattr(spacing, "exact_zero_ladder",
-                            lambda fam, top, *args: calls.append(top) or real(fam, top, *args))
+        calls = self._count_ladders(monkeypatch)
         cp.full_verification(fam, J, n_max=512)
-        assert calls == ladders
+        assert calls == [("separation", t) for t in ladders]
+        calls.clear()
+        cp.full_verification(fam, J, n_max=64)  # the lemma's level 8 is the floor
+        assert calls == [("separation", 8)]
+
+
+# the ten grid inputs that pass at degree 64, each to level 8
+_GRID_PASSING = ["constant:1/4", "constant:1/5", "constant:1/6", "constant:0.1", "constant:0.05",
+                 "periodic:1/4,1/100", "periodic:1/100,1/4", "list:1/1000,1/4",
+                 "periodic:1/6,1/5", "periodic:2/9,1/4"]
+_GAP_CASES = {**{desc: (range(1, 9), 8) for desc in _PAIRS + _GRID_PASSING},
+              "constant:1/6": (range(1, 11), 10),
+              # levels 5 and 6 work in decimal; degree 64 does not resolve in double
+              "constant:0.001": ((5, 6), 5)}
+
+
+class TestDyadicGapsAgainstTheOracle:
+    """Every neighbour gap of the separation ladder, and every dyadic M_n the report prints,
+    within 2e-15 relative of the decimal oracle (reference.zero_gaps), in double and
+    extended levels alike: the tests-side form of the report's old cross-check of a dyadic
+    M_n against the exact zero set."""
+
+    @pytest.mark.parametrize("desc", sorted(_GAP_CASES))
+    def test_every_gap_and_every_dyadic_m_n(self, desc):
+        levels, top = _GAP_CASES[desc]
+        fam = _family(desc)
+        ladder = _separation_ladder(fam.gamma, max(levels))
+        least = {}
+        for m in levels:
+            table = ladder[m - 1][0]
+            gaps, want = spacing._ladder_gaps(table), zero_gaps(fam.gamma, m)
+            assert gaps.size == want.size == 2 ** m - 1
+            rel = relative_error(gaps, want)
+            assert rel.max() <= 2e-15, (m, rel.max())
+            assert np.array_equal(gaps, ladder_gaps(table))  # the sorted reading, too
+            assert gaps.tobytes() == gaps[::-1].tobytes()  # mirror gaps, bit for bit
+            least[2 ** m] = want.min()
+        degrees = [2 ** m for m in range(1, top + 1)]
+        report = cp.spacing_report(fam, cp.jacobi_for_gamma(fam, degrees[-1]), degrees)
+        printed = {row.n: row.m_n for row in report.rows if row.n in least}
+        assert printed and all(row.source == "both" for row in report.rows)
+        for n, m_n in printed.items():
+            assert relative_error(np.array([m_n]), np.array([least[n]]))[0] <= 2e-15, n
 
 
 @st.composite
